@@ -41,7 +41,6 @@ from .errors import (
 )
 from .fixtures import run_structural_checks
 from .predict import (
-    SCALE_FLOOR,
     connectivity_prob,
     failsafe_likelihood,
     predicted_message_overhead,
@@ -52,7 +51,6 @@ from .sustain import (
     loss_probability_model,
     message_overhead,
     signaling_overhead,
-    sustainability_point,
     sustainability_window,
 )
 

@@ -15,6 +15,7 @@ explicit list.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,6 +91,8 @@ def _check_scalar(name: str, value) -> float | int | bool | str:
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {name!r}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"field {name!r}: expected a finite number, got {value!r}")
     return float(value)
 
 

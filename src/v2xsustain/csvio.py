@@ -11,6 +11,8 @@ import csv
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def fmt(value) -> str:
     if value is None:
@@ -30,3 +32,16 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerow(header)
         for row in rows:
             writer.writerow([fmt(v) for v in row])
+
+
+def write_event_columns(path: str | Path, header: Sequence[str], t: np.ndarray,
+                        codes: np.ndarray, labels: Sequence[str], ids: np.ndarray) -> None:
+    """write_csv's bytes for rows (t, labels[code], id) whose labels need no
+    quoting. The cell types are known, so fmt's per-cell test is skipped."""
+    names = np.asarray(labels)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(t), 65536):  # chunks bound the text held at once
+            part = slice(lo, lo + 65536)
+            rows = zip(t[part].tolist(), names[codes[part]].tolist(), ids[part].tolist())
+            fh.write("".join([f"{x:.9g},{k},{i}\n" for x, k, i in rows]))

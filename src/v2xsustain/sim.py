@@ -6,7 +6,9 @@ pair as a per-vehicle Poisson process (rate alpha, one event refreshes
 both keys of the pair), and spend Q authentication passes per session
 establishment. Every random draw comes from one of four seed-split
 streams (arrivals, lifetimes, updates, positions) so changing one rate
-never perturbs another stream's draws.
+never perturbs another stream's draws. Each Poisson process is drawn as a
+count, then as that many i.i.d. uniform times (Ross, Simulation, ch. 5):
+arrivals on [0, T], a vehicle's updates on its stay clipped at T.
 
 Slot metrics use the (previous boundary, boundary] convention; the
 initial cohort's t = 0 passes therefore belong to the event totals but to
@@ -20,14 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .csvio import write_csv
+from .csvio import write_csv, write_event_columns
 from .decision import Thresholds, check_constraints
 from .errors import DomainError, SimulationTruncated
-from .keychain import build_hierarchy, establish_session
 from .sustain import (
     NetworkParams,
     RangeParams,
@@ -42,12 +43,36 @@ KIND_DEPARTURE = "departure"
 KIND_KEY_UPDATE = "key_update"
 KIND_AUTH_PASS = "auth_pass"
 _KIND_ORDER = {KIND_ARRIVAL: 0, KIND_AUTH_PASS: 1, KIND_KEY_UPDATE: 2, KIND_DEPARTURE: 3}
+_KIND_NAMES = tuple(_KIND_ORDER)  # indexed by kind code
 
 
 class Event(NamedTuple):
     t_s: float
     kind: str
     entity_id: int
+
+
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Events as numpy columns sorted by (t, kind code, entity), with no
+    Python object per event; rows read as Event tuples."""
+
+    t: np.ndarray
+    kind: np.ndarray
+    entity: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self) -> Iterator[Event]:
+        kinds = (_KIND_NAMES[k] for k in self.kind.tolist())
+        return map(Event, self.t.tolist(), kinds, self.entity.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, EventTable):
+            return NotImplemented
+        pairs = zip((self.t, self.kind, self.entity), (other.t, other.kind, other.entity))
+        return all(np.array_equal(a, b) for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -87,7 +112,7 @@ class SlotMetrics:
 class SimTrace:
     scenario: Scenario
     seed: int
-    events: list[Event]
+    events: EventTable
     slots: list[SlotMetrics]
     arrivals_total: int = 0
     poisson_arrivals: int = 0
@@ -97,7 +122,10 @@ class SimTrace:
     passes_total: int = 0
 
     def export_events_csv(self, path: str | Path) -> None:
-        write_csv(path, ("t_s", "kind", "entity_id"), self.events)
+        ev = self.events
+        write_event_columns(
+            path, ("t_s", "kind", "entity_id"), ev.t, ev.kind, _KIND_NAMES, ev.entity
+        )
 
     def export_metrics_csv(self, path: str | Path) -> None:
         write_csv(
@@ -112,16 +140,25 @@ class SimTrace:
         )
 
 
-def _slot_boundaries(window: TimeWindow) -> list[float]:
-    out = []
-    k = 1
-    while True:
-        b = k * window.t_x_step
-        if b > window.T * (1.0 + 1e-12):
-            break
-        out.append(b)
-        k += 1
-    return out
+def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario, limit=None) -> EventTable:
+    """Sorted events of the vehicles in arrive, cut to the first limit rows."""
+    Q = scenario.net.Q
+    ids = np.arange(len(arrive))
+    gone = depart <= scenario.window.T
+    reauth = scenario.count_reauth_passes
+    session_t = np.concatenate((arrive, upd_t)) if reauth else arrive
+    session_id = np.concatenate((ids, upd_id)) if reauth else ids
+    # one block per kind code: arrivals, passes, key updates, departures
+    sizes = (len(ids), Q * len(session_t), len(upd_t), int(np.count_nonzero(gone)))
+    t = np.concatenate((arrive, np.repeat(session_t, Q), upd_t, depart[gone]))
+    entity = np.concatenate((ids, np.repeat(session_id, Q), upd_id, ids[gone]))
+    kind = np.repeat(np.arange(4, dtype=np.int8), sizes)
+    del session_t, session_id  # not held while sorting
+    order = np.lexsort((entity, kind, t))[:limit]
+    # gathered one column at a time, so each unsorted column is freed first
+    t = t[order]
+    kind = kind[order]
+    return EventTable(t, kind, entity[order])
 
 
 def run_simulation(
@@ -134,8 +171,10 @@ def run_simulation(
     placement; positions falling outside [r1, r2] simply do not count
     toward the in-range total D.
 
-    Raises SimulationTruncated (carrying the partial trace) if the event
-    count exceeds the scenario's cap.
+    Raises SimulationTruncated if the event count exceeds the scenario's
+    cap, checked from the draw counts before any event column is built.
+    Its partial trace has no slots and the first cap + 1 sorted events of
+    the fewest leading vehicles that exceed the cap.
     """
     net, rates, window = scenario.net, scenario.rates, scenario.window
     rp = scenario.range_params
@@ -147,33 +186,20 @@ def run_simulation(
         names = ", ".join(v.constraint for v in violations)
         raise DomainError(f"scenario fails constraint check: {names}")
 
-    ss = np.random.SeedSequence(scenario.seed)
-    s_arr, s_life, s_upd, s_pos, s_keys = ss.spawn(5)
-    rng_arr = np.random.default_rng(s_arr)
-    rng_life = np.random.default_rng(s_life)
-    rng_upd = np.random.default_rng(s_upd)
-    rng_pos = np.random.default_rng(s_pos)
-    rng_keys = np.random.default_rng(s_keys)
-
-    root = bytes(rng_keys.integers(1, 256, size=32, dtype=np.uint8))
-    hierarchy = build_hierarchy(root)
+    # The streams are children 0-3 of the seed; spawn numbers children in
+    # order, so a stream added later leaves their draws unchanged.
+    streams = np.random.SeedSequence(scenario.seed).spawn(4)
+    rng_arr, rng_life, rng_upd, rng_pos = map(np.random.default_rng, streams)
 
     T = window.T
-    arrive_times: list[float] = [0.0] * net.E_zero
-    t = 0.0
-    while True:
-        t += rng_arr.exponential(1.0 / rates.beta)
-        if t > T:
-            break
-        arrive_times.append(t)
-    n = len(arrive_times)
-
+    n_poisson = int(rng_arr.poisson(rates.beta * T))
+    arrivals = np.sort(rng_arr.uniform(0.0, T, n_poisson))
+    arrive = np.concatenate((np.zeros(net.E_zero), arrivals))
+    n = len(arrive)
     if rates.gamma_prime > 0.0:
-        lifetimes = rng_life.exponential(1.0 / rates.gamma_prime, size=n)
+        depart = arrive + rng_life.exponential(1.0 / rates.gamma_prime, size=n)
     else:
-        lifetimes = np.full(n, np.inf)
-    arrive = np.asarray(arrive_times)
-    depart = arrive + lifetimes
+        depart = np.full(n, np.inf)
     if position_sampler is None:
         positions = rng_pos.uniform(rp.r1, rp.r2, size=n)
     else:
@@ -183,103 +209,59 @@ def run_simulation(
                 f"position sampler must return {n} positions, got {positions.shape}"
             )
 
-    events: list[Event] = []
-    update_times: list[float] = []
-    pass_times: list[float] = []
+    stay = np.minimum(depart, T) - arrive
+    n_upd = rng_upd.poisson(rates.alpha * stay)
+    reauth = scenario.count_reauth_passes
+    ends = np.cumsum((1 + net.Q) + (depart <= T) + (1 + net.Q * reauth) * n_upd)
+    cap = scenario.event_cap
+    truncated = n > 0 and int(ends[-1]) > cap
+    k = int(np.searchsorted(ends, cap + 1)) + 1 if truncated else n
+    upd_id = np.repeat(np.arange(k), n_upd[:k])
+    upd_t = arrive[upd_id] + stay[upd_id] * rng_upd.random(len(upd_id))
+    limit = cap + 1 if truncated else None
+    events = _event_table(arrive[:k], depart[:k], upd_t, upd_id, scenario, limit)
+    if truncated:
+        partial = SimTrace(scenario=scenario, seed=scenario.seed, events=events, slots=[])
+        raise SimulationTruncated(f"event cap {cap} exceeded", partial)
 
-    def emit(t_ev: float, kind: str, entity: int) -> None:
-        events.append(Event(t_ev, kind, entity))
-        if len(events) > scenario.event_cap:
-            events.sort(key=lambda e: (e.t_s, _KIND_ORDER[e.kind], e.entity_id))
-            partial = SimTrace(
-                scenario=scenario, seed=scenario.seed, events=events, slots=[],
-            )
-            raise SimulationTruncated(
-                f"event cap {scenario.event_cap} exceeded", partial
-            )
+    # Slot counts are differences of cumulative counts at [0, b1, b2, ...].
+    last = T * (1.0 + 1e-12)
+    edges = np.arange(int(last // window.t_x_step) + 2) * window.t_x_step
+    edges = edges[edges <= last]
 
-    for i in range(n):
-        t_in = float(arrive[i])
-        t_out = float(depart[i])
-        emit(t_in, KIND_ARRIVAL, i)
-        establish_session(hierarchy, "short_range", f"veh{i}", net.Q, at=t_in)
-        for _ in range(net.Q):
-            pass_times.append(t_in)
-            emit(t_in, KIND_AUTH_PASS, i)
-        if t_out <= T:
-            emit(t_out, KIND_DEPARTURE, i)
-        if rates.alpha > 0.0:
-            horizon = min(t_out, T)
-            u = t_in
-            while True:
-                u += float(rng_upd.exponential(1.0 / rates.alpha))
-                if u > horizon:
-                    break
-                update_times.append(u)
-                emit(u, KIND_KEY_UPDATE, i)
-                if scenario.count_reauth_passes:
-                    for _ in range(net.Q):
-                        pass_times.append(u)
-                        emit(u, KIND_AUTH_PASS, i)
+    def upto(sorted_times: np.ndarray) -> np.ndarray:
+        return np.searchsorted(sorted_times, edges, side="right")
 
-    events.sort(key=lambda e: (e.t_s, _KIND_ORDER[e.kind], e.entity_id))
-
-    depart_sorted = np.sort(depart)
-    cohort_depart_sorted = np.sort(depart[: net.E_zero]) if net.E_zero else None
-    update_arr = np.sort(np.asarray(update_times)) if update_times else np.empty(0)
-    pass_arr = np.sort(np.asarray(pass_times)) if pass_times else np.empty(0)
+    arrived = upto(arrive)
+    active = arrived - upto(np.sort(depart))
     in_range = (positions >= rp.r1) & (positions <= rp.r2)
+    d_count = upto(arrive[in_range]) - upto(np.sort(depart[in_range]))
+    u_k = np.diff(upto(events.t[events.kind == _KIND_ORDER[KIND_KEY_UPDATE]]))
+    passes = net.Q * (np.diff(arrived) + reauth * u_k)
+    survivors = net.E_zero - upto(np.sort(depart[: net.E_zero]))
 
     slots: list[SlotMetrics] = []
-    prev = 0.0
-    for b in _slot_boundaries(window):
-        arrived = int(np.searchsorted(arrive, b, side="right"))
-        departed = int(np.searchsorted(depart_sorted, b, side="right"))
-        active = arrived - departed
-        e_prime = min(active, net.E)
+    for b, act, u, d, p, still in zip(
+        edges[1:].tolist(), active[1:].tolist(), u_k.tolist(), d_count[1:].tolist(),
+        passes.tolist(), survivors[1:].tolist(),
+    ):
+        e_prime = min(act, net.E)
         p_emp = 1.0 - e_prime / net.E
-        u_k = int(
-            np.searchsorted(update_arr, b, side="right")
-            - np.searchsorted(update_arr, prev, side="right")
-        )
-        passes = int(
-            np.searchsorted(pass_arr, b, side="right")
-            - np.searchsorted(pass_arr, prev, side="right")
-        )
-        alive_mask = (arrive <= b) & (depart > b)
-        d_count = int(np.count_nonzero(alive_mask & in_range))
-        s_n = None
-        m_o = None
-        if d_count > 0 and p_emp > 0.0:
-            s_n = (u_k / net.n_inv) / (d_count * p_emp * net.Q)
-        if p_emp > 0.0:
-            m_o = passes * (1.0 - p_emp) / (net.E * p_emp)
-        cohort_frac = None
-        if net.E_zero:
-            still = net.E_zero - int(
-                np.searchsorted(cohort_depart_sorted, b, side="right")
-            )
-            cohort_frac = still / net.E_zero
+        s_n = (u / net.n_inv) / (d * p_emp * net.Q) if d > 0 and p_emp > 0.0 else None
+        m_o = p * (1.0 - p_emp) / (net.E * p_emp) if p_emp > 0.0 else None
         slots.append(
             SlotMetrics(
-                t_s=b, active=active, E_prime=e_prime, P_empirical=p_emp,
-                U_k=u_k, D=d_count, passes=passes, S_N_emp=s_n, M_O_emp=m_o,
-                cohort_fraction=cohort_frac,
+                t_s=b, active=act, E_prime=e_prime, P_empirical=p_emp,
+                U_k=u, D=d, passes=p, S_N_emp=s_n, M_O_emp=m_o,
+                cohort_fraction=still / net.E_zero if net.E_zero else None,
             )
         )
-        prev = b
 
     return SimTrace(
-        scenario=scenario,
-        seed=scenario.seed,
-        events=events,
-        slots=slots,
-        arrivals_total=n,
-        poisson_arrivals=n - net.E_zero,
-        cohort_size=net.E_zero,
-        departures_total=sum(1 for e in events if e.kind == KIND_DEPARTURE),
-        key_updates_total=len(update_times),
-        passes_total=len(pass_times),
+        scenario=scenario, seed=scenario.seed, events=events, slots=slots,
+        arrivals_total=n, poisson_arrivals=n_poisson, cohort_size=net.E_zero,
+        departures_total=int(np.count_nonzero(depart <= T)),
+        key_updates_total=len(upd_t), passes_total=net.Q * (n + reauth * len(upd_t)),
     )
 
 

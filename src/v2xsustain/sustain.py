@@ -71,8 +71,8 @@ class RateParams:
     gamma_prime: float = 0.0
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta!r}")
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise DomainError(f"beta must be finite and positive, got {self.beta!r}")
         for name in ("alpha", "gamma", "gamma_prime"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
@@ -106,10 +106,10 @@ class TimeWindow:
             raise DomainError(
                 f"window requires 0 < t1 < t2, got t1={self.t1!r} t2={self.t2!r}"
             )
-        if self.T < self.t2:
-            raise DomainError(f"T={self.T!r} must cover t2={self.t2!r}")
-        if not self.t_x_step > 0.0:
-            raise DomainError(f"t_x_step must be positive, got {self.t_x_step!r}")
+        if not (math.isfinite(self.T) and self.T >= self.t2):
+            raise DomainError(f"T={self.T!r} must be finite and cover t2={self.t2!r}")
+        if not (math.isfinite(self.t_x_step) and self.t_x_step > 0.0):
+            raise DomainError(f"t_x_step must be finite and > 0, got {self.t_x_step!r}")
         if self.t_attack is None:
             object.__setattr__(self, "t_attack", self.T)
         if self.t_min_hold is None:

@@ -6,6 +6,7 @@ the same seed.
 """
 
 import filecmp
+import hashlib
 import json
 
 import pytest
@@ -67,6 +68,22 @@ def test_load_config_reports_position(tmp_path):
         load_config(arr)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
+
+
+def test_load_config_rejects_non_finite_numbers(tmp_path, capsys):
+    path = tmp_path / "nonfinite.json"
+    for text in ('{"beta": Infinity}', '{"alpha": -Infinity}', '{"T_s": NaN}'):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="finite number"):
+            load_config(path)
+        assert main(["validate", str(path)]) == 2
+    # 1e400 parses as a float infinity, past the JSON constants
+    path.write_text('{"tx_step_s": 1e400}')
+    with pytest.raises(ConfigError, match="tx_step_s"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="finite"):
+        merge_config({"T_s": float("nan")})
+    capsys.readouterr()
 
 
 def test_bundle_broadcasts_probability_lists(tmp_path):
@@ -179,6 +196,25 @@ def test_simulate_byte_stable(tmp_path, capsys):
     capsys.readouterr()
     for kind in ("events", "metrics", "comparison"):
         assert filecmp.cmp(a / f"run0_{kind}.csv", b / f"run0_{kind}.csv", shallow=False)
+
+
+# SHA-256 of the simulate CSVs at the A1 defaults, seed 1234. A change in
+# the random draws, their order or the CSV format shows here; update the
+# digests only together with such a change.
+GOLDEN_A1_SEED_1234 = {
+    "events": "faec8a9ceb798024a4f192c08a1449e29266253bbaaf86e684aa35a92063893e",
+    "metrics": "d8cc6fe449b9cfce8cc0c9e1bf5ca9169d5bbe51eb3e17f61d9a8af7a38510a9",
+    "comparison": "ba32ee48fa909a7dd0598762a7c541386606149b00995c9c23b8ee615f76759b",
+}
+
+
+def test_simulate_golden_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    assert main(["simulate", "--out", str(tmp_path), "--seed", "1234"]) == 0
+    capsys.readouterr()
+    for kind, digest in GOLDEN_A1_SEED_1234.items():
+        data = (tmp_path / f"run0_{kind}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, kind
 
 
 def test_simulate_truncation_fails(tmp_path, capsys):

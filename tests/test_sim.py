@@ -21,6 +21,7 @@ from v2xsustain import (
     compare_to_model,
     run_simulation,
 )
+from v2xsustain.csvio import write_csv
 from v2xsustain.errors import DomainError, SimulationTruncated
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
@@ -226,6 +227,52 @@ def test_csv_exports(tmp_path):
         "t_s,S_N_emp,S_N_model,S_N_rel_dev,P_emp,P_model,P_abs_dev,"
         "survivor_emp,survivor_model,survivor_abs_dev"
     )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"net": NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=3),
+         "count_reauth_passes": False},
+    ],
+    ids=["A1", "Q3-no-reauth"],
+)
+def test_events_csv_matches_write_csv(tmp_path, overrides):
+    # the column writer must give the bytes of the row writer through fmt
+    trace = run_simulation(scenario(**overrides))
+    by_column = tmp_path / "columns.csv"
+    by_row = tmp_path / "rows.csv"
+    trace.export_events_csv(by_column)
+    write_csv(by_row, ("t_s", "kind", "entity_id"), list(trace.events))
+    assert by_column.read_bytes() == by_row.read_bytes()
+    lines = by_column.read_text().splitlines()
+    q = trace.scenario.net.Q
+    assert lines.count("0,auth_pass,9") == q  # cohort rows at t = 0 print as 0
+
+
+def test_key_updates_lie_in_clipped_stays():
+    # updates are uniform on [t_in, min(t_out, T)], their count Poisson in
+    # alpha times that stay
+    T = WINDOW.T
+    updates = 0
+    stay = 0.0
+    for seed in range(30):
+        trace = run_simulation(scenario(seed=seed))
+        arrive, depart, update_rows = {}, {}, []
+        for e in trace.events:
+            if e.kind == "arrival":
+                arrive[e.entity_id] = e.t_s
+            elif e.kind == "departure":
+                depart[e.entity_id] = e.t_s
+            elif e.kind == "key_update":
+                update_rows.append(e)
+        for e in update_rows:
+            assert arrive[e.entity_id] < e.t_s <= min(depart.get(e.entity_id, T), T)
+        updates += trace.key_updates_total
+        stay += sum(min(depart.get(i, T), T) - t for i, t in arrive.items())
+    expected = RATES.alpha * stay
+    assert abs(updates - expected) < 4.0 * math.sqrt(expected)
 
 
 def test_slot_arrivals_match_poisson_binned():

@@ -87,6 +87,17 @@ def test_time_window_validation():
     TimeWindow(t1=1.0, t2=2.0, T=5.0, t_use=4.0, t_min_hold=3.0)
 
 
+def test_non_finite_rates_and_windows_rejected():
+    # an unbounded arrival rate or window would never finish a simulation
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="beta"):
+            RateParams(alpha=1.0, beta=bad)
+        with pytest.raises(DomainError, match="T="):
+            TimeWindow(t1=5.0, t2=105.0, T=bad)
+        with pytest.raises(DomainError, match="t_x_step"):
+            TimeWindow(t1=5.0, t2=105.0, T=110.0, t_x_step=bad)
+
+
 def test_range_params_validation():
     with pytest.raises(DomainError):
         RangeParams(r1=500.0, r2=100.0)
