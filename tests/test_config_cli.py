@@ -217,6 +217,35 @@ def test_simulate_golden_digest(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(data).hexdigest() == digest, kind
 
 
+# SHA-256 of the analytic command outputs at the A1 defaults: the default
+# beta and p_x sweep grids (mu > 2 on part of the p_x grid, so tau is
+# nonzero there) and the failsafe table (nonzero tau in every row). A change
+# of route for any quantity these print shows here; update the digests only
+# together with a change of the printed values.
+GOLDEN_ANALYTIC = [
+    (["sweep", "--param", "beta"], 0,
+     "167b6496d49ee5f1409f560dc21d023400d111f081870a33823c6ebdc692531f"),
+    (["sweep", "--param", "p_x"], 0,
+     "dc53a686da74b75a1f09a0838dbe0fc8b45b1dbfdae36010c403233c7ecc6636"),
+    (["failsafe"], 1,
+     "cccb0f351c5375871b1fd422fecf7326b44e72aabd809f5026188119821f59f1"),
+]
+GOLDEN_ANALYTIC_IDS = ["sweep_beta", "sweep_p_x", "failsafe"]
+
+
+def assert_golden_output(tmp_path, argv, code, digest):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN_ANALYTIC, ids=GOLDEN_ANALYTIC_IDS)
+def test_analytic_golden_digest(tmp_path, monkeypatch, capsys, argv, code, digest):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    assert_golden_output(tmp_path, argv, code, digest)
+    capsys.readouterr()
+
+
 def test_simulate_truncation_fails(tmp_path, capsys):
     cfg = write_config(tmp_path, event_cap=10)
     out = tmp_path / "sims"
