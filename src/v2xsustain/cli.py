@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 check failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -24,6 +25,7 @@ from pathlib import Path
 
 from .config import (
     ENV_CONFIG_PATH,
+    INT_FIELDS,
     ScenarioBundle,
     build_bundle,
     default_config,
@@ -31,7 +33,7 @@ from .config import (
     merge_config,
 )
 from .csvio import write_csv
-from .decision import CONTINUE, check_constraints, decide
+from .decision import CONTINUE, check_constraints, decide, failsafe_point
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -42,12 +44,13 @@ from .errors import (
 from .fixtures import run_structural_checks
 from .predict import (
     connectivity_prob,
-    failsafe_likelihood,
+    failsafe_tau,
     predicted_message_overhead,
     scale_param,
 )
 from .sim import run_simulation, compare_to_model
 from .sustain import (
+    hop_loss_probability,
     loss_probability_model,
     message_overhead,
     signaling_overhead,
@@ -69,8 +72,6 @@ SWEEP_GRIDS: dict[str, list[float]] = {
     "p_x": [0.1, 0.3, 0.5, 0.7, 0.9],
     "omega_x": [0.1, 0.3, 0.5, 0.7, 0.9],
 }
-
-_INT_PARAMS = {"N", "E", "E0", "n_inv", "Q", "U_prime_N", "seed", "event_cap"}
 
 SWEEP_HEADER = (
     "param", "value", "S_N", "O_S", "M_O", "M_O_pred", "M_O_pred_printed",
@@ -99,11 +100,8 @@ def _cell(fn, warnings: list[str], name: str):
     """Evaluate one sweep cell; domain failures become empty cells."""
     try:
         return fn()
-    except (DomainError, OverflowRangeError) as e:
+    except (DomainError, OverflowRangeError, ConvergenceError) as e:
         warnings.append(f"{name}: {e}")
-        return None
-    except ConvergenceError as e:
-        warnings.append(f"{name}: quadrature did not converge ({e})")
         return None
 
 
@@ -152,9 +150,9 @@ def _sweep_values(args) -> list[float]:
 
 
 def _sweep_row(param: str, value: float, base: dict, warnings: list[str]) -> tuple:
-    if param in _INT_PARAMS and value != int(value):
+    if param in INT_FIELDS and value != int(value):
         raise ConfigError(f"parameter {param!r} takes integer values, got {value!r}")
-    overrides: dict = {param: int(value) if param in _INT_PARAMS else value}
+    overrides: dict = {param: int(value) if param in INT_FIELDS else value}
     if param == "beta":
         # the published grid ties the update rate to half the arrival rate
         overrides["alpha"] = value / 2.0
@@ -208,13 +206,7 @@ def _sweep_row(param: str, value: float, base: dict, warnings: list[str]) -> tup
         warnings,
         "mu",
     )
-    tau = (
-        _cell(
-            lambda: failsafe_likelihood(mu, b.bounds, window.T).tau, warnings, "tau"
-        )
-        if mu is not None
-        else None
-    )
+    tau = None if mu is None else failsafe_tau(mu, b.bounds, window.T)
     return (
         param, value, s_n, o_s, m_o,
         None if pred is None else pred.composed,
@@ -285,7 +277,7 @@ def _slot_decision_inputs(slot, net) -> tuple[float | None, float | None]:
     """
     if slot.E_prime <= net.n_inv or slot.D <= 0:
         return None, None
-    p = (1.0 - net.n_inv / slot.E_prime) ** net.N
+    p = hop_loss_probability(net.n_inv, slot.E_prime, net.N)
     # observed D may exceed the planning bound N, so the point-form guard
     # does not apply here
     s_n = (slot.U_k / net.n_inv) / (slot.D * p * net.Q)
@@ -302,14 +294,16 @@ def cmd_failsafe(args) -> int:
         print(f"simulation truncated at event cap: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     compliance = b.omega_compliance(len(trace.slots))
-    thresholds = scn.thresholds
+    inputs = [_slot_decision_inputs(slot, scn.net) for slot in trace.slots]
+    # a slot without observations breaks the safe prefix
+    safety = [
+        (slot.t_s, -math.inf if s_n is None else s_n, m_o)
+        for slot, (s_n, m_o) in zip(trace.slots, inputs)
+    ]
+    F_S = failsafe_point(safety, scn.thresholds).F_S if safety else None
     rows = []
     samples: list[float] = []
-    prefix_safe = True
-    f_s = None
-    last_decision = None
-    for k, slot in enumerate(trace.slots, start=1):
-        s_n, m_o = _slot_decision_inputs(slot, scn.net)
+    for k, (slot, (s_n, m_o)) in enumerate(zip(trace.slots, inputs), start=1):
         if s_n is not None:
             samples.append(s_n)
         mu = tau = None
@@ -323,21 +317,18 @@ def cmd_failsafe(args) -> int:
             except DomainError:
                 mu = None
         if mu is not None:
-            tau = 0.0 if mu <= 0.0 else failsafe_likelihood(mu, b.bounds, scn.window.T).tau
-        if prefix_safe and s_n is not None and s_n >= thresholds.S_N_TH:
-            f_s = slot.t_s
-        else:
-            prefix_safe = False
+            tau = failsafe_tau(mu, b.bounds, scn.window.T)
+        f_s = None if F_S is None else min(slot.t_s, F_S)
         if s_n is None or m_o is None or mu is None:
             decision, rationale = (
                 "update_keys", "insufficient observations in this slot"
             )
         else:
-            report = decide(s_n, m_o, mu, None, thresholds, tau=tau, f_s=f_s)
+            report = decide(s_n, m_o, mu, None, scn.thresholds, tau=tau, f_s=f_s)
             decision, rationale = report.decision, report.rationale
-        last_decision = decision
         rows.append((slot.t_s, s_n, m_o, mu, tau, f_s, decision, rationale))
     write_csv(args.out, FAILSAFE_HEADER, rows)
+    last_decision = rows[-1][6] if rows else None
     print(f"wrote {len(rows)} rows to {args.out}; final decision: {last_decision}")
     return EXIT_OK if last_decision == CONTINUE else EXIT_CHECK_FAILED
 

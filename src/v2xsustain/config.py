@@ -34,11 +34,11 @@ _FLOAT_FIELDS = {
     "S_N_TH", "M_O_TH", "O_b",
     "t_u_s", "t_prime_s", "t_attack_s", "U_k", "D", "alpha_prime",
 }
-_INT_FIELDS = {"N", "E", "E0", "n_inv", "Q", "U_prime_N", "seed", "event_cap"}
+INT_FIELDS = {"N", "E", "E0", "n_inv", "Q", "U_prime_N", "seed", "event_cap"}
 _BOOL_FIELDS = {"count_reauth_passes"}
 _STR_FIELDS = {"label"}
 _LIST_OK_FIELDS = {"p_x", "omega_x"}
-_ALL_FIELDS = _FLOAT_FIELDS | _INT_FIELDS | _BOOL_FIELDS | _STR_FIELDS | _LIST_OK_FIELDS
+_ALL_FIELDS = _FLOAT_FIELDS | INT_FIELDS | _BOOL_FIELDS | _STR_FIELDS | _LIST_OK_FIELDS
 
 
 def default_config() -> dict:
@@ -85,15 +85,19 @@ def _check_scalar(name: str, value) -> float | int | bool | str:
         if not isinstance(value, str):
             raise ConfigError(f"field {name!r}: expected a string, got {value!r}")
         return value
-    if name in _INT_FIELDS:
+    if name in INT_FIELDS:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"field {name!r}: expected an integer, got {value!r}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {name!r}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"field {name!r}: integer beyond the float range") from None
+    if not math.isfinite(number):
         raise ConfigError(f"field {name!r}: expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def merge_config(overrides: dict, source: str = "<dict>") -> dict:
@@ -126,6 +130,9 @@ def load_config(path: str | Path) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:
+        # integers past the interpreter's digit limit, nesting past the stack
+        raise ConfigError(f"{path}: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return merge_config(data, source=str(path))

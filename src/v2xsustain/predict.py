@@ -4,14 +4,15 @@ Beta-distributed traffic density, connectivity probability from the
 exponential departure model, the predicted message overhead composition,
 the fail-safe likelihood integral, and the scale-parameter asymptotics.
 These let the network act before measurements exist: everything here is a
-function of rates and window bounds only.
+function of rates and window bounds only. Commands use the closed forms;
+the quadrature routes are independent twins for the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DivergenceError, DomainError
 from .specfun import QuadSpec, integrate, ln_gamma
@@ -224,15 +225,22 @@ def connectivity_window_factor(
     return 1.0 - (net.E_zero / (net.E * rate)) * decay
 
 
-def predicted_key_updates(
+def predicted_key_updates(rates: RateParams, window: TimeWindow) -> float:
+    """Predicted surviving update mass over the window, closed form.
+
+    Integral of e^{-alpha/t} (alpha/t)^2 / 2 over [t1, t2], which is
+    (alpha/2)(e^{-alpha/t2} - e^{-alpha/t1}).
+    """
+    if not rates.alpha > 0.0:
+        raise DomainError(f"prediction requires alpha > 0, got {rates.alpha!r}")
+    a = rates.alpha
+    return (a / 2.0) * (math.exp(-a / window.t2) - math.exp(-a / window.t1))
+
+
+def predicted_key_updates_quadrature(
     rates: RateParams, window: TimeWindow, rel_tol: float = 1e-10
 ) -> float:
-    """Predicted surviving update mass over the window.
-
-    Integral of e^{-alpha/t} (alpha/t)^2 / 2 over [t1, t2], by quadrature.
-    The closed form (alpha/2)(e^{-alpha/t2} - e^{-alpha/t1}) exists and is
-    used by the test oracles, not here.
-    """
+    """Same quantity as predicted_key_updates, by quadrature; its test twin."""
     if not rates.alpha > 0.0:
         raise DomainError(f"prediction requires alpha > 0, got {rates.alpha!r}")
     a = rates.alpha
@@ -274,8 +282,6 @@ def predicted_message_overhead(
     *,
     alpha_prime: float | None = None,
     rate_variant: str = "outgoing",
-    normalizer: float | None = None,
-    rel_tol: float = 1e-10,
 ) -> OverheadPrediction:
     """Predicted per-vehicle message overhead over the window.
 
@@ -287,9 +293,8 @@ def predicted_message_overhead(
     alpha_prime defaults to alpha/t2 (the fixed per-unit-time refresh
     probability at the window end). rate_variant selects gamma'
     ("outgoing", default) or gamma ("incoming") for the connectivity
-    factor. The density component uses unit shape parameters with the
-    meter range scaled by `normalizer` (default r1 + r2) and back, which
-    reduces it to the plain range width r2 - r1.
+    factor. The density component is the unit-shape Beta mass of the
+    meter range, which is the plain range width r2 - r1.
     """
     if O_b < 0.0:
         raise DomainError(f"O_b must be >= 0, got {O_b!r}")
@@ -307,13 +312,10 @@ def predicted_message_overhead(
             "explicitly when alpha/t2 falls outside"
         )
 
-    u_k = predicted_key_updates(rates, window, rel_tol=rel_tol)
+    u_k = predicted_key_updates(rates, window)
     s_n_unit = sustainability_window(rates, replace(net, Q=1), window)
     o_s = signaling_overhead(O_b, alpha_prime, net, window)
-    span = normalizer if normalizer is not None else rng.r1 + rng.r2
-    density = span * density_beta(
-        BetaTraffic(shape=1.0, scale=1.0), rng, normalizer=span, rel_tol=rel_tol
-    )
+    density = rng.r2 - rng.r1
     conn = connectivity_window_factor(net, conn_rate, window)
 
     composed = net.Q / u_k * (s_n_unit * o_s * density * conn)
@@ -373,15 +375,15 @@ def _printed_overhead_expansion(
 
 @dataclass(frozen=True)
 class FailsafeLikelihood:
-    """Fail-safe likelihood results.
+    """Fail-safe likelihood results, by quadrature.
 
     integral is the windowed likelihood (1/T) int Gamma(1+mu)/Gamma(mu)
     (1-phi)^(mu-1) dphi over (d1, d2), evaluated by quadrature. tau is the
-    operational value: equal to the integral when the network is operable
-    (mu > 2) and 0 otherwise. closed_full and closed_reduced are the two
-    printed closed-form variants, defined only for mu > 2; they disagree
-    with the integral and with each other and are kept as diagnostics.
-    closed_full may overflow to inf for large mu.
+    integral when mu > 2 and 0 otherwise, the twin of failsafe_tau.
+    closed_full and closed_reduced are the two printed closed-form
+    variants, defined only for mu > 2; they disagree with the integral and
+    with each other and are kept as diagnostics. closed_full may overflow
+    to inf for large mu.
     """
 
     mu: float
@@ -391,17 +393,32 @@ class FailsafeLikelihood:
     closed_reduced: float | None
 
 
+def failsafe_tau(mu: float, bounds: LikelihoodBounds, T: float) -> float:
+    """Operational fail-safe likelihood, closed form.
+
+    tau = ((1-d1)^mu - (1-d2)^mu) / T when the network is operable
+    (mu > 2) and 0 otherwise; failsafe_likelihood is its quadrature twin.
+    """
+    if not mu > 0.0:
+        raise DomainError(f"mu must be positive, got {mu!r}")
+    if not T > 0.0:
+        raise DomainError(f"T must be positive, got {T!r}")
+    if not mu > SCALE_FLOOR:
+        return 0.0
+    return ((1.0 - bounds.d1) ** mu - (1.0 - bounds.d2) ** mu) / T
+
+
 def failsafe_likelihood(
     mu: float, bounds: LikelihoodBounds, T: float, rel_tol: float = 1e-12
 ) -> FailsafeLikelihood:
     """Likelihood of fail-safe checkpoints between the bound probabilities.
 
-    The gamma-function ratio Gamma(1+mu)/Gamma(mu) is evaluated through
-    ln_gamma rather than simplified away, so the quadrature route stays
-    independent of the antiderivative (1/T)((1-d1)^mu - (1-d2)^mu) used by
-    the oracle tests. The tight default tolerance keeps the delivered
-    error under 1e-9 relative even for steep large-mu integrands, where
-    the adaptive rule's local estimate runs about 20x optimistic.
+    The quadrature twin of failsafe_tau. Gamma(1+mu)/Gamma(mu) is
+    evaluated through ln_gamma rather than simplified to mu, so this route
+    stays independent of the antiderivative. The tight default tolerance
+    keeps the delivered error under 1e-9 relative even for steep large-mu
+    integrands, where the adaptive rule's local estimate runs about 20x
+    optimistic.
     """
     if not mu > 0.0:
         raise DomainError(f"mu must be positive, got {mu!r}")
@@ -431,29 +448,6 @@ def failsafe_likelihood(
         mu=mu, integral=value, tau=tau, closed_full=closed_full,
         closed_reduced=closed_reduced,
     )
-
-
-def best_failsafe_window(
-    mu: float,
-    windows: Iterable[tuple[float, float]],
-    T: float,
-    rel_tol: float = 1e-12,
-) -> tuple[tuple[float, float], FailsafeLikelihood]:
-    """Checkpoint window maximizing tau over candidate (d1, d2) pairs.
-
-    Ties break toward the earliest d1. The candidate list must be
-    nonempty; each pair must satisfy the bounds invariants.
-    """
-    best = None
-    for d1, d2 in windows:
-        bounds = LikelihoodBounds(d1=d1, d2=d2)
-        result = failsafe_likelihood(mu, bounds, T, rel_tol=rel_tol)
-        key = (-result.tau, d1)
-        if best is None or key < best[0]:
-            best = (key, (d1, d2), result)
-    if best is None:
-        raise DomainError("no candidate windows supplied")
-    return best[1], best[2]
 
 
 def scale_asymptote(

@@ -147,8 +147,8 @@ class RangeParams:
             raise DomainError(f"R must be positive when given, got {self.R!r}")
 
 
-def loss_probability_model(net: NetworkParams) -> float:
-    """Per-delivery loss probability P = (1 - n_inv/E)^N.
+def hop_loss_probability(n_inv: int, E: int, N: int) -> float:
+    """Per-delivery loss probability P = (1 - n_inv/E)^N over N hops.
 
     Each of the N backhaul hops independently fails to shed the update
     with probability 1 - n_inv/E. Requires n_inv < E.
@@ -158,11 +158,16 @@ def loss_probability_model(net: NetworkParams) -> float:
     README and the sustainability forms call it a loss, while the
     (1 - P) / P factor of message_overhead reads it as a delivery chance.
     """
-    if net.n_inv >= net.E:
+    if n_inv >= E:
         raise DomainError(
-            f"loss model requires n_inv < E, got n_inv={net.n_inv!r} E={net.E!r}"
+            f"loss model requires n_inv < E, got n_inv={n_inv!r} E={E!r}"
         )
-    return (1.0 - net.n_inv / net.E) ** net.N
+    return (1.0 - n_inv / E) ** N
+
+
+def loss_probability_model(net: NetworkParams) -> float:
+    """Per-delivery loss probability at capacity E."""
+    return hop_loss_probability(net.n_inv, net.E, net.N)
 
 
 def empirical_loss_probability(net: NetworkParams) -> float:

@@ -86,6 +86,26 @@ def test_load_config_rejects_non_finite_numbers(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_load_config_rejects_huge_integers(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    # overflows the float conversion of a numeric field
+    path.write_text('{"beta": 1' + "0" * 400 + "}")
+    with pytest.raises(ConfigError, match="beta"):
+        load_config(path)
+    assert main(["validate", str(path)]) == 2
+    # past the interpreter's integer digit limit, so json.loads refuses it
+    path.write_text('{"beta": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError, match="digits"):
+        load_config(path)
+    assert main(["validate", str(path)]) == 2
+    # nested deeper than the decoder's recursion limit
+    path.write_text('{"beta": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(ConfigError, match="recursion"):
+        load_config(path)
+    assert main(["validate", str(path)]) == 2
+    capsys.readouterr()
+
+
 def test_bundle_broadcasts_probability_lists(tmp_path):
     path = write_config(tmp_path, p_x=[0.1, 0.2], omega_x=0.25, E=2, E0=2)
     bundle = load_bundle(path)
@@ -239,9 +259,24 @@ def assert_golden_output(tmp_path, argv, code, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, code, digest", GOLDEN_ANALYTIC, ids=GOLDEN_ANALYTIC_IDS)
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_ANALYTIC, ids=GOLDEN_ANALYTIC_IDS)
 def test_analytic_golden_digest(tmp_path, monkeypatch, capsys, argv, code, digest):
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    assert_golden_output(tmp_path, argv, code, digest)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_ANALYTIC, ids=GOLDEN_ANALYTIC_IDS)
+def test_analytic_commands_never_integrate(
+    tmp_path, monkeypatch, capsys, argv, code, digest
+):
+    # production routes are closed forms; quadrature runs only in the twins
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production path called specfun.integrate")
+
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    monkeypatch.setattr("v2xsustain.predict.integrate", refuse)
+    monkeypatch.setattr("v2xsustain.sustain.integrate", refuse)
     assert_golden_output(tmp_path, argv, code, digest)
     capsys.readouterr()
 
@@ -275,6 +310,16 @@ def test_failsafe_rows_and_exit(tmp_path, capsys):
     assert code in (0, 1)
     final = lines[-1].split(",")[6]
     assert code == (0 if final == "continue" else 1)
+
+
+def test_failsafe_without_slots(tmp_path, capsys):
+    # a slot wider than the span T leaves no slot to score; t_u_s keeps the
+    # key-use time under the hold floor, which the wide slot would breach
+    cfg = write_config(tmp_path, tx_step_s=500.0, t_u_s=1.0)
+    out = tmp_path / "failsafe.csv"
+    assert main(["failsafe", cfg, "--out", str(out)]) == 1
+    assert out.read_text() == "t_s,S_N,M_O,mu,tau,F_S,decision,rationale\n"
+    assert "final decision: None" in capsys.readouterr().out
 
 
 def test_main_usage_errors():

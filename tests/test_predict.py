@@ -4,10 +4,13 @@ Oracles: the Beta(1, mu) mass over (a, b) has antiderivative
 -(1-x)^mu, the predicted update mass has closed form
 (alpha/2)(e^{-alpha/t2} - e^{-alpha/t1}), and the fail-safe likelihood has
 antiderivative (1/T)((1-d1)^mu - (1-d2)^mu). All three are frozen here
-independently of the quadrature implementations they check.
+independently of the implementations they check; the production closed
+forms failsafe_tau and predicted_key_updates are also checked against
+their quadrature twins.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,12 +23,13 @@ from v2xsustain import (
     RangeParams,
     RateParams,
     TimeWindow,
-    best_failsafe_window,
     connectivity_prob,
     connectivity_window_factor,
     density_beta,
     failsafe_likelihood,
+    failsafe_tau,
     predicted_key_updates,
+    predicted_key_updates_quadrature,
     predicted_message_overhead,
     scale_asymptote,
     scale_growth_diagnostic,
@@ -191,7 +195,9 @@ def test_predicted_key_updates_closed_form_random_rates():
         a = float(rng.uniform(0.05, 4.9))
         rates = RateParams(alpha=a, beta=a + 1.0)
         closed = (a / 2.0) * (math.exp(-a / 105.0) - math.exp(-a / 5.0))
-        assert predicted_key_updates(rates, WINDOW) == pytest.approx(closed, rel=1e-9)
+        twin = predicted_key_updates_quadrature(rates, WINDOW)
+        assert twin == pytest.approx(closed, rel=1e-9)
+        assert predicted_key_updates(rates, WINDOW) == pytest.approx(twin, rel=1e-9)
 
 
 def test_predicted_overhead_components():
@@ -306,17 +312,28 @@ def test_failsafe_likelihood_domain():
         failsafe_likelihood(3.0, b, 0.0)
 
 
-def test_best_failsafe_window():
-    wins = [(0.1, 0.9), (0.3, 0.8), (0.0, 0.5)]
-    (d1, d2), result = best_failsafe_window(3.0, wins, 110.0)
-    assert (d1, d2) == (0.0, 0.5)
-    assert result.tau == pytest.approx((1.0 - 0.5**3) / 110.0, rel=1e-9)
-    # all-zero taus tie; earliest left bound wins
-    (d1, _), result = best_failsafe_window(1.0, [(0.2, 0.4), (0.1, 0.3)], 110.0)
-    assert d1 == 0.1
-    assert result.tau == 0.0
+def test_failsafe_tau_matches_quadrature_twin():
+    b = LikelihoodBounds(d1=0.1, d2=0.9)
+    for mu in (0.5, 1.0, 2.0):
+        assert failsafe_tau(mu, b, 110.0) == 0.0
+        assert failsafe_likelihood(mu, b, 110.0).tau == 0.0
+    assert failsafe_tau(3.0, b, 110.0) == pytest.approx(0.728 / 110.0, rel=1e-12)
+    rng = np.random.default_rng(2718)
+    checked = 0
+    for _ in range(200):
+        mu = float(rng.uniform(SCALE_FLOOR, 2000.0))
+        d1, d2 = sorted(float(x) for x in rng.uniform(0.0, 0.999, size=2))
+        bounds = LikelihoodBounds(d1=d1, d2=d2)
+        twin = failsafe_likelihood(mu, bounds, 110.0).tau
+        if twin < sys.float_info.min:
+            continue  # subnormal results lose precision on both routes
+        assert failsafe_tau(mu, bounds, 110.0) == pytest.approx(twin, rel=1e-9)
+        checked += 1
+    assert checked >= 100
     with pytest.raises(DomainError):
-        best_failsafe_window(3.0, [], 110.0)
+        failsafe_tau(0.0, b, 110.0)
+    with pytest.raises(DomainError):
+        failsafe_tau(3.0, b, 0.0)
 
 
 def test_scale_asymptote_value_and_divergence():
