@@ -312,6 +312,16 @@ def test_failsafe_rows_and_exit(tmp_path, capsys):
     assert code == (0 if final == "continue" else 1)
 
 
+def test_failsafe_point_holds_after_first_breach(tmp_path, capsys):
+    # at seed 1 the third slot's S_N (about 754) is the first below 760
+    cfg = write_config(tmp_path, seed=1, S_N_TH=760.0)
+    out = tmp_path / "failsafe.csv"
+    assert main(["failsafe", cfg, "--out", str(out)]) == 1
+    f_s = [line.split(",")[5] for line in out.read_text().splitlines()[1:]]
+    assert f_s == ["5", "10"] + ["10"] * 20
+    capsys.readouterr()
+
+
 def test_failsafe_without_slots(tmp_path, capsys):
     # a slot wider than the span T leaves no slot to score; t_u_s keeps the
     # key-use time under the hold floor, which the wide slot would breach
