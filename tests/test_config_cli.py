@@ -239,36 +239,47 @@ def test_simulate_golden_digest(tmp_path, monkeypatch, capsys):
 
 # SHA-256 of the analytic command outputs at the A1 defaults: the default
 # beta and p_x sweep grids (mu > 2 on part of the p_x grid, so tau is
-# nonzero there) and the failsafe table (nonzero tau in every row). A change
-# of route for any quantity these print shows here; update the digests only
-# together with a change of the printed values.
+# nonzero there) and the failsafe table (nonzero tau in every row), plus the
+# failsafe table at 0.1 s slots (1100 rows, seed 1234). A change of route
+# for any quantity these print shows here; update the digests only together
+# with a change of the printed values.
 GOLDEN_ANALYTIC = [
-    (["sweep", "--param", "beta"], 0,
+    (["sweep", "--param", "beta"], {}, 0,
      "167b6496d49ee5f1409f560dc21d023400d111f081870a33823c6ebdc692531f"),
-    (["sweep", "--param", "p_x"], 0,
+    (["sweep", "--param", "p_x"], {}, 0,
      "dc53a686da74b75a1f09a0838dbe0fc8b45b1dbfdae36010c403233c7ecc6636"),
-    (["failsafe"], 1,
+    (["failsafe"], {}, 1,
      "cccb0f351c5375871b1fd422fecf7326b44e72aabd809f5026188119821f59f1"),
+    (["failsafe"], {"tx_step_s": 0.1}, 1,
+     "998a90b88ae0527848848443a21744654ba356c0df85cf7d8509f3da6a163960"),
 ]
-GOLDEN_ANALYTIC_IDS = ["sweep_beta", "sweep_p_x", "failsafe"]
+GOLDEN_ANALYTIC_IDS = ["sweep_beta", "sweep_p_x", "failsafe", "failsafe_fine"]
 
 
-def assert_golden_output(tmp_path, argv, code, digest):
+def assert_golden_output(tmp_path, argv, overrides, code, digest):
+    if overrides:
+        argv = argv + [write_config(tmp_path, **overrides)]
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv,code,digest", GOLDEN_ANALYTIC, ids=GOLDEN_ANALYTIC_IDS)
-def test_analytic_golden_digest(tmp_path, monkeypatch, capsys, argv, code, digest):
+@pytest.mark.parametrize(
+    "argv,overrides,code,digest", GOLDEN_ANALYTIC, ids=GOLDEN_ANALYTIC_IDS
+)
+def test_analytic_golden_digest(
+    tmp_path, monkeypatch, capsys, argv, overrides, code, digest
+):
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
-    assert_golden_output(tmp_path, argv, code, digest)
+    assert_golden_output(tmp_path, argv, overrides, code, digest)
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv,code,digest", GOLDEN_ANALYTIC, ids=GOLDEN_ANALYTIC_IDS)
+@pytest.mark.parametrize(
+    "argv,overrides,code,digest", GOLDEN_ANALYTIC, ids=GOLDEN_ANALYTIC_IDS
+)
 def test_analytic_commands_never_integrate(
-    tmp_path, monkeypatch, capsys, argv, code, digest
+    tmp_path, monkeypatch, capsys, argv, overrides, code, digest
 ):
     # production routes are closed forms; quadrature runs only in the twins
     def refuse(*args, **kwargs):
@@ -277,7 +288,7 @@ def test_analytic_commands_never_integrate(
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
     monkeypatch.setattr("v2xsustain.predict.integrate", refuse)
     monkeypatch.setattr("v2xsustain.sustain.integrate", refuse)
-    assert_golden_output(tmp_path, argv, code, digest)
+    assert_golden_output(tmp_path, argv, overrides, code, digest)
     capsys.readouterr()
 
 
