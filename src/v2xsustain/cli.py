@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 check failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -33,7 +32,12 @@ from .config import (
     merge_config,
 )
 from .csvio import write_csv
-from .decision import CONTINUE, check_constraints, decide, failsafe_point
+from .decision import (
+    CONTINUE,
+    FailsafeRow,
+    check_constraints,
+    score_failsafe_slots,
+)
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -50,7 +54,6 @@ from .predict import (
 )
 from .sim import run_simulation, compare_to_model
 from .sustain import (
-    hop_loss_probability,
     loss_probability_model,
     message_overhead,
     signaling_overhead,
@@ -76,10 +79,6 @@ SWEEP_GRIDS: dict[str, list[float]] = {
 SWEEP_HEADER = (
     "param", "value", "S_N", "O_S", "M_O", "M_O_pred", "M_O_pred_printed",
     "P_c", "mu", "tau",
-)
-
-FAILSAFE_HEADER = (
-    "t_s", "S_N", "M_O", "mu", "tau", "F_S", "decision", "rationale",
 )
 
 
@@ -266,69 +265,16 @@ def cmd_table3(args) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _slot_decision_inputs(slot, net) -> tuple[float | None, float | None]:
-    """Decision-side S_N and M_O for one observed slot.
-
-    The raw trace reports the empirical loss share 1 - E'/E, which is 0 at
-    full connectivity and leaves the sustainability ratio undefined there.
-    The decision pipeline instead prices the observed counts with the
-    modeled per-delivery loss at the observed connected count E', the same
-    convention the closed forms use.
-    """
-    if slot.E_prime <= net.n_inv or slot.D <= 0:
-        return None, None
-    p = hop_loss_probability(net.n_inv, slot.E_prime, net.N)
-    # observed D may exceed the planning bound N, so the point-form guard
-    # does not apply here
-    s_n = (slot.U_k / net.n_inv) / (slot.D * p * net.Q)
-    m_o = message_overhead(float(slot.passes), p, net.E)
-    return s_n, m_o
-
-
 def cmd_failsafe(args) -> int:
     b = _bundle(args)
-    scn = b.scenario
     try:
-        trace = run_simulation(scn)
+        trace = run_simulation(b.scenario)
     except SimulationTruncated as e:
         print(f"simulation truncated at event cap: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    compliance = b.omega_compliance(len(trace.slots))
-    inputs = [_slot_decision_inputs(slot, scn.net) for slot in trace.slots]
-    # a slot without observations breaks the safe prefix
-    safety = [
-        (slot.t_s, -math.inf if s_n is None else s_n, m_o)
-        for slot, (s_n, m_o) in zip(trace.slots, inputs)
-    ]
-    F_S = failsafe_point(safety, scn.thresholds).F_S if safety else None
-    rows = []
-    samples: list[float] = []
-    for k, (slot, (s_n, m_o)) in enumerate(zip(trace.slots, inputs), start=1):
-        if s_n is not None:
-            samples.append(s_n)
-        mu = tau = None
-        if samples:
-            try:
-                mu = scale_param(
-                    "sustainability",
-                    mean_sustainability=sum(samples) / len(samples),
-                    omegas=compliance[:k],
-                )
-            except DomainError:
-                mu = None
-        if mu is not None:
-            tau = failsafe_tau(mu, b.bounds, scn.window.T)
-        f_s = None if F_S is None else min(slot.t_s, F_S)
-        if s_n is None or m_o is None or mu is None:
-            decision, rationale = (
-                "update_keys", "insufficient observations in this slot"
-            )
-        else:
-            report = decide(s_n, m_o, mu, None, scn.thresholds, tau=tau, f_s=f_s)
-            decision, rationale = report.decision, report.rationale
-        rows.append((slot.t_s, s_n, m_o, mu, tau, f_s, decision, rationale))
-    write_csv(args.out, FAILSAFE_HEADER, rows)
-    last_decision = rows[-1][6] if rows else None
+    rows = score_failsafe_slots(trace, b.omega_compliance(len(trace.slots)), b.bounds)
+    write_csv(args.out, FailsafeRow._fields, rows)
+    last_decision = rows[-1].decision if rows else None
     print(f"wrote {len(rows)} rows to {args.out}; final decision: {last_decision}")
     return EXIT_OK if last_decision == CONTINUE else EXIT_CHECK_FAILED
 

@@ -149,7 +149,6 @@ class ScenarioBundle:
     U_k: float
     D: float
     alpha_prime: float | None
-    gamma: float
 
     def availabilities(self) -> tuple[float, ...]:
         """Per-entity credential availabilities 1 - p_x (scalar broadcast)."""
@@ -200,7 +199,6 @@ def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
             t_attack=config.get("t_attack_s", config["T_s"]),
             t_min_hold=config.get("t_prime_s", config["T_s"]),
             t_use=config.get("t_u_s", config["tx_step_s"]),
-            U_prime_N=config["U_prime_N"],
         )
         rp = RangeParams(r1=config["r1_m"], r2=config["r2_m"])
         thresholds = Thresholds(
@@ -229,7 +227,6 @@ def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
         U_k=config.get("U_k", float(config["U_prime_N"])),
         D=config.get("D", float(config["N"])),
         alpha_prime=config.get("alpha_prime"),
-        gamma=config["gamma"],
     )
 
 

@@ -16,8 +16,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .csvio import write_csv
 from .errors import DomainError, OrderingError
-from .predict import SCALE_FLOOR
+from .predict import SCALE_FLOOR, LikelihoodBounds, failsafe_tau
 from .sustain import NetworkParams, RateParams, TimeWindow
+from .sustain import hop_loss_probability, message_overhead
 
 CONTINUE = "continue"
 UPDATE_KEYS = "update_keys"
@@ -345,6 +346,66 @@ def decide(
         decision=CONTINUE,
         rationale=f"S_N and M_O within thresholds{advisory}",
     )
+
+
+class FailsafeRow(NamedTuple):
+    """One scored slot; the field names are the fail-safe table header."""
+
+    t_s: float
+    S_N: float | None
+    M_O: float | None
+    mu: float | None
+    tau: float | None
+    F_S: float | None
+    decision: str
+    rationale: str
+
+
+def score_failsafe_slots(
+    trace, compliance: Sequence[float], bounds: LikelihoodBounds
+) -> list[FailsafeRow]:
+    """Score each slot of a simulated trace and decide, linear in the slots.
+
+    S_N and M_O price the observed counts with the modeled per-delivery
+    loss at the observed connected count E', as the closed forms do; the
+    empirical loss share 1 - E'/E is 0 at full connectivity and would leave
+    S_N undefined. compliance holds one probability 1 - omega_x per slot.
+    Row k's mu equals scale_param("sustainability", mean_sustainability=<mean
+    S_N so far>, omegas=compliance[:k]) bit for bit, as its running sums add
+    in the same order; F_S is clipped to the row's t_s.
+    """
+    scn = trace.scenario
+    net, thresholds = scn.net, scn.thresholds
+    rows = []
+    s_n_sum = log_sum = 0.0
+    s_n_count = 0
+    compliant = True  # every compliance value so far lies in (0, 1)
+    for slot, w in zip(trace.slots, compliance, strict=True):
+        s_n = m_o = None
+        if slot.E_prime > net.n_inv and slot.D > 0:
+            p = hop_loss_probability(net.n_inv, slot.E_prime, net.N)
+            # observed D may exceed the planning bound N, so the point-form
+            # guard does not apply here
+            s_n = (slot.U_k / net.n_inv) / (slot.D * p * net.Q)
+            m_o = message_overhead(float(slot.passes), p, net.E)
+            s_n_sum += s_n
+            s_n_count += 1
+        compliant = compliant and 0.0 < w < 1.0
+        if compliant:
+            log_sum += math.log(1.0 / w)
+        mean = s_n_sum / s_n_count if s_n_count else 0.0
+        mu = mean / log_sum if compliant and mean > 0.0 else None
+        tau = None if mu is None else failsafe_tau(mu, bounds, scn.window.T)
+        if s_n is None or mu is None:
+            decision, rationale = UPDATE_KEYS, "insufficient observations in this slot"
+        else:
+            report = decide(s_n, m_o, mu, None, thresholds, tau=tau)
+            decision, rationale = report.decision, report.rationale
+        rows.append(FailsafeRow(slot.t_s, s_n, m_o, mu, tau, None, decision, rationale))
+    # F_S is the end of the safe prefix; a slot without S_N breaks it
+    safety = [(r.t_s, -math.inf if r.S_N is None else r.S_N, r.M_O) for r in rows]
+    F_S = failsafe_point(safety, thresholds).F_S if rows else None
+    return rows if F_S is None else [r._replace(F_S=min(r.t_s, F_S)) for r in rows]
 
 
 class LogEntry(NamedTuple):

@@ -21,6 +21,7 @@ from .sustain import (
     RangeParams,
     RateParams,
     TimeWindow,
+    hop_loss_probability,
     signaling_overhead,
     sustainability_window,
 )
@@ -358,8 +359,6 @@ def _printed_overhead_expansion(
     if a1 > 1.0:
         raise DomainError(f"alpha/t1 must be <= 1, got {a1!r}")
     hop = net.n_inv / net.E
-    if hop >= 1.0:
-        raise DomainError("expansion requires n_inv < E")
     time_factor = (1.0 - a2) ** window.t2 - (1.0 - a1) ** window.t1
     first = O_b * hop**net.N * time_factor
     first /= math.log(1.0 - a2) * net.E * (math.exp(-a2) - math.exp(-a1))
@@ -367,7 +366,7 @@ def _printed_overhead_expansion(
     if not d > 0.0:
         raise DomainError("expansion requires beta > alpha")
     second = rates.alpha * (rng.r2 - rng.r1)
-    second /= rates.beta * net.N * (1.0 - hop) ** (2 * net.N)
+    second /= rates.beta * net.N * hop_loss_probability(net.n_inv, net.E, net.N) ** 2
     second *= expint_ei(d / window.t1) - expint_ei(d / window.t2)
     third = connectivity_window_factor(net, conn_rate, window)
     return first * second * third

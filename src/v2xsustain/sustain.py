@@ -99,7 +99,6 @@ class TimeWindow:
     t_attack: float | None = None
     t_min_hold: float | None = None
     t_use: float | None = None
-    U_prime_N: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.t1 < self.t2:
@@ -124,10 +123,6 @@ class TimeWindow:
             )
         if self.t_use < 0.0:
             raise DomainError(f"t_use must be >= 0, got {self.t_use!r}")
-        if not isinstance(self.U_prime_N, int) or self.U_prime_N < 0:
-            raise DomainError(
-                f"U_prime_N must be a non-negative integer, got {self.U_prime_N!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,21 @@ def test_analytic_commands_never_integrate(
     capsys.readouterr()
 
 
+def test_failsafe_never_calls_the_batch_scale_estimate(tmp_path, monkeypatch, capsys):
+    # slot k's mu comes from running sums; a per-slot scale_param over the
+    # k-slot prefix would make scoring quadratic in the slot count
+    def refuse(*args, **kwargs):
+        raise AssertionError("failsafe called the batch scale_param")
+
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    monkeypatch.setattr("v2xsustain.cli.scale_param", refuse)
+    monkeypatch.setattr("v2xsustain.predict.scale_param", refuse)
+    fine = GOLDEN_ANALYTIC_IDS.index("failsafe_fine")
+    argv, overrides, code, digest = GOLDEN_ANALYTIC[fine]
+    assert_golden_output(tmp_path, argv, overrides, code, digest)
+    capsys.readouterr()
+
+
 def test_simulate_truncation_fails(tmp_path, capsys):
     cfg = write_config(tmp_path, event_cap=10)
     out = tmp_path / "sims"
@@ -341,6 +356,19 @@ def test_failsafe_without_slots(tmp_path, capsys):
     assert main(["failsafe", cfg, "--out", str(out)]) == 1
     assert out.read_text() == "t_s,S_N,M_O,mu,tau,F_S,decision,rationale\n"
     assert "final decision: None" in capsys.readouterr().out
+
+
+def test_failsafe_compliance_of_one_empties_every_mu(tmp_path, capsys):
+    # 1 - 1e-17 rounds to a compliance of exactly 1.0, outside (0, 1), so
+    # no prefix has a scale estimate
+    cfg = write_config(tmp_path, omega_x=[1e-17] + [0.5] * 21)
+    out = tmp_path / "failsafe.csv"
+    assert main(["failsafe", cfg, "--out", str(out)]) == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 22
+    assert all(row[3] == "" and row[4] == "" for row in rows)
+    assert {row[6] for row in rows} == {"update_keys"}
+    capsys.readouterr()
 
 
 def test_main_usage_errors():

@@ -1,5 +1,8 @@
 """Decision-layer tests: factor score, constraint clauses, fail-safe
-extraction, decision priority, and the utility log."""
+extraction, decision priority, fail-safe slot scoring, and the utility
+log."""
+
+import random
 
 import pytest
 
@@ -15,12 +18,17 @@ from v2xsustain import (
     Thresholds,
     TimeWindow,
     UtilityLog,
+    build_bundle,
     check_constraints,
     combine_factors,
     decide,
     factor_score,
     failsafe_point,
+    merge_config,
+    run_simulation,
+    scale_param,
 )
+from v2xsustain.decision import score_failsafe_slots
 from v2xsustain.errors import DomainError, OrderingError
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
@@ -204,6 +212,39 @@ def test_failsafe_point_trace_validation():
         failsafe_point([], TH)
     with pytest.raises(DomainError):
         failsafe_point([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)], TH)
+
+
+@pytest.mark.parametrize("seed,breach_at", [(1, None), (7, None), (42, 900)])
+def test_score_failsafe_slots_mu_matches_batch_scale_param(seed, breach_at):
+    # the running sums must reproduce the batch estimator over each prefix
+    # bit for bit; breach_at puts a compliance value of 1.0 at that slot
+    b = build_bundle(merge_config({"tx_step_s": 0.1, "seed": seed}))
+    trace = run_simulation(b.scenario)
+    rng = random.Random(seed)
+    compliance = [rng.uniform(0.01, 0.99) for _ in trace.slots]
+    if breach_at is not None:
+        compliance[breach_at] = 1.0
+    rows = score_failsafe_slots(trace, compliance, b.bounds)
+    assert len(rows) == 1100
+    samples = []
+    for k, row in enumerate(rows, start=1):
+        if row.S_N is not None:
+            samples.append(row.S_N)
+        mean = 0.0
+        for s_n in samples:  # left to right, independent of sum()'s algorithm
+            mean += s_n
+        try:
+            mu = scale_param(
+                "sustainability",
+                mean_sustainability=mean / len(samples) if samples else None,
+                omegas=compliance[:k],
+            )
+        except DomainError:
+            mu = None
+        assert row.mu == mu, k
+        if breach_at is not None and k > breach_at:
+            assert row.mu is None
+    assert sum(row.mu is not None for row in rows) > 500
 
 
 def test_decide_scale_floor_wins():

@@ -5,6 +5,7 @@ The chi-square check pools slot arrival counts over 100 seeded runs and
 compares against Poisson bin masses computed here from the pmf directly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from v2xsustain import (
     run_simulation,
 )
 from v2xsustain.csvio import write_csv
+from v2xsustain.sim import EventTable
 from v2xsustain.errors import DomainError, SimulationTruncated
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
@@ -84,6 +86,20 @@ def test_pass_identity_with_and_without_reauth():
     assert bare.passes_total == NET.Q * bare.arrivals_total
     # the random streams are split, so arrivals are unaffected by the flag
     assert bare.arrivals_total == with_reauth.arrivals_total
+
+
+def test_pass_identity_counts_the_pass_rows():
+    sc = scenario()
+    trace = run_simulation(sc)
+    ev = trace.events
+    keep = np.ones(len(ev), dtype=bool)
+    keep[np.flatnonzero(ev.kind == 1)[0]] = False  # drop one auth_pass row
+    tampered = dataclasses.replace(
+        trace, events=EventTable(ev.t[keep], ev.kind[keep], ev.entity[keep])
+    )
+    report = compare_to_model(tampered, sc)
+    assert report.passes_observed == report.passes_expected - 1
+    assert report.pass_identity_ok is False
 
 
 def test_pass_identity_scales_with_q():
