@@ -23,8 +23,8 @@ from v2xsustain import (
     run_simulation,
 )
 from v2xsustain.csvio import write_csv
-from v2xsustain.sim import EventTable
 from v2xsustain.errors import DomainError, SimulationTruncated
+from v2xsustain.sim import EventTable
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
 RATES = RateParams(alpha=1.0, beta=2.0, gamma=1.0, gamma_prime=0.1)
