@@ -1,214 +1,61 @@
 """Sustainability analysis and security management for backhaul-aware
 vehicular networks: closed-form metrics, predictors, a key hierarchy, a
 decision engine, and a Monte Carlo simulator with CSV emitters.
+
+Every public name is imported from its submodule on first access, so
+``import v2xsustain`` loads nothing, and only the simulator's names
+(``sim``) load numpy.
 """
 
-from .errors import (
-    AuthenticationError,
-    ConfigError,
-    ConvergenceError,
-    DivergenceError,
-    DomainError,
-    IntegrandError,
-    OrderingError,
-    OverflowRangeError,
-    SimulationTruncated,
-)
-from .specfun import (
-    EULER_GAMMA,
-    QuadResult,
-    QuadSpec,
-    beta_pdf,
-    expint_ei,
-    integrate,
-    ln_gamma,
-)
-from .sustain import (
-    NetworkParams,
-    RangeParams,
-    RateParams,
-    TimeWindow,
-    empirical_loss_probability,
-    loss_probability_model,
-    message_overhead,
-    signaling_overhead,
-    signaling_overhead_raw,
-    signaling_time_factor,
-    sustainability_asymptote,
-    sustainability_point,
-    sustainability_window,
-    sustainability_window_quadrature,
-    vehicles_in_range,
-    window_integrand,
-)
-from .predict import (
-    SCALE_FLOOR,
-    BetaTraffic,
-    FailsafeLikelihood,
-    LikelihoodBounds,
-    OverheadPrediction,
-    connectivity_prob,
-    connectivity_window_factor,
-    density_beta,
-    failsafe_likelihood,
-    failsafe_tau,
-    predicted_key_updates,
-    predicted_key_updates_quadrature,
-    predicted_message_overhead,
-    scale_asymptote,
-    scale_growth_diagnostic,
-    scale_param,
-)
-from .keychain import (
-    KEY_BYTES,
-    LABELS,
-    MODE_PASSKEY,
-    PARENTS,
-    KeyHierarchy,
-    KeyNode,
-    PeerCredential,
-    Session,
-    build_hierarchy,
-    establish_session,
-    export_derivation_log,
-    peer_credential,
-    refresh_subtree,
-    verify_session,
-)
-from .decision import (
-    CONTINUE,
-    DECISIONS,
-    RECONFIGURE,
-    UPDATE_KEYS,
-    FactorBounds,
-    FactorInputs,
-    FailSafeReport,
-    Thresholds,
-    UtilityLog,
-    Violation,
-    check_constraints,
-    combine_factors,
-    decide,
-    factor_score,
-    failsafe_point,
-)
-from .sim import (
-    ComparisonReport,
-    Event,
-    Scenario,
-    SimTrace,
-    SlotMetrics,
-    compare_to_model,
-    run_simulation,
-)
-from .config import (
-    ENV_CONFIG_PATH,
-    ScenarioBundle,
-    build_bundle,
-    default_config,
-    load_bundle,
-    load_config,
-    merge_config,
-)
-from .fixtures import CASES, CheckRow, FailsafeCase, run_structural_checks
+import importlib
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "AuthenticationError",
-    "ConfigError",
-    "ConvergenceError",
-    "DivergenceError",
-    "DomainError",
-    "IntegrandError",
-    "OrderingError",
-    "OverflowRangeError",
-    "SimulationTruncated",
-    "EULER_GAMMA",
-    "QuadResult",
-    "QuadSpec",
-    "beta_pdf",
-    "expint_ei",
-    "integrate",
-    "ln_gamma",
-    "NetworkParams",
-    "RangeParams",
-    "RateParams",
-    "TimeWindow",
-    "empirical_loss_probability",
-    "loss_probability_model",
-    "message_overhead",
-    "signaling_overhead",
-    "signaling_overhead_raw",
-    "signaling_time_factor",
-    "sustainability_asymptote",
-    "sustainability_point",
-    "sustainability_window",
-    "sustainability_window_quadrature",
-    "vehicles_in_range",
-    "window_integrand",
-    "SCALE_FLOOR",
-    "BetaTraffic",
-    "FailsafeLikelihood",
-    "LikelihoodBounds",
-    "OverheadPrediction",
-    "connectivity_prob",
-    "connectivity_window_factor",
-    "density_beta",
-    "failsafe_likelihood",
-    "failsafe_tau",
-    "predicted_key_updates",
-    "predicted_key_updates_quadrature",
-    "predicted_message_overhead",
-    "scale_asymptote",
-    "scale_growth_diagnostic",
-    "scale_param",
-    "KEY_BYTES",
-    "LABELS",
-    "MODE_PASSKEY",
-    "PARENTS",
-    "KeyHierarchy",
-    "KeyNode",
-    "PeerCredential",
-    "Session",
-    "build_hierarchy",
-    "establish_session",
-    "export_derivation_log",
-    "peer_credential",
-    "refresh_subtree",
-    "verify_session",
-    "CONTINUE",
-    "DECISIONS",
-    "RECONFIGURE",
-    "UPDATE_KEYS",
-    "FactorBounds",
-    "FactorInputs",
-    "FailSafeReport",
-    "Thresholds",
-    "UtilityLog",
-    "Violation",
-    "check_constraints",
-    "combine_factors",
-    "decide",
-    "factor_score",
-    "failsafe_point",
-    "ComparisonReport",
-    "Event",
-    "Scenario",
-    "SimTrace",
-    "SlotMetrics",
-    "compare_to_model",
-    "run_simulation",
-    "ENV_CONFIG_PATH",
-    "ScenarioBundle",
-    "build_bundle",
-    "default_config",
-    "load_bundle",
-    "load_config",
-    "merge_config",
-    "CASES",
-    "CheckRow",
-    "FailsafeCase",
-    "run_structural_checks",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "errors": """AuthenticationError ConfigError ConvergenceError DivergenceError
+            DomainError IntegrandError OrderingError OverflowRangeError
+            SimulationTruncated""",
+        "specfun": "EULER_GAMMA QuadResult QuadSpec beta_pdf expint_ei integrate ln_gamma",
+        "sustain": """NetworkParams RangeParams RateParams TimeWindow
+            empirical_loss_probability loss_probability_model message_overhead
+            signaling_overhead signaling_overhead_raw signaling_time_factor
+            sustainability_asymptote sustainability_point sustainability_window
+            sustainability_window_quadrature vehicles_in_range window_integrand""",
+        "predict": """SCALE_FLOOR BetaTraffic FailsafeLikelihood LikelihoodBounds
+            OverheadPrediction connectivity_prob connectivity_window_factor
+            density_beta failsafe_likelihood failsafe_tau predicted_key_updates
+            predicted_key_updates_quadrature predicted_message_overhead
+            resolve_alpha_prime scale_asymptote scale_growth_diagnostic scale_param""",
+        "keychain": """KEY_BYTES LABELS MODE_PASSKEY PARENTS KeyHierarchy KeyNode
+            PeerCredential Session build_hierarchy establish_session
+            export_derivation_log peer_credential refresh_subtree verify_session""",
+        "decision": """CONTINUE DECISIONS RECONFIGURE UPDATE_KEYS FactorBounds
+            FactorInputs FailSafeReport Thresholds UtilityLog Violation
+            check_constraints combine_factors decide factor_score failsafe_point""",
+        "sim": "ComparisonReport Event SimTrace SlotMetrics compare_to_model run_simulation",
+        "config": """ENV_CONFIG_PATH Scenario ScenarioBundle build_bundle default_config
+            load_bundle load_config merge_config""",
+        "fixtures": "CASES CheckRow FailsafeCase run_structural_checks",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # Submodule names are not in the map, so `from v2xsustain import cli`
+    # falls through to the import system and loads the submodule.
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

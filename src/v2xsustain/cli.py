@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 check failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -50,9 +51,9 @@ from .predict import (
     connectivity_prob,
     failsafe_tau,
     predicted_message_overhead,
+    resolve_alpha_prime,
     scale_param,
 )
-from .sim import run_simulation, compare_to_model
 from .sustain import (
     loss_probability_model,
     message_overhead,
@@ -75,6 +76,9 @@ SWEEP_GRIDS: dict[str, list[float]] = {
     "p_x": [0.1, 0.3, 0.5, 0.7, 0.9],
     "omega_x": [0.1, 0.3, 0.5, 0.7, 0.9],
 }
+
+# Largest grid a --start/--stop/--step range may give.
+MAX_SWEEP_POINTS = 100_000
 
 SWEEP_HEADER = (
     "param", "value", "S_N", "O_S", "M_O", "M_O_pred", "M_O_pred_printed",
@@ -128,10 +132,19 @@ def _sweep_values(args) -> list[float]:
             raise ConfigError("--values: empty list")
         return raw
     if args.start is not None or args.stop is not None or args.step is not None:
-        if None in (args.start, args.stop, args.step):
+        bounds = (args.start, args.stop, args.step)
+        if None in bounds:
             raise ConfigError("--start/--stop/--step must be given together")
+        if not all(math.isfinite(x) for x in bounds):
+            raise ConfigError(f"--start/--stop/--step must be finite, got {bounds!r}")
         if args.step <= 0:
             raise ConfigError(f"--step must be positive, got {args.step!r}")
+        if args.start + args.step == args.start:
+            raise ConfigError(f"--step {args.step!r} does not move --start {args.start!r}")
+        # counted up to the loop's bound, which overflows to inf when stop
+        # lies within 1e-12 of the largest float
+        if not (args.stop * (1.0 + 1e-12) - args.start) / args.step < MAX_SWEEP_POINTS:
+            raise ConfigError(f"--start/--stop/--step give over {MAX_SWEEP_POINTS} points")
         values = []
         v = args.start
         while v <= args.stop * (1.0 + 1e-12):
@@ -162,9 +175,7 @@ def _sweep_row(param: str, value: float, base: dict, warnings: list[str]) -> tup
     b = build_bundle(merge_config(config, source=f"sweep {param}={value:g}"))
     scn = b.scenario
     net, rates, window = scn.net, scn.rates, scn.window
-    alpha_prime = b.alpha_prime
-    if alpha_prime is None and rates.alpha > 0.0:
-        alpha_prime = rates.alpha / window.t2
+    alpha_prime = resolve_alpha_prime(rates, window, b.alpha_prime)
 
     s_n = _cell(
         lambda: sustainability_window(rates, net, window), warnings, "S_N"
@@ -229,6 +240,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .sim import compare_to_model, run_simulation  # loads numpy
+
     b = _bundle(args)
     base = b.scenario
     seed = base.seed if args.seed is None else args.seed
@@ -266,6 +279,8 @@ def cmd_table3(args) -> int:
 
 
 def cmd_failsafe(args) -> int:
+    from .sim import run_simulation  # loads numpy
+
     b = _bundle(args)
     try:
         trace = run_simulation(b.scenario)

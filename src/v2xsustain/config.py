@@ -22,7 +22,6 @@ from pathlib import Path
 from .decision import Thresholds
 from .errors import ConfigError, DomainError
 from .predict import LikelihoodBounds
-from .sim import Scenario
 from .sustain import NetworkParams, RangeParams, RateParams, TimeWindow
 
 ENV_CONFIG_PATH = "V2XSUSTAIN_CONFIG"
@@ -136,6 +135,28 @@ def load_config(path: str | Path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return merge_config(data, source=str(path))
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One simulated scenario: the model parameters, the seed and the
+    simulator's event budget."""
+
+    net: NetworkParams
+    rates: RateParams
+    window: TimeWindow
+    range_params: RangeParams
+    thresholds: Thresholds
+    seed: int
+    event_cap: int = 2_000_000
+    count_reauth_passes: bool = True
+    label: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
+            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if not isinstance(self.event_cap, int) or self.event_cap < 1:
+            raise DomainError(f"event_cap must be positive, got {self.event_cap!r}")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,6 @@ import csv
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 
 def fmt(value) -> str:
     if value is None:
@@ -34,14 +32,15 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
             writer.writerow([fmt(v) for v in row])
 
 
-def write_event_columns(path: str | Path, header: Sequence[str], t: np.ndarray,
-                        codes: np.ndarray, labels: Sequence[str], ids: np.ndarray) -> None:
+def write_event_columns(path: str | Path, header: Sequence[str], t, codes, labels,
+                        ids) -> None:
     """write_csv's bytes for rows (t, labels[code], id) whose labels need no
-    quoting. The cell types are known, so fmt's per-cell test is skipped."""
-    names = np.asarray(labels)
+    quoting. All four are numpy arrays, so labels[codes] gathers a chunk at
+    once without this module importing numpy. The cell types are known, so
+    fmt's per-cell test is skipped."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(t), 65536):  # chunks bound the text held at once
             part = slice(lo, lo + 65536)
-            rows = zip(t[part].tolist(), names[codes[part]].tolist(), ids[part].tolist())
+            rows = zip(t[part].tolist(), labels[codes[part]].tolist(), ids[part].tolist())
             fh.write("".join([f"{x:.9g},{k},{i}\n" for x, k, i in rows]))

@@ -274,6 +274,20 @@ class OverheadPrediction:
     alpha_prime: float
 
 
+def resolve_alpha_prime(
+    rates: RateParams, window: TimeWindow, alpha_prime: float | None = None
+) -> float | None:
+    """The signaling refresh probability alpha' per unit time.
+
+    A given alpha_prime is returned as is. Otherwise it defaults to alpha/t2,
+    the fixed per-unit-time refresh probability at the window end; with
+    alpha = 0 no key is refreshed and there is no default (None).
+    """
+    if alpha_prime is not None:
+        return alpha_prime
+    return rates.alpha / window.t2 if rates.alpha > 0.0 else None
+
+
 def predicted_message_overhead(
     rates: RateParams,
     net: NetworkParams,
@@ -291,8 +305,7 @@ def predicted_message_overhead(
     evaluated at unit passes so the pass count Q enters exactly once, as
     the leading factor; the expanded printed form carries no Q at all.
 
-    alpha_prime defaults to alpha/t2 (the fixed per-unit-time refresh
-    probability at the window end). rate_variant selects gamma'
+    alpha_prime defaults as in resolve_alpha_prime. rate_variant selects gamma'
     ("outgoing", default) or gamma ("incoming") for the connectivity
     factor. The density component is the unit-shape Beta mass of the
     meter range, which is the plain range width r2 - r1.
@@ -305,9 +318,8 @@ def predicted_message_overhead(
         conn_rate = rates.gamma
     else:
         raise DomainError(f"unknown rate_variant {rate_variant!r}")
-    if alpha_prime is None:
-        alpha_prime = rates.alpha / window.t2
-    if not 0.0 < alpha_prime < 1.0:
+    alpha_prime = resolve_alpha_prime(rates, window, alpha_prime)
+    if alpha_prime is None or not 0.0 < alpha_prime < 1.0:
         raise DomainError(
             f"alpha_prime must be in (0, 1), got {alpha_prime!r}; pass it "
             "explicitly when alpha/t2 falls outside"

@@ -26,17 +26,11 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
+from .config import Scenario
 from .csvio import write_csv, write_event_columns
-from .decision import Thresholds, check_constraints
+from .decision import check_constraints
 from .errors import DomainError, SimulationTruncated
-from .sustain import (
-    NetworkParams,
-    RangeParams,
-    RateParams,
-    TimeWindow,
-    loss_probability_model,
-    sustainability_window,
-)
+from .sustain import TimeWindow, loss_probability_model, sustainability_window
 
 KIND_ARRIVAL = "arrival"
 KIND_DEPARTURE = "departure"
@@ -44,6 +38,7 @@ KIND_KEY_UPDATE = "key_update"
 KIND_AUTH_PASS = "auth_pass"
 _KIND_ORDER = {KIND_ARRIVAL: 0, KIND_AUTH_PASS: 1, KIND_KEY_UPDATE: 2, KIND_DEPARTURE: 3}
 _KIND_NAMES = tuple(_KIND_ORDER)  # indexed by kind code
+_KIND_LABELS = np.asarray(_KIND_NAMES)  # the same, indexable by a code array
 
 
 class Event(NamedTuple):
@@ -76,25 +71,6 @@ class EventTable:
 
 
 @dataclass(frozen=True)
-class Scenario:
-    net: NetworkParams
-    rates: RateParams
-    window: TimeWindow
-    range_params: RangeParams
-    thresholds: Thresholds
-    seed: int
-    event_cap: int = 2_000_000
-    count_reauth_passes: bool = True
-    label: str = ""
-
-    def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.event_cap, int) or self.event_cap < 1:
-            raise DomainError(f"event_cap must be positive, got {self.event_cap!r}")
-
-
-@dataclass(frozen=True)
 class SlotMetrics:
     t_s: float
     active: int
@@ -123,7 +99,7 @@ class SimTrace:
     def export_events_csv(self, path: str | Path) -> None:
         ev = self.events
         write_event_columns(
-            path, ("t_s", "kind", "entity_id"), ev.t, ev.kind, _KIND_NAMES, ev.entity
+            path, ("t_s", "kind", "entity_id"), ev.t, ev.kind, _KIND_LABELS, ev.entity
         )
 
     def export_metrics_csv(self, path: str | Path) -> None:

@@ -8,19 +8,31 @@ the same seed.
 import filecmp
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import v2xsustain
 from v2xsustain import (
     ENV_CONFIG_PATH,
     build_bundle,
     default_config,
     load_bundle,
     load_config,
+    loss_probability_model,
     merge_config,
+    message_overhead,
+    signaling_overhead,
 )
 from v2xsustain.cli import SWEEP_GRIDS, main
+from v2xsustain.csvio import fmt
 from v2xsustain.errors import ConfigError
+
+SRC = str(Path(v2xsustain.__file__).resolve().parents[1])
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -46,6 +58,8 @@ def test_merge_rejects_unknown_and_mistyped_fields():
         merge_config({"N": 2.5})
     with pytest.raises(ConfigError):
         merge_config({"N": True})
+    with pytest.raises(ConfigError, match="expected a number"):
+        merge_config({"beta": True})  # a JSON boolean is not 1.0
     with pytest.raises(ConfigError):
         merge_config({"label": 7})
     with pytest.raises(ConfigError):
@@ -116,8 +130,10 @@ def test_bundle_broadcasts_probability_lists(tmp_path):
 
 
 def test_bundle_rejects_structural_breaches(tmp_path):
-    with pytest.raises(ConfigError, match="p_x"):
-        load_bundle(write_config(tmp_path, p_x=1.0))
+    # p_x and omega_x lie strictly inside (0, 1): both endpoints are breaches
+    for name, value in (("p_x", 0.0), ("p_x", 1.0), ("omega_x", 0.0), ("omega_x", 1.0)):
+        with pytest.raises(ConfigError, match=name):
+            load_bundle(write_config(tmp_path, **{name: value}))
     with pytest.raises(ConfigError, match="E_zero"):
         load_bundle(write_config(tmp_path, "e.json", E0=20))
     with pytest.raises(ConfigError, match="t1"):
@@ -187,6 +203,84 @@ def test_sweep_domain_failures_become_empty_cells(tmp_path, capsys):
     assert "warning" in err
     last = out.read_text().splitlines()[-1].split(",")
     assert last[1] == "5" and last[2] == ""
+
+
+def test_sweep_alpha_prime_default_lives_in_the_library(tmp_path, capsys):
+    # a configured alpha_prime (not the alpha/t2 = 1/105 default) prices O_S
+    cfg = write_config(tmp_path, alpha_prime=0.05)
+    out = tmp_path / "ap.csv"
+    assert main(["sweep", cfg, "--param", "alpha", "--values", "1", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    scn = build_bundle(default_config()).scenario
+    o_s = signaling_overhead(1.0, 0.05, scn.net, scn.window)
+    m_o = message_overhead(o_s, loss_probability_model(scn.net), scn.net.E)
+    assert row[3:5] == [fmt(o_s), fmt(m_o)]
+    capsys.readouterr()
+    # alpha = 0 with no alpha_prime: no signaling rate, so O_S and M_O stay
+    # empty without a domain warning of their own
+    assert main(["sweep", "--param", "alpha", "--values", "0", "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[3:5] == ["", ""]
+    cells = [line.split(": ")[1] for line in capsys.readouterr().err.splitlines()]
+    assert "S_N" in cells  # the window closed form needs alpha > 0
+    assert "O_S" not in cells and "M_O" not in cells
+
+
+# (--start, --stop, --step, message): ranges whose grid loop would never end
+# or would build millions of points, and step signs, which have their own check
+SWEEP_RANGE_REJECTS = [
+    ("2", "inf", "1", "finite"),
+    ("nan", "3", "1", "finite"),
+    ("2", "3", "inf", "finite"),
+    ("2", "3", "1e-300", "does not move --start"),
+    ("2", "3", "1e-9", "over 100000 points"),
+    # finite, but the loop's bound stop * (1 + 1e-12) overflows to inf
+    ("1.79e308", "1.7976931348623157e308", "1e305", "over 100000 points"),
+    # finite, but stop - start overflows to inf
+    ("-1e308", "1e308", "1e300", "over 100000 points"),
+    ("2", "3", "0", "--step must be positive"),
+    ("2", "3", "-1", "--step must be positive"),
+]
+
+
+def _limit_child_memory():
+    limit = 512 * 2**20  # address space; numpy's import fits in it
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def run_main_in_child(argv: list[str], cwd, after: str = "") -> subprocess.CompletedProcess:
+    """main(argv) in a fresh interpreter, then the statements in after. The
+    timeout and the memory limit turn a grid loop that never ends into a
+    failure instead of a hang."""
+    code = f"import sys\nfrom v2xsustain.cli import main\ncode = main({argv!r})\n{after}"
+    env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG_PATH}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code + "sys.exit(code)\n"], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=5, preexec_fn=_limit_child_memory,
+    )
+
+
+@pytest.mark.parametrize("start,stop,step,message", SWEEP_RANGE_REJECTS)
+def test_sweep_range_rejected_before_the_grid_is_built(tmp_path, start, stop, step, message):
+    argv = ["sweep", "--param", "beta", f"--start={start}", f"--stop={stop}",
+            f"--step={step}", "--out", "x.csv"]
+    proc = run_main_in_child(argv, tmp_path)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_commands_that_do_not_simulate_never_import_numpy(tmp_path):
+    checks = (
+        "assert code == 0\n"
+        "assert main(['table3', '--out', 'table3.csv']) == 0\n"
+        "assert main(['sweep', '--param', 'beta', '--out', 'sweep.csv']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = run_main_in_child(["validate"], tmp_path, after=checks)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_sweep_usage_errors(tmp_path):
