@@ -331,6 +331,22 @@ def test_simulate_golden_digest(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(data).hexdigest() == digest, kind
 
 
+# SHA-256 of the events CSV at the heavy point beta=20, alpha=10, seed 7:
+# 405,283 rows, so the writer crosses six 65536-row chunk boundaries, which
+# the A1 run (about 4k rows) never reaches.
+GOLDEN_HEAVY_EVENTS_SEED_7 = "d8ccda4b1a1a4f5690e87b003954fb78a56146759c20da213718b7a0b1f97341"
+
+
+def test_simulate_heavy_events_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    cfg = write_config(tmp_path, beta=20, alpha=10)
+    assert main(["simulate", cfg, "--out", str(tmp_path / "sims"), "--seed", "7"]) == 0
+    capsys.readouterr()
+    data = (tmp_path / "sims" / "run0_events.csv").read_bytes()
+    assert data.count(b"\n") == 1 + 405283
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_HEAVY_EVENTS_SEED_7
+
+
 # SHA-256 of the analytic command outputs at the A1 defaults: the default
 # beta and p_x sweep grids (mu > 2 on part of the p_x grid, so tau is
 # nonzero there) and the failsafe table (nonzero tau in every row), plus the
