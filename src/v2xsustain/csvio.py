@@ -11,6 +11,8 @@ import csv
 from pathlib import Path
 from typing import Iterable, Sequence
 
+_CHUNK_ROWS = 65536
+
 
 def fmt(value) -> str:
     if value is None:
@@ -34,13 +36,35 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 def write_event_columns(path: str | Path, header: Sequence[str], t, codes, labels,
                         ids) -> None:
-    """write_csv's bytes for rows (t, labels[code], id) whose labels need no
-    quoting. All four are numpy arrays, so labels[codes] gathers a chunk at
-    once without this module importing numpy. The cell types are known, so
-    fmt's per-cell test is skipped."""
+    """write_csv's bytes for rows (t, labels[code], id), with no Python step
+    per row.
+
+    t, codes and ids are numpy arrays; labels is a sequence of strings that
+    need no quoting, indexed by code. ids are non-negative and dense, as
+    entity ids are: one string is formatted per id in 0..max(ids). In each
+    chunk a time is formatted only where it differs in bits from the row
+    before, and every cell is then a table lookup joined in C.
+    """
+    import numpy as np  # only the simulating commands load numpy
+
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    label_cells = np.array([f",{k}," for k in labels], dtype=object)
+    id_cells = np.array([f"{i}\n" for i in range(int(ids.max(initial=-1)) + 1)], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(t), 65536):  # chunks bound the text held at once
-            part = slice(lo, lo + 65536)
-            rows = zip(t[part].tolist(), labels[codes[part]].tolist(), ids[part].tolist())
-            fh.write("".join([f"{x:.9g},{k},{i}\n" for x, k, i in rows]))
+        for lo in range(0, len(t), _CHUNK_ROWS):  # chunks bound the text held at once
+            part = slice(lo, lo + _CHUNK_ROWS)
+            tc = t[part]
+            m = len(tc)
+            bits = tc.view(np.int64)  # -0.0 and NaN payloads stay apart
+            new = np.empty(m, dtype=bool)
+            new[0] = True
+            np.not_equal(bits[1:], bits[:-1], out=new[1:])
+            first = tc[new].tolist()
+            times = np.array((("%.9g\n" * len(first)) % tuple(first)).split("\n")[:-1],
+                             dtype=object)
+            cells = np.empty(3 * m, dtype=object)
+            cells[0::3] = times[np.cumsum(new) - 1]
+            cells[1::3] = label_cells[codes[part]]
+            cells[2::3] = id_cells[ids[part]]
+            fh.write("".join(cells.tolist()))

@@ -326,6 +326,8 @@ def predicted_message_overhead(
         )
 
     u_k = predicted_key_updates(rates, window)
+    if u_k == 0.0:
+        raise DomainError(f"predicted key updates round to 0 at alpha={rates.alpha!r}")
     s_n_unit = sustainability_window(rates, replace(net, Q=1), window)
     o_s = signaling_overhead(O_b, alpha_prime, net, window)
     density = rng.r2 - rng.r1
@@ -372,13 +374,18 @@ def _printed_overhead_expansion(
         raise DomainError(f"alpha/t1 must be <= 1, got {a1!r}")
     hop = net.n_inv / net.E
     time_factor = (1.0 - a2) ** window.t2 - (1.0 - a1) ** window.t1
-    first = O_b * hop**net.N * time_factor
-    first /= math.log(1.0 - a2) * net.E * (math.exp(-a2) - math.exp(-a1))
+    first_divisor = math.log(1.0 - a2) * net.E * (math.exp(-a2) - math.exp(-a1))
+    if first_divisor == 0.0:
+        raise DomainError(f"expansion divisor rounds to 0 at alpha/t2={a2!r}")
+    first = O_b * hop**net.N * time_factor / first_divisor
     d = rates.beta - rates.alpha
     if not d > 0.0:
         raise DomainError("expansion requires beta > alpha")
+    p2 = hop_loss_probability(net.n_inv, net.E, net.N) ** 2
+    if p2 == 0.0:
+        raise DomainError(f"P^2 underflows to 0 at N={net.N!r} E={net.E!r}")
     second = rates.alpha * (rng.r2 - rng.r1)
-    second /= rates.beta * net.N * hop_loss_probability(net.n_inv, net.E, net.N) ** 2
+    second /= rates.beta * net.N * p2
     second *= expint_ei(d / window.t1) - expint_ei(d / window.t2)
     third = connectivity_window_factor(net, conn_rate, window)
     return first * second * third

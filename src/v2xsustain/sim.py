@@ -38,7 +38,6 @@ KIND_KEY_UPDATE = "key_update"
 KIND_AUTH_PASS = "auth_pass"
 _KIND_ORDER = {KIND_ARRIVAL: 0, KIND_AUTH_PASS: 1, KIND_KEY_UPDATE: 2, KIND_DEPARTURE: 3}
 _KIND_NAMES = tuple(_KIND_ORDER)  # indexed by kind code
-_KIND_LABELS = np.asarray(_KIND_NAMES)  # the same, indexable by a code array
 
 
 class Event(NamedTuple):
@@ -99,7 +98,7 @@ class SimTrace:
     def export_events_csv(self, path: str | Path) -> None:
         ev = self.events
         write_event_columns(
-            path, ("t_s", "kind", "entity_id"), ev.t, ev.kind, _KIND_LABELS, ev.entity
+            path, ("t_s", "kind", "entity_id"), ev.t, ev.kind, _KIND_NAMES, ev.entity
         )
 
     def export_metrics_csv(self, path: str | Path) -> None:

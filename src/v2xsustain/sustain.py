@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, OverflowRangeError
 from .specfun import QuadSpec, expint_ei, integrate
 
 
@@ -165,6 +165,14 @@ def loss_probability_model(net: NetworkParams) -> float:
     return hop_loss_probability(net.n_inv, net.E, net.N)
 
 
+def _divisor_loss_probability(net: NetworkParams) -> float:
+    """P for a closed form that divides by it; P underflows to 0 for large N."""
+    P = loss_probability_model(net)
+    if P == 0.0:
+        raise DomainError(f"loss probability P underflows to 0 at N={net.N!r} E={net.E!r}")
+    return P
+
+
 def empirical_loss_probability(net: NetworkParams) -> float:
     """Observed loss share 1 - E'/E."""
     return 1.0 - net.E_prime / net.E
@@ -236,10 +244,18 @@ def sustainability_window(
             f"window form requires beta > alpha, got beta={rates.beta!r} "
             f"alpha={rates.alpha!r}"
         )
-    P = loss_probability_model(net)
+    P = _divisor_loss_probability(net)
     d = rates.beta - rates.alpha
-    prefactor = rates.alpha**2 / (2.0 * rates.beta * net.N * P * net.Q)
-    return prefactor * (expint_ei(d / window.t1) - expint_ei(d / window.t2))
+    try:
+        prefactor = rates.alpha**2 / (2.0 * rates.beta * net.N * P * net.Q)
+    except OverflowError as e:
+        raise OverflowRangeError(
+            f"window prefactor alpha^2 overflows at alpha={rates.alpha!r}"
+        ) from e
+    s_n = prefactor * (expint_ei(d / window.t1) - expint_ei(d / window.t2))
+    if not math.isfinite(s_n):
+        raise OverflowRangeError(f"window form gives {s_n!r}, outside double range")
+    return s_n
 
 
 def sustainability_window_quadrature(
@@ -290,6 +306,10 @@ def signaling_time_factor(alpha_prime: float, window: TimeWindow) -> float:
     if not 0.0 < alpha_prime < 1.0:
         raise DomainError(f"alpha_prime must be in (0, 1), got {alpha_prime!r}")
     base = 1.0 - alpha_prime
+    if base == 1.0:
+        raise DomainError(
+            f"alpha_prime={alpha_prime!r} rounds 1 - alpha' to 1, so ln(1 - alpha') is 0"
+        )
     return (base**window.t2 - base**window.t1) / math.log(base)
 
 
@@ -305,7 +325,7 @@ def signaling_overhead(
     """
     if O_b < 0.0:
         raise DomainError(f"O_b must be >= 0, got {O_b!r}")
-    P = loss_probability_model(net)
+    P = _divisor_loss_probability(net)
     ratio = (net.n_inv / net.E) ** net.N
     prefactor = O_b * ratio / (net.E * P)
     return prefactor * signaling_time_factor(alpha_prime, window)

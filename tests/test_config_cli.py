@@ -205,6 +205,22 @@ def test_sweep_domain_failures_become_empty_cells(tmp_path, capsys):
     assert last[1] == "5" and last[2] == ""
 
 
+@pytest.mark.parametrize(
+    "param,value,cell",
+    [("beta", "1e308", "S_N"), ("N", "100000000", "S_N"), ("beta", "1e-300", "O_S")],
+    ids=["alpha-squared-overflows", "P-underflows", "log-vanishes"],
+)
+def test_sweep_out_of_range_cells_are_typed(tmp_path, capsys, param, value, cell):
+    # each value once raised a bare OverflowError or ZeroDivisionError
+    out = tmp_path / "edge.csv"
+    assert main(["sweep", "--param", param, "--values", value, "--out", str(out)]) == 0
+    header, row = (line.split(",") for line in out.read_text().splitlines())
+    assert row[header.index(cell)] == ""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count(f"warning: {cell}: ") == 1
+
+
 def test_sweep_alpha_prime_default_lives_in_the_library(tmp_path, capsys):
     # a configured alpha_prime (not the alpha/t2 = 1/105 default) prices O_S
     cfg = write_config(tmp_path, alpha_prime=0.05)

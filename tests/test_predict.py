@@ -265,6 +265,20 @@ def test_predicted_overhead_alpha_prime_domain():
         predicted_message_overhead(fast, NET, WINDOW, RANGE, 1.0)
 
 
+def test_predicted_overhead_vanishing_divisors_are_typed():
+    # each case once raised a bare ZeroDivisionError
+    def predict(alpha, net=NET):
+        rates = RateParams(alpha=alpha, beta=2.0, gamma_prime=0.1)
+        return predicted_message_overhead(rates, net, WINDOW, RANGE, 1.0, alpha_prime=0.1)
+
+    with pytest.raises(DomainError, match="key updates round to 0"):
+        predict(1e-20)
+    with pytest.raises(DomainError, match="divisor rounds to 0"):
+        predict(1e-15)  # ln(1 - alpha/t2) is 0
+    with pytest.raises(DomainError, match=r"P\^2 underflows"):
+        predict(1.0, NetworkParams(N=1000, E=10))  # P = 2^-1000 is still nonzero
+
+
 def test_failsafe_likelihood_antiderivative():
     b = LikelihoodBounds(d1=0.1, d2=0.9)
     for mu in (0.5, 1.0, 2.5, 3.0, 7.0, 20.0, 50.0):

@@ -22,7 +22,8 @@ from v2xsustain import (
     compare_to_model,
     run_simulation,
 )
-from v2xsustain.csvio import write_csv
+from v2xsustain import csvio
+from v2xsustain.csvio import write_csv, write_event_columns
 from v2xsustain.errors import DomainError, SimulationTruncated
 from v2xsustain.sim import EventTable
 
@@ -265,6 +266,33 @@ def test_events_csv_matches_write_csv(tmp_path, overrides):
     lines = by_column.read_text().splitlines()
     q = trace.scenario.net.Q
     assert lines.count("0,auth_pass,9") == q  # cohort rows at t = 0 print as 0
+
+
+def test_events_csv_of_no_rows_is_the_header(tmp_path):
+    path = tmp_path / "empty.csv"
+    no_rows = np.empty(0)
+    write_event_columns(
+        path, ("t_s", "kind", "entity_id"), no_rows, no_rows.astype(np.int8),
+        ("arrival",), no_rows.astype(np.int64),
+    )
+    assert path.read_bytes() == b"t_s,kind,entity_id\n"
+
+
+def test_events_csv_formats_times_by_bits_across_chunks(tmp_path, monkeypatch):
+    # a time is formatted once per run of equal bits: 0.0 and -0.0 compare
+    # equal but print apart, and runs that span a chunk boundary restart
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 3)
+    t = np.array([0.0, 0.0, -0.0, -0.0, 1.5, 1.5, 1.5, math.nan, math.inf, 2.0 / 3.0])
+    codes = np.array([0, 1, 1, 2, 0, 3, 3, 1, 2, 0], dtype=np.int8)
+    ids = np.array([0, 0, 1, 1, 2, 2, 0, 3, 3, 1], dtype=np.int64)
+    labels = ("a", "bb", "c", "d")
+    by_column = tmp_path / "columns.csv"
+    by_row = tmp_path / "rows.csv"
+    write_event_columns(by_column, ("t", "k", "i"), t, codes, labels, ids)
+    rows = zip(t.tolist(), (labels[c] for c in codes), ids.tolist())
+    write_csv(by_row, ("t", "k", "i"), list(rows))
+    assert by_column.read_bytes() == by_row.read_bytes()
+    assert by_column.read_text().splitlines()[3:5] == ["-0,bb,1", "-0,c,1"]
 
 
 def test_key_updates_lie_in_clipped_stays():

@@ -32,7 +32,7 @@ from v2xsustain import (
     vehicles_in_range,
     window_integrand,
 )
-from v2xsustain.errors import DomainError
+from v2xsustain.errors import DomainError, OverflowRangeError
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
 RATES = RateParams(alpha=1.0, beta=2.0, gamma=1.0, gamma_prime=0.1)
@@ -219,6 +219,21 @@ def test_sustainability_window_domain():
         sustainability_window_quadrature(RateParams(alpha=3.0, beta=2.0), NET, WINDOW)
 
 
+def test_sustainability_window_out_of_range_is_typed():
+    # alpha^2 overflows a double once alpha exceeds about 1.3e154
+    with pytest.raises(OverflowRangeError, match="alpha"):
+        sustainability_window(RateParams(alpha=5e307, beta=1e308), NET, WINDOW)
+    # a subnormal P = 2^-1040 leaves the prefactor finite but S_N infinite
+    with pytest.raises(OverflowRangeError, match="double range"):
+        sustainability_window(RATES, NetworkParams(N=1040, E=10), WINDOW)
+    # P = 2^-N underflows to 0, and both closed forms divide by it
+    huge_n = NetworkParams(N=100_000_000, E=10)
+    with pytest.raises(DomainError, match="underflows"):
+        sustainability_window(RATES, huge_n, WINDOW)
+    with pytest.raises(DomainError, match="underflows"):
+        signaling_overhead(1.0, 0.5, huge_n, WINDOW)
+
+
 def test_sustainability_scales_inversely_with_q():
     base = sustainability_window(RATES, NET, WINDOW)
     for q in range(2, 6):
@@ -251,6 +266,13 @@ def test_signaling_time_factor_antiderivative():
     expected = (0.5**3 - 0.5) / math.log(0.5)
     assert signaling_time_factor(0.5, w) == pytest.approx(expected, rel=1e-14)
     assert signaling_time_factor(0.5, w) == pytest.approx(0.5410106403333613, rel=1e-13)
+
+
+def test_signaling_time_factor_rejects_vanishing_log():
+    # below about 1.1e-16, 1 - alpha' rounds to 1 and ln(1 - alpha') to 0
+    with pytest.raises(DomainError, match="rounds"):
+        signaling_time_factor(1e-17, WINDOW)
+    assert signaling_time_factor(1e-15, WINDOW) == pytest.approx(100.0, rel=1e-3)
 
 
 def test_signaling_time_factor_matches_quadrature():
