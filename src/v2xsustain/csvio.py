@@ -39,15 +39,15 @@ def write_event_columns(path: str | Path, header: Sequence[str], t, codes, label
     """write_csv's bytes for rows (t, labels[code], id), with no Python step
     per row.
 
-    t, codes and ids are numpy arrays; labels is a sequence of strings that
-    need no quoting, indexed by code. ids are non-negative and dense, as
-    entity ids are: one string is formatted per id in 0..max(ids). In each
-    chunk a time is formatted only where it differs in bits from the row
-    before, and every cell is then a table lookup joined in C.
+    t (float64), codes and ids are numpy arrays; labels is a sequence of
+    strings that need no quoting, indexed by code. ids are non-negative and
+    dense, as entity ids are: one string is formatted per id in
+    0..max(ids). In each chunk a time is formatted only where its bits
+    differ from the row before, and every cell is then a table lookup,
+    joined in C.
     """
     import numpy as np  # only the simulating commands load numpy
 
-    t = np.ascontiguousarray(t, dtype=np.float64)
     label_cells = np.array([f",{k}," for k in labels], dtype=object)
     id_cells = np.array([f"{i}\n" for i in range(int(ids.max(initial=-1)) + 1)], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -55,15 +55,13 @@ def write_event_columns(path: str | Path, header: Sequence[str], t, codes, label
         for lo in range(0, len(t), _CHUNK_ROWS):  # chunks bound the text held at once
             part = slice(lo, lo + _CHUNK_ROWS)
             tc = t[part]
-            m = len(tc)
-            bits = tc.view(np.int64)  # -0.0 and NaN payloads stay apart
-            new = np.empty(m, dtype=bool)
-            new[0] = True
-            np.not_equal(bits[1:], bits[:-1], out=new[1:])
+            bits = tc.view(np.int64)  # 0.0 and -0.0 compare equal but print apart
+            new = np.ones(len(tc), dtype=bool)
+            new[1:] = bits[1:] != bits[:-1]
             first = tc[new].tolist()
-            times = np.array((("%.9g\n" * len(first)) % tuple(first)).split("\n")[:-1],
-                             dtype=object)
-            cells = np.empty(3 * m, dtype=object)
+            text = ("%.9g\n" * len(first)) % tuple(first)
+            times = np.array(text.split("\n")[:-1], dtype=object)
+            cells = np.empty(3 * len(tc), dtype=object)
             cells[0::3] = times[np.cumsum(new) - 1]
             cells[1::3] = label_cells[codes[part]]
             cells[2::3] = id_cells[ids[part]]
