@@ -346,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as e:
+    except (DomainError, OverflowRangeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

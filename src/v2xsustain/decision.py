@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .csvio import write_csv
-from .errors import DomainError, OrderingError
+from .errors import DomainError, OrderingError, OverflowRangeError
 from .predict import SCALE_FLOOR, LikelihoodBounds, failsafe_tau
 from .sustain import NetworkParams, RateParams, TimeWindow
 from .sustain import hop_loss_probability, message_overhead
@@ -384,17 +384,27 @@ def score_failsafe_slots(
         s_n = m_o = None
         if slot.E_prime > net.n_inv and slot.D > 0:
             p = hop_loss_probability(net.n_inv, slot.E_prime, net.N)
+            if p == 0.0:
+                raise DomainError(
+                    f"loss probability P underflows to 0 at t_s={slot.t_s:g}: "
+                    f"N={net.N!r} E'={slot.E_prime!r}"
+                )
             # observed D may exceed the planning bound N, so the point-form
             # guard does not apply here
             s_n = (slot.U_k / net.n_inv) / (slot.D * p * net.Q)
             m_o = message_overhead(float(slot.passes), p, net.E)
             s_n_sum += s_n
             s_n_count += 1
+            # the terms are >= 0, so a finite sum means a finite S_N
+            if not math.isfinite(s_n_sum):
+                raise OverflowRangeError(f"S_N is outside double range at t_s={slot.t_s:g}")
         compliant = compliant and 0.0 < w < 1.0
         if compliant:
             log_sum += math.log(1.0 / w)
         mean = s_n_sum / s_n_count if s_n_count else 0.0
         mu = mean / log_sum if compliant and mean > 0.0 else None
+        if mu is not None and not math.isfinite(mu):
+            raise OverflowRangeError(f"mu is outside double range at t_s={slot.t_s:g}")
         tau = None if mu is None else failsafe_tau(mu, bounds, scn.window.T)
         if s_n is None or mu is None:
             decision, rationale = UPDATE_KEYS, "insufficient observations in this slot"

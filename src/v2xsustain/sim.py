@@ -4,9 +4,9 @@ Vehicles arrive as a Poisson stream (rate beta) on top of an initial
 cohort, stay for exponential lifetimes (rate gamma'), refresh their key
 pair as a per-vehicle Poisson process (rate alpha, one event refreshes
 both keys of the pair), and spend Q authentication passes per session
-establishment. Every random draw comes from one of four seed-split
-streams (arrivals, lifetimes, updates, positions) so changing one rate
-never perturbs another stream's draws. Each Poisson process is drawn as a
+establishment. Every random draw comes from one of three seed-split
+streams (arrivals, lifetimes, updates) so changing one rate never
+perturbs another stream's draws. Each Poisson process is drawn as a
 count, then as that many i.i.d. uniform times (Ross, Simulation, ch. 5):
 arrivals on [0, T], a vehicle's updates on its stay clipped at T.
 
@@ -14,7 +14,8 @@ Slot metrics use the (previous boundary, boundary] convention; the
 initial cohort's t = 0 passes therefore belong to the event totals but to
 no slot. Empirical sustainability is computed directly from the defining
 ratio, without the model-side admissibility guard D <= N, because the
-observed in-range count is an output here, not a constraint.
+observed count is an output here, not a constraint. Every vehicle is
+placed inside [r1, r2], so D counts the vehicles present in the slot.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -72,7 +73,6 @@ class EventTable:
 @dataclass(frozen=True)
 class SlotMetrics:
     t_s: float
-    active: int
     E_prime: int
     P_empirical: float
     U_k: int
@@ -135,15 +135,8 @@ def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario, limit=None) 
     return EventTable(t, kind, entity[order])
 
 
-def run_simulation(
-    scenario: Scenario,
-    position_sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None,
-) -> SimTrace:
+def run_simulation(scenario: Scenario) -> SimTrace:
     """Simulate [0, T] and extract per-slot empirical metrics.
-
-    position_sampler(rng, n) may replace the default uniform-in-range
-    placement; positions falling outside [r1, r2] simply do not count
-    toward the in-range total D.
 
     Raises SimulationTruncated if the event count exceeds the scenario's
     cap, checked from the draw counts before any event column is built.
@@ -151,7 +144,6 @@ def run_simulation(
     the fewest leading vehicles that exceed the cap.
     """
     net, rates, window = scenario.net, scenario.rates, scenario.window
-    rp = scenario.range_params
     violations = check_constraints(
         net, rates, window,
         U_k=scenario.thresholds.U_prime_N, D=net.N, thresholds=scenario.thresholds,
@@ -160,10 +152,10 @@ def run_simulation(
         names = ", ".join(v.constraint for v in violations)
         raise DomainError(f"scenario fails constraint check: {names}")
 
-    # The streams are children 0-3 of the seed; spawn numbers children in
-    # order, so a stream added later leaves their draws unchanged.
-    streams = np.random.SeedSequence(scenario.seed).spawn(4)
-    rng_arr, rng_life, rng_upd, rng_pos = map(np.random.default_rng, streams)
+    # The streams are children 0-2 of the seed; spawn numbers children in
+    # order, so adding or dropping a later child leaves their draws unchanged.
+    streams = np.random.SeedSequence(scenario.seed).spawn(3)
+    rng_arr, rng_life, rng_upd = map(np.random.default_rng, streams)
 
     T = window.T
     n_poisson = int(rng_arr.poisson(rates.beta * T))
@@ -174,14 +166,6 @@ def run_simulation(
         depart = arrive + rng_life.exponential(1.0 / rates.gamma_prime, size=n)
     else:
         depart = np.full(n, np.inf)
-    if position_sampler is None:
-        positions = rng_pos.uniform(rp.r1, rp.r2, size=n)
-    else:
-        positions = np.asarray(position_sampler(rng_pos, n), dtype=float)
-        if positions.shape != (n,):
-            raise DomainError(
-                f"position sampler must return {n} positions, got {positions.shape}"
-            )
 
     stay = np.minimum(depart, T) - arrive
     n_upd = rng_upd.poisson(rates.alpha * stay)
@@ -208,24 +192,22 @@ def run_simulation(
 
     arrived = upto(arrive)
     active = arrived - upto(np.sort(depart))
-    in_range = (positions >= rp.r1) & (positions <= rp.r2)
-    d_count = upto(arrive[in_range]) - upto(np.sort(depart[in_range]))
     u_k = np.diff(upto(events.t[events.kind == _KIND_ORDER[KIND_KEY_UPDATE]]))
     passes = net.Q * (np.diff(arrived) + reauth * u_k)
     survivors = net.E_zero - upto(np.sort(depart[: net.E_zero]))
 
     slots: list[SlotMetrics] = []
-    for b, act, u, d, p, still in zip(
-        edges[1:].tolist(), active[1:].tolist(), u_k.tolist(), d_count[1:].tolist(),
-        passes.tolist(), survivors[1:].tolist(),
+    for b, d, u, p, still in zip(
+        edges[1:].tolist(), active[1:].tolist(), u_k.tolist(), passes.tolist(),
+        survivors[1:].tolist(),
     ):
-        e_prime = min(act, net.E)
+        e_prime = min(d, net.E)
         p_emp = 1.0 - e_prime / net.E
         s_n = (u / net.n_inv) / (d * p_emp * net.Q) if d > 0 and p_emp > 0.0 else None
         m_o = p * (1.0 - p_emp) / (net.E * p_emp) if p_emp > 0.0 else None
         slots.append(
             SlotMetrics(
-                t_s=b, active=act, E_prime=e_prime, P_empirical=p_emp,
+                t_s=b, E_prime=e_prime, P_empirical=p_emp,
                 U_k=u, D=d, passes=p, S_N_emp=s_n, M_O_emp=m_o,
                 cohort_fraction=still / net.E_zero if net.E_zero else None,
             )

@@ -339,7 +339,10 @@ def message_overhead(O_S: float, P: float, E: int) -> float:
         raise DomainError(f"P must be in (0, 1], got {P!r}")
     if E <= 0:
         raise DomainError(f"E must be positive, got {E!r}")
-    return O_S * (1.0 - P) / (E * P)
+    m_o = O_S * (1.0 - P) / (E * P)
+    if not math.isfinite(m_o):
+        raise OverflowRangeError(f"M_O is {m_o!r} at P={P!r}, outside double range")
+    return m_o
 
 
 def vehicles_in_range(

@@ -207,8 +207,9 @@ def test_sweep_domain_failures_become_empty_cells(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "param,value,cell",
-    [("beta", "1e308", "S_N"), ("N", "100000000", "S_N"), ("beta", "1e-300", "O_S")],
-    ids=["alpha-squared-overflows", "P-underflows", "log-vanishes"],
+    [("beta", "1e308", "S_N"), ("N", "100000000", "S_N"), ("beta", "1e-300", "O_S"),
+     ("N", "1040", "M_O")],
+    ids=["alpha-squared-overflows", "P-underflows", "log-vanishes", "M_O-overflows"],
 )
 def test_sweep_out_of_range_cells_are_typed(tmp_path, capsys, param, value, cell):
     # each value once raised a bare OverflowError or ZeroDivisionError
@@ -219,6 +220,25 @@ def test_sweep_out_of_range_cells_are_typed(tmp_path, capsys, param, value, cell
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count(f"warning: {cell}: ") == 1
+
+
+@pytest.mark.parametrize(
+    "command,overrides",
+    [("failsafe", {"N": 745}), ("failsafe", {"N": 800}),
+     ("failsafe", {"N": 700, "omega_x": 1e-16}), ("simulate", {"N": 1040})],
+    ids=["failsafe-M_O-overflows", "failsafe-P-underflows", "failsafe-mu-overflows",
+         "simulate-S_N-overflows"],
+)
+def test_out_of_range_runs_exit_one_with_one_line(tmp_path, capsys, command, overrides):
+    # each once printed inf cells or ended in a ZeroDivisionError or
+    # OverflowRangeError traceback
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error: ") == 1 and err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_sweep_alpha_prime_default_lives_in_the_library(tmp_path, capsys):

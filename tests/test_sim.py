@@ -23,7 +23,9 @@ from v2xsustain import (
     run_simulation,
 )
 from v2xsustain import csvio
+from v2xsustain.config import build_bundle, merge_config
 from v2xsustain.csvio import write_csv, write_event_columns
+from v2xsustain.decision import UPDATE_KEYS, score_failsafe_slots
 from v2xsustain.errors import DomainError, SimulationTruncated
 from v2xsustain.sim import EventTable
 
@@ -121,11 +123,8 @@ def test_slot_capacity_and_loss_bounds():
     trace = run_simulation(scenario())
     for s in trace.slots:
         assert 0 <= s.E_prime <= NET.E
-        assert s.E_prime <= s.active
+        assert s.E_prime <= s.D
         assert 0.0 <= s.P_empirical <= 1.0
-        assert s.D <= s.active
-        # default sampler stays inside the range, so D counts all alive
-        assert s.D == s.active
 
 
 def test_full_connectivity_reports_zero_loss():
@@ -172,20 +171,25 @@ def test_event_cap_truncation_carries_partial():
     assert partial.slots == []
 
 
-def test_position_sampler_override():
-    def offside(rng, n):
-        return np.full(n, RANGE.r2 + 1.0)
-
-    trace = run_simulation(scenario(), position_sampler=offside)
+def test_empty_hub_has_no_observations():
+    # A1 without its cohort and with a negligible arrival rate: the default
+    # seed 1234 draws no arrival, so every slot is empty
+    bundle = build_bundle(merge_config({"E0": 0, "beta": 1e-9}))
+    trace = run_simulation(bundle.scenario)
+    assert trace.arrivals_total == 0
+    assert trace.slots
     for s in trace.slots:
         assert s.D == 0
         assert s.S_N_emp is None
-
-    def misshapen(rng, n):
-        return np.zeros(n + 1)
-
-    with pytest.raises(DomainError):
-        run_simulation(scenario(), position_sampler=misshapen)
+        assert s.M_O_emp == 0.0
+        assert s.cohort_fraction is None
+    rows = score_failsafe_slots(
+        trace, bundle.omega_compliance(len(trace.slots)), bundle.bounds
+    )
+    assert len(rows) == len(trace.slots)
+    for r in rows:
+        assert r.decision == UPDATE_KEYS
+        assert r.rationale == "insufficient observations in this slot"
 
 
 def test_scenario_validation():

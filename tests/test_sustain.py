@@ -331,6 +331,12 @@ def test_message_overhead_domain():
         message_overhead(1.0, 0.5, 0)
 
 
+def test_message_overhead_overflow_is_typed():
+    # a subnormal P makes 1/(E P) overflow; it once returned inf silently
+    with pytest.raises(OverflowRangeError, match="double range"):
+        message_overhead(1.0, 5e-320, 10)
+
+
 def test_vehicles_in_range_constant_density():
     rp = RangeParams(r1=100.0, r2=500.0)
     assert vehicles_in_range(lambda x: 0.02, rp) == pytest.approx(8.0, rel=1e-12)
