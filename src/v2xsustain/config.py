@@ -172,11 +172,15 @@ class ScenarioBundle:
     alpha_prime: float | None
 
     def availabilities(self) -> tuple[float, ...]:
-        """Per-entity credential availabilities 1 - p_x (scalar broadcast)."""
-        e = self.scenario.net.E
+        """Credential availabilities 1 - p_x, one per entity for a list.
+
+        A scalar p_x gives one availability: E equal terms give the
+        credentials estimator E / (E ln(1/a)) = 1 / ln(1/a), so the E-long
+        copy would only cost time and memory linear in E.
+        """
         if isinstance(self.p_x, tuple):
             return tuple(1.0 - p for p in self.p_x)
-        return tuple(1.0 - self.p_x for _ in range(e))
+        return (1.0 - self.p_x,)
 
     def omega_compliance(self, slots: int) -> tuple[float, ...]:
         """Per-slot compliance probabilities 1 - omega_x for `slots` slots."""

@@ -39,6 +39,7 @@ KIND_KEY_UPDATE = "key_update"
 KIND_AUTH_PASS = "auth_pass"
 _KIND_ORDER = {KIND_ARRIVAL: 0, KIND_AUTH_PASS: 1, KIND_KEY_UPDATE: 2, KIND_DEPARTURE: 3}
 _KIND_NAMES = tuple(_KIND_ORDER)  # indexed by kind code
+_GATHER_ROWS = 1 << 16  # rows per in-place gather step in _event_table
 
 
 class Event(NamedTuple):
@@ -114,34 +115,110 @@ class SimTrace:
         )
 
 
+def _time_order(t: np.ndarray) -> np.ndarray:
+    """Stable sort order of float64 t: ties keep their row order.
+
+    numpy's default quicksort is vectorised and several times faster than
+    its stable sort, but leaves the rows of a tie in any order. The key
+    (rank << b) | row, where rank numbers the distinct times in order and
+    both fit in b bits (2b < 63 while n < 2**31), sorts by time and then by
+    row, so one integer sort of the keys puts every tie back in row order,
+    exactly.
+    """
+    n = len(t)
+    b = n.bit_length()
+    order = np.argsort(t)
+    key = np.empty(n, dtype=np.int64)
+    # the sorted times borrow key's buffer until their ranks replace them
+    ts = np.take(t, order, out=key.view(t.dtype), mode="clip")
+    new = ts[1:] != ts[:-1]
+    key[:1] = 0
+    np.cumsum(new, out=key[1:])
+    del ts, new
+    key <<= b
+    key |= order
+    del order
+    key.sort()
+    key &= (1 << b) - 1
+    return key
+
+
+def _concat_rows(parts, size: int) -> np.ndarray:
+    """Concatenation of src[order] over parts (src, order, repeats), each
+    row repeated, written in place with no copy per part."""
+    out = np.empty(size, dtype=parts[0][0].dtype)
+    lo = 0
+    for src, order, repeats in parts:
+        rows = out[lo : lo + len(order) * repeats].reshape(-1, repeats)
+        # order is in range; "clip" lets take write without a buffer
+        np.take(src, order, out=rows[:, 0], mode="clip")
+        rows[:, 1:] = rows[:, :1]
+        lo += rows.size
+    return out
+
+
 def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario, limit=None) -> EventTable:
-    """Sorted events of the vehicles in arrive, cut to the first limit rows."""
+    """Sorted events of the vehicles in arrive, cut to the first limit rows.
+
+    arrive must be sorted and upd_id nondecreasing, as run_simulation draws
+    them. Each kind's block is put in (t, entity) order and the blocks are
+    laid out in kind-code order, so one stable sort on t merges the four
+    sorted runs into (t, kind code, entity) order.
+    """
     Q = scenario.net.Q
-    ids = np.arange(len(arrive))
-    gone = depart <= scenario.window.T
-    reauth = scenario.count_reauth_passes
-    session_t = np.concatenate((arrive, upd_t)) if reauth else arrive
-    session_id = np.concatenate((ids, upd_id)) if reauth else ids
-    # one block per kind code: arrivals, passes, key updates, departures
-    sizes = (len(ids), Q * len(session_t), len(upd_t), int(np.count_nonzero(gone)))
-    t = np.concatenate((arrive, np.repeat(session_t, Q), upd_t, depart[gone]))
-    entity = np.concatenate((ids, np.repeat(session_id, Q), upd_id, ids[gone]))
-    kind = np.repeat(np.arange(4, dtype=np.int8), sizes)
-    del session_t, session_id  # not held while sorting
-    order = np.lexsort((entity, kind, t))[:limit]
-    # gathered one column at a time, so each unsorted column is freed first
-    t = t[order]
-    kind = kind[order]
-    return EventTable(t, kind, entity[order])
+    n = len(arrive)
+    ids = np.arange(n)
+    gone = np.flatnonzero(depart <= scenario.window.T)
+    if scenario.count_reauth_passes and len(upd_t):
+        # Sessions in entity order, each vehicle's arrival before its
+        # updates, so their tie-stable time order is (t, entity) order.
+        # Without updates the sessions are the arrivals, already in order.
+        first = ids + np.searchsorted(upd_id, ids)
+        is_upd = np.ones(n + len(upd_t), dtype=bool)
+        is_upd[first] = False
+        session_t = np.empty(len(is_upd))
+        session_id = np.empty(len(is_upd), dtype=ids.dtype)
+        session_t[first], session_id[first] = arrive, ids
+        session_t[is_upd], session_id[is_upd] = upd_t, upd_id
+        order = _time_order(session_t)
+        passes = (session_t, session_id, order, Q)
+        updates = (session_t, session_id, order[is_upd[order]], 1)
+        del first, is_upd, order, session_t, session_id
+    else:
+        passes = (arrive, ids, ids, Q)
+        updates = (upd_t, upd_id, _time_order(upd_t), 1)
+    departures = (depart, ids, gone[_time_order(depart[gone])], 1)
+    # (times, ids, order, repeats) per kind code: rows times[order], ids[order]
+    blocks = [(arrive, ids, ids, 1), passes, updates, departures]
+    del passes, updates, departures
+    ends = np.cumsum([len(order) * r for _, _, order, r in blocks])
+    t = _concat_rows([(times, order, r) for times, _, order, r in blocks], ends[-1])
+    entity = _concat_rows([(i, order, r) for _, i, order, r in blocks], ends[-1])
+    del blocks, ids, gone  # not held while sorting
+    order = np.argsort(t, kind="stable")[:limit]
+    kind = np.zeros(len(order), dtype=np.int8)
+    for end in ends[:-1]:
+        kind += order >= end
+    # No new column: order becomes the sorted ids in place, a chunk at a
+    # time, and t is sorted in place. Its values are t[order], as equal
+    # times have equal bits: no time is -0.0 or nan.
+    for lo in range(0, len(order), _GATHER_ROWS):
+        rows = order[lo : lo + _GATHER_ROWS]
+        rows[:] = entity[rows]
+    del entity
+    t.sort(kind="stable")
+    return EventTable(t[: len(order)], kind, order)
 
 
 def run_simulation(scenario: Scenario) -> SimTrace:
     """Simulate [0, T] and extract per-slot empirical metrics.
 
-    Raises SimulationTruncated if the event count exceeds the scenario's
-    cap, checked from the draw counts before any event column is built.
-    Its partial trace has no slots and the first cap + 1 sorted events of
-    the fewest leading vehicles that exceed the cap.
+    Raises DomainError before any draw if the scenario fails its
+    constraint check or has more slots (T / t_x_step) than its event cap.
+    Raises SimulationTruncated if the event count exceeds the cap, checked
+    from the draw counts before any event column is built. Its partial
+    trace has no slots and the first cap + 1 sorted events of the fewest
+    leading vehicles that exceed the cap.
     """
     net, rates, window = scenario.net, scenario.rates, scenario.window
     violations = check_constraints(
@@ -151,6 +228,12 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     if violations:
         names = ", ".join(v.constraint for v in violations)
         raise DomainError(f"scenario fails constraint check: {names}")
+    slots = window.T / window.t_x_step
+    if slots > scenario.event_cap:
+        raise DomainError(
+            f"{slots:.6g} slots of {window.t_x_step:g} s exceed the event cap "
+            f"{scenario.event_cap}"
+        )
 
     # The streams are children 0-2 of the seed; spawn numbers children in
     # order, so adding or dropping a later child leaves their draws unchanged.

@@ -8,6 +8,7 @@ the same seed.
 import filecmp
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -124,6 +125,8 @@ def test_bundle_broadcasts_probability_lists(tmp_path):
     path = write_config(tmp_path, p_x=[0.1, 0.2], omega_x=0.25, E=2, E0=2)
     bundle = load_bundle(path)
     assert bundle.availabilities() == (0.9, 0.8)
+    scalar = load_bundle(write_config(tmp_path, "s.json", p_x=0.25, E=1000, E0=10))
+    assert scalar.availabilities() == (0.75,)
     assert bundle.omega_compliance(3) == (0.75, 0.75, 0.75)
     with pytest.raises(ConfigError, match="omega_x list"):
         load_bundle(write_config(tmp_path, "w.json", omega_x=[0.1, 0.2])).omega_compliance(3)
@@ -307,6 +310,16 @@ def test_sweep_range_rejected_before_the_grid_is_built(tmp_path, start, stop, st
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_sweep_over_a_huge_hub_ends_in_bounded_time_and_memory(tmp_path):
+    # a scalar p_x is one credential availability, not an E-long tuple
+    argv = ["sweep", "--param", "E", "--values", "100000000", "--out", "x.csv"]
+    proc = run_main_in_child(argv, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    header, row = (tmp_path / "x.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["mu"] == fmt(1.0 / math.log(2.0))  # p_x = 0.5 at A1
+
+
 def test_commands_that_do_not_simulate_never_import_numpy(tmp_path):
     checks = (
         "assert code == 0\n"
@@ -454,7 +467,8 @@ def test_failsafe_never_calls_the_batch_scale_estimate(tmp_path, monkeypatch, ca
 
 
 def test_simulate_truncation_fails(tmp_path, capsys):
-    cfg = write_config(tmp_path, event_cap=10)
+    # the smallest cap that the 22 slots at A1 pass
+    cfg = write_config(tmp_path, event_cap=22)
     out = tmp_path / "sims"
     assert main(["simulate", cfg, "--out", str(out)]) == 1
     assert "truncated" in capsys.readouterr().err

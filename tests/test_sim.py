@@ -7,6 +7,7 @@ compares against Poisson bin masses computed here from the pmf directly.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from v2xsustain import (
     compare_to_model,
     run_simulation,
 )
-from v2xsustain import csvio
+from v2xsustain import csvio, sim
+from v2xsustain.cli import main
 from v2xsustain.config import build_bundle, merge_config
 from v2xsustain.csvio import write_csv, write_event_columns
 from v2xsustain.decision import UPDATE_KEYS, score_failsafe_slots
@@ -164,11 +166,112 @@ def test_precheck_rejects_inadmissible_scenario():
 
 
 def test_event_cap_truncation_carries_partial():
-    with pytest.raises(SimulationTruncated) as exc:
-        run_simulation(scenario(event_cap=10))
-    partial = exc.value.partial
-    assert len(partial.events) == 11
-    assert partial.slots == []
+    full = run_simulation(scenario()).events
+    per_vehicle = np.bincount(full.entity)
+    # caps of at least the 22 slots; a smaller one is rejected before any draw
+    for cap in (22, 500):
+        # k is the fewest leading vehicles whose events exceed the cap,
+        # counted from the untruncated run; truncation draws the same events
+        k = int(np.argmax(np.cumsum(per_vehicle) > cap)) + 1
+        assert k < len(per_vehicle)
+        with pytest.raises(SimulationTruncated) as exc:
+            run_simulation(scenario(event_cap=cap))
+        partial = exc.value.partial
+        kept = full.entity < k
+        rows = slice(cap + 1)
+        expected = EventTable(full.t[kept][rows], full.kind[kept][rows], full.entity[kept][rows])
+        assert len(partial.events) == cap + 1
+        assert partial.events == expected
+        assert partial.slots == []
+
+
+def lexsort_event_table(arrive, depart, upd_t, upd_id, scn, limit=None) -> EventTable:
+    """Oracle: every event row built unsorted, then one three-key lexsort."""
+    Q = scn.net.Q
+    ids = np.arange(len(arrive))
+    gone = depart <= scn.window.T
+    session_t = np.concatenate((arrive, upd_t)) if scn.count_reauth_passes else arrive
+    session_id = np.concatenate((ids, upd_id)) if scn.count_reauth_passes else ids
+    sizes = (len(ids), Q * len(session_t), len(upd_t), int(np.count_nonzero(gone)))
+    t = np.concatenate((arrive, np.repeat(session_t, Q), upd_t, depart[gone]))
+    entity = np.concatenate((ids, np.repeat(session_id, Q), upd_id, ids[gone]))
+    kind = np.repeat(np.arange(4, dtype=np.int8), sizes)
+    order = np.lexsort((entity, kind, t))[:limit]
+    return EventTable(t[order], kind[order], entity[order])
+
+
+@pytest.mark.parametrize("Q", [1, 3])
+@pytest.mark.parametrize("reauth", [True, False])
+@pytest.mark.parametrize("limit", [None, 1, 5])
+def test_event_table_matches_lexsort_on_tied_times(Q, reauth, limit):
+    # Every time lies on a grid of step 1/k, so arrivals, passes, updates and
+    # departures of many vehicles tie; the inputs keep what run_simulation
+    # guarantees: arrivals sorted, the cohort first, update ids nondecreasing.
+    scn = scenario(net=dataclasses.replace(NET, Q=Q), count_reauth_passes=reauth)
+    T = scn.window.T
+    rng = np.random.default_rng([Q, reauth, limit or 0])
+    for _ in range(40):
+        k = int(rng.integers(1, 5))
+        n = int(rng.integers(0, 40))
+        cohort = int(rng.integers(0, n + 1))
+        later = np.sort(rng.integers(1, int(T) * k, n - cohort)) / k
+        arrive = np.concatenate((np.zeros(cohort), later))
+        depart = arrive + rng.integers(0, 40 * k, n) / k
+        most = int(rng.integers(0, 4))  # 0: no key update at all
+        upd_id = np.repeat(np.arange(n), rng.integers(0, most + 1, n))
+        upd_t = np.minimum(arrive[upd_id] + rng.integers(0, 40 * k, len(upd_id)) / k, T)
+        got = sim._event_table(arrive, depart, upd_t, upd_id, scn, limit)
+        want = lexsort_event_table(arrive, depart, upd_t, upd_id, scn, limit)
+        assert got == want
+        assert (got.t.dtype, got.kind.dtype, got.entity.dtype) == (
+            want.t.dtype, want.kind.dtype, want.entity.dtype
+        )
+
+
+@pytest.mark.parametrize(
+    "t",
+    [[], [3.5], [2.0] * 7, [1.0, 0.5, 1.0, 0.0, 0.5, 1.0, 2.0, 0.0], list(range(5, 0, -1))],
+    ids=["empty", "one", "all_equal", "mixed", "distinct"],
+)
+def test_time_order_keeps_ties_in_row_order(t):
+    t = np.asarray(t, dtype=float)
+    order = sim._time_order(t)
+    assert np.array_equal(order, np.argsort(t, kind="stable"))
+    assert order.dtype == np.int64
+    pairs = list(zip(t[order].tolist(), order.tolist()))
+    assert pairs == sorted(pairs)
+
+
+def test_time_order_on_many_ties_matches_a_stable_sort():
+    rng = np.random.default_rng(2026)
+    for size in (1, 2, 100, 5000):
+        for levels in (1, 3, size):
+            t = rng.integers(0, levels, size) / 4.0
+            assert np.array_equal(sim._time_order(t), np.argsort(t, kind="stable"))
+
+
+def test_too_many_slots_rejected_before_any_draw(tmp_path, capsys):
+    # 1.1e11 slots of 1 ns: the check runs before anything is allocated
+    tiny = scenario(window=dataclasses.replace(WINDOW, t_x_step=1e-9))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="slots"):
+            run_simulation(tiny)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # 22 slots: a cap of 21 is rejected, one of 22 passes on to the draws
+    with pytest.raises(DomainError, match="22 slots"):
+        run_simulation(scenario(event_cap=21))
+    with pytest.raises(SimulationTruncated):
+        run_simulation(scenario(event_cap=22))
+    path = tmp_path / "tiny.json"
+    path.write_text('{"tx_step_s": 1e-9}')
+    assert main(["simulate", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "slots" in err
+    assert err.count("\n") == 1
 
 
 def test_empty_hub_has_no_observations():
