@@ -387,19 +387,48 @@ def test_events_csv_of_no_rows_is_the_header(tmp_path):
 
 def test_events_csv_formats_times_by_bits_across_chunks(tmp_path, monkeypatch):
     # a time is formatted once per run of equal bits: 0.0 and -0.0 compare
-    # equal but print apart, and runs that span a chunk boundary restart
-    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 3)
-    t = np.array([0.0, 0.0, -0.0, -0.0, 1.5, 1.5, 1.5, math.nan, math.inf, 2.0 / 3.0])
-    codes = np.array([0, 1, 1, 2, 0, 3, 3, 1, 2, 0], dtype=np.int8)
-    ids = np.array([0, 0, 1, 1, 2, 2, 0, 3, 3, 1], dtype=np.int64)
+    # equal but print apart, and runs that span a chunk boundary restart.
+    # The rest are edges of the vectorised %.9g: exact 9-digit ties, doubles
+    # next to a tie whose scaled product rounds onto it, both ends of
+    # [1e-4, 1e8), carries to one more digit, and values outside
+    t = np.array([
+        0.0, 0.0, -0.0, -0.0, 1.5, 1.5, 1.5, math.nan, math.inf, 2.0 / 3.0,
+        2.0**-13, 78125 / 64, 400.0919115, 0.1140812545, 1e-4, np.nextafter(1e-4, 0),
+        0.001, 9.9999999996, 99999999.95, 1e8, 123456789.0, 1e9, 5e-324, -1.5, -math.inf,
+    ])
+    codes = np.array([0, 1, 1, 2, 0, 3, 3, 1, 2, 0] + [1, 2, 3] * 5, dtype=np.int8)
+    ids = np.array([0, 0, 1, 1, 2, 2, 0, 3, 3, 1] + list(range(4, 19)), dtype=np.int64)
+    ids[-3] = 1234567  # ids are a dense table: this one makes it 1234568 long
     labels = ("a", "bb", "c", "d")
     by_column = tmp_path / "columns.csv"
     by_row = tmp_path / "rows.csv"
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 3)
     write_event_columns(by_column, ("t", "k", "i"), t, codes, labels, ids)
     rows = zip(t.tolist(), (labels[c] for c in codes), ids.tolist())
     write_csv(by_row, ("t", "k", "i"), list(rows))
     assert by_column.read_bytes() == by_row.read_bytes()
-    assert by_column.read_text().splitlines()[3:5] == ["-0,bb,1", "-0,c,1"]
+    lines = by_column.read_text().splitlines()
+    assert lines[3:5] == ["-0,bb,1", "-0,c,1"]
+    assert [line.split(",")[0] for line in lines[11:23]] == [
+        "0.000122070312", "1220.70312", "400.091911", "0.114081255", "0.0001",
+        "0.0001", "0.001", "10", "100000000", "100000000", "123456789", "1e+09",
+    ]
+
+
+def test_events_csv_formats_in_range_times_without_fmt(tmp_path, monkeypatch):
+    # times in [1e-4, 1e8) that are not within 1e-6 of a 9-digit tie never
+    # reach the per-value route; the tie, 0.0 and nan do
+    rng = np.random.default_rng(20)
+    t = np.concatenate([10.0 ** rng.uniform(-4, 8, 3000), [2.0**-13, 0.0, math.nan]])
+    calls = []
+    real_fmt = csvio.fmt
+    monkeypatch.setattr(csvio, "fmt", lambda v: calls.append(v) or real_fmt(v))
+    path = tmp_path / "events.csv"
+    ids = np.zeros(len(t), dtype=np.int64)
+    write_event_columns(path, ("t",), t, ids.astype(np.int8), ("a",), ids)
+    assert calls[:2] == [2.0**-13, 0.0] and math.isnan(calls[2]) and len(calls) == 3
+    cells = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+    assert cells == [real_fmt(v) for v in t.tolist()]
 
 
 def test_key_updates_lie_in_clipped_stays():
