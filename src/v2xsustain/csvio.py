@@ -32,7 +32,6 @@ are formatted one by one with `fmt`: a few per run.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,12 +52,33 @@ def fmt(value) -> str:
     return str(value)
 
 
+def nan_to_none(column) -> list:
+    """A numpy column as Python values, with None (an empty cell) for NaN."""
+    return [None if v != v else v for v in column.tolist()]
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write header and rows, a column at a time (floats in one "%.9g" batch),
+    quoted as csv.writer(lineterminator="\n") quotes them; ValueError unless
+    each row has a cell per header name."""
+    rows = list(rows)
+    columns = list(zip(*rows, strict=True)) if rows else [()] * len(header)
+    if len(columns) != len(header):
+        raise ValueError(f"rows of {len(columns)} cells under {len(header)} names")
+    table = []
+    for name, col in zip(header, columns):
+        floats = col and set(map(type, col)) == {float}
+        cells = ("\n".join(["%.9g"] * len(col)) % col).split("\n") if floats else map(fmt, col)
+        cells = [str(name), *cells]
+        if not set(',"\n').isdisjoint("".join(cells)):  # quote only where needed
+            cells = ['"' + c.replace('"', '""') + '"' if any(x in c for x in ',"\n') else c
+                     for c in cells]
+        table.append(cells)
+    if len(table) == 1:  # csv.writer writes a lone empty cell as ""
+        table = [['""' if c == "" else c for c in table[0]]]
+    lines = map(",".join, zip(*table)) if table else [""] * (len(rows) + 1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_event_columns(path: str | Path, header: Sequence[str], t, codes, labels,

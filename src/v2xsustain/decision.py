@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .csvio import write_csv
+from .csvio import nan_to_none, write_csv
 from .errors import DomainError, OrderingError, OverflowRangeError
 from .predict import SCALE_FLOOR, LikelihoodBounds, failsafe_tau
 from .sustain import NetworkParams, RateParams, TimeWindow
@@ -301,6 +301,24 @@ def failsafe_point(
     )
 
 
+def _rule(s_n: float | None, m_o: float | None, mu: float | None, thresholds: Thresholds,
+          advisory: str = "") -> tuple[str, str]:
+    """The decision and its rationale, for decide() and the slot scorer."""
+    if s_n is None or mu is None:
+        return UPDATE_KEYS, "insufficient observations in this slot"
+    if mu <= SCALE_FLOOR:
+        return RECONFIGURE, (f"scale parameter {mu:g} at or below {SCALE_FLOOR:g}: "
+                             f"network not operable without reconfiguration{advisory}")
+    breaches = []
+    if s_n < thresholds.S_N_TH:
+        breaches.append(f"S_N {s_n:g} < {thresholds.S_N_TH:g}")
+    if m_o > thresholds.M_O_TH:
+        breaches.append(f"M_O {m_o:g} > {thresholds.M_O_TH:g}")
+    if breaches:
+        return UPDATE_KEYS, "; ".join(breaches) + advisory
+    return CONTINUE, f"S_N and M_O within thresholds{advisory}"
+
+
 def decide(
     s_n: float,
     m_o: float,
@@ -317,35 +335,9 @@ def decide(
     factor score only annotates the rationale.
     """
     advisory = f"; advisory G_f={g_f:.3f}" if g_f is not None else ""
-    if mu <= SCALE_FLOOR:
-        return FailSafeReport(
-            F_S=f_s,
-            tau=0.0 if tau is None else tau,
-            mu=mu,
-            decision=RECONFIGURE,
-            rationale=f"scale parameter {mu:g} at or below {SCALE_FLOOR:g}: "
-            f"network not operable without reconfiguration{advisory}",
-        )
-    if s_n < thresholds.S_N_TH or m_o > thresholds.M_O_TH:
-        breaches = []
-        if s_n < thresholds.S_N_TH:
-            breaches.append(f"S_N {s_n:g} < {thresholds.S_N_TH:g}")
-        if m_o > thresholds.M_O_TH:
-            breaches.append(f"M_O {m_o:g} > {thresholds.M_O_TH:g}")
-        return FailSafeReport(
-            F_S=f_s,
-            tau=tau,
-            mu=mu,
-            decision=UPDATE_KEYS,
-            rationale="; ".join(breaches) + advisory,
-        )
-    return FailSafeReport(
-        F_S=f_s,
-        tau=tau,
-        mu=mu,
-        decision=CONTINUE,
-        rationale=f"S_N and M_O within thresholds{advisory}",
-    )
+    decision, rationale = _rule(s_n, m_o, mu, thresholds, advisory)
+    tau = 0.0 if decision == RECONFIGURE and tau is None else tau
+    return FailSafeReport(F_S=f_s, tau=tau, mu=mu, decision=decision, rationale=rationale)
 
 
 class FailsafeRow(NamedTuple):
@@ -372,50 +364,56 @@ def score_failsafe_slots(
     S_N undefined. compliance holds one probability 1 - omega_x per slot.
     Row k's mu equals scale_param("sustainability", mean_sustainability=<mean
     S_N so far>, omegas=compliance[:k]) bit for bit, as its running sums add
-    in the same order; F_S is clipped to the row's t_s.
+    in the same order; F_S is clipped to the row's t_s. numpy does only
+    + - * / on the slot columns, in the order of the scalar forms.
     """
+    import numpy as np  # the slot columns are numpy arrays
+
     scn = trace.scenario
-    net, thresholds = scn.net, scn.thresholds
-    rows = []
-    s_n_sum = log_sum = 0.0
-    s_n_count = 0
-    compliant = True  # every compliance value so far lies in (0, 1)
-    for slot, w in zip(trace.slots, compliance, strict=True):
-        s_n = m_o = None
-        if slot.E_prime > net.n_inv and slot.D > 0:
-            p = hop_loss_probability(net.n_inv, slot.E_prime, net.N)
-            if p == 0.0:
-                raise DomainError(
-                    f"loss probability P underflows to 0 at t_s={slot.t_s:g}: "
-                    f"N={net.N!r} E'={slot.E_prime!r}"
-                )
-            # observed D may exceed the planning bound N, so the point-form
-            # guard does not apply here
-            s_n = (slot.U_k / net.n_inv) / (slot.D * p * net.Q)
-            m_o = message_overhead(float(slot.passes), p, net.E)
-            s_n_sum += s_n
-            s_n_count += 1
-            # the terms are >= 0, so a finite sum means a finite S_N
-            if not math.isfinite(s_n_sum):
-                raise OverflowRangeError(f"S_N is outside double range at t_s={slot.t_s:g}")
-        compliant = compliant and 0.0 < w < 1.0
-        if compliant:
-            log_sum += math.log(1.0 / w)
-        mean = s_n_sum / s_n_count if s_n_count else 0.0
-        mu = mean / log_sum if compliant and mean > 0.0 else None
-        if mu is not None and not math.isfinite(mu):
-            raise OverflowRangeError(f"mu is outside double range at t_s={slot.t_s:g}")
-        tau = None if mu is None else failsafe_tau(mu, bounds, scn.window.T)
-        if s_n is None or mu is None:
-            decision, rationale = UPDATE_KEYS, "insufficient observations in this slot"
-        else:
-            report = decide(s_n, m_o, mu, None, thresholds, tau=tau)
-            decision, rationale = report.decision, report.rationale
-        rows.append(FailsafeRow(slot.t_s, s_n, m_o, mu, tau, None, decision, rationale))
-    # F_S is the end of the safe prefix; a slot without S_N breaks it
-    safety = [(r.t_s, -math.inf if r.S_N is None else r.S_N, r.M_O) for r in rows]
-    F_S = failsafe_point(safety, thresholds).F_S if rows else None
-    return rows if F_S is None else [r._replace(F_S=min(r.t_s, F_S)) for r in rows]
+    net, thresholds, T = scn.net, scn.thresholds, scn.window.T
+    slots = trace.slots
+    n = len(slots)
+    w = np.array(compliance, dtype=float)
+    if len(w) != n:
+        raise ValueError(f"{len(w)} compliance values for {n} slots")
+    ok = (slots.E_prime > net.n_inv) & (slots.D > 0)
+    levels, which = np.unique(slots.E_prime[ok], return_inverse=True)
+    p = np.full(n, np.nan)
+    p[ok] = np.array([hop_loss_probability(net.n_inv, e, net.N) for e in levels.tolist()])[which]
+    compliant = np.logical_and.accumulate((w > 0.0) & (w < 1.0))
+    log_sum = np.zeros(n)
+    log_sum[compliant] = np.cumsum([math.log(1.0 / v) for v in w[compliant].tolist()])
+    with np.errstate(all="ignore"):  # the first bad slot is found below
+        # observed D may exceed the planning bound N, so the point-form
+        # guard does not apply here
+        s_n = (slots.U_k / net.n_inv) / (slots.D * p * net.Q)
+        m_o = slots.passes * (1.0 - p) / (net.E * p)
+        s_n_sum = np.cumsum(np.where(ok, s_n, 0.0))
+        mean = np.divide(s_n_sum, np.cumsum(ok), out=np.zeros(n), where=s_n_sum > 0.0)
+        has_mu = compliant & (mean > 0.0)
+        mu = np.divide(mean, log_sum, out=np.full(n, np.nan), where=has_mu)
+    bad = ok & ~((p > 0.0) & np.isfinite(m_o) & np.isfinite(s_n_sum))
+    bad |= has_mu & ~(np.isfinite(mu) & (mu > 0.0))
+    if bad.any():  # raise what the first bad slot meets first
+        k = int(np.argmax(bad))
+        t = float(slots.t_s[k])
+        if ok[k]:
+            if p[k] == 0.0:
+                raise DomainError(f"loss probability P underflows to 0 at t_s={t:g}: "
+                                  f"N={net.N!r} E'={int(slots.E_prime[k])!r}")
+            message_overhead(float(slots.passes[k]), float(p[k]), net.E)
+            if not math.isfinite(s_n_sum[k]):
+                raise OverflowRangeError(f"S_N is outside double range at t_s={t:g}")
+        if not math.isfinite(mu[k]):
+            raise OverflowRangeError(f"mu is outside double range at t_s={t:g}")
+        failsafe_tau(float(mu[k]), bounds, T)
+    safe = s_n >= thresholds.S_N_TH  # a slot without S_N (NaN) breaks the prefix
+    end = n if safe.all() else int(np.argmin(safe))  # slots in the safe prefix
+    f_s = np.minimum(slots.t_s, slots.t_s[end - 1]).tolist() if end else [None] * n
+    s_n, m_o, mu = map(nan_to_none, (s_n, m_o, mu))  # NaN where p or mu is
+    tau = [None if u is None else failsafe_tau(u, bounds, T) for u in mu]
+    return [FailsafeRow(*cells, *_rule(cells[1], cells[2], cells[3], thresholds))
+            for cells in zip(slots.t_s.tolist(), s_n, m_o, mu, tau, f_s)]
 
 
 class LogEntry(NamedTuple):

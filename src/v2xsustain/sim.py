@@ -21,14 +21,14 @@ placed inside [r1, r2], so D counts the vehicles present in the slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .config import Scenario
-from .csvio import write_csv, write_event_columns
+from .csvio import nan_to_none, write_csv, write_event_columns
 from .decision import check_constraints
 from .errors import DomainError, SimulationTruncated
 from .sustain import TimeWindow, loss_probability_model, sustainability_window
@@ -48,8 +48,21 @@ class Event(NamedTuple):
     entity_id: int
 
 
+class _Columns:
+    """Dataclass fields of equal-length numpy columns; == matches NaN to NaN."""
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=True)
+                   for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class EventTable:
+class EventTable(_Columns):
     """Events as numpy columns sorted by (t, kind code, entity), with no
     Python object per event; rows read as Event tuples."""
 
@@ -57,38 +70,32 @@ class EventTable:
     kind: np.ndarray
     entity: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.t)
-
     def __iter__(self) -> Iterator[Event]:
         kinds = (_KIND_NAMES[k] for k in self.kind.tolist())
         return map(Event, self.t.tolist(), kinds, self.entity.tolist())
 
-    def __eq__(self, other):
-        if not isinstance(other, EventTable):
-            return NotImplemented
-        pairs = zip((self.t, self.kind, self.entity), (other.t, other.kind, other.entity))
-        return all(np.array_equal(a, b) for a, b in pairs)
 
+@dataclass(frozen=True, eq=False)
+class SlotTable(_Columns):
+    """Per-slot metrics as float64 and int64 numpy columns; NaN marks a
+    metric that is undefined in its slot, and the defined ones are finite."""
 
-@dataclass(frozen=True)
-class SlotMetrics:
-    t_s: float
-    E_prime: int
-    P_empirical: float
-    U_k: int
-    D: int
-    passes: int
-    S_N_emp: float | None
-    M_O_emp: float | None
-    cohort_fraction: float | None
+    t_s: np.ndarray
+    E_prime: np.ndarray
+    P_empirical: np.ndarray
+    U_k: np.ndarray
+    D: np.ndarray
+    passes: np.ndarray
+    S_N_emp: np.ndarray
+    M_O_emp: np.ndarray
+    cohort_fraction: np.ndarray
 
 
 @dataclass
 class SimTrace:
     scenario: Scenario
     events: EventTable
-    slots: list[SlotMetrics]
+    slots: SlotTable | None
     arrivals_total: int = 0
     poisson_arrivals: int = 0
     cohort_size: int = 0
@@ -103,15 +110,13 @@ class SimTrace:
         )
 
     def export_metrics_csv(self, path: str | Path) -> None:
+        s = self.slots
         write_csv(
             path,
             ("t_s", "E_active", "P_empirical", "U_k", "D", "passes",
              "S_N_emp", "M_O_emp"),
-            [
-                (s.t_s, s.E_prime, s.P_empirical, s.U_k, s.D, s.passes,
-                 s.S_N_emp, s.M_O_emp)
-                for s in self.slots
-            ],
+            list(zip(*map(nan_to_none, (s.t_s, s.E_prime, s.P_empirical, s.U_k, s.D,
+                                        s.passes, s.S_N_emp, s.M_O_emp)))),
         )
 
 
@@ -262,7 +267,7 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     limit = cap + 1 if truncated else None
     events = _event_table(arrive[:k], depart[:k], upd_t, upd_id, scenario, limit)
     if truncated:
-        partial = SimTrace(scenario=scenario, events=events, slots=[])
+        partial = SimTrace(scenario=scenario, events=events, slots=None)
         raise SimulationTruncated(f"event cap {cap} exceeded", partial)
 
     # Slot counts are differences of cumulative counts at [0, b1, b2, ...].
@@ -279,22 +284,17 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     passes = net.Q * (np.diff(arrived) + reauth * u_k)
     survivors = net.E_zero - upto(np.sort(depart[: net.E_zero]))
 
-    slots: list[SlotMetrics] = []
-    for b, d, u, p, still in zip(
-        edges[1:].tolist(), active[1:].tolist(), u_k.tolist(), passes.tolist(),
-        survivors[1:].tolist(),
-    ):
-        e_prime = min(d, net.E)
-        p_emp = 1.0 - e_prime / net.E
-        s_n = (u / net.n_inv) / (d * p_emp * net.Q) if d > 0 and p_emp > 0.0 else None
-        m_o = p * (1.0 - p_emp) / (net.E * p_emp) if p_emp > 0.0 else None
-        slots.append(
-            SlotMetrics(
-                t_s=b, E_prime=e_prime, P_empirical=p_emp,
-                U_k=u, D=d, passes=p, S_N_emp=s_n, M_O_emp=m_o,
-                cohort_fraction=still / net.E_zero if net.E_zero else None,
-            )
-        )
+    d = active[1:]
+    e_prime = np.minimum(d, net.E)
+    p_emp = 1.0 - e_prime / net.E
+    nan = np.full(len(d), np.nan)
+    slots = SlotTable(
+        t_s=edges[1:], E_prime=e_prime, P_empirical=p_emp, U_k=u_k, D=d, passes=passes,
+        S_N_emp=np.divide(u_k / net.n_inv, d * p_emp * net.Q, out=nan.copy(),
+                          where=(p_emp > 0.0) & (d > 0)),
+        M_O_emp=np.divide(passes * (1.0 - p_emp), net.E * p_emp, out=nan.copy(), where=p_emp > 0),
+        cohort_fraction=survivors[1:] / net.E_zero if net.E_zero else nan,
+    )
 
     return SimTrace(
         scenario=scenario, events=events, slots=slots,
@@ -361,39 +361,41 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     survivor_devs = []
     s_n_devs = []
     prev = 0.0
-    for slot in trace.slots:
+    s = trace.slots
+    for t_s, s_n_emp, p_emp, cohort in zip(*map(nan_to_none, (
+            s.t_s, s.S_N_emp, s.P_empirical, s.cohort_fraction))):
         s_n_model = None
         s_n_rel = None
-        slot_t2 = min(slot.t_s, window.T)
+        slot_t2 = min(t_s, window.T)
         if model_ok and 0.0 < prev < slot_t2:
             slot_window = TimeWindow(
                 t1=prev, t2=slot_t2, T=window.T, t_x_step=window.t_x_step
             )
             s_n_model = sustainability_window(rates, net, slot_window)
-            if slot.S_N_emp is not None and s_n_model != 0.0:
-                s_n_rel = (slot.S_N_emp - s_n_model) / abs(s_n_model)
+            if s_n_emp is not None and s_n_model != 0.0:
+                s_n_rel = (s_n_emp - s_n_model) / abs(s_n_model)
                 s_n_devs.append(abs(s_n_rel))
         survivor_model = None
         survivor_dev = None
-        if slot.cohort_fraction is not None:
-            survivor_model = math.exp(-rates.gamma_prime * slot.t_s)
-            survivor_dev = abs(slot.cohort_fraction - survivor_model)
+        if cohort is not None:
+            survivor_model = math.exp(-rates.gamma_prime * t_s)
+            survivor_dev = abs(cohort - survivor_model)
             survivor_devs.append(survivor_dev)
         rows.append(
             SlotComparison(
-                t_s=slot.t_s,
-                S_N_emp=slot.S_N_emp,
+                t_s=t_s,
+                S_N_emp=s_n_emp,
                 S_N_model=s_n_model,
                 S_N_rel_dev=s_n_rel,
-                P_emp=slot.P_empirical,
+                P_emp=p_emp,
                 P_model=p_model,
-                P_abs_dev=abs(slot.P_empirical - p_model),
-                survivor_emp=slot.cohort_fraction,
+                P_abs_dev=abs(p_emp - p_model),
+                survivor_emp=cohort,
                 survivor_model=survivor_model,
                 survivor_abs_dev=survivor_dev,
             )
         )
-        prev = slot.t_s
+        prev = t_s
 
     expected = net.Q * trace.arrivals_total
     if scenario.count_reauth_passes:

@@ -399,9 +399,11 @@ def test_simulate_heavy_events_digest(tmp_path, monkeypatch, capsys):
 # SHA-256 of the analytic command outputs at the A1 defaults: the default
 # beta and p_x sweep grids (mu > 2 on part of the p_x grid, so tau is
 # nonzero there) and the failsafe table (nonzero tau in every row), plus the
-# failsafe table at 0.1 s slots (1100 rows, seed 1234). A change of route
-# for any quantity these print shows here; update the digests only together
-# with a change of the printed values.
+# failsafe table at 0.1 s slots (1100 rows, seed 1234), at Q = 2 (S_N
+# divides by Q) and with a list omega_x of 22 distinct values (mu sums
+# ln(1/(1 - omega_x))). A change of route for any quantity these print
+# shows here; update the digests only together with a change of the
+# printed values.
 GOLDEN_ANALYTIC = [
     (["sweep", "--param", "beta"], {}, 0,
      "167b6496d49ee5f1409f560dc21d023400d111f081870a33823c6ebdc692531f"),
@@ -411,8 +413,14 @@ GOLDEN_ANALYTIC = [
      "cccb0f351c5375871b1fd422fecf7326b44e72aabd809f5026188119821f59f1"),
     (["failsafe"], {"tx_step_s": 0.1}, 1,
      "998a90b88ae0527848848443a21744654ba356c0df85cf7d8509f3da6a163960"),
+    (["failsafe"], {"Q": 2}, 1,
+     "afcecbbd86e4b72d4e7209b9251e7b7a2153241f4589015e23df2e0a30fa8837"),
+    (["failsafe"], {"omega_x": [round(0.05 + 0.04 * k, 2) for k in range(22)]}, 1,
+     "c2d2c0ab43437f48fa9068a5a12f4e3957631ee1dd9f711e9b9ce6b3131be6f0"),
 ]
-GOLDEN_ANALYTIC_IDS = ["sweep_beta", "sweep_p_x", "failsafe", "failsafe_fine"]
+GOLDEN_ANALYTIC_IDS = [
+    "sweep_beta", "sweep_p_x", "failsafe", "failsafe_fine", "failsafe_q2", "failsafe_omega_list",
+]
 
 
 def assert_golden_output(tmp_path, argv, overrides, code, digest):
@@ -460,6 +468,20 @@ def test_failsafe_never_calls_the_batch_scale_estimate(tmp_path, monkeypatch, ca
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
     monkeypatch.setattr("v2xsustain.cli.scale_param", refuse)
     monkeypatch.setattr("v2xsustain.predict.scale_param", refuse)
+    fine = GOLDEN_ANALYTIC_IDS.index("failsafe_fine")
+    argv, overrides, code, digest = GOLDEN_ANALYTIC[fine]
+    assert_golden_output(tmp_path, argv, overrides, code, digest)
+    capsys.readouterr()
+
+
+def test_failsafe_builds_no_report_per_slot(tmp_path, monkeypatch, capsys):
+    # the scorer shares decide()'s rule but builds no FailSafeReport, and
+    # F_S comes from the S_N column, not from failsafe_point
+    def refuse(*args, **kwargs):
+        raise AssertionError("failsafe built a FailSafeReport")
+
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    monkeypatch.setattr("v2xsustain.decision.FailSafeReport", refuse)
     fine = GOLDEN_ANALYTIC_IDS.index("failsafe_fine")
     argv, overrides, code, digest = GOLDEN_ANALYTIC[fine]
     assert_golden_output(tmp_path, argv, overrides, code, digest)

@@ -1,19 +1,33 @@
-"""Property test: the events CSV writer gives write_csv's bytes.
+"""Property tests: both CSV writers give the bytes of the csv module.
 
-Derandomized, so Tier-1 stays deterministic. Skipped when Hypothesis is
-not installed.
+The oracle is `csv.writer(lineterminator="\\n")` over `fmt` cells, the
+route the writers replaced. Derandomized, so Tier-1 stays deterministic.
+Skipped when Hypothesis is not installed.
 """
+
+import csv
+import io
 
 import numpy as np
 import pytest
 
 from v2xsustain import csvio
-from v2xsustain.csvio import write_csv, write_event_columns
+from v2xsustain.csvio import fmt, write_csv, write_event_columns
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 LABELS = ("arrival", "auth_pass", "key_update", "departure")
+
+
+def csv_module_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
 
 times = st.one_of(
     st.floats(min_value=1e-5, max_value=1e9),  # the vectorised range [1e-4, 1e8) and past it
@@ -23,6 +37,32 @@ times = st.one_of(
               st.integers(10**8, 10**9 - 1), st.integers(-13, -2)),
     st.sampled_from([0.0, -0.0, 1e-4, 1e8, 9.9999999996, 99999999.95]),
 )
+floats = st.one_of(times, st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.5, 2.5]))
+text = st.lists(st.sampled_from(["a", "7", " ", ",", '"', '""', "\n", "\r", "é"]),
+                max_size=5).map("".join)
+cells = st.one_of(floats, floats.map(np.float64), st.integers(-(10**20), 10**20),
+                  st.booleans(), st.none(), text)
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(width=st.integers(1, 4), n=st.integers(0, 6), data=st.data())
+def test_write_csv_matches_the_csv_module(tmp_path_factory, width, n, data):
+    # a column is either all Python floats (the batch route) or mixed cells
+    kinds = [floats if all_float else cells
+             for all_float in data.draw(st.lists(st.booleans(), min_size=width, max_size=width))]
+    header = data.draw(st.lists(text, min_size=width, max_size=width))
+    rows = [tuple(data.draw(kind) for kind in kinds) for _ in range(n)]
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    write_csv(path, header, rows)
+    assert path.read_bytes() == csv_module_bytes(header, rows)
+
+
+def test_write_csv_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "ragged.csv"
+    for rows in ([(1.0, 2.0), (3.0,)], [(1.0,)], [(1, 2, 3)], [("a", "b"), ("c", "d", "e")]):
+        with pytest.raises(ValueError):
+            write_csv(path, ("a", "b"), rows)
+    assert not path.exists()
 
 
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
@@ -31,16 +71,15 @@ times = st.one_of(
     chunk=st.integers(1, 8),
     data=st.data(),
 )
-def test_event_columns_match_write_csv(tmp_path_factory, t, chunk, data):
+def test_event_columns_match_the_csv_module(tmp_path_factory, t, chunk, data):
     codes = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(t), max_size=len(t))),
                      dtype=np.int8)
     ids = np.array(data.draw(st.lists(st.integers(0, 5000), min_size=len(t), max_size=len(t))),
                    dtype=np.int64)
-    out = tmp_path_factory.mktemp("csv")
+    path = tmp_path_factory.mktemp("csv") / "columns.csv"
+    header = ("t_s", "kind", "entity_id")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(csvio, "_CHUNK_ROWS", chunk)
-        write_event_columns(out / "columns.csv", ("t_s", "kind", "entity_id"), t, codes,
-                            LABELS, ids)
+        write_event_columns(path, header, t, codes, LABELS, ids)
     rows = zip(t.tolist(), (LABELS[c] for c in codes), ids.tolist())
-    write_csv(out / "rows.csv", ("t_s", "kind", "entity_id"), list(rows))
-    assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+    assert path.read_bytes() == csv_module_bytes(header, rows)

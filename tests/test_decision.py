@@ -2,6 +2,7 @@
 extraction, decision priority, fail-safe slot scoring, and the utility
 log."""
 
+import math
 import random
 
 import pytest
@@ -28,8 +29,10 @@ from v2xsustain import (
     run_simulation,
     scale_param,
 )
-from v2xsustain.decision import score_failsafe_slots
-from v2xsustain.errors import DomainError, OrderingError
+from v2xsustain.decision import FailsafeRow, score_failsafe_slots
+from v2xsustain.errors import DomainError, OrderingError, OverflowRangeError
+from v2xsustain.predict import failsafe_tau
+from v2xsustain.sustain import hop_loss_probability, message_overhead
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
 RATES = RateParams(alpha=1.0, beta=2.0)
@@ -221,7 +224,7 @@ def test_score_failsafe_slots_mu_matches_batch_scale_param(seed, breach_at):
     b = build_bundle(merge_config({"tx_step_s": 0.1, "seed": seed}))
     trace = run_simulation(b.scenario)
     rng = random.Random(seed)
-    compliance = [rng.uniform(0.01, 0.99) for _ in trace.slots]
+    compliance = [rng.uniform(0.01, 0.99) for _ in range(len(trace.slots))]
     if breach_at is not None:
         compliance[breach_at] = 1.0
     rows = score_failsafe_slots(trace, compliance, b.bounds)
@@ -245,6 +248,76 @@ def test_score_failsafe_slots_mu_matches_batch_scale_param(seed, breach_at):
         if breach_at is not None and k > breach_at:
             assert row.mu is None
     assert sum(row.mu is not None for row in rows) > 500
+
+
+def scalar_scores(trace, compliance, bounds):
+    """Reference: the per-slot scorer the slot columns replaced, one
+    hop_loss_probability, message_overhead and decide() call per slot."""
+    scn = trace.scenario
+    net, thresholds, slots = scn.net, scn.thresholds, trace.slots
+    rows = []
+    s_n_sum = log_sum = 0.0
+    s_n_count = 0
+    compliant = True
+    for k, w in enumerate(compliance):
+        t, e_prime, d = float(slots.t_s[k]), int(slots.E_prime[k]), int(slots.D[k])
+        s_n = m_o = None
+        if e_prime > net.n_inv and d > 0:
+            p = hop_loss_probability(net.n_inv, e_prime, net.N)
+            if p == 0.0:
+                raise DomainError(f"loss probability P underflows to 0 at t_s={t:g}: "
+                                  f"N={net.N!r} E'={e_prime!r}")
+            s_n = (int(slots.U_k[k]) / net.n_inv) / (d * p * net.Q)
+            m_o = message_overhead(float(slots.passes[k]), p, net.E)
+            s_n_sum += s_n
+            s_n_count += 1
+            if not math.isfinite(s_n_sum):
+                raise OverflowRangeError(f"S_N is outside double range at t_s={t:g}")
+        compliant = compliant and 0.0 < w < 1.0
+        if compliant:
+            log_sum += math.log(1.0 / w)
+        mean = s_n_sum / s_n_count if s_n_count else 0.0
+        mu = mean / log_sum if compliant and mean > 0.0 else None
+        if mu is not None and not math.isfinite(mu):
+            raise OverflowRangeError(f"mu is outside double range at t_s={t:g}")
+        tau = None if mu is None else failsafe_tau(mu, bounds, scn.window.T)
+        if s_n is None or mu is None:
+            decision, rationale = UPDATE_KEYS, "insufficient observations in this slot"
+        else:
+            report = decide(s_n, m_o, mu, None, thresholds, tau=tau)
+            decision, rationale = report.decision, report.rationale
+        rows.append(FailsafeRow(t, s_n, m_o, mu, tau, None, decision, rationale))
+    safety = [(r.t_s, -math.inf if r.S_N is None else r.S_N, r.M_O) for r in rows]
+    F_S = failsafe_point(safety, thresholds).F_S if rows else None
+    return rows if F_S is None else [r._replace(F_S=min(r.t_s, F_S)) for r in rows]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"tx_step_s": 0.1},
+    {"tx_step_s": 0.1, "seed": 7, "S_N_TH": 700.0},
+    {"Q": 3, "omega_x": 0.01},
+    {"S_N_TH": 1.0, "M_O_TH": 1e9, "omega_x": 0.01},  # continue
+    {"omega_x": 0.999999},  # reconfigure
+    {"omega_x": [0.5] * 5 + [1e-17] + [0.5] * 16},  # mu ends at slot 6
+    {"E0": 0, "beta": 0.3, "tx_step_s": 0.5},  # mu without S_N
+    {"E0": 0, "beta": 1e-9},  # no observation at all
+    {"tx_step_s": 500.0, "t_u_s": 1.0},  # no slot
+    {"N": 1000},  # P underflows to 0 at t_s=95
+    {"N": 1000, "omega_x": 1e-12},  # mu overflows first
+    {"N": 1060},  # M_O overflows
+])
+def test_score_failsafe_slots_matches_the_scalar_scorer(overrides):
+    b = build_bundle(merge_config(overrides))
+    trace = run_simulation(b.scenario)
+    compliance = b.omega_compliance(len(trace.slots))
+    try:
+        want = scalar_scores(trace, compliance, b.bounds)
+    except (DomainError, OverflowRangeError) as e:
+        with pytest.raises(type(e)) as got:
+            score_failsafe_slots(trace, compliance, b.bounds)
+        assert str(got.value) == str(e)
+    else:
+        assert score_failsafe_slots(trace, compliance, b.bounds) == want
 
 
 def test_decide_scale_floor_wins():

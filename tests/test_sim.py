@@ -65,7 +65,7 @@ def test_different_seeds_differ():
 def test_slot_grid():
     trace = run_simulation(scenario())
     assert len(trace.slots) == 22
-    assert [s.t_s for s in trace.slots] == [5.0 * k for k in range(1, 23)]
+    assert trace.slots.t_s.tolist() == [5.0 * k for k in range(1, 23)]
 
 
 def test_events_sorted_and_complete():
@@ -115,29 +115,29 @@ def test_pass_identity_scales_with_q():
 
 def test_cohort_passes_belong_to_no_slot():
     trace = run_simulation(scenario())
-    in_slots = sum(s.passes for s in trace.slots)
+    in_slots = sum(trace.slots.passes.tolist())
     assert in_slots == trace.passes_total - NET.Q * NET.E_zero
-    in_slot_updates = sum(s.U_k for s in trace.slots)
+    in_slot_updates = sum(trace.slots.U_k.tolist())
     assert in_slot_updates == trace.key_updates_total
 
 
 def test_slot_capacity_and_loss_bounds():
-    trace = run_simulation(scenario())
-    for s in trace.slots:
-        assert 0 <= s.E_prime <= NET.E
-        assert s.E_prime <= s.D
-        assert 0.0 <= s.P_empirical <= 1.0
+    s = run_simulation(scenario()).slots
+    for e_prime, d, p_emp in zip(s.E_prime.tolist(), s.D.tolist(), s.P_empirical.tolist()):
+        assert 0 <= e_prime <= NET.E
+        assert e_prime <= d
+        assert 0.0 <= p_emp <= 1.0
 
 
 def test_full_connectivity_reports_zero_loss():
     # no departures and a saturated hub: every slot sees E' = E
     rates = RateParams(alpha=1.0, beta=2.0, gamma=1.0, gamma_prime=0.0)
-    trace = run_simulation(scenario(rates=rates))
-    for s in trace.slots:
-        assert s.E_prime == NET.E
-        assert s.P_empirical == 0.0
-        assert s.S_N_emp is None
-        assert s.M_O_emp is None
+    s = run_simulation(scenario(rates=rates)).slots
+    # NaN marks an undefined metric in the slot columns
+    assert (s.E_prime == NET.E).all()
+    assert (s.P_empirical == 0.0).all()
+    assert np.isnan(s.S_N_emp).all()
+    assert np.isnan(s.M_O_emp).all()
 
 
 def test_cohort_survivors_follow_exponential_decay():
@@ -146,9 +146,10 @@ def test_cohort_survivors_follow_exponential_decay():
     report = compare_to_model(trace, scenario(net=net))
     assert report.survivor_mad is not None
     assert report.survivor_mad < 0.03
-    for s in trace.slots:
-        assert s.cohort_fraction is not None
-        assert abs(s.cohort_fraction - math.exp(-0.1 * s.t_s)) < 0.06
+    s = trace.slots
+    for t_s, fraction in zip(s.t_s.tolist(), s.cohort_fraction.tolist()):
+        assert not math.isnan(fraction)
+        assert abs(fraction - math.exp(-0.1 * t_s)) < 0.06
 
 
 def test_poisson_arrival_totals():
@@ -182,7 +183,7 @@ def test_event_cap_truncation_carries_partial():
         expected = EventTable(full.t[kept][rows], full.kind[kept][rows], full.entity[kept][rows])
         assert len(partial.events) == cap + 1
         assert partial.events == expected
-        assert partial.slots == []
+        assert partial.slots is None
 
 
 def lexsort_event_table(arrive, depart, upd_t, upd_id, scn, limit=None) -> EventTable:
@@ -274,18 +275,51 @@ def test_too_many_slots_rejected_before_any_draw(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"Q": 2, "count_reauth_passes": False},
+    {"E0": 0, "beta": 0.3, "tx_step_s": 0.5},
+    {"E0": 3, "beta": 0.5, "gamma_prime": 0.5, "tx_step_s": 1.0},
+    {"E0": 0, "beta": 1e-9},
+])
+def test_slot_columns_match_the_scalar_slot_loop(overrides):
+    # Reference: each slot recounted from the event rows, then the scalar
+    # metric forms the columns replaced, with None for an undefined metric.
+    scn = build_bundle(merge_config(overrides)).scenario
+    net = scn.net
+    trace = run_simulation(scn)
+    ev, s = trace.events, trace.slots
+    prev = 0.0
+    for k, t_s in enumerate(s.t_s.tolist()):
+        upto, inside = ev.t <= t_s, (ev.t > prev) & (ev.t <= t_s)
+        d = int(np.count_nonzero(upto & (ev.kind == 0)) - np.count_nonzero(upto & (ev.kind == 3)))
+        u = int(np.count_nonzero(inside & (ev.kind == 2)))
+        passes = net.Q * int(np.count_nonzero(inside & (ev.kind == 0)) + scn.count_reauth_passes * u)
+        gone = int(np.count_nonzero(upto & (ev.kind == 3) & (ev.entity < net.E_zero)))
+        e_prime = min(d, net.E)
+        p_emp = 1.0 - e_prime / net.E
+        s_n = (u / net.n_inv) / (d * p_emp * net.Q) if d > 0 and p_emp > 0.0 else None
+        m_o = passes * (1.0 - p_emp) / (net.E * p_emp) if p_emp > 0.0 else None
+        still = (net.E_zero - gone) / net.E_zero if net.E_zero else None
+        row = [s.E_prime[k], s.P_empirical[k], s.U_k[k], s.D[k], s.passes[k]]
+        assert [x.item() for x in row] == [e_prime, p_emp, u, d, passes]
+        got = [s.S_N_emp[k], s.M_O_emp[k], s.cohort_fraction[k]]
+        assert [None if math.isnan(x) else x for x in got] == [s_n, m_o, still]
+        prev = t_s
+
+
 def test_empty_hub_has_no_observations():
     # A1 without its cohort and with a negligible arrival rate: the default
     # seed 1234 draws no arrival, so every slot is empty
     bundle = build_bundle(merge_config({"E0": 0, "beta": 1e-9}))
     trace = run_simulation(bundle.scenario)
     assert trace.arrivals_total == 0
-    assert trace.slots
-    for s in trace.slots:
-        assert s.D == 0
-        assert s.S_N_emp is None
-        assert s.M_O_emp == 0.0
-        assert s.cohort_fraction is None
+    s = trace.slots
+    assert len(s)
+    assert (s.D == 0).all()
+    assert np.isnan(s.S_N_emp).all()
+    assert (s.M_O_emp == 0.0).all()
+    assert np.isnan(s.cohort_fraction).all()
     rows = score_failsafe_slots(
         trace, bundle.omega_compliance(len(trace.slots)), bundle.bounds
     )
@@ -479,16 +513,16 @@ def test_slot_arrivals_match_poisson_binned():
         times = sorted(e.t_s for e in trace.events if e.kind == "arrival" and e.t_s > 0.0)
         arr = np.asarray(times)
         prev = 0.0
-        for s in trace.slots:
+        for t_s in trace.slots.t_s.tolist():
             count = int(
-                np.searchsorted(arr, s.t_s, side="right")
+                np.searchsorted(arr, t_s, side="right")
                 - np.searchsorted(arr, prev, side="right")
             )
             for j, (lo, hi) in enumerate(edges):
                 if count >= lo and (hi is None or count <= hi):
                     observed[j] += 1
                     break
-            prev = s.t_s
+            prev = t_s
             total += 1
     assert total == 2200
     chi2 = sum(
