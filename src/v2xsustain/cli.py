@@ -35,7 +35,7 @@ from .config import (
 from .csvio import write_csv
 from .decision import (
     CONTINUE,
-    FailsafeRow,
+    FailsafeTable,
     check_constraints,
     score_failsafe_slots,
 )
@@ -232,7 +232,7 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args)
     warnings: list[str] = []
     rows = [_sweep_row(args.param, v, base, warnings) for v in values]
-    write_csv(args.out, SWEEP_HEADER, rows)
+    write_csv(args.out, SWEEP_HEADER, zip(*rows, strict=True))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -271,7 +271,7 @@ def cmd_table3(args) -> int:
     write_csv(
         args.out,
         ("case_index", "group", "check", "detail", "passed"),
-        rows,
+        zip(*rows, strict=True),
     )
     failed = [r for r in rows if not r.passed]
     print(f"{len(rows) - len(failed)}/{len(rows)} checks passed")
@@ -287,10 +287,10 @@ def cmd_failsafe(args) -> int:
     except SimulationTruncated as e:
         print(f"simulation truncated at event cap: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    rows = score_failsafe_slots(trace, b.omega_compliance(len(trace.slots)), b.bounds)
-    write_csv(args.out, FailsafeRow._fields, rows)
-    last_decision = rows[-1].decision if rows else None
-    print(f"wrote {len(rows)} rows to {args.out}; final decision: {last_decision}")
+    table = score_failsafe_slots(trace, b.omega_compliance(len(trace.slots)), b.bounds)
+    write_csv(args.out, FailsafeTable._fields, table)
+    last_decision = table.decision[-1] if table.decision else None
+    print(f"wrote {len(table.t_s)} rows to {args.out}; final decision: {last_decision}")
     return EXIT_OK if last_decision == CONTINUE else EXIT_CHECK_FAILED
 
 

@@ -4,6 +4,9 @@ One formatting rule everywhere: floats carry 9 significant digits,
 integers print as plain digits, missing values as empty cells. Keeping
 the rule in one place is what makes simulation exports byte-stable.
 
+`write_csv` takes a table as columns: text as it is, floats with None gaps in
+one `%.9g` batch, other cells through `fmt`. It needs no numpy.
+
 `write_event_columns` writes the events CSV, hundreds of thousands of
 rows, with `write_csv`'s bytes but without a Python string per row or per
 time. Its `%.9g` for float64 times in [1e-4, 1e8) is vectorised and exact:
@@ -57,26 +60,31 @@ def nan_to_none(column) -> list:
     return [None if v != v else v for v in column.tolist()]
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write header and rows, a column at a time (floats in one "%.9g" batch),
+def write_csv(path: str | Path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
+    """Write header and columns (no columns: no rows), each cell fmt(value),
     quoted as csv.writer(lineterminator="\n") quotes them; ValueError unless
-    each row has a cell per header name."""
-    rows = list(rows)
-    columns = list(zip(*rows, strict=True)) if rows else [()] * len(header)
-    if len(columns) != len(header):
-        raise ValueError(f"rows of {len(columns)} cells under {len(header)} names")
+    there is one column per header name and all are equally long."""
+    columns = [tuple(c) for c in columns] or [()] * len(header)
+    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError(f"{len(columns)} columns of {sorted(set(map(len, columns)))} "
+                         f"cells under {len(header)} names")
     table = []
     for name, col in zip(header, columns):
-        floats = col and set(map(type, col)) == {float}
-        cells = ("\n".join(["%.9g"] * len(col)) % col).split("\n") if floats else map(fmt, col)
-        cells = [str(name), *cells]
-        if not set(',"\n').isdisjoint("".join(cells)):  # quote only where needed
-            cells = ['"' + c.replace('"', '""') + '"' if any(x in c for x in ',"\n') else c
-                     for c in cells]
+        kinds = set(map(type, col))
+        if col and kinds <= {float, type(None)}:  # one "%.9g" batch; None: an empty cell
+            spec = "\n".join(["" if v is None else "%.9g" for v in col])
+            col = (spec % tuple([v for v in col if v is not None])).split("\n")
+        elif not kinds <= {str}:  # text is used as it is
+            col = map(fmt, col)
+        cells = [str(name), *col]
+        joined = "".join(cells)
+        if "," in joined or '"' in joined or "\n" in joined:  # quote only where needed
+            cells = ['"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c
+                     else c for c in cells]
         table.append(cells)
     if len(table) == 1:  # csv.writer writes a lone empty cell as ""
         table = [['""' if c == "" else c for c in table[0]]]
-    lines = map(",".join, zip(*table)) if table else [""] * (len(rows) + 1)
+    lines = map(",".join, zip(*table)) if table else [""]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

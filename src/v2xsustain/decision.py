@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .csvio import nan_to_none, write_csv
 from .errors import DomainError, OrderingError, OverflowRangeError
@@ -301,22 +301,34 @@ def failsafe_point(
     )
 
 
-def _rule(s_n: float | None, m_o: float | None, mu: float | None, thresholds: Thresholds,
-          advisory: str = "") -> tuple[str, str]:
-    """The decision and its rationale, for decide() and the slot scorer."""
-    if s_n is None or mu is None:
-        return UPDATE_KEYS, "insufficient observations in this slot"
-    if mu <= SCALE_FLOOR:
-        return RECONFIGURE, (f"scale parameter {mu:g} at or below {SCALE_FLOOR:g}: "
-                             f"network not operable without reconfiguration{advisory}")
-    breaches = []
-    if s_n < thresholds.S_N_TH:
-        breaches.append(f"S_N {s_n:g} < {thresholds.S_N_TH:g}")
-    if m_o > thresholds.M_O_TH:
-        breaches.append(f"M_O {m_o:g} > {thresholds.M_O_TH:g}")
-    if breaches:
-        return UPDATE_KEYS, "; ".join(breaches) + advisory
-    return CONTINUE, f"S_N and M_O within thresholds{advisory}"
+def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence, thresholds: Thresholds,
+          advisory: str = "") -> tuple[list[str], list[str]]:
+    """The decision and rationale columns for columns of S_N, M_O and mu
+    (None where undefined); decide() is the one-row case. The kind code keeps
+    the decision order: too few observations, then mu <= SCALE_FLOOR, then
+    S_N/M_O breaches, then continue. Each rationale kind is formatted in one
+    "%g" batch over its rows; '%g' % x is f"{x:g}" for a float."""
+    s_th, m_th = thresholds.S_N_TH, thresholds.M_O_TH
+    kinds = (  # (decision, rationale template, its columns), by kind code
+        (UPDATE_KEYS, "insufficient observations in this slot", ()),
+        (RECONFIGURE, f"scale parameter %g at or below {SCALE_FLOOR:g}: "
+                      f"network not operable without reconfiguration{advisory}", (mu,)),
+        (CONTINUE, f"S_N and M_O within thresholds{advisory}", ()),
+        (UPDATE_KEYS, f"S_N %g < {s_th:g}{advisory}", (s_n,)),
+        (UPDATE_KEYS, f"M_O %g > {m_th:g}{advisory}", (m_o,)),
+        (UPDATE_KEYS, f"S_N %g < {s_th:g}; M_O %g > {m_th:g}{advisory}", (s_n, m_o)),
+    )
+    code = [0 if s is None or u is None else 1 if u <= SCALE_FLOOR
+            else 2 + (s < s_th) + 2 * (m > m_th) for s, m, u in zip(s_n, m_o, mu)]
+    rows = [[] for _ in kinds]
+    for k, c in enumerate(code):
+        rows[c].append(k)
+    rationale = [""] * len(code)
+    for (_, template, columns), at in zip(kinds, rows):
+        text = "\n".join([template] * len(at)) % tuple([col[k] for k in at for col in columns])
+        for k, line in zip(at, text.split("\n")):
+            rationale[k] = line
+    return [kinds[c][0] for c in code], rationale
 
 
 def decide(
@@ -335,27 +347,27 @@ def decide(
     factor score only annotates the rationale.
     """
     advisory = f"; advisory G_f={g_f:.3f}" if g_f is not None else ""
-    decision, rationale = _rule(s_n, m_o, mu, thresholds, advisory)
+    (decision,), (rationale,) = _rule([s_n], [m_o], [mu], thresholds, advisory)
     tau = 0.0 if decision == RECONFIGURE and tau is None else tau
     return FailSafeReport(F_S=f_s, tau=tau, mu=mu, decision=decision, rationale=rationale)
 
 
-class FailsafeRow(NamedTuple):
-    """One scored slot; the field names are the fail-safe table header."""
+class FailsafeTable(NamedTuple):
+    """The scored slots by column; the field names are the fail-safe table header."""
 
-    t_s: float
-    S_N: float | None
-    M_O: float | None
-    mu: float | None
-    tau: float | None
-    F_S: float | None
-    decision: str
-    rationale: str
+    t_s: list[float]
+    S_N: list[float | None]
+    M_O: list[float | None]
+    mu: list[float | None]
+    tau: list[float | None]
+    F_S: list[float | None]
+    decision: list[str]
+    rationale: list[str]
 
 
 def score_failsafe_slots(
     trace, compliance: Sequence[float], bounds: LikelihoodBounds
-) -> list[FailsafeRow]:
+) -> FailsafeTable:
     """Score each slot of a simulated trace and decide, linear in the slots.
 
     S_N and M_O price the observed counts with the modeled per-delivery
@@ -412,8 +424,8 @@ def score_failsafe_slots(
     f_s = np.minimum(slots.t_s, slots.t_s[end - 1]).tolist() if end else [None] * n
     s_n, m_o, mu = map(nan_to_none, (s_n, m_o, mu))  # NaN where p or mu is
     tau = [None if u is None else failsafe_tau(u, bounds, T) for u in mu]
-    return [FailsafeRow(*cells, *_rule(cells[1], cells[2], cells[3], thresholds))
-            for cells in zip(slots.t_s.tolist(), s_n, m_o, mu, tau, f_s)]
+    return FailsafeTable(slots.t_s.tolist(), s_n, m_o, mu, tau, f_s,
+                         *_rule(s_n, m_o, mu, thresholds))
 
 
 class LogEntry(NamedTuple):
@@ -473,5 +485,5 @@ class UtilityLog:
         write_csv(
             path,
             ("timestamp_s", "S_N", "M_O", "mu", "G_f", "decision"),
-            self.entries,
+            zip(*self.entries, strict=True),
         )

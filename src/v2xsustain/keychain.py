@@ -253,4 +253,4 @@ def verify_session(h: KeyHierarchy, session: Session) -> None:
 
 
 def export_derivation_log(h: KeyHierarchy, path: str | Path) -> None:
-    write_csv(path, ("timestamp_s", "label", "epoch"), h.derivation_log)
+    write_csv(path, ("timestamp_s", "label", "epoch"), zip(*h.derivation_log, strict=True))

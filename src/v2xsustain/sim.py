@@ -115,8 +115,8 @@ class SimTrace:
             path,
             ("t_s", "E_active", "P_empirical", "U_k", "D", "passes",
              "S_N_emp", "M_O_emp"),
-            list(zip(*map(nan_to_none, (s.t_s, s.E_prime, s.P_empirical, s.U_k, s.D,
-                                        s.passes, s.S_N_emp, s.M_O_emp)))),
+            map(nan_to_none, (s.t_s, s.E_prime, s.P_empirical, s.U_k, s.D, s.passes,
+                              s.S_N_emp, s.M_O_emp)),
         )
 
 
@@ -329,17 +329,8 @@ class ComparisonReport:
     s_n_mean_rel_dev: float | None = None
 
     def export_csv(self, path: str | Path) -> None:
-        write_csv(
-            path,
-            ("t_s", "S_N_emp", "S_N_model", "S_N_rel_dev", "P_emp", "P_model",
-             "P_abs_dev", "survivor_emp", "survivor_model", "survivor_abs_dev"),
-            [
-                (r.t_s, r.S_N_emp, r.S_N_model, r.S_N_rel_dev, r.P_emp,
-                 r.P_model, r.P_abs_dev, r.survivor_emp, r.survivor_model,
-                 r.survivor_abs_dev)
-                for r in self.rows
-            ],
-        )
+        header = [f.name for f in fields(SlotComparison)]  # the CSV columns, in order
+        write_csv(path, header, ([getattr(r, name) for r in self.rows] for name in header))
 
 
 def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:

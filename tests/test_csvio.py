@@ -44,24 +44,29 @@ cells = st.one_of(floats, floats.map(np.float64), st.integers(-(10**20), 10**20)
                   st.booleans(), st.none(), text)
 
 
+# the routes of write_csv: floats in one batch, floats with None gaps (an
+# all-None column among them), text as it is, and mixed cells value by value
+columns_of = (floats, st.one_of(floats, st.none()), st.none(), text, cells)
+
+
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
 @hypothesis.given(width=st.integers(1, 4), n=st.integers(0, 6), data=st.data())
 def test_write_csv_matches_the_csv_module(tmp_path_factory, width, n, data):
-    # a column is either all Python floats (the batch route) or mixed cells
-    kinds = [floats if all_float else cells
-             for all_float in data.draw(st.lists(st.booleans(), min_size=width, max_size=width))]
+    kinds = data.draw(st.lists(st.sampled_from(columns_of), min_size=width, max_size=width))
     header = data.draw(st.lists(text, min_size=width, max_size=width))
-    rows = [tuple(data.draw(kind) for kind in kinds) for _ in range(n)]
-    path = tmp_path_factory.mktemp("csv") / "rows.csv"
-    write_csv(path, header, rows)
-    assert path.read_bytes() == csv_module_bytes(header, rows)
+    columns = [data.draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]
+    path = tmp_path_factory.mktemp("csv") / "columns.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == csv_module_bytes(header, zip(*columns))
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
+    # columns of unequal length, or a column count other than the header's
     path = tmp_path / "ragged.csv"
-    for rows in ([(1.0, 2.0), (3.0,)], [(1.0,)], [(1, 2, 3)], [("a", "b"), ("c", "d", "e")]):
+    for columns in ([(1.0, 3.0), (2.0,)], [(1.0,)], [(1,), (2,), (3,)],
+                    [("a", "c"), ("b", "d", "e")]):
         with pytest.raises(ValueError):
-            write_csv(path, ("a", "b"), rows)
+            write_csv(path, ("a", "b"), columns)
     assert not path.exists()
 
 

@@ -29,7 +29,7 @@ from v2xsustain import (
     run_simulation,
     scale_param,
 )
-from v2xsustain.decision import FailsafeRow, score_failsafe_slots
+from v2xsustain.decision import FailsafeTable, score_failsafe_slots
 from v2xsustain.errors import DomainError, OrderingError, OverflowRangeError
 from v2xsustain.predict import failsafe_tau
 from v2xsustain.sustain import hop_loss_probability, message_overhead
@@ -208,6 +208,9 @@ def test_failsafe_point_overhead_criterion():
     assert report.F_S == 2.0
     assert report.decision == UPDATE_KEYS
     assert "M_O" in report.rationale
+    # threshold equality counts as safe under this criterion too
+    eq = failsafe_point([(1.0, 0.0, 1000.0)], TH, t1_known=False)
+    assert eq.F_S == 1.0 and eq.decision == CONTINUE
 
 
 def test_failsafe_point_trace_validation():
@@ -227,12 +230,12 @@ def test_score_failsafe_slots_mu_matches_batch_scale_param(seed, breach_at):
     compliance = [rng.uniform(0.01, 0.99) for _ in range(len(trace.slots))]
     if breach_at is not None:
         compliance[breach_at] = 1.0
-    rows = score_failsafe_slots(trace, compliance, b.bounds)
-    assert len(rows) == 1100
+    table = score_failsafe_slots(trace, compliance, b.bounds)
+    assert len(table.t_s) == 1100
     samples = []
-    for k, row in enumerate(rows, start=1):
-        if row.S_N is not None:
-            samples.append(row.S_N)
+    for k, (row_s_n, row_mu) in enumerate(zip(table.S_N, table.mu, strict=True), start=1):
+        if row_s_n is not None:
+            samples.append(row_s_n)
         mean = 0.0
         for s_n in samples:  # left to right, independent of sum()'s algorithm
             mean += s_n
@@ -244,10 +247,10 @@ def test_score_failsafe_slots_mu_matches_batch_scale_param(seed, breach_at):
             )
         except DomainError:
             mu = None
-        assert row.mu == mu, k
+        assert row_mu == mu, k
         if breach_at is not None and k > breach_at:
-            assert row.mu is None
-    assert sum(row.mu is not None for row in rows) > 500
+            assert row_mu is None
+    assert sum(u is not None for u in table.mu) > 500
 
 
 def scalar_scores(trace, compliance, bounds):
@@ -255,7 +258,7 @@ def scalar_scores(trace, compliance, bounds):
     hop_loss_probability, message_overhead and decide() call per slot."""
     scn = trace.scenario
     net, thresholds, slots = scn.net, scn.thresholds, trace.slots
-    rows = []
+    table = FailsafeTable(*([] for _ in FailsafeTable._fields))
     s_n_sum = log_sum = 0.0
     s_n_count = 0
     compliant = True
@@ -286,10 +289,14 @@ def scalar_scores(trace, compliance, bounds):
         else:
             report = decide(s_n, m_o, mu, None, thresholds, tau=tau)
             decision, rationale = report.decision, report.rationale
-        rows.append(FailsafeRow(t, s_n, m_o, mu, tau, None, decision, rationale))
-    safety = [(r.t_s, -math.inf if r.S_N is None else r.S_N, r.M_O) for r in rows]
-    F_S = failsafe_point(safety, thresholds).F_S if rows else None
-    return rows if F_S is None else [r._replace(F_S=min(r.t_s, F_S)) for r in rows]
+        for column, cell in zip(table, (t, s_n, m_o, mu, tau, None, decision, rationale)):
+            column.append(cell)
+    safety = [(t, -math.inf if s is None else s, m)
+              for t, s, m in zip(table.t_s, table.S_N, table.M_O)]
+    F_S = failsafe_point(safety, thresholds).F_S if safety else None
+    if F_S is not None:
+        table.F_S[:] = [min(t, F_S) for t in table.t_s]
+    return table
 
 
 @pytest.mark.parametrize("overrides", [

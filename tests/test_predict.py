@@ -176,6 +176,11 @@ def test_connectivity_window_factor_reference():
     assert connectivity_window_factor(NET, 0.1, WINDOW) == pytest.approx(
         CONN_FACTOR_REF, rel=1e-12
     )
+    # E * rate = 4 here (it is 1 above): E0 / (E rate) = 8 / 4
+    net = NetworkParams(N=10, E=20, E_zero=8, n_inv=5, Q=1)
+    assert connectivity_window_factor(net, 0.2, WINDOW) == pytest.approx(
+        0.26424111917362747, rel=1e-12  # 1 - 2 (e^-1 - e^-21)
+    )
     with pytest.raises(DomainError):
         connectivity_window_factor(NET, 0.0, WINDOW)
 
@@ -218,6 +223,19 @@ def test_predicted_overhead_components():
     )
     assert pred.composed == pytest.approx(composed, rel=1e-14)
     assert pred.relative_difference >= 0.0
+
+
+def test_a1_composed_overhead_is_negative():
+    # At the A1 defaults the composed M_O_pred is negative, because the
+    # connectivity factor 1 - 10 (e^-0.5 - e^-10.5) is. A window average
+    # would carry 1/(t2 - t1); which form the paper means is open (README,
+    # "Composed overhead at A1"). This pins the current sign and values.
+    pred = predicted_message_overhead(RATES, NET, WINDOW, RANGE, 1.0)
+    assert pred.connectivity_factor < 0.0
+    assert pred.composed == pytest.approx(-1.2024148e7, rel=1e-7)
+    assert pred.printed == pytest.approx(7.872080e5, rel=1e-6)
+    # |composed - printed| / max(|composed|, |printed|)
+    assert pred.relative_difference == pytest.approx(1.0654689, rel=1e-7)
 
 
 def test_predicted_overhead_q_linearity():

@@ -320,13 +320,13 @@ def test_empty_hub_has_no_observations():
     assert np.isnan(s.S_N_emp).all()
     assert (s.M_O_emp == 0.0).all()
     assert np.isnan(s.cohort_fraction).all()
-    rows = score_failsafe_slots(
+    table = score_failsafe_slots(
         trace, bundle.omega_compliance(len(trace.slots)), bundle.bounds
     )
-    assert len(rows) == len(trace.slots)
-    for r in rows:
-        assert r.decision == UPDATE_KEYS
-        assert r.rationale == "insufficient observations in this slot"
+    assert len(table.t_s) == len(trace.slots)
+    for decision, rationale in zip(table.decision, table.rationale, strict=True):
+        assert decision == UPDATE_KEYS
+        assert rationale == "insufficient observations in this slot"
 
 
 def test_scenario_validation():
@@ -402,7 +402,7 @@ def test_events_csv_matches_write_csv(tmp_path, overrides):
     by_column = tmp_path / "columns.csv"
     by_row = tmp_path / "rows.csv"
     trace.export_events_csv(by_column)
-    write_csv(by_row, ("t_s", "kind", "entity_id"), list(trace.events))
+    write_csv(by_row, ("t_s", "kind", "entity_id"), zip(*trace.events, strict=True))
     assert by_column.read_bytes() == by_row.read_bytes()
     lines = by_column.read_text().splitlines()
     q = trace.scenario.net.Q
@@ -438,8 +438,7 @@ def test_events_csv_formats_times_by_bits_across_chunks(tmp_path, monkeypatch):
     by_row = tmp_path / "rows.csv"
     monkeypatch.setattr(csvio, "_CHUNK_ROWS", 3)
     write_event_columns(by_column, ("t", "k", "i"), t, codes, labels, ids)
-    rows = zip(t.tolist(), (labels[c] for c in codes), ids.tolist())
-    write_csv(by_row, ("t", "k", "i"), list(rows))
+    write_csv(by_row, ("t", "k", "i"), (t.tolist(), [labels[c] for c in codes], ids.tolist()))
     assert by_column.read_bytes() == by_row.read_bytes()
     lines = by_column.read_text().splitlines()
     assert lines[3:5] == ["-0,bb,1", "-0,c,1"]
