@@ -232,7 +232,7 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args)
     warnings: list[str] = []
     rows = [_sweep_row(args.param, v, base, warnings) for v in values]
-    write_csv(args.out, SWEEP_HEADER, zip(*rows, strict=True))
+    write_csv(args.out, SWEEP_HEADER, list(zip(*rows, strict=True)))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -271,7 +271,7 @@ def cmd_table3(args) -> int:
     write_csv(
         args.out,
         ("case_index", "group", "check", "detail", "passed"),
-        zip(*rows, strict=True),
+        list(zip(*rows, strict=True)),
     )
     failed = [r for r in rows if not r.passed]
     print(f"{len(rows) - len(failed)}/{len(rows)} checks passed")

@@ -115,8 +115,8 @@ class SimTrace:
             path,
             ("t_s", "E_active", "P_empirical", "U_k", "D", "passes",
              "S_N_emp", "M_O_emp"),
-            map(nan_to_none, (s.t_s, s.E_prime, s.P_empirical, s.U_k, s.D, s.passes,
-                              s.S_N_emp, s.M_O_emp)),
+            [nan_to_none(c) for c in (s.t_s, s.E_prime, s.P_empirical, s.U_k, s.D,
+                                      s.passes, s.S_N_emp, s.M_O_emp)],
         )
 
 
@@ -330,7 +330,7 @@ class ComparisonReport:
 
     def export_csv(self, path: str | Path) -> None:
         header = [f.name for f in fields(SlotComparison)]  # the CSV columns, in order
-        write_csv(path, header, ([getattr(r, name) for r in self.rows] for name in header))
+        write_csv(path, header, [[getattr(r, name) for r in self.rows] for name in header])
 
 
 def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:

@@ -304,7 +304,7 @@ def scalar_scores(trace, compliance, bounds):
     {"tx_step_s": 0.1, "seed": 7, "S_N_TH": 700.0},
     {"Q": 3, "omega_x": 0.01},
     {"S_N_TH": 1.0, "M_O_TH": 1e9, "omega_x": 0.01},  # continue
-    {"omega_x": 0.999999},  # reconfigure
+    {"omega_x": 0.999999},  # mu falls to 6.4, still above the floor
     {"omega_x": [0.5] * 5 + [1e-17] + [0.5] * 16},  # mu ends at slot 6
     {"E0": 0, "beta": 0.3, "tx_step_s": 0.5},  # mu without S_N
     {"E0": 0, "beta": 1e-9},  # no observation at all
@@ -335,6 +335,8 @@ def test_decide_scale_floor_wins():
         assert report.tau == 0.0
     breached = decide(s_n=0.0, m_o=1e9, mu=1.0, g_f=0.9, thresholds=TH)
     assert breached.decision == RECONFIGURE
+    assert breached.rationale == ("scale parameter 1 at or below 2: network not operable "
+                                  "without reconfiguration; advisory G_f=0.900")
 
 
 def test_decide_threshold_breaches():
@@ -344,6 +346,9 @@ def test_decide_threshold_breaches():
     assert high.decision == UPDATE_KEYS and "M_O" in high.rationale
     both = decide(s_n=10.0, m_o=2000.0, mu=5.0, g_f=None, thresholds=TH)
     assert "S_N" in both.rationale and "M_O" in both.rationale
+    assert both.rationale == "S_N 10 < 50; M_O 2000 > 1000"
+    assert decide(s_n=12.5, m_o=2.5e9, mu=5.0, g_f=0.5, thresholds=TH).rationale == (
+        "S_N 12.5 < 50; M_O 2.5e+09 > 1000; advisory G_f=0.500")
 
 
 def test_decide_continue_with_advisory():
@@ -352,7 +357,7 @@ def test_decide_continue_with_advisory():
     )
     assert report.decision == CONTINUE
     assert report.tau == 0.01 and report.F_S == 42.0
-    assert "G_f=0.250" in report.rationale
+    assert report.rationale == "S_N and M_O within thresholds; advisory G_f=0.250"
 
 
 def test_failsafe_report_validation():
