@@ -74,7 +74,7 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Iterable[Sequenc
         if col and kinds <= {float, type(None)}:  # one "%.9g" batch; None: an empty cell
             spec = "\n".join(["" if v is None else "%.9g" for v in col])
             col = (spec % tuple([v for v in col if v is not None])).split("\n")
-        elif not kinds <= {str}:  # text is used as it is
+        elif not kinds <= {str}:  # a column of text only is used as it is
             col = map(fmt, col)
         cells = [str(name), *col]
         joined = "".join(cells)
