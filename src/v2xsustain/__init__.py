@@ -35,7 +35,7 @@ _EXPORTS = {
         "decision": """CONTINUE DECISIONS RECONFIGURE UPDATE_KEYS FactorBounds
             FactorInputs FailSafeReport Thresholds UtilityLog Violation
             check_constraints combine_factors decide factor_score failsafe_point""",
-        "sim": "ComparisonReport Event SimTrace SlotTable compare_to_model run_simulation",
+        "sim": "ComparisonReport SimTrace SlotTable compare_to_model run_simulation",
         "config": """ENV_CONFIG_PATH Scenario ScenarioBundle build_bundle default_config
             load_bundle load_config merge_config""",
         "fixtures": "CASES CheckRow FailsafeCase run_structural_checks",

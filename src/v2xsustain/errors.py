@@ -11,7 +11,7 @@ class DomainError(ValueError):
 
 
 class DivergenceError(DomainError):
-    """The requested integral or limit does not converge."""
+    """The requested integral or endpoint value diverges."""
 
 
 class OverflowRangeError(OverflowError):
@@ -26,7 +26,7 @@ class ConvergenceError(RuntimeError):
     """Quadrature failed to reach the requested tolerance.
 
     Carries the best available estimate so callers can inspect how far
-    the refinement got before the depth limit.
+    the refinement got before its maximum depth.
     """
 
     def __init__(self, message: str, best_estimate: float, error_estimate: float):
@@ -44,11 +44,12 @@ class OrderingError(ValueError):
 
 
 class SimulationTruncated(RuntimeError):
-    """Event cap exceeded; carries the partial trace generated so far."""
+    """A run needs more events than its cap, found before any event is built;
+    carries the cap and needed, a lower bound on the events (needed > cap)."""
 
-    def __init__(self, message: str, partial):
-        super().__init__(message)
-        self.partial = partial
+    def __init__(self, cap: int, needed: int):
+        super().__init__(f"event cap {cap} exceeded: the run needs at least {needed} events")
+        self.cap, self.needed = cap, needed
 
 
 class ConfigError(ValueError):

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,19 +32,12 @@ from .decision import check_constraints
 from .errors import DomainError, SimulationTruncated
 from .sustain import TimeWindow, loss_probability_model, sustainability_window
 
-KIND_ARRIVAL = "arrival"
-KIND_DEPARTURE = "departure"
-KIND_KEY_UPDATE = "key_update"
-KIND_AUTH_PASS = "auth_pass"
-_KIND_ORDER = {KIND_ARRIVAL: 0, KIND_AUTH_PASS: 1, KIND_KEY_UPDATE: 2, KIND_DEPARTURE: 3}
-_KIND_NAMES = tuple(_KIND_ORDER)  # indexed by kind code
+# The events CSV labels, indexed by EventTable.kind code in tie-break order.
+_KIND_NAMES = ("arrival", "auth_pass", "key_update", "departure")
+_AUTH_PASS, _KEY_UPDATE = 1, 2  # kind codes
 _GATHER_ROWS = 1 << 16  # rows per in-place gather step in _event_table
-
-
-class Event(NamedTuple):
-    t_s: float
-    kind: str
-    entity_id: int
+# The largest mean Generator.poisson accepts; above it, it raises ValueError.
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 class _Columns:
@@ -64,15 +56,11 @@ class _Columns:
 @dataclass(frozen=True, eq=False)
 class EventTable(_Columns):
     """Events as numpy columns sorted by (t, kind code, entity), with no
-    Python object per event; rows read as Event tuples."""
+    Python object per event."""
 
     t: np.ndarray
     kind: np.ndarray
     entity: np.ndarray
-
-    def __iter__(self) -> Iterator[Event]:
-        kinds = (_KIND_NAMES[k] for k in self.kind.tolist())
-        return map(Event, self.t.tolist(), kinds, self.entity.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +83,7 @@ class SlotTable(_Columns):
 class SimTrace:
     scenario: Scenario
     events: EventTable
-    slots: SlotTable | None
+    slots: SlotTable
     arrivals_total: int = 0
     poisson_arrivals: int = 0
     cohort_size: int = 0
@@ -162,8 +150,8 @@ def _concat_rows(parts, size: int) -> np.ndarray:
     return out
 
 
-def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario, limit=None) -> EventTable:
-    """Sorted events of the vehicles in arrive, cut to the first limit rows.
+def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario) -> EventTable:
+    """Sorted events of the vehicles in arrive.
 
     arrive must be sorted and upd_id nondecreasing, as run_simulation draws
     them. Each kind's block is put in (t, entity) order and the blocks are
@@ -200,7 +188,7 @@ def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario, limit=None) 
     t = _concat_rows([(times, order, r) for times, _, order, r in blocks], ends[-1])
     entity = _concat_rows([(i, order, r) for _, i, order, r in blocks], ends[-1])
     del blocks, ids, gone  # not held while sorting
-    order = np.argsort(t, kind="stable")[:limit]
+    order = np.argsort(t, kind="stable")
     kind = np.zeros(len(order), dtype=np.int8)
     for end in ends[:-1]:
         kind += order >= end
@@ -212,18 +200,24 @@ def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario, limit=None) 
         rows[:] = entity[rows]
     del entity
     t.sort(kind="stable")
-    return EventTable(t[: len(order)], kind, order)
+    return EventTable(t, kind, order)
+
+
+def _exact_sum(counts: np.ndarray) -> int:
+    """Sum of int64 counts >= 0 with no wrap, exact while len(counts) < 2**31."""
+    return (int(np.sum(counts >> 32)) << 32) + int(np.sum(counts & 0xFFFFFFFF))
 
 
 def run_simulation(scenario: Scenario) -> SimTrace:
     """Simulate [0, T] and extract per-slot empirical metrics.
 
     Raises DomainError before any draw if the scenario fails its
-    constraint check or has more slots (T / t_x_step) than its event cap.
-    Raises SimulationTruncated if the event count exceeds the cap, checked
-    from the draw counts before any event column is built. Its partial
-    trace has no slots and the first cap + 1 sorted events of the fewest
-    leading vehicles that exceed the cap.
+    constraint check, has more slots (T / t_x_step) than its event cap, or
+    has beta * T or alpha * T above numpy's largest Poisson mean. Raises
+    SimulationTruncated, with the cap and a lower bound on the events
+    needed, if they exceed the cap: from the arrival count, at 1 + Q events
+    per vehicle, before any uniform is drawn, then from the exact count
+    before any event is built. Every array is thus O(event_cap).
     """
     net, rates, window = scenario.net, scenario.rates, scenario.window
     violations = check_constraints(
@@ -239,17 +233,23 @@ def run_simulation(scenario: Scenario) -> SimTrace:
             f"{slots:.6g} slots of {window.t_x_step:g} s exceed the event cap "
             f"{scenario.event_cap}"
         )
+    T = window.T
+    for name, rate in (("beta", rates.beta), ("alpha", rates.alpha)):
+        if rate * T > _POISSON_LAM_MAX:
+            raise DomainError(f"{name} * T = {rate * T:.6g} exceeds numpy's largest Poisson mean")
 
     # The streams are children 0-2 of the seed; spawn numbers children in
     # order, so adding or dropping a later child leaves their draws unchanged.
     streams = np.random.SeedSequence(scenario.seed).spawn(3)
     rng_arr, rng_life, rng_upd = map(np.random.default_rng, streams)
 
-    T = window.T
+    cap = scenario.event_cap
     n_poisson = int(rng_arr.poisson(rates.beta * T))
+    n = net.E_zero + n_poisson
+    if n * (1 + net.Q) > cap:
+        raise SimulationTruncated(cap, n * (1 + net.Q))
     arrivals = np.sort(rng_arr.uniform(0.0, T, n_poisson))
     arrive = np.concatenate((np.zeros(net.E_zero), arrivals))
-    n = len(arrive)
     if rates.gamma_prime > 0.0:
         depart = arrive + rng_life.exponential(1.0 / rates.gamma_prime, size=n)
     else:
@@ -258,17 +258,14 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     stay = np.minimum(depart, T) - arrive
     n_upd = rng_upd.poisson(rates.alpha * stay)
     reauth = scenario.count_reauth_passes
-    ends = np.cumsum((1 + net.Q) + (depart <= T) + (1 + net.Q * reauth) * n_upd)
-    cap = scenario.event_cap
-    truncated = n > 0 and int(ends[-1]) > cap
-    k = int(np.searchsorted(ends, cap + 1)) + 1 if truncated else n
-    upd_id = np.repeat(np.arange(k), n_upd[:k])
+    departures = int(np.count_nonzero(depart <= T))
+    updates = _exact_sum(n_upd)  # one vehicle's count can reach 9.2e18
+    needed = (1 + net.Q) * n + departures + (1 + net.Q * reauth) * updates
+    if needed > cap:
+        raise SimulationTruncated(cap, needed)
+    upd_id = np.repeat(np.arange(n), n_upd)
     upd_t = arrive[upd_id] + stay[upd_id] * rng_upd.random(len(upd_id))
-    limit = cap + 1 if truncated else None
-    events = _event_table(arrive[:k], depart[:k], upd_t, upd_id, scenario, limit)
-    if truncated:
-        partial = SimTrace(scenario=scenario, events=events, slots=None)
-        raise SimulationTruncated(f"event cap {cap} exceeded", partial)
+    events = _event_table(arrive, depart, upd_t, upd_id, scenario)
 
     # Slot counts are differences of cumulative counts at [0, b1, b2, ...].
     last = T * (1.0 + 1e-12)
@@ -280,7 +277,7 @@ def run_simulation(scenario: Scenario) -> SimTrace:
 
     arrived = upto(arrive)
     active = arrived - upto(np.sort(depart))
-    u_k = np.diff(upto(events.t[events.kind == _KIND_ORDER[KIND_KEY_UPDATE]]))
+    u_k = np.diff(upto(events.t[events.kind == _KEY_UPDATE]))
     passes = net.Q * (np.diff(arrived) + reauth * u_k)
     survivors = net.E_zero - upto(np.sort(depart[: net.E_zero]))
 
@@ -299,8 +296,8 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     return SimTrace(
         scenario=scenario, events=events, slots=slots,
         arrivals_total=n, poisson_arrivals=n_poisson, cohort_size=net.E_zero,
-        departures_total=int(np.count_nonzero(depart <= T)),
-        key_updates_total=len(upd_t), passes_total=net.Q * (n + reauth * len(upd_t)),
+        departures_total=departures,
+        key_updates_total=updates, passes_total=net.Q * (n + reauth * updates),
     )
 
 
@@ -391,7 +388,7 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     expected = net.Q * trace.arrivals_total
     if scenario.count_reauth_passes:
         expected += net.Q * trace.key_updates_total
-    observed = int(np.count_nonzero(trace.events.kind == _KIND_ORDER[KIND_AUTH_PASS]))
+    observed = int(np.count_nonzero(trace.events.kind == _AUTH_PASS))
     return ComparisonReport(
         rows=rows,
         p_model=p_model,

@@ -320,6 +320,50 @@ def test_sweep_over_a_huge_hub_ends_in_bounded_time_and_memory(tmp_path):
     assert cells["mu"] == fmt(1.0 / math.log(2.0))  # p_x = 0.5 at A1
 
 
+TRUNCATED = "truncated at event cap: event cap 2000000 exceeded"
+# Accepted configs whose draws would need GiB to EiB, exceed what
+# Generator.poisson accepts, or wrap an int64 event count; each run must end
+# at once with a truncation or a DomainError.
+RUN_BUDGET_PROBES = [
+    pytest.param({"beta": 1e7}, TRUNCATED, id="beta=1e7"),
+    pytest.param({"beta": 1e16}, TRUNCATED, id="beta=1e16"),
+    pytest.param({"T_s": 1e12, "tx_step_s": 1e7, "t2_s": 1e11}, TRUNCATED, id="T=1e12"),
+    pytest.param({"alpha": 1e12}, TRUNCATED, id="alpha=1e12"),
+    pytest.param({"alpha": 4e16}, TRUNCATED, id="alpha=4e16"),
+    pytest.param({"alpha": 8e16}, TRUNCATED, id="alpha=8e16"),
+    pytest.param({"alpha": 1e19}, "error: alpha * T = 1.1e+21", id="alpha=1e19"),
+    pytest.param({"beta": 1e17}, "error: beta * T = 1.1e+19", id="beta=1e17"),
+    pytest.param({"tx_step_s": 1e-9}, "error: 1.1e+11 slots", id="tx_step=1e-9"),
+]
+
+
+@pytest.mark.parametrize("overrides,message", RUN_BUDGET_PROBES)
+def test_runs_beyond_the_budget_end_at_once(tmp_path, overrides, message):
+    # One fresh process under the memory limit runs simulate, then
+    # run_simulation under tracemalloc, then failsafe.
+    cfg = write_config(tmp_path, **overrides)
+    after = (
+        "import tracemalloc\n"
+        "from v2xsustain import load_bundle, run_simulation\n"
+        f"scenario = load_bundle({cfg!r}).scenario\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        "    run_simulation(scenario)\n"
+        "except Exception as e:\n"
+        "    print(code, type(e).__name__, tracemalloc.get_traced_memory()[1])\n"
+        "tracemalloc.stop()\n"
+        f"code = main(['failsafe', {cfg!r}, '--out', 'x.csv'])\n"
+    )
+    proc = run_main_in_child(["simulate", cfg, "--out", "out"], tmp_path, after=after)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2 and all(message in line for line in lines), proc.stderr
+    code, error, peak = proc.stdout.split()
+    assert code == "1"
+    assert error == ("SimulationTruncated" if message == TRUNCATED else "DomainError")
+    assert int(peak) < 2**20
+
+
 def test_commands_that_do_not_simulate_never_import_numpy(tmp_path):
     checks = (
         "assert code == 0\n"

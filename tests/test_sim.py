@@ -36,6 +36,7 @@ RATES = RateParams(alpha=1.0, beta=2.0, gamma=1.0, gamma_prime=0.1)
 WINDOW = TimeWindow(t1=5.0, t2=105.0, T=110.0)
 RANGE = RangeParams(r1=100.0, r2=500.0)
 TH = Thresholds(S_N_TH=50.0, M_O_TH=1000.0)
+KIND = {"arrival": 0, "auth_pass": 1, "key_update": 2, "departure": 3}
 
 
 def scenario(**overrides) -> Scenario:
@@ -70,10 +71,10 @@ def test_slot_grid():
 
 def test_events_sorted_and_complete():
     trace = run_simulation(scenario())
-    kinds = {"arrival": 0, "auth_pass": 1, "key_update": 2, "departure": 3}
-    keys = [(e.t_s, kinds[e.kind], e.entity_id) for e in trace.events]
+    ev = trace.events
+    keys = list(zip(ev.t.tolist(), ev.kind.tolist(), ev.entity.tolist()))
     assert keys == sorted(keys)
-    counted = {k: sum(1 for e in trace.events if e.kind == k) for k in kinds}
+    counted = {k: int(np.count_nonzero(ev.kind == code)) for k, code in KIND.items()}
     assert counted["arrival"] == trace.arrivals_total
     assert counted["key_update"] == trace.key_updates_total
     assert counted["auth_pass"] == trace.passes_total
@@ -166,27 +167,45 @@ def test_precheck_rejects_inadmissible_scenario():
         run_simulation(scenario(net=bad))
 
 
-def test_event_cap_truncation_carries_partial():
-    full = run_simulation(scenario()).events
-    per_vehicle = np.bincount(full.entity)
+def test_event_cap_truncation_reports_counts():
+    total = len(run_simulation(scenario()).events)
     # caps of at least the 22 slots; a smaller one is rejected before any draw
     for cap in (22, 500):
-        # k is the fewest leading vehicles whose events exceed the cap,
-        # counted from the untruncated run; truncation draws the same events
-        k = int(np.argmax(np.cumsum(per_vehicle) > cap)) + 1
-        assert k < len(per_vehicle)
         with pytest.raises(SimulationTruncated) as exc:
             run_simulation(scenario(event_cap=cap))
-        partial = exc.value.partial
-        kept = full.entity < k
-        rows = slice(cap + 1)
-        expected = EventTable(full.t[kept][rows], full.kind[kept][rows], full.entity[kept][rows])
-        assert len(partial.events) == cap + 1
-        assert partial.events == expected
-        assert partial.slots is None
+        assert exc.value.cap == cap
+        assert cap + 1 <= exc.value.needed <= total
 
 
-def lexsort_event_table(arrive, depart, upd_t, upd_id, scn, limit=None) -> EventTable:
+def test_event_cap_boundary_in_both_checks():
+    # A run of exactly event_cap events returns; at one less it truncates.
+    # With key updates and departures the exact count decides.
+    q3 = dataclasses.replace(NET, Q=3)
+    for overrides in ({}, {"net": q3, "count_reauth_passes": False}):
+        total = len(run_simulation(scenario(**overrides)).events)
+        assert len(run_simulation(scenario(**overrides, event_cap=total)).events) == total
+        with pytest.raises(SimulationTruncated) as exc:
+            run_simulation(scenario(**overrides, event_cap=total - 1))
+        assert (exc.value.cap, exc.value.needed) == (total - 1, total)
+    # Without them every vehicle has exactly 1 + Q events, so the arrival
+    # check decides, before the ~2.2e5 arrival times (1.7 MiB) are drawn.
+    arrivals_only = RateParams(alpha=0.0, beta=2000.0)
+    trace = run_simulation(scenario(rates=arrivals_only))
+    total = len(trace.events)
+    assert total == (1 + NET.Q) * trace.arrivals_total
+    assert len(run_simulation(scenario(rates=arrivals_only, event_cap=total)).events) == total
+    tracemalloc.start()
+    try:
+        with pytest.raises(SimulationTruncated) as exc:
+            run_simulation(scenario(rates=arrivals_only, event_cap=total - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.cap, exc.value.needed) == (total - 1, total)
+    assert peak < 2**20
+
+
+def lexsort_event_table(arrive, depart, upd_t, upd_id, scn) -> EventTable:
     """Oracle: every event row built unsorted, then one three-key lexsort."""
     Q = scn.net.Q
     ids = np.arange(len(arrive))
@@ -197,20 +216,19 @@ def lexsort_event_table(arrive, depart, upd_t, upd_id, scn, limit=None) -> Event
     t = np.concatenate((arrive, np.repeat(session_t, Q), upd_t, depart[gone]))
     entity = np.concatenate((ids, np.repeat(session_id, Q), upd_id, ids[gone]))
     kind = np.repeat(np.arange(4, dtype=np.int8), sizes)
-    order = np.lexsort((entity, kind, t))[:limit]
+    order = np.lexsort((entity, kind, t))
     return EventTable(t[order], kind[order], entity[order])
 
 
 @pytest.mark.parametrize("Q", [1, 3])
 @pytest.mark.parametrize("reauth", [True, False])
-@pytest.mark.parametrize("limit", [None, 1, 5])
-def test_event_table_matches_lexsort_on_tied_times(Q, reauth, limit):
+def test_event_table_matches_lexsort_on_tied_times(Q, reauth):
     # Every time lies on a grid of step 1/k, so arrivals, passes, updates and
     # departures of many vehicles tie; the inputs keep what run_simulation
     # guarantees: arrivals sorted, the cohort first, update ids nondecreasing.
     scn = scenario(net=dataclasses.replace(NET, Q=Q), count_reauth_passes=reauth)
     T = scn.window.T
-    rng = np.random.default_rng([Q, reauth, limit or 0])
+    rng = np.random.default_rng([Q, reauth, 0])
     for _ in range(40):
         k = int(rng.integers(1, 5))
         n = int(rng.integers(0, 40))
@@ -221,12 +239,18 @@ def test_event_table_matches_lexsort_on_tied_times(Q, reauth, limit):
         most = int(rng.integers(0, 4))  # 0: no key update at all
         upd_id = np.repeat(np.arange(n), rng.integers(0, most + 1, n))
         upd_t = np.minimum(arrive[upd_id] + rng.integers(0, 40 * k, len(upd_id)) / k, T)
-        got = sim._event_table(arrive, depart, upd_t, upd_id, scn, limit)
-        want = lexsort_event_table(arrive, depart, upd_t, upd_id, scn, limit)
+        got = sim._event_table(arrive, depart, upd_t, upd_id, scn)
+        want = lexsort_event_table(arrive, depart, upd_t, upd_id, scn)
         assert got == want
         assert (got.t.dtype, got.kind.dtype, got.entity.dtype) == (
             want.t.dtype, want.kind.dtype, want.entity.dtype
         )
+
+
+def test_exact_sum_does_not_wrap():
+    top = 2**63 - 1
+    for counts in ([], [5], [2**32], [2**32 - 1, 1], [top, top, 2**32, 7], [top] * 1000):
+        assert sim._exact_sum(np.array(counts, dtype=np.int64)) == sum(counts)
 
 
 @pytest.mark.parametrize(
@@ -402,7 +426,10 @@ def test_events_csv_matches_write_csv(tmp_path, overrides):
     by_column = tmp_path / "columns.csv"
     by_row = tmp_path / "rows.csv"
     trace.export_events_csv(by_column)
-    write_csv(by_row, ("t_s", "kind", "entity_id"), zip(*trace.events, strict=True))
+    ev = trace.events
+    names = list(KIND)
+    kinds = [names[k] for k in ev.kind.tolist()]
+    write_csv(by_row, ("t_s", "kind", "entity_id"), (ev.t.tolist(), kinds, ev.entity.tolist()))
     assert by_column.read_bytes() == by_row.read_bytes()
     lines = by_column.read_text().splitlines()
     q = trace.scenario.net.Q
@@ -472,16 +499,17 @@ def test_key_updates_lie_in_clipped_stays():
     stay = 0.0
     for seed in range(30):
         trace = run_simulation(scenario(seed=seed))
+        ev = trace.events
         arrive, depart, update_rows = {}, {}, []
-        for e in trace.events:
-            if e.kind == "arrival":
-                arrive[e.entity_id] = e.t_s
-            elif e.kind == "departure":
-                depart[e.entity_id] = e.t_s
-            elif e.kind == "key_update":
-                update_rows.append(e)
-        for e in update_rows:
-            assert arrive[e.entity_id] < e.t_s <= min(depart.get(e.entity_id, T), T)
+        for t_s, kind, entity_id in zip(ev.t.tolist(), ev.kind.tolist(), ev.entity.tolist()):
+            if kind == KIND["arrival"]:
+                arrive[entity_id] = t_s
+            elif kind == KIND["departure"]:
+                depart[entity_id] = t_s
+            elif kind == KIND["key_update"]:
+                update_rows.append((t_s, entity_id))
+        for t_s, entity_id in update_rows:
+            assert arrive[entity_id] < t_s <= min(depart.get(entity_id, T), T)
         updates += trace.key_updates_total
         stay += sum(min(depart.get(i, T), T) - t for i, t in arrive.items())
     expected = RATES.alpha * stay
@@ -509,8 +537,8 @@ def test_slot_arrivals_match_poisson_binned():
     total = 0
     for seed in range(100):
         trace = run_simulation(scenario(rates=rates, seed=seed))
-        times = sorted(e.t_s for e in trace.events if e.kind == "arrival" and e.t_s > 0.0)
-        arr = np.asarray(times)
+        ev = trace.events
+        arr = np.sort(ev.t[(ev.kind == KIND["arrival"]) & (ev.t > 0.0)])
         prev = 0.0
         for t_s in trace.slots.t_s.tolist():
             count = int(
