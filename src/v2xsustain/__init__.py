@@ -16,7 +16,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "errors": """AuthenticationError ConfigError ConvergenceError DivergenceError
-            DomainError IntegrandError OrderingError OverflowRangeError
+            DomainError IntegrandError OverflowRangeError
             SimulationTruncated""",
         "specfun": "EULER_GAMMA QuadResult QuadSpec beta_pdf expint_ei integrate ln_gamma",
         "sustain": """NetworkParams RangeParams RateParams TimeWindow
@@ -33,7 +33,7 @@ _EXPORTS = {
             PeerCredential Session build_hierarchy establish_session
             export_derivation_log peer_credential refresh_subtree verify_session""",
         "decision": """CONTINUE DECISIONS RECONFIGURE UPDATE_KEYS FactorBounds
-            FactorInputs FailSafeReport Thresholds UtilityLog Violation
+            FactorInputs FailSafeReport Thresholds Violation
             check_constraints combine_factors decide factor_score failsafe_point""",
         "sim": "ComparisonReport SimTrace SlotTable compare_to_model run_simulation",
         "config": """ENV_CONFIG_PATH Scenario ScenarioBundle build_bundle default_config

@@ -11,7 +11,8 @@ Subcommands:
 
 The config argument is a JSON file; when omitted, the path in
 $V2XSUSTAIN_CONFIG is used, and failing that the embedded defaults.
-Exit codes: 0 success, 1 check failure, 2 usage or parse error.
+Exit codes: 0 success, 1 check failure, 2 usage or parse error or an
+output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from .config import (
     ENV_CONFIG_PATH,
-    INT_FIELDS,
+    FIELD_KINDS,
     ScenarioBundle,
     build_bundle,
     default_config,
@@ -86,17 +87,17 @@ SWEEP_HEADER = (
 )
 
 
-def _resolve_config(path: str | None) -> dict:
+def _resolve_config(path: str | None) -> tuple[dict, str]:
+    """The config and the source its errors name."""
     if path is None:
         path = os.environ.get(ENV_CONFIG_PATH) or None
     if path is None:
-        return default_config()
-    return load_config(path)
+        return default_config(), "<config>"
+    return load_config(path), path
 
 
 def _bundle(args) -> ScenarioBundle:
-    config = _resolve_config(getattr(args, "config", None))
-    return build_bundle(config)
+    return build_bundle(*_resolve_config(getattr(args, "config", None)))
 
 
 def _cell(fn, warnings: list[str], name: str):
@@ -162,9 +163,10 @@ def _sweep_values(args) -> list[float]:
 
 
 def _sweep_row(param: str, value: float, base: dict, warnings: list[str]) -> tuple:
-    if param in INT_FIELDS and value != int(value):
+    integer = FIELD_KINDS[param] == "int"
+    if integer and not (math.isfinite(value) and value == int(value)):
         raise ConfigError(f"parameter {param!r} takes integer values, got {value!r}")
-    overrides: dict = {param: int(value) if param in INT_FIELDS else value}
+    overrides: dict = {param: int(value) if integer else value}
     if param == "beta":
         # the published grid ties the update rate to half the arrival rate
         overrides["alpha"] = value / 2.0
@@ -172,7 +174,8 @@ def _sweep_row(param: str, value: float, base: dict, warnings: list[str]) -> tup
         overrides.setdefault("E0", min(base["E0"], int(value)))
     config = dict(base)
     config.update(overrides)
-    b = build_bundle(merge_config(config, source=f"sweep {param}={value:g}"))
+    source = f"sweep {param}={value:g}"
+    b = build_bundle(merge_config(config, source=source), source=source)
     scn = b.scenario
     net, rates, window = scn.net, scn.rates, scn.window
     alpha_prime = resolve_alpha_prime(rates, window, b.alpha_prime)
@@ -226,8 +229,8 @@ def _sweep_row(param: str, value: float, base: dict, warnings: list[str]) -> tup
 
 
 def cmd_sweep(args) -> int:
-    base = _resolve_config(args.config)
-    if args.param not in base:
+    base, _ = _resolve_config(args.config)
+    if args.param not in FIELD_KINDS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}")
     values = _sweep_values(args)
     warnings: list[str] = []
@@ -343,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--seed must fit in 64 bits")
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except (ConfigError, OSError) as e:  # OSError: an --out that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, OverflowRangeError) as e:

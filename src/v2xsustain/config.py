@@ -1,15 +1,9 @@
 """Scenario configuration: JSON ingestion with embedded defaults.
 
-Field names mirror the model symbols one to one (beta, alpha, N, E, E0,
-n_inv, Q, t1_s, t2_s, T_s, tx_step_s, gamma, gamma_prime, r1_m, r2_m, c1,
-c2, d1, d2, p_x, omega_x, S_N_TH, M_O_TH, U_prime_N, O_b, seed). Every
-field has a default from the reference settings, so a config file only
-needs the overrides. A few additional optional fields cover inputs the
-constraint checker needs (t_u_s, t_prime_s, t_attack_s, U_k, D) plus
-alpha_prime, event_cap, count_reauth_passes, and label.
-
-p_x and omega_x accept a scalar (broadcast per entity or per slot) or an
-explicit list.
+`FIELDS` lists every config field once, in resolved-config order: its name
+(the model symbol), kind, default and meaning. A config file only needs the
+overrides. An absent field without a default (None) takes the fallback its
+meaning names; a "prob" field takes a scalar or a per-entity or per-slot list.
 """
 
 from __future__ import annotations
@@ -18,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .decision import Thresholds
 from .errors import ConfigError, DomainError
@@ -26,65 +21,72 @@ from .sustain import NetworkParams, RangeParams, RateParams, TimeWindow
 
 ENV_CONFIG_PATH = "V2XSUSTAIN_CONFIG"
 
-_FLOAT_FIELDS = {
-    "beta", "alpha", "gamma", "gamma_prime",
-    "t1_s", "t2_s", "T_s", "tx_step_s",
-    "r1_m", "r2_m", "c1", "c2", "d1", "d2",
-    "S_N_TH", "M_O_TH", "O_b",
-    "t_u_s", "t_prime_s", "t_attack_s", "U_k", "D", "alpha_prime",
-}
-INT_FIELDS = {"N", "E", "E0", "n_inv", "Q", "U_prime_N", "seed", "event_cap"}
-_BOOL_FIELDS = {"count_reauth_passes"}
-_STR_FIELDS = {"label"}
-_LIST_OK_FIELDS = {"p_x", "omega_x"}
-_ALL_FIELDS = _FLOAT_FIELDS | INT_FIELDS | _BOOL_FIELDS | _STR_FIELDS | _LIST_OK_FIELDS
+
+class Field(NamedTuple):
+    name: str
+    kind: str  # "float", "int", "bool", "str", or "prob": a probability or a list of them
+    default: float | int | bool | str | None
+    meaning: str
+
+
+FIELDS = (
+    Field("beta", "float", 2.0, "vehicle arrival rate (per s)"),
+    Field("alpha", "float", 1.0, "per-vehicle key-update rate (per s)"),
+    Field("gamma", "float", 1.0, "incoming connection rate (per s)"),
+    Field("gamma_prime", "float", 0.1, "outgoing (departure) rate (per s)"),
+    Field("alpha_prime", "float", None, "signaling update rate (per s); when absent, "
+          "`alpha / t2_s`, or none when `alpha` is 0 (the sweep's `O_S` and `M_O` stay empty)"),
+    Field("N", "int", 10, "backhaul hop budget"),
+    Field("E", "int", 10, "hub capacity (vehicles)"),
+    Field("E0", "int", 10, "initially connected cohort"),
+    Field("n_inv", "int", 5, "hop count whose inverse weighs updates"),
+    Field("Q", "int", 1, "authentication passes per session"),
+    Field("t1_s", "float", 5.0, "integration window start (s)"),
+    Field("t2_s", "float", 105.0, "integration window end (s)"),
+    Field("T_s", "float", 110.0, "observation span (s)"),
+    Field("tx_step_s", "float", 5.0, "reporting slot width (s)"),
+    Field("t_attack_s", "float", None, "estimated key-recovery time (s); when absent, `T_s`"),
+    Field("t_prime_s", "float", None, "minimum key hold (s); when absent, `t_attack_s`"),
+    Field("t_u_s", "float", None, "key time in use (s); when absent, `tx_step_s`"),
+    Field("r1_m", "float", 100.0, "short coverage range (m)"),
+    Field("r2_m", "float", 500.0, "long coverage range (m)"),
+    Field("c1", "float", 0.1, "lower connection-probability bound"),
+    Field("c2", "float", 0.9, "upper connection-probability bound"),
+    Field("d1", "float", 0.1, "lower fail-safe checkpoint bound"),
+    Field("d2", "float", 0.9, "upper fail-safe checkpoint bound"),
+    Field("p_x", "prob", 0.5, "credential non-availability, scalar or list"),
+    Field("omega_x", "prob", 0.5, "per-slot non-compliance, scalar or list"),
+    Field("S_N_TH", "float", 50.0, "sustainability floor"),
+    Field("M_O_TH", "float", 1000.0, "message-overhead ceiling"),
+    Field("U_prime_N", "int", 1, "mandatory update quota"),
+    Field("O_b", "float", 1.0, "initial authentication overhead"),
+    Field("U_k", "float", None, "observed key updates for `validate`; when absent, `U_prime_N`"),
+    Field("D", "float", None, "observed vehicles in range for `validate`; when absent, `N`"),
+    Field("seed", "int", 1234, "base RNG seed"),
+    Field("event_cap", "int", 2_000_000, "simulator event budget"),
+    Field("count_reauth_passes", "bool", True, "count `Q` passes per key update"),
+    Field("label", "str", "A1", "free-form scenario tag"),
+)
+FIELD_KINDS = {f.name: f.kind for f in FIELDS}
+_DEFAULTS = {f.name: f.default for f in FIELDS if f.default is not None}
+_PROBABILITIES = tuple(f.name for f in FIELDS if f.kind == "prob")
 
 
 def default_config() -> dict:
     """Reference scenario settings (the A1 point of the evaluation grid)."""
-    return {
-        "beta": 2.0,
-        "alpha": 1.0,
-        "N": 10,
-        "E": 10,
-        "E0": 10,
-        "n_inv": 5,
-        "Q": 1,
-        "t1_s": 5.0,
-        "t2_s": 105.0,
-        "T_s": 110.0,
-        "tx_step_s": 5.0,
-        "gamma": 1.0,
-        "gamma_prime": 0.1,
-        "r1_m": 100.0,
-        "r2_m": 500.0,
-        "c1": 0.1,
-        "c2": 0.9,
-        "d1": 0.1,
-        "d2": 0.9,
-        "p_x": 0.5,
-        "omega_x": 0.5,
-        "S_N_TH": 50.0,
-        "M_O_TH": 1000.0,
-        "U_prime_N": 1,
-        "O_b": 1.0,
-        "seed": 1234,
-        "event_cap": 2_000_000,
-        "count_reauth_passes": True,
-        "label": "A1",
-    }
+    return dict(_DEFAULTS)
 
 
-def _check_scalar(name: str, value) -> float | int | bool | str:
-    if name in _BOOL_FIELDS:
+def _check_scalar(name: str, kind: str, value) -> float | int | bool | str:
+    if kind == "bool":
         if not isinstance(value, bool):
             raise ConfigError(f"field {name!r}: expected a boolean, got {value!r}")
         return value
-    if name in _STR_FIELDS:
+    if kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"field {name!r}: expected a string, got {value!r}")
         return value
-    if name in INT_FIELDS:
+    if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"field {name!r}: expected an integer, got {value!r}")
         return value
@@ -103,19 +105,15 @@ def merge_config(overrides: dict, source: str = "<dict>") -> dict:
     """Defaults overlaid with the provided fields; unknown names rejected."""
     config = default_config()
     for name, value in overrides.items():
-        if name not in _ALL_FIELDS:
+        kind = FIELD_KINDS.get(name)
+        if kind is None:
             raise ConfigError(f"{source}: unknown field {name!r}")
-        if name in _LIST_OK_FIELDS:
-            if isinstance(value, list):
-                if not value:
-                    raise ConfigError(f"{source}: field {name!r} list is empty")
-                config[name] = [
-                    _check_scalar(name, v) for v in value
-                ]
-            else:
-                config[name] = _check_scalar(name, value)
+        if kind == "prob" and isinstance(value, list):
+            if not value:
+                raise ConfigError(f"{source}: field {name!r} list is empty")
+            config[name] = [_check_scalar(name, kind, v) for v in value]
         else:
-            config[name] = _check_scalar(name, value)
+            config[name] = _check_scalar(name, kind, value)
     return config
 
 
@@ -201,7 +199,7 @@ def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
     off range) surface as ConfigError naming the source; admissibility
     violations are left to check_constraints, which treats them as data.
     """
-    for name in ("p_x", "omega_x"):
+    for name in _PROBABILITIES:
         values = config[name] if isinstance(config[name], list) else [config[name]]
         for v in values:
             if not 0.0 < v < 1.0:
@@ -221,9 +219,9 @@ def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
         window = TimeWindow(
             t1=config["t1_s"], t2=config["t2_s"], T=config["T_s"],
             t_x_step=config["tx_step_s"],
-            t_attack=config.get("t_attack_s", config["T_s"]),
-            t_min_hold=config.get("t_prime_s", config["T_s"]),
-            t_use=config.get("t_u_s", config["tx_step_s"]),
+            t_attack=config.get("t_attack_s"),
+            t_min_hold=config.get("t_prime_s"),
+            t_use=config.get("t_u_s"),
         )
         rp = RangeParams(r1=config["r1_m"], r2=config["r2_m"])
         thresholds = Thresholds(
@@ -249,8 +247,8 @@ def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
         bounds=bounds,
         p_x=tuple(p_x) if isinstance(p_x, list) else p_x,
         omega_x=tuple(omega_x) if isinstance(omega_x, list) else omega_x,
-        U_k=config.get("U_k", float(config["U_prime_N"])),
-        D=config.get("D", float(config["N"])),
+        U_k=config.get("U_k", float(thresholds.U_prime_N)),
+        D=config.get("D", float(net.N)),
         alpha_prime=config.get("alpha_prime"),
     )
 

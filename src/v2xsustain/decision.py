@@ -1,5 +1,5 @@
 """Operational decision layer: constraint checks, factor score, fail-safe
-extraction, and the utility log.
+extraction and per-slot fail-safe scoring.
 
 The decision order is fixed: a scale parameter at or below the operability
 floor forces reconfiguration no matter what else holds; otherwise threshold
@@ -10,12 +10,11 @@ score G_f is advisory context attached to the rationale, never the decider.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .csvio import nan_to_none, write_csv
-from .errors import DomainError, OrderingError, OverflowRangeError
+from .csvio import nan_to_none
+from .errors import DomainError, OverflowRangeError
 from .predict import SCALE_FLOOR, LikelihoodBounds, failsafe_tau
 from .sustain import NetworkParams, RateParams, TimeWindow
 from .sustain import hop_loss_probability, message_overhead
@@ -427,63 +426,3 @@ def score_failsafe_slots(
     return FailsafeTable(slots.t_s.tolist(), s_n, m_o, mu, tau, f_s,
                          *_rule(s_n, m_o, mu, thresholds))
 
-
-class LogEntry(NamedTuple):
-    timestamp_s: float
-    S_N: float
-    M_O: float
-    mu: float | None
-    G_f: float | None
-    decision: str
-
-
-@dataclass
-class UtilityLog:
-    """Append-only decision log, queryable by window and decision kind."""
-
-    entries: list[LogEntry] = field(default_factory=list)
-
-    def append(
-        self,
-        timestamp_s: float,
-        s_n: float,
-        m_o: float,
-        mu: float | None,
-        g_f: float | None,
-        decision: str,
-    ) -> LogEntry:
-        if decision not in DECISIONS:
-            raise DomainError(f"unknown decision {decision!r}")
-        if self.entries and timestamp_s < self.entries[-1].timestamp_s:
-            raise OrderingError(
-                f"timestamp {timestamp_s!r} precedes last entry "
-                f"{self.entries[-1].timestamp_s!r}"
-            )
-        entry = LogEntry(timestamp_s, s_n, m_o, mu, g_f, decision)
-        self.entries.append(entry)
-        return entry
-
-    def query(
-        self,
-        t_lo: float | None = None,
-        t_hi: float | None = None,
-        decision: str | None = None,
-    ) -> list[LogEntry]:
-        """Entries inside the inclusive window, optionally one decision kind."""
-        out = []
-        for e in self.entries:
-            if t_lo is not None and e.timestamp_s < t_lo:
-                continue
-            if t_hi is not None and e.timestamp_s > t_hi:
-                continue
-            if decision is not None and e.decision != decision:
-                continue
-            out.append(e)
-        return out
-
-    def export_csv(self, path: str | Path) -> None:
-        write_csv(
-            path,
-            ("timestamp_s", "S_N", "M_O", "mu", "G_f", "decision"),
-            zip(*self.entries, strict=True),
-        )

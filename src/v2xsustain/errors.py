@@ -39,10 +39,6 @@ class AuthenticationError(Exception):
     """Challenge-response verification failed."""
 
 
-class OrderingError(ValueError):
-    """Append-only log received an out-of-order timestamp."""
-
-
 class SimulationTruncated(RuntimeError):
     """A run needs more events than its cap, found before any event is built;
     carries the cap and needed, a lower bound on the events (needed > cap)."""

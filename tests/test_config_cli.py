@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -30,10 +31,12 @@ from v2xsustain import (
     signaling_overhead,
 )
 from v2xsustain.cli import SWEEP_GRIDS, main
+from v2xsustain.config import FIELDS
 from v2xsustain.csvio import fmt
 from v2xsustain.errors import ConfigError
 
 SRC = str(Path(v2xsustain.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -141,6 +144,36 @@ def test_bundle_rejects_structural_breaches(tmp_path):
         load_bundle(write_config(tmp_path, "e.json", E0=20))
     with pytest.raises(ConfigError, match="t1"):
         load_bundle(write_config(tmp_path, "t.json", t1_s=200.0))
+    with pytest.raises(ConfigError, match="t_min_hold=60.0 exceeds t_attack=50.0"):
+        load_bundle(write_config(tmp_path, "h.json", t_attack_s=50, t_prime_s=60))
+
+
+def test_minimum_hold_defaults_to_the_attack_time(tmp_path):
+    window = load_bundle(write_config(tmp_path, t_attack_s=50)).scenario.window
+    assert window.t_attack == window.t_min_hold == 50.0
+    window = build_bundle(default_config()).scenario.window
+    assert window.t_attack == window.t_min_hold == window.T
+    assert window.t_use == window.t_x_step
+
+
+def test_cli_config_errors_name_their_file(tmp_path, capsys):
+    path = write_config(tmp_path, t1_s=200)
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: window requires 0 < t1 < t2, got t1=200.0 t2=105.0\n"
+    )
+
+
+def test_readme_configuration_table_is_the_field_table():
+    # one README row per field, in table order: name, default (JSON, or
+    # "none" for an optional field) and meaning
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (.*?) \| (.*?) \|$", section, re.M)
+    assert rows == [
+        (f.name, "none" if f.default is None else json.dumps(f.default), f.meaning)
+        for f in FIELDS
+    ]
 
 
 def test_validate_exit_codes(tmp_path, capsys):
@@ -376,13 +409,50 @@ def test_commands_that_do_not_simulate_never_import_numpy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-def test_sweep_usage_errors(tmp_path):
+def test_sweep_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert main(["sweep", "--param", "nope", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: unknown sweep parameter 'nope'\n"
+    assert main(["sweep", "--param", "label", "--values", "1", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: field 'label': expected a string, got 1.0\n"
+    assert main(["sweep", "--param", "event_cap", "--values", "0", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: sweep event_cap=0: event_cap must be positive, got 0\n"
+    )
+    for value in ("inf", "nan"):
+        assert main(["sweep", "--param", "N", "--values", value, "--out", out]) == 2
+        assert "takes integer values" in capsys.readouterr().err
     assert main(["sweep", "--param", "E", "--values", "12.5", "--out", out]) == 2
     assert main(["sweep", "--param", "beta", "--values", "oops", "--out", out]) == 2
     assert main(["sweep", "--param", "beta", "--start", "1", "--out", out]) == 2
     assert main(["sweep", "--param", "c1", "--out", out]) == 2  # no default grid
+
+
+def test_sweep_accepts_every_table_field(tmp_path, capsys):
+    # alpha_prime has no default, so it is absent from the default config
+    out = tmp_path / "ap.csv"
+    argv = ["sweep", "--param", "alpha_prime", "--values", "0.05,0.1", "--out", str(out)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["alpha_prime", "0.05"], ["alpha_prime", "0.1"]]
+    assert rows[0][3] != rows[1][3]  # O_S follows the signaling rate
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["failsafe", "--out", "{dir}"], ["table3", "--out", "{dir}"],
+     ["sweep", "--param", "beta", "--out", "{missing}/x.csv"],
+     ["simulate", "--out", "{file}"]],
+    ids=["failsafe-dir", "table3-dir", "sweep-missing-dir", "simulate-file"],
+)
+def test_unwritable_out_ends_in_one_error_line(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    paths = {"dir": tmp_path, "missing": tmp_path / "missing", "file": tmp_path / "file"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_simulate_writes_run_files(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Decision-layer tests: factor score, constraint clauses, fail-safe
-extraction, decision priority, fail-safe slot scoring, and the utility
-log."""
+extraction, decision priority and fail-safe slot scoring."""
 
 import math
 import random
@@ -18,7 +17,6 @@ from v2xsustain import (
     RateParams,
     Thresholds,
     TimeWindow,
-    UtilityLog,
     build_bundle,
     check_constraints,
     combine_factors,
@@ -30,7 +28,7 @@ from v2xsustain import (
     scale_param,
 )
 from v2xsustain.decision import FailsafeTable, score_failsafe_slots
-from v2xsustain.errors import DomainError, OrderingError, OverflowRangeError
+from v2xsustain.errors import DomainError, OverflowRangeError
 from v2xsustain.predict import failsafe_tau
 from v2xsustain.sustain import hop_loss_probability, message_overhead
 
@@ -367,28 +365,3 @@ def test_failsafe_report_validation():
         FailSafeReport(F_S=None, tau=None, mu=1.5, decision=CONTINUE, rationale="")
     FailSafeReport(F_S=None, tau=None, mu=1.5, decision=RECONFIGURE, rationale="")
 
-
-def test_utility_log_ordering_and_query():
-    log = UtilityLog()
-    log.append(1.0, 80.0, 10.0, 5.0, 0.1, CONTINUE)
-    log.append(2.0, 40.0, 10.0, 5.0, None, UPDATE_KEYS)
-    log.append(2.0, 40.0, 10.0, None, None, UPDATE_KEYS)  # ties allowed
-    log.append(3.0, 40.0, 10.0, 1.0, None, RECONFIGURE)
-    with pytest.raises(OrderingError):
-        log.append(2.5, 1.0, 1.0, None, None, CONTINUE)
-    with pytest.raises(DomainError):
-        log.append(9.0, 1.0, 1.0, None, None, "panic")
-    assert len(log.entries) == 4
-    assert [e.timestamp_s for e in log.query(t_lo=2.0, t_hi=2.0)] == [2.0, 2.0]
-    assert [e.decision for e in log.query(decision=UPDATE_KEYS)] == [UPDATE_KEYS] * 2
-    assert log.query(t_lo=10.0) == []
-
-
-def test_utility_log_export(tmp_path):
-    log = UtilityLog()
-    log.append(1.0, 83.083201638809925, 627.5, 5.0, None, CONTINUE)
-    out = tmp_path / "log.csv"
-    log.export_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "timestamp_s,S_N,M_O,mu,G_f,decision"
-    assert lines[1] == "1,83.0832016,627.5,5,,continue"
