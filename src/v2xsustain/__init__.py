@@ -18,17 +18,16 @@ _EXPORTS = {
         "errors": """AuthenticationError ConfigError ConvergenceError DivergenceError
             DomainError IntegrandError OverflowRangeError
             SimulationTruncated""",
-        "specfun": "EULER_GAMMA QuadResult QuadSpec beta_pdf expint_ei integrate ln_gamma",
+        "specfun": "EULER_GAMMA QuadResult QuadSpec expint_ei integrate ln_gamma",
         "sustain": """NetworkParams RangeParams RateParams TimeWindow
             empirical_loss_probability loss_probability_model message_overhead
             signaling_overhead signaling_overhead_raw signaling_time_factor
             sustainability_asymptote sustainability_point sustainability_window
             sustainability_window_quadrature vehicles_in_range window_integrand""",
-        "predict": """SCALE_FLOOR BetaTraffic FailsafeLikelihood LikelihoodBounds
-            OverheadPrediction connectivity_prob connectivity_window_factor
-            density_beta failsafe_likelihood failsafe_tau predicted_key_updates
-            predicted_key_updates_quadrature predicted_message_overhead
-            resolve_alpha_prime scale_asymptote scale_growth_diagnostic scale_param""",
+        "predict": """SCALE_FLOOR BetaTraffic LikelihoodBounds OverheadPrediction
+            connectivity_prob connectivity_window_factor density_beta failsafe_tau
+            predicted_key_updates predicted_message_overhead resolve_alpha_prime
+            scale_asymptote scale_growth_diagnostic scale_param""",
         "keychain": """KEY_BYTES LABELS MODE_PASSKEY PARENTS KeyHierarchy KeyNode
             PeerCredential Session build_hierarchy establish_session
             export_derivation_log peer_credential refresh_subtree verify_session""",

@@ -148,7 +148,7 @@ class Scenario:
     seed: int
     event_cap: int = 2_000_000
     count_reauth_passes: bool = True
-    label: str = ""
+    label: str = "A1"
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:

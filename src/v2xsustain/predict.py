@@ -2,10 +2,11 @@
 
 Beta-distributed traffic density, connectivity probability from the
 exponential departure model, the predicted message overhead composition,
-the fail-safe likelihood integral, and the scale-parameter asymptotics.
-These let the network act before measurements exist: everything here is a
-function of rates and window bounds only. Commands use the closed forms;
-the quadrature routes are independent twins for the tests.
+the fail-safe likelihood, and the scale-parameter asymptotics. These let
+the network act before measurements exist: everything here is a function
+of rates and window bounds only. Each quantity has one route: a closed
+form, whose quadrature twin lives with the tests, or quadrature where no
+closed form is known (the Beta mass and the scale asymptote).
 """
 
 from __future__ import annotations
@@ -34,34 +35,17 @@ class BetaTraffic:
     """Beta-model traffic parameters.
 
     shape/scale are the Beta density parameters (shape >= 1 per the model's
-    operating assumption). credential_availability holds per-entity
-    probabilities 1-p_x, omega per-slot probabilities 1-omega_x, both used
-    by the scale-parameter estimators. incoming/outgoing are the gamma and
-    gamma' connection rates.
+    operating assumption).
     """
 
     shape: float = 1.0
     scale: float = 1.0
-    credential_availability: tuple[float, ...] = ()
-    omega: tuple[float, ...] = ()
-    incoming: float = 0.0
-    outgoing: float = 0.0
 
     def __post_init__(self):
         if not self.shape >= 1.0:
             raise DomainError(f"shape must be >= 1, got {self.shape!r}")
         if not self.scale > 0.0:
             raise DomainError(f"scale must be positive, got {self.scale!r}")
-        for name in ("credential_availability", "omega"):
-            for p in getattr(self, name):
-                if not 0.0 < p < 1.0:
-                    raise DomainError(
-                        f"{name} entries must lie strictly in (0, 1), got {p!r}"
-                    )
-        for name in ("incoming", "outgoing"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +76,7 @@ class LikelihoodBounds:
             raise DomainError(f"c2 must be < 1, got {self.c2!r}")
 
 
-def _beta_pdf_boundary(x: float, shape: float, scale: float, log_norm: float) -> float:
+def _beta_density(x: float, shape: float, scale: float, log_norm: float) -> float:
     # Beta density extended to the closed interval by continuity where the
     # exponent allows it; a singular endpoint is a divergence, not a sample.
     if x == 0.0:
@@ -111,7 +95,6 @@ def density_beta(
     traffic: BetaTraffic,
     rng: RangeParams,
     normalizer: float | None = None,
-    rel_tol: float = 1e-10,
 ) -> float:
     """Expected presence mass: Beta(shape, scale) integrated over the range.
 
@@ -136,9 +119,9 @@ def density_beta(
     )
 
     def pdf(x: float) -> float:
-        return _beta_pdf_boundary(x, traffic.shape, traffic.scale, log_norm)
+        return _beta_density(x, traffic.shape, traffic.scale, log_norm)
 
-    return integrate(pdf, QuadSpec(lo, hi, rel_tol=rel_tol)).value
+    return integrate(pdf, QuadSpec(lo, hi)).value
 
 
 def scale_param(
@@ -230,27 +213,13 @@ def predicted_key_updates(rates: RateParams, window: TimeWindow) -> float:
     """Predicted surviving update mass over the window, closed form.
 
     Integral of e^{-alpha/t} (alpha/t)^2 / 2 over [t1, t2], which is
-    (alpha/2)(e^{-alpha/t2} - e^{-alpha/t1}).
+    (alpha/2)(e^{-alpha/t2} - e^{-alpha/t1}), with the difference taken
+    through expm1 because both terms are near 1 for small alpha/t1.
     """
     if not rates.alpha > 0.0:
         raise DomainError(f"prediction requires alpha > 0, got {rates.alpha!r}")
-    a = rates.alpha
-    return (a / 2.0) * (math.exp(-a / window.t2) - math.exp(-a / window.t1))
-
-
-def predicted_key_updates_quadrature(
-    rates: RateParams, window: TimeWindow, rel_tol: float = 1e-10
-) -> float:
-    """Same quantity as predicted_key_updates, by quadrature; its test twin."""
-    if not rates.alpha > 0.0:
-        raise DomainError(f"prediction requires alpha > 0, got {rates.alpha!r}")
-    a = rates.alpha
-
-    def f(t: float) -> float:
-        r = a / t
-        return math.exp(-r) * r * r / 2.0
-
-    return integrate(f, QuadSpec(window.t1, window.t2, rel_tol=rel_tol)).value
+    a, t1, t2 = rates.alpha, window.t1, window.t2
+    return (a / 2.0) * math.exp(-a / t2) * -math.expm1(a / t2 - a / t1)
 
 
 @dataclass(frozen=True)
@@ -391,31 +360,12 @@ def _printed_overhead_expansion(
     return first * second * third
 
 
-@dataclass(frozen=True)
-class FailsafeLikelihood:
-    """Fail-safe likelihood results, by quadrature.
-
-    integral is the windowed likelihood (1/T) int Gamma(1+mu)/Gamma(mu)
-    (1-phi)^(mu-1) dphi over (d1, d2), evaluated by quadrature. tau is the
-    integral when mu > 2 and 0 otherwise, the twin of failsafe_tau.
-    closed_full and closed_reduced are the two printed closed-form
-    variants, defined only for mu > 2; they disagree with the integral and
-    with each other and are kept as diagnostics. closed_full may overflow
-    to inf for large mu.
-    """
-
-    mu: float
-    integral: float
-    tau: float
-    closed_full: float | None
-    closed_reduced: float | None
-
-
 def failsafe_tau(mu: float, bounds: LikelihoodBounds, T: float) -> float:
     """Operational fail-safe likelihood, closed form.
 
     tau = ((1-d1)^mu - (1-d2)^mu) / T when the network is operable
-    (mu > 2) and 0 otherwise; failsafe_likelihood is its quadrature twin.
+    (mu > 2) and 0 otherwise, with the difference taken through log1p and
+    expm1 because the two powers are close for close bounds.
     """
     if not mu > 0.0:
         raise DomainError(f"mu must be positive, got {mu!r}")
@@ -423,54 +373,12 @@ def failsafe_tau(mu: float, bounds: LikelihoodBounds, T: float) -> float:
         raise DomainError(f"T must be positive, got {T!r}")
     if not mu > SCALE_FLOOR:
         return 0.0
-    return ((1.0 - bounds.d1) ** mu - (1.0 - bounds.d2) ** mu) / T
+    keep = 1.0 - bounds.d1
+    drop = -math.expm1(mu * math.log1p((bounds.d1 - bounds.d2) / keep))
+    return keep**mu * drop / T
 
 
-def failsafe_likelihood(
-    mu: float, bounds: LikelihoodBounds, T: float, rel_tol: float = 1e-12
-) -> FailsafeLikelihood:
-    """Likelihood of fail-safe checkpoints between the bound probabilities.
-
-    The quadrature twin of failsafe_tau. Gamma(1+mu)/Gamma(mu) is
-    evaluated through ln_gamma rather than simplified to mu, so this route
-    stays independent of the antiderivative. The tight default tolerance
-    keeps the delivered error under 1e-9 relative even for steep large-mu
-    integrands, where the adaptive rule's local estimate runs about 20x
-    optimistic.
-    """
-    if not mu > 0.0:
-        raise DomainError(f"mu must be positive, got {mu!r}")
-    if not T > 0.0:
-        raise DomainError(f"T must be positive, got {T!r}")
-    ratio = math.exp(ln_gamma(1.0 + mu) - ln_gamma(mu))
-
-    def f(phi: float) -> float:
-        return ratio * (1.0 - phi) ** (mu - 1.0)
-
-    value = integrate(f, QuadSpec(bounds.d1, bounds.d2, rel_tol=rel_tol)).value / T
-    tau = value if mu > SCALE_FLOOR else 0.0
-    closed_full = None
-    closed_reduced = None
-    if mu > SCALE_FLOOR:
-        base = (1.0 - bounds.d1) * (1.0 - bounds.d2)
-        log_full = (
-            math.log(ratio) + 2.0 * math.log(base) - mu * math.log(base)
-            - math.log(mu - SCALE_FLOOR)
-        )
-        try:
-            closed_full = math.exp(log_full)
-        except OverflowError:
-            closed_full = math.inf
-        closed_reduced = ratio * base**2 / (mu - SCALE_FLOOR)
-    return FailsafeLikelihood(
-        mu=mu, integral=value, tau=tau, closed_full=closed_full,
-        closed_reduced=closed_reduced,
-    )
-
-
-def scale_asymptote(
-    bounds: LikelihoodBounds, T: float, rel_tol: float = 1e-10
-) -> float:
+def scale_asymptote(bounds: LikelihoodBounds, T: float) -> float:
     """Asymptote integral of the scale parameter over the rate interval.
 
     f = int_{c1}^{c2} e^{-rate/T} / ln(1/(1-rate)) d rate. The integrand
@@ -486,7 +394,7 @@ def scale_asymptote(
     def f(rate: float) -> float:
         return math.exp(-rate / T) / math.log(1.0 / (1.0 - rate))
 
-    return integrate(f, QuadSpec(bounds.c1, bounds.c2, rel_tol=rel_tol)).value
+    return integrate(f, QuadSpec(bounds.c1, bounds.c2)).value
 
 
 def scale_growth_diagnostic(T: float, t_x_slots: int) -> float:

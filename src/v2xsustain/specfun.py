@@ -2,9 +2,9 @@
 
 The analysis layer needs three pieces of numerics: the exponential integral
 Ei that closed-form sustainability windows reduce to, log-gamma for Beta
-density normalization, and a self-contained adaptive Simpson integrator used
-both by the model routines and as the cross-check oracle for their closed
-forms.
+density normalization, and a self-contained adaptive Simpson integrator
+for the model quantities without a closed form and for the tests'
+quadrature twins of the closed forms.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ EULER_GAMMA = 0.57721566490153286061
 _EXP_MAX = 709.782712893384
 # Power-series / asymptotic-series switch point for Ei.
 _EI_SERIES_CUTOFF = 40.0
-_EI_MIN_X_DEFAULT = 1e-300
+_EI_MIN_X = 1e-300
 
 
-def expint_ei(x: float, min_x: float = _EI_MIN_X_DEFAULT) -> float:
+def expint_ei(x: float) -> float:
     """Exponential integral Ei(x) for x > 0.
 
     Uses the convergent power series
@@ -37,16 +37,16 @@ def expint_ei(x: float, min_x: float = _EI_MIN_X_DEFAULT) -> float:
 
     Raises DomainError for x <= 0 (the function has a logarithmic
     singularity at 0 and the analysis only ever evaluates positive
-    arguments) or x below `min_x`, and OverflowRangeError once e^x/x
+    arguments) or x below 1e-300, and OverflowRangeError once e^x/x
     exceeds double range (x above ~710).
     """
     if not math.isfinite(x):
         raise DomainError(f"expint_ei requires a finite argument, got {x!r}")
     if x <= 0.0:
         raise DomainError(f"expint_ei requires x > 0, got {x!r}")
-    if x < min_x:
+    if x < _EI_MIN_X:
         raise DomainError(
-            f"expint_ei argument {x!r} is below the domain floor {min_x!r}"
+            f"expint_ei argument {x!r} is below the domain floor {_EI_MIN_X!r}"
         )
     if x <= _EI_SERIES_CUTOFF:
         return _ei_series(x)
@@ -110,23 +110,6 @@ def ln_gamma(x: float) -> float:
     if x == int(x) and x <= 300.0:
         return math.log(math.factorial(int(x) - 1)) if x > 1.0 else 0.0
     return math.lgamma(x)
-
-
-def beta_pdf(x: float, shape: float, scale: float) -> float:
-    """Beta(shape, scale) density at x in the open interval (0, 1).
-
-    Evaluated in log space so large parameters do not overflow the
-    gamma-function ratio.
-    """
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"beta_pdf requires 0 < x < 1, got {x!r}")
-    if shape <= 0.0 or scale <= 0.0:
-        raise DomainError(
-            f"beta_pdf requires positive parameters, got shape={shape!r} scale={scale!r}"
-        )
-    log_norm = ln_gamma(shape + scale) - ln_gamma(shape) - ln_gamma(scale)
-    log_val = log_norm + (shape - 1.0) * math.log(x) + (scale - 1.0) * math.log1p(-x)
-    return math.exp(log_val)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from v2xsustain import (
     decide,
     establish_session,
     expint_ei,
-    failsafe_likelihood,
     failsafe_point,
     ln_gamma,
     loss_probability_model,
@@ -50,6 +49,8 @@ from v2xsustain import (
 )
 from v2xsustain.cli import main
 from v2xsustain.fixtures import MU_RATIO_TOL, Q_VALUES
+
+from oracles import failsafe_likelihood
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
 RATES = RateParams(alpha=1.0, beta=2.0, gamma=1.0, gamma_prime=0.1)

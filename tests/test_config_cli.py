@@ -5,6 +5,7 @@ The CLI contract under test: exit 0 on success, 1 when a check fails,
 the same seed.
 """
 
+import dataclasses
 import filecmp
 import hashlib
 import json
@@ -21,6 +22,10 @@ import pytest
 import v2xsustain
 from v2xsustain import (
     ENV_CONFIG_PATH,
+    LikelihoodBounds,
+    Scenario,
+    Thresholds,
+    TimeWindow,
     build_bundle,
     default_config,
     load_bundle,
@@ -174,6 +179,25 @@ def test_readme_configuration_table_is_the_field_table():
         (f.name, "none" if f.default is None else json.dumps(f.default), f.meaning)
         for f in FIELDS
     ]
+
+
+def test_dataclass_defaults_are_the_field_table_defaults():
+    # library callers that build these objects directly get the config's
+    # defaults: (dataclass, attribute) -> config field
+    table = {f.name: f.default for f in FIELDS}
+    pairs = {
+        (Scenario, "event_cap"): "event_cap",
+        (Scenario, "count_reauth_passes"): "count_reauth_passes",
+        (Scenario, "label"): "label",
+        (TimeWindow, "t_x_step"): "tx_step_s",
+        (Thresholds, "U_prime_N"): "U_prime_N",
+        (Thresholds, "O_b"): "O_b",
+        (LikelihoodBounds, "c1"): "c1",
+        (LikelihoodBounds, "c2"): "c2",
+    }
+    for (cls, attr), name in pairs.items():
+        default = {f.name: f.default for f in dataclasses.fields(cls)}[attr]
+        assert default == table[name], (cls.__name__, attr)
 
 
 def test_validate_exit_codes(tmp_path, capsys):
