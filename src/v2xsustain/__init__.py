@@ -20,7 +20,7 @@ _EXPORTS = {
             SimulationTruncated""",
         "specfun": "EULER_GAMMA QuadResult QuadSpec expint_ei integrate ln_gamma",
         "sustain": """NetworkParams RangeParams RateParams TimeWindow
-            empirical_loss_probability loss_probability_model message_overhead
+            loss_probability_model message_overhead
             signaling_overhead signaling_overhead_raw signaling_time_factor
             sustainability_asymptote sustainability_point sustainability_window
             sustainability_window_quadrature vehicles_in_range window_integrand""",

@@ -32,7 +32,6 @@ class Field(NamedTuple):
 FIELDS = (
     Field("beta", "float", 2.0, "vehicle arrival rate (per s)"),
     Field("alpha", "float", 1.0, "per-vehicle key-update rate (per s)"),
-    Field("gamma", "float", 1.0, "incoming connection rate (per s)"),
     Field("gamma_prime", "float", 0.1, "outgoing (departure) rate (per s)"),
     Field("alpha_prime", "float", None, "signaling update rate (per s); when absent, "
           "`alpha / t2_s`, or none when `alpha` is 0 (the sweep's `O_S` and `M_O` stay empty)"),
@@ -209,12 +208,11 @@ def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
                 )
     try:
         net = NetworkParams(
-            N=config["N"], E=config["E"], E_prime=0, E_zero=config["E0"],
+            N=config["N"], E=config["E"], E_zero=config["E0"],
             n_inv=config["n_inv"], Q=config["Q"],
         )
         rates = RateParams(
-            alpha=config["alpha"], beta=config["beta"],
-            gamma=config["gamma"], gamma_prime=config["gamma_prime"],
+            alpha=config["alpha"], beta=config["beta"], gamma_prime=config["gamma_prime"],
         )
         window = TimeWindow(
             t1=config["t1_s"], t2=config["t2_s"], T=config["T_s"],

@@ -1,10 +1,12 @@
 """Operational decision layer: constraint checks, factor score, fail-safe
-extraction and per-slot fail-safe scoring.
+point and per-slot fail-safe scoring.
 
 The decision order is fixed: a scale parameter at or below the operability
 floor forces reconfiguration no matter what else holds; otherwise threshold
 breaches demand key updates; otherwise the network continues. The factor
 score G_f is advisory context attached to the rationale, never the decider.
+score_failsafe_slots applies the two column rules, _rule (whose one-row
+case is decide()) and failsafe_point for F_S.
 """
 
 from __future__ import annotations
@@ -231,15 +233,8 @@ def check_constraints(
 
 @dataclass(frozen=True)
 class FailSafeReport:
-    """Outcome of a fail-safe evaluation.
+    """One decision with its rationale, at the scale parameter mu when known."""
 
-    F_S is the end of the maximal safe prefix (absent when the first
-    sample already breaches), tau and mu the likelihood context when
-    known, decision one of continue/update_keys/reconfigure.
-    """
-
-    F_S: float | None
-    tau: float | None
     mu: float | None
     decision: str
     rationale: str
@@ -254,50 +249,26 @@ class FailSafeReport:
 
 
 def failsafe_point(
-    trace: Sequence[tuple[float, float, float]],
-    thresholds: Thresholds,
-    t1_known: bool = True,
-) -> FailSafeReport:
-    """Fail-safe instant from a metric trace of (t, S_N, M_O) samples.
+    t_s: Sequence[float], s_n: Sequence[float | None], thresholds: Thresholds
+) -> float | None:
+    """Fail-safe instant F_S from columns of sample times and S_N.
 
-    With t1 known the criterion is S_N >= S_N_TH; otherwise M_O <= M_O_TH.
-    F_S is the time of the last sample in the initial run of satisfying
-    samples (a duration, not just any qualifying instant). Equality with
-    the threshold counts as safe.
+    F_S is the time of the last sample in the initial run with
+    S_N >= S_N_TH (a duration, not just any qualifying instant). Equality
+    with the threshold counts as safe; a None or NaN S_N breaks the run. A
+    breach at the first sample, or no samples, gives None.
     """
-    if len(trace) == 0:
-        raise DomainError("trace must be nonempty")
-    last_t = None
-    for t, _, _ in trace:
-        if last_t is not None and t <= last_t:
+    if len(t_s) != len(s_n):
+        raise DomainError(f"{len(t_s)} sample times for {len(s_n)} S_N values")
+    for t_prev, t in zip(t_s, t_s[1:]):
+        if not t_prev < t:
             raise DomainError(f"trace times must be strictly increasing at t={t!r}")
-        last_t = t
     f_s = None
-    for t, s_n, m_o in trace:
-        ok = s_n >= thresholds.S_N_TH if t1_known else m_o <= thresholds.M_O_TH
-        if not ok:
+    for t, s in zip(t_s, s_n):
+        if s is None or not s >= thresholds.S_N_TH:
             break
         f_s = t
-    criterion = "S_N >= threshold" if t1_known else "M_O <= threshold"
-    if f_s is None:
-        return FailSafeReport(
-            F_S=None,
-            tau=None,
-            mu=None,
-            decision=UPDATE_KEYS,
-            rationale=f"no safe prefix under {criterion}; keys need updating",
-        )
-    whole = f_s == trace[-1][0]
-    return FailSafeReport(
-        F_S=f_s,
-        tau=None,
-        mu=None,
-        decision=CONTINUE if whole else UPDATE_KEYS,
-        rationale=(
-            f"safe prefix under {criterion} ends at t={f_s:g}s"
-            + ("; entire window safe" if whole else "; breach follows")
-        ),
-    )
+    return f_s
 
 
 def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence, thresholds: Thresholds,
@@ -336,10 +307,8 @@ def decide(
     mu: float,
     g_f: float | None,
     thresholds: Thresholds,
-    tau: float | None = None,
-    f_s: float | None = None,
 ) -> FailSafeReport:
-    """Operational decision from current metrics.
+    """Operational decision from current metrics, the one-row case of _rule.
 
     Reconfiguration wins whenever mu is at or below the operability floor;
     then threshold breaches force key updates; otherwise continue. The
@@ -347,8 +316,7 @@ def decide(
     """
     advisory = f"; advisory G_f={g_f:.3f}" if g_f is not None else ""
     (decision,), (rationale,) = _rule([s_n], [m_o], [mu], thresholds, advisory)
-    tau = 0.0 if decision == RECONFIGURE and tau is None else tau
-    return FailSafeReport(F_S=f_s, tau=tau, mu=mu, decision=decision, rationale=rationale)
+    return FailSafeReport(mu=mu, decision=decision, rationale=rationale)
 
 
 class FailsafeTable(NamedTuple):
@@ -373,10 +341,11 @@ def score_failsafe_slots(
     loss at the observed connected count E', as the closed forms do; the
     empirical loss share 1 - E'/E is 0 at full connectivity and would leave
     S_N undefined. compliance holds one probability 1 - omega_x per slot.
-    Row k's mu equals scale_param("sustainability", mean_sustainability=<mean
-    S_N so far>, omegas=compliance[:k]) bit for bit, as its running sums add
-    in the same order; F_S is clipped to the row's t_s. numpy does only
-    + - * / on the slot columns, in the order of the scalar forms.
+    Row k's mu is the batch estimator mean(S_N so far) / sum(ln(1/w)) over
+    compliance[:k], kept as running sums that add in the batch order, so
+    both agree bit for bit. F_S is failsafe_point on the t_s and S_N
+    columns, clipped to each row's t_s. numpy does only + - * / on the slot
+    columns, in the order of the scalar forms.
     """
     import numpy as np  # the slot columns are numpy arrays
 
@@ -418,11 +387,10 @@ def score_failsafe_slots(
         if not math.isfinite(mu[k]):
             raise OverflowRangeError(f"mu is outside double range at t_s={t:g}")
         failsafe_tau(float(mu[k]), bounds, T)
-    safe = s_n >= thresholds.S_N_TH  # a slot without S_N (NaN) breaks the prefix
-    end = n if safe.all() else int(np.argmin(safe))  # slots in the safe prefix
-    f_s = np.minimum(slots.t_s, slots.t_s[end - 1]).tolist() if end else [None] * n
+    t_s = slots.t_s.tolist()
     s_n, m_o, mu = map(nan_to_none, (s_n, m_o, mu))  # NaN where p or mu is
     tau = [None if u is None else failsafe_tau(u, bounds, T) for u in mu]
-    return FailsafeTable(slots.t_s.tolist(), s_n, m_o, mu, tau, f_s,
-                         *_rule(s_n, m_o, mu, thresholds))
+    end = failsafe_point(t_s, s_n, thresholds)
+    f_s = [None] * n if end is None else np.minimum(slots.t_s, end).tolist()
+    return FailsafeTable(t_s, s_n, m_o, mu, tau, f_s, *_rule(s_n, m_o, mu, thresholds))
 

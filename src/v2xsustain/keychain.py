@@ -94,15 +94,6 @@ class KeyHierarchy:
             stack.extend(kids)
         return out
 
-    def ancestry(self, label: str) -> list[str]:
-        """Chain from the root down to the label, inclusive."""
-        if label not in self.nodes:
-            raise DomainError(f"unknown key label {label!r}")
-        chain = [label]
-        while PARENTS.get(chain[-1]) is not None:
-            chain.append(PARENTS[chain[-1]])
-        return list(reversed(chain))
-
 
 def _derive(parent_material: bytes, label: str, epoch: int) -> bytes:
     # Label string plus epoch counter give per-node domain separation.

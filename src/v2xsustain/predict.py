@@ -128,20 +128,17 @@ def scale_param(
     mode: str,
     *,
     availabilities: Sequence[float] | None = None,
-    mean_sustainability: float | None = None,
-    omegas: Sequence[float] | None = None,
     gamma_prime: float | None = None,
 ) -> float:
-    """Scale parameter mu under one of three estimators.
+    """Scale parameter mu under one of two estimators.
 
     credentials:    mu = E / sum_i ln(1/a_i) over per-entity credential
                     availabilities a_i = 1-p_x.
-    sustainability: mu = mean(S_N) / sum_i ln(1/w_i) over per-slot
-                    compliance probabilities w_i = 1-omega_x.
     outgoing:       mu = 1 / ln(1/(1-gamma')) from the departure rate.
 
     Natural logs throughout. Probabilities at 0 or 1 hit log singularities
     and are rejected; gamma' = 0 makes mu unbounded and is rejected too.
+    The fail-safe scorer keeps the compliance estimator as running sums.
     """
     if mode == "credentials":
         if not availabilities:
@@ -154,21 +151,6 @@ def scale_param(
                 )
             total += math.log(1.0 / a)
         return len(availabilities) / total
-    if mode == "sustainability":
-        if not omegas:
-            raise DomainError("sustainability mode requires a nonempty omega list")
-        if mean_sustainability is None or not mean_sustainability > 0.0:
-            raise DomainError(
-                f"sustainability mode requires mean S_N > 0, got {mean_sustainability!r}"
-            )
-        total = 0.0
-        for w in omegas:
-            if not 0.0 < w < 1.0:
-                raise DomainError(
-                    f"compliance probability must lie strictly in (0, 1), got {w!r}"
-                )
-            total += math.log(1.0 / w)
-        return mean_sustainability / total
     if mode == "outgoing":
         if gamma_prime is None:
             raise DomainError("outgoing mode requires gamma_prime")
@@ -265,7 +247,6 @@ def predicted_message_overhead(
     O_b: float,
     *,
     alpha_prime: float | None = None,
-    rate_variant: str = "outgoing",
 ) -> OverheadPrediction:
     """Predicted per-vehicle message overhead over the window.
 
@@ -274,19 +255,12 @@ def predicted_message_overhead(
     evaluated at unit passes so the pass count Q enters exactly once, as
     the leading factor; the expanded printed form carries no Q at all.
 
-    alpha_prime defaults as in resolve_alpha_prime. rate_variant selects gamma'
-    ("outgoing", default) or gamma ("incoming") for the connectivity
-    factor. The density component is the unit-shape Beta mass of the
-    meter range, which is the plain range width r2 - r1.
+    alpha_prime defaults as in resolve_alpha_prime; the connectivity factor
+    decays at gamma'. The density component is the unit-shape Beta mass of
+    the meter range, which is the plain range width r2 - r1.
     """
     if O_b < 0.0:
         raise DomainError(f"O_b must be >= 0, got {O_b!r}")
-    if rate_variant == "outgoing":
-        conn_rate = rates.gamma_prime
-    elif rate_variant == "incoming":
-        conn_rate = rates.gamma
-    else:
-        raise DomainError(f"unknown rate_variant {rate_variant!r}")
     alpha_prime = resolve_alpha_prime(rates, window, alpha_prime)
     if alpha_prime is None or not 0.0 < alpha_prime < 1.0:
         raise DomainError(
@@ -300,10 +274,10 @@ def predicted_message_overhead(
     s_n_unit = sustainability_window(rates, replace(net, Q=1), window)
     o_s = signaling_overhead(O_b, alpha_prime, net, window)
     density = rng.r2 - rng.r1
-    conn = connectivity_window_factor(net, conn_rate, window)
+    conn = connectivity_window_factor(net, rates.gamma_prime, window)
 
     composed = net.Q / u_k * (s_n_unit * o_s * density * conn)
-    printed = _printed_overhead_expansion(rates, net, window, rng, O_b, conn_rate)
+    printed = _printed_overhead_expansion(rates, net, window, rng, O_b, conn)
     denom = max(abs(composed), abs(printed), 1e-300)
     return OverheadPrediction(
         composed=composed,
@@ -324,14 +298,14 @@ def _printed_overhead_expansion(
     window: TimeWindow,
     rng: RangeParams,
     O_b: float,
-    conn_rate: float,
+    conn: float,
 ) -> float:
     """The expanded overhead prediction exactly as printed.
 
     Kept verbatim (with the same decayed-power reading of the time factor
     as the signaling overhead) for comparison against the composition; its
     prefactor differs from the composed route, so values can differ in
-    both magnitude and sign.
+    both magnitude and sign. Its last factor is the composition's conn.
     """
     from .specfun import expint_ei
 
@@ -356,8 +330,7 @@ def _printed_overhead_expansion(
     second = rates.alpha * (rng.r2 - rng.r1)
     second /= rates.beta * net.N * p2
     second *= expint_ei(d / window.t1) - expint_ei(d / window.t2)
-    third = connectivity_window_factor(net, conn_rate, window)
-    return first * second * third
+    return first * second * conn
 
 
 def failsafe_tau(mu: float, bounds: LikelihoodBounds, T: float) -> float:

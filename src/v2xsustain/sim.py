@@ -34,7 +34,7 @@ from .sustain import TimeWindow, loss_probability_model, sustainability_window
 
 # The events CSV labels, indexed by EventTable.kind code in tie-break order.
 _KIND_NAMES = ("arrival", "auth_pass", "key_update", "departure")
-_AUTH_PASS, _KEY_UPDATE = 1, 2  # kind codes
+_AUTH_PASS, _KEY_UPDATE, _DEPARTURE = 1, 2, 3  # kind codes
 _GATHER_ROWS = 1 << 16  # rows per in-place gather step in _event_table
 # The largest mean Generator.poisson accepts; above it, it raises ValueError.
 _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
@@ -85,8 +85,6 @@ class SimTrace:
     events: EventTable
     slots: SlotTable
     arrivals_total: int = 0
-    poisson_arrivals: int = 0
-    cohort_size: int = 0
     departures_total: int = 0
     key_updates_total: int = 0
     passes_total: int = 0
@@ -275,11 +273,14 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     def upto(sorted_times: np.ndarray) -> np.ndarray:
         return np.searchsorted(sorted_times, edges, side="right")
 
+    # the event table holds each kind's rows in time order
+    gone = events.kind == _DEPARTURE
+    gone_t = events.t[gone]
     arrived = upto(arrive)
-    active = arrived - upto(np.sort(depart))
+    active = arrived - upto(gone_t)
     u_k = np.diff(upto(events.t[events.kind == _KEY_UPDATE]))
     passes = net.Q * (np.diff(arrived) + reauth * u_k)
-    survivors = net.E_zero - upto(np.sort(depart[: net.E_zero]))
+    survivors = net.E_zero - upto(gone_t[events.entity[gone] < net.E_zero])
 
     d = active[1:]
     e_prime = np.minimum(d, net.E)
@@ -295,8 +296,7 @@ def run_simulation(scenario: Scenario) -> SimTrace:
 
     return SimTrace(
         scenario=scenario, events=events, slots=slots,
-        arrivals_total=n, poisson_arrivals=n_poisson, cohort_size=net.E_zero,
-        departures_total=departures,
+        arrivals_total=n, departures_total=departures,
         key_updates_total=updates, passes_total=net.Q * (n + reauth * updates),
     )
 

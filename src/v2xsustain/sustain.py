@@ -24,7 +24,6 @@ class NetworkParams:
 
     N: backhaul hop budget per delivery path.
     E: edge (hub) capacity in vehicles.
-    E_prime: vehicles currently served, 0 <= E' <= E.
     E_zero: initially connected cohort, 0 <= E0 <= E.
     n_inv: hop count whose inverse n = 1/n_inv weighs the update count.
     Q: authentication passes per session establishment.
@@ -37,7 +36,6 @@ class NetworkParams:
 
     N: int
     E: int
-    E_prime: int = 0
     E_zero: int = 0
     n_inv: int = 5
     Q: int = 1
@@ -47,20 +45,19 @@ class NetworkParams:
             v = getattr(self, name)
             if not isinstance(v, int) or v <= 0:
                 raise DomainError(f"{name} must be a positive integer, got {v!r}")
-        for name in ("E_prime", "E_zero"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise DomainError(f"{name} must be a non-negative integer, got {v!r}")
-            if v > self.E:
-                raise DomainError(f"{name}={v!r} exceeds capacity E={self.E!r}")
+        v = self.E_zero
+        if not isinstance(v, int) or v < 0:
+            raise DomainError(f"E_zero must be a non-negative integer, got {v!r}")
+        if v > self.E:
+            raise DomainError(f"E_zero={v!r} exceeds capacity E={self.E!r}")
 
 
 @dataclass(frozen=True)
 class RateParams:
     """Process rates per unit time.
 
-    alpha: key updates per vehicle, beta: vehicle arrivals, gamma and
-    gamma_prime: incoming and outgoing connection rates. The window
+    alpha: key updates per vehicle, beta: vehicle arrivals, gamma_prime:
+    outgoing connection (departure) rate. The window
     closed form additionally needs beta > alpha > 0; that is checked at
     the point of use because the asymptote and the simulator are both
     well defined without it.
@@ -68,13 +65,12 @@ class RateParams:
 
     alpha: float
     beta: float
-    gamma: float = 0.0
     gamma_prime: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise DomainError(f"beta must be finite and positive, got {self.beta!r}")
-        for name in ("alpha", "gamma", "gamma_prime"):
+        for name in ("alpha", "gamma_prime"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
@@ -128,19 +124,16 @@ class TimeWindow:
 
 @dataclass(frozen=True)
 class RangeParams:
-    """Radio ranges in meters: short-range r1, long-range r2, zone span R."""
+    """Radio ranges in meters: short-range r1, long-range r2."""
 
     r1: float
     r2: float
-    R: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.r1) and self.r1 >= 0.0):
             raise DomainError(f"r1 must be finite and >= 0, got {self.r1!r}")
         if not self.r2 > self.r1:
             raise DomainError(f"r2={self.r2!r} must exceed r1={self.r1!r}")
-        if self.R is not None and not self.R > 0.0:
-            raise DomainError(f"R must be positive when given, got {self.R!r}")
 
 
 def hop_loss_probability(n_inv: int, E: int, N: int) -> float:
@@ -172,11 +165,6 @@ def _divisor_loss_probability(net: NetworkParams) -> float:
     if P == 0.0:
         raise DomainError(f"loss probability P underflows to 0 at N={net.N!r} E={net.E!r}")
     return P
-
-
-def empirical_loss_probability(net: NetworkParams) -> float:
-    """Observed loss share 1 - E'/E."""
-    return 1.0 - net.E_prime / net.E
 
 
 def sustainability_point(

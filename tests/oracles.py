@@ -1,21 +1,44 @@
-"""Quadrature twins of the prediction closed forms, for the tests only.
+"""Independent twins of production quantities, for the tests only.
 
 No command reaches these: `predicted_key_updates` and `failsafe_tau` run in
 production, and these routes integrate the same quantities with adaptive
 Simpson so the tests can check the closed forms against an independent
 computation. `sustain.sustainability_window_quadrature` stays in the
 package, because the benchmark's sweep check imports it from there.
+`scale_param_sustainability` is the batch twin of the running sums that
+`decision.score_failsafe_slots` keeps for `mu`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from v2xsustain.errors import DomainError
 from v2xsustain.predict import SCALE_FLOOR, LikelihoodBounds
 from v2xsustain.specfun import QuadSpec, integrate, ln_gamma
 from v2xsustain.sustain import RateParams, TimeWindow
+
+
+def scale_param_sustainability(mean_sustainability: float | None,
+                               omegas: Sequence[float]) -> float:
+    """mu = mean(S_N) / sum_i ln(1/w_i) over per-slot compliance
+    probabilities w_i = 1-omega_x, in one batch."""
+    if not omegas:
+        raise DomainError("sustainability mode requires a nonempty omega list")
+    if mean_sustainability is None or not mean_sustainability > 0.0:
+        raise DomainError(
+            f"sustainability mode requires mean S_N > 0, got {mean_sustainability!r}"
+        )
+    total = 0.0
+    for w in omegas:
+        if not 0.0 < w < 1.0:
+            raise DomainError(
+                f"compliance probability must lie strictly in (0, 1), got {w!r}"
+            )
+        total += math.log(1.0 / w)
+    return mean_sustainability / total
 
 
 def predicted_key_updates_quadrature(

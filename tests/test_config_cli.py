@@ -61,8 +61,9 @@ def test_default_config_is_admissible():
 
 def test_merge_rejects_unknown_and_mistyped_fields():
     assert merge_config({"beta": 4})["beta"] == 4.0
-    with pytest.raises(ConfigError, match="unknown field"):
-        merge_config({"bandwidth": 1.0})
+    for name in ("bandwidth", "gamma"):  # gamma: no command reads an incoming rate
+        with pytest.raises(ConfigError, match="unknown field"):
+            merge_config({name: 1.0})
     with pytest.raises(ConfigError):
         merge_config({"N": 2.5})
     with pytest.raises(ConfigError):
@@ -238,7 +239,7 @@ def test_sweep_q_column_scaling(tmp_path):
     q = [float(r[1]) for r in rows]
     # S_N scales as 1/Q along the grid; cells carry 9 significant digits
     for qi, si in zip(q, s_n):
-        assert qi * si == pytest.approx(q[0] * s_n[0], rel=1e-7)
+        assert qi * si == pytest.approx(q[0] * s_n[0], rel=1e-7, abs=0.0)
 
 
 def test_sweep_explicit_values_and_range(tmp_path):
@@ -437,6 +438,8 @@ def test_sweep_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert main(["sweep", "--param", "nope", "--out", out]) == 2
     assert capsys.readouterr().err == "error: unknown sweep parameter 'nope'\n"
+    assert main(["sweep", "--param", "gamma", "--values", "1", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: unknown sweep parameter 'gamma'\n"
     assert main(["sweep", "--param", "label", "--values", "1", "--out", out]) == 2
     assert capsys.readouterr().err == "error: field 'label': expected a string, got 1.0\n"
     assert main(["sweep", "--param", "event_cap", "--values", "0", "--out", out]) == 2
@@ -613,8 +616,8 @@ def test_failsafe_never_calls_the_batch_scale_estimate(tmp_path, monkeypatch, ca
 
 
 def test_failsafe_builds_no_report_per_slot(tmp_path, monkeypatch, capsys):
-    # the scorer shares decide()'s rule but builds no FailSafeReport, and
-    # F_S comes from the S_N column, not from failsafe_point
+    # the scorer shares decide()'s rule and failsafe_point's F_S, but builds
+    # no FailSafeReport
     def refuse(*args, **kwargs):
         raise AssertionError("failsafe built a FailSafeReport")
 

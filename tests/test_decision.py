@@ -25,12 +25,13 @@ from v2xsustain import (
     failsafe_point,
     merge_config,
     run_simulation,
-    scale_param,
 )
 from v2xsustain.decision import FailsafeTable, score_failsafe_slots
 from v2xsustain.errors import DomainError, OverflowRangeError
 from v2xsustain.predict import failsafe_tau
 from v2xsustain.sustain import hop_loss_probability, message_overhead
+
+from oracles import scale_param_sustainability
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
 RATES = RateParams(alpha=1.0, beta=2.0)
@@ -65,12 +66,12 @@ def test_factor_score_extremes():
         associativity=1.0,
     )
     # each group maxes out at its delta = 1/3
-    assert factor_score(saturated) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert factor_score(saturated) == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
 
 
 def test_factor_score_hand_values():
     mobility = FactorInputs(speed=25.0, location=0.5, w=1)
-    assert factor_score(mobility) == pytest.approx(1.0 / 6.0, rel=1e-12)
+    assert factor_score(mobility) == pytest.approx(1.0 / 6.0, rel=1e-12, abs=0.0)
     usage = FactorInputs(
         last_update=1800.0,
         shared_sessions=50.0,
@@ -79,16 +80,16 @@ def test_factor_score_hand_values():
         w=2,
     )
     # g1 = 0, g2 = (1/3)(0.5); theta-mean over two groups halves it
-    assert factor_score(usage) == pytest.approx(1.0 / 12.0, rel=1e-12)
+    assert factor_score(usage) == pytest.approx(1.0 / 12.0, rel=1e-12, abs=0.0)
 
 
 def test_factor_score_clamps_runaway_inputs():
     assert factor_score(FactorInputs(speed=5000.0, w=1)) == pytest.approx(
-        1.0 / 6.0, rel=1e-12
+        1.0 / 6.0, rel=1e-12, abs=0.0
     )
     tight = FactorBounds(speed=(0.0, 10.0))
     assert factor_score(FactorInputs(speed=25.0, w=1), tight) == pytest.approx(
-        1.0 / 6.0, rel=1e-12
+        1.0 / 6.0, rel=1e-12, abs=0.0
     )
 
 
@@ -96,7 +97,7 @@ def test_factor_score_w_truncates_groups():
     inputs = FactorInputs(zone_traversals=50.0, associativity=1.0, w=2)
     assert factor_score(inputs) == 0.0  # zone group excluded
     full = FactorInputs(zone_traversals=50.0, associativity=1.0, w=3)
-    assert factor_score(full) == pytest.approx(1.0 / 9.0, rel=1e-12)
+    assert factor_score(full) == pytest.approx(1.0 / 9.0, rel=1e-12, abs=0.0)
 
 
 def test_factor_inputs_validation():
@@ -175,47 +176,32 @@ def test_check_constraints_multiple():
 
 
 def test_failsafe_point_prefix_end():
-    trace = [(1.0, 10.0, 0.0), (2.0, 8.0, 0.0), (3.0, 6.0, 0.0), (4.0, 4.0, 0.0)]
     th = Thresholds(S_N_TH=5.0, M_O_TH=1000.0)
-    report = failsafe_point(trace, th)
-    assert report.F_S == 3.0
-    assert report.decision == UPDATE_KEYS
-    assert "breach follows" in report.rationale
+    assert failsafe_point([1.0, 2.0, 3.0, 4.0], [10.0, 8.0, 6.0, 4.0], th) == 3.0
 
 
 def test_failsafe_point_whole_window():
-    trace = [(1.0, 10.0, 0.0), (2.0, 8.0, 0.0)]
-    report = failsafe_point(trace, Thresholds(S_N_TH=5.0, M_O_TH=1.0))
-    assert report.F_S == 2.0
-    assert report.decision == CONTINUE
-    assert "entire window safe" in report.rationale
+    th = Thresholds(S_N_TH=5.0, M_O_TH=1.0)
+    assert failsafe_point([1.0, 2.0], [10.0, 8.0], th) == 2.0
     # threshold equality counts as safe
-    eq = failsafe_point([(1.0, 5.0, 0.0)], Thresholds(S_N_TH=5.0, M_O_TH=1.0))
-    assert eq.F_S == 1.0 and eq.decision == CONTINUE
+    assert failsafe_point([1.0], [5.0], th) == 1.0
 
 
 def test_failsafe_point_no_safe_prefix():
-    report = failsafe_point([(1.0, 1.0, 0.0)], Thresholds(S_N_TH=5.0, M_O_TH=1.0))
-    assert report.F_S is None
-    assert report.decision == UPDATE_KEYS
-
-
-def test_failsafe_point_overhead_criterion():
-    trace = [(1.0, 0.0, 100.0), (2.0, 0.0, 900.0), (3.0, 0.0, 1200.0)]
-    report = failsafe_point(trace, TH, t1_known=False)
-    assert report.F_S == 2.0
-    assert report.decision == UPDATE_KEYS
-    assert "M_O" in report.rationale
-    # threshold equality counts as safe under this criterion too
-    eq = failsafe_point([(1.0, 0.0, 1000.0)], TH, t1_known=False)
-    assert eq.F_S == 1.0 and eq.decision == CONTINUE
+    th = Thresholds(S_N_TH=5.0, M_O_TH=1.0)
+    assert failsafe_point([1.0], [1.0], th) is None
+    # a sample without S_N, None or NaN, breaks the run like a breach
+    assert failsafe_point([1.0, 2.0, 3.0], [9.0, None, 9.0], th) == 1.0
+    assert failsafe_point([1.0, 2.0], [math.nan, 9.0], th) is None
 
 
 def test_failsafe_point_trace_validation():
+    # no samples: no safe prefix, as for a breach at the first sample
+    assert failsafe_point([], [], TH) is None
     with pytest.raises(DomainError):
-        failsafe_point([], TH)
+        failsafe_point([1.0, 1.0], [1.0, 1.0], TH)
     with pytest.raises(DomainError):
-        failsafe_point([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)], TH)
+        failsafe_point([1.0, 2.0], [1.0], TH)
 
 
 @pytest.mark.parametrize("seed,breach_at", [(1, None), (7, None), (42, 900)])
@@ -238,8 +224,7 @@ def test_score_failsafe_slots_mu_matches_batch_scale_param(seed, breach_at):
         for s_n in samples:  # left to right, independent of sum()'s algorithm
             mean += s_n
         try:
-            mu = scale_param(
-                "sustainability",
+            mu = scale_param_sustainability(
                 mean_sustainability=mean / len(samples) if samples else None,
                 omegas=compliance[:k],
             )
@@ -253,7 +238,8 @@ def test_score_failsafe_slots_mu_matches_batch_scale_param(seed, breach_at):
 
 def scalar_scores(trace, compliance, bounds):
     """Reference: the per-slot scorer the slot columns replaced, one
-    hop_loss_probability, message_overhead and decide() call per slot."""
+    hop_loss_probability, message_overhead and decide() call per slot, and
+    a scalar scan for the end of the safe prefix."""
     scn = trace.scenario
     net, thresholds, slots = scn.net, scn.thresholds, trace.slots
     table = FailsafeTable(*([] for _ in FailsafeTable._fields))
@@ -285,13 +271,15 @@ def scalar_scores(trace, compliance, bounds):
         if s_n is None or mu is None:
             decision, rationale = UPDATE_KEYS, "insufficient observations in this slot"
         else:
-            report = decide(s_n, m_o, mu, None, thresholds, tau=tau)
+            report = decide(s_n, m_o, mu, None, thresholds)
             decision, rationale = report.decision, report.rationale
         for column, cell in zip(table, (t, s_n, m_o, mu, tau, None, decision, rationale)):
             column.append(cell)
-    safety = [(t, -math.inf if s is None else s, m)
-              for t, s, m in zip(table.t_s, table.S_N, table.M_O)]
-    F_S = failsafe_point(safety, thresholds).F_S if safety else None
+    F_S = None
+    for t, s_n in zip(table.t_s, table.S_N):
+        if s_n is None or s_n < thresholds.S_N_TH:
+            break
+        F_S = t
     if F_S is not None:
         table.F_S[:] = [min(t, F_S) for t in table.t_s]
     return table
@@ -330,7 +318,6 @@ def test_decide_scale_floor_wins():
     for mu in (2.0, 1.0, 0.5):
         report = decide(s_n=1e6, m_o=0.0, mu=mu, g_f=None, thresholds=TH)
         assert report.decision == RECONFIGURE
-        assert report.tau == 0.0
     breached = decide(s_n=0.0, m_o=1e9, mu=1.0, g_f=0.9, thresholds=TH)
     assert breached.decision == RECONFIGURE
     assert breached.rationale == ("scale parameter 1 at or below 2: network not operable "
@@ -350,18 +337,16 @@ def test_decide_threshold_breaches():
 
 
 def test_decide_continue_with_advisory():
-    report = decide(
-        s_n=100.0, m_o=10.0, mu=5.0, g_f=0.25, thresholds=TH, tau=0.01, f_s=42.0
-    )
+    report = decide(s_n=100.0, m_o=10.0, mu=5.0, g_f=0.25, thresholds=TH)
     assert report.decision == CONTINUE
-    assert report.tau == 0.01 and report.F_S == 42.0
+    assert report.mu == 5.0
     assert report.rationale == "S_N and M_O within thresholds; advisory G_f=0.250"
 
 
 def test_failsafe_report_validation():
     with pytest.raises(DomainError):
-        FailSafeReport(F_S=None, tau=None, mu=None, decision="panic", rationale="")
+        FailSafeReport(mu=None, decision="panic", rationale="")
     with pytest.raises(DomainError):
-        FailSafeReport(F_S=None, tau=None, mu=1.5, decision=CONTINUE, rationale="")
-    FailSafeReport(F_S=None, tau=None, mu=1.5, decision=RECONFIGURE, rationale="")
+        FailSafeReport(mu=1.5, decision=CONTINUE, rationale="")
+    FailSafeReport(mu=1.5, decision=RECONFIGURE, rationale="")
 

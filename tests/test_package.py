@@ -1,7 +1,8 @@
 """Package-level tests: `v2xsustain` resolves its public names lazily from
-one name -> submodule map.
+one name -> submodule map, and the README's code and references hold.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -47,3 +48,29 @@ def test_readme_quick_start_runs_as_written(capsys):
     snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(snippet, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("True ")
+
+
+def test_readme_references_exist():
+    # every test the README cites is defined in its file, and every name
+    # after "library only:" in the module map is an attribute of that
+    # row's module
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    cited = re.findall(r"`tests/(\w+\.py)::(\w+)`", readme)
+    assert cited
+    for path, name in cited:
+        tree = ast.parse((ROOT / "tests" / path).read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert name in defined, f"tests/{path}::{name}"
+    section = readme.split("## Module map", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M)
+    library_only = 0
+    for module, contents in rows:
+        if "library only:" not in contents:
+            continue
+        source = importlib.import_module(f"v2xsustain.{module}")
+        tail = contents.split("library only:", 1)[1]
+        for name in re.findall(r"`([^`]+)`", tail):
+            if not name.startswith("tests/"):
+                assert hasattr(source, name), f"{module}.{name}"
+                library_only += 1
+    assert library_only >= 10

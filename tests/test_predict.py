@@ -35,10 +35,14 @@ from v2xsustain import (
 )
 from v2xsustain.errors import DivergenceError, DomainError
 
-from oracles import failsafe_likelihood, predicted_key_updates_quadrature
+from oracles import (
+    failsafe_likelihood,
+    predicted_key_updates_quadrature,
+    scale_param_sustainability,
+)
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
-RATES = RateParams(alpha=1.0, beta=2.0, gamma=1.0, gamma_prime=0.1)
+RATES = RateParams(alpha=1.0, beta=2.0, gamma_prime=0.1)
 WINDOW = TimeWindow(t1=5.0, t2=105.0, T=110.0)
 RANGE = RangeParams(r1=100.0, r2=500.0)
 
@@ -66,28 +70,28 @@ def test_likelihood_bounds_validation():
 
 def test_density_beta_uniform():
     assert density_beta(BetaTraffic(), RangeParams(r1=0.1, r2=0.9)) == pytest.approx(
-        0.8, rel=1e-12
+        0.8, rel=1e-12, abs=0.0
     )
     # meter range scaled into the unit interval and back
     assert density_beta(BetaTraffic(), RANGE, normalizer=600.0) == pytest.approx(
-        400.0 / 600.0, rel=1e-12
+        400.0 / 600.0, rel=1e-12, abs=0.0
     )
 
 
 def test_density_beta_shape_one_scale_three():
     got = density_beta(BetaTraffic(shape=1.0, scale=3.0), RangeParams(r1=0.1, r2=0.9))
-    assert got == pytest.approx(0.9**3 - 0.1**3, rel=1e-10)
-    assert got == pytest.approx(0.728, rel=1e-10)
+    assert got == pytest.approx(0.9**3 - 0.1**3, rel=1e-10, abs=0.0)
+    assert got == pytest.approx(0.728, rel=1e-10, abs=0.0)
 
 
 def test_density_beta_total_mass_and_trapezoid_oracle():
     tr = BetaTraffic(shape=2.0, scale=5.0)
     full = density_beta(tr, RangeParams(r1=0.0, r2=1.0))
-    assert full == pytest.approx(1.0, rel=1e-9)
+    assert full == pytest.approx(1.0, rel=1e-9, abs=0.0)
     xs = np.linspace(0.2, 0.7, 200001)
     pdf = 30.0 * xs * (1.0 - xs) ** 4  # Beta(2,5) density
     part = density_beta(tr, RangeParams(r1=0.2, r2=0.7))
-    assert part == pytest.approx(float(np.trapezoid(pdf, xs)), rel=1e-8)
+    assert part == pytest.approx(float(np.trapezoid(pdf, xs)), rel=1e-8, abs=0.0)
 
 
 def test_density_beta_interval_and_normalizer_validation():
@@ -108,9 +112,9 @@ def test_scale_param_credentials():
     # four entities at availability 1/e: mu = 4 / (4 * 1) = 1
     assert scale_param(
         "credentials", availabilities=[math.exp(-1.0)] * 4
-    ) == pytest.approx(1.0, rel=1e-12)
+    ) == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert scale_param("credentials", availabilities=[0.5] * 10) == pytest.approx(
-        1.0 / math.log(2.0), rel=1e-12
+        1.0 / math.log(2.0), rel=1e-12, abs=0.0
     )
     with pytest.raises(DomainError):
         scale_param("credentials", availabilities=[])
@@ -119,20 +123,23 @@ def test_scale_param_credentials():
 
 
 def test_scale_param_sustainability():
-    got = scale_param("sustainability", mean_sustainability=100.0, omegas=[0.5] * 4)
-    assert got == pytest.approx(100.0 / (4.0 * math.log(2.0)), rel=1e-12)
+    got = scale_param_sustainability(mean_sustainability=100.0, omegas=[0.5] * 4)
+    assert got == pytest.approx(100.0 / (4.0 * math.log(2.0)), rel=1e-12, abs=0.0)
     with pytest.raises(DomainError):
-        scale_param("sustainability", mean_sustainability=0.0, omegas=[0.5])
+        scale_param_sustainability(mean_sustainability=0.0, omegas=[0.5])
     with pytest.raises(DomainError):
-        scale_param("sustainability", mean_sustainability=1.0, omegas=[])
+        scale_param_sustainability(mean_sustainability=1.0, omegas=[])
+    # the package keeps the credentials and outgoing estimators only
+    with pytest.raises(DomainError, match="unknown scale_param mode"):
+        scale_param("sustainability")
 
 
 def test_scale_param_outgoing():
     assert scale_param("outgoing", gamma_prime=1.0 - math.exp(-1.0)) == pytest.approx(
-        1.0, rel=1e-12
+        1.0, rel=1e-12, abs=0.0
     )
     assert scale_param("outgoing", gamma_prime=0.9) == pytest.approx(
-        1.0 / math.log(10.0), rel=1e-12
+        1.0 / math.log(10.0), rel=1e-12, abs=0.0
     )
     with pytest.raises(DomainError):
         scale_param("outgoing", gamma_prime=0.0)
@@ -151,7 +158,7 @@ def test_connectivity_prob_values_and_monotonicity():
     net = NetworkParams(N=10, E=50, E_zero=50, n_inv=5)
     assert connectivity_prob(net, 0.1, 0.0) == pytest.approx(0.0, abs=1e-15)
     assert connectivity_prob(net, 0.1, 5.0) == pytest.approx(
-        1.0 - math.exp(-0.5), rel=1e-12
+        1.0 - math.exp(-0.5), rel=1e-12, abs=0.0
     )
     ts = np.linspace(0.0, 200.0, 300)
     vals = [connectivity_prob(net, 0.1, float(t)) for t in ts]
@@ -159,7 +166,7 @@ def test_connectivity_prob_values_and_monotonicity():
     assert all(0.0 <= v < 1.0 for v in vals)
     # partial initial cohort starts above zero
     half = NetworkParams(N=10, E=50, E_zero=25, n_inv=5)
-    assert connectivity_prob(half, 0.1, 0.0) == pytest.approx(0.5, rel=1e-12)
+    assert connectivity_prob(half, 0.1, 0.0) == pytest.approx(0.5, rel=1e-12, abs=0.0)
     with pytest.raises(DomainError):
         connectivity_prob(net, -0.1, 1.0)
     with pytest.raises(DomainError):
@@ -168,12 +175,12 @@ def test_connectivity_prob_values_and_monotonicity():
 
 def test_connectivity_window_factor_reference():
     assert connectivity_window_factor(NET, 0.1, WINDOW) == pytest.approx(
-        CONN_FACTOR_REF, rel=1e-12
+        CONN_FACTOR_REF, rel=1e-12, abs=0.0
     )
     # E * rate = 4 here (it is 1 above): E0 / (E rate) = 8 / 4
     net = NetworkParams(N=10, E=20, E_zero=8, n_inv=5, Q=1)
     assert connectivity_window_factor(net, 0.2, WINDOW) == pytest.approx(
-        0.26424111917362747, rel=1e-12  # 1 - 2 (e^-1 - e^-21)
+        0.26424111917362747, rel=1e-12, abs=0.0  # 1 - 2 (e^-1 - e^-21)
     )
     with pytest.raises(DomainError):
         connectivity_window_factor(NET, 0.0, WINDOW)
@@ -182,8 +189,8 @@ def test_connectivity_window_factor_reference():
 def test_predicted_key_updates_closed_form():
     got = predicted_key_updates(RATES, WINDOW)
     closed = 0.5 * (math.exp(-1.0 / 105.0) - math.exp(-1.0 / 5.0))
-    assert got == pytest.approx(closed, rel=1e-10)
-    assert got == pytest.approx(U_K_PRED_REF, rel=1e-10)
+    assert got == pytest.approx(closed, rel=1e-10, abs=0.0)
+    assert got == pytest.approx(U_K_PRED_REF, rel=1e-10, abs=0.0)
     with pytest.raises(DomainError):
         predicted_key_updates(RateParams(alpha=0.0, beta=1.0), WINDOW)
 
@@ -195,16 +202,16 @@ def test_predicted_key_updates_closed_form_random_rates():
         rates = RateParams(alpha=a, beta=a + 1.0)
         closed = (a / 2.0) * (math.exp(-a / 105.0) - math.exp(-a / 5.0))
         twin = predicted_key_updates_quadrature(rates, WINDOW)
-        assert twin == pytest.approx(closed, rel=1e-9)
-        assert predicted_key_updates(rates, WINDOW) == pytest.approx(twin, rel=1e-9)
+        assert twin == pytest.approx(closed, rel=1e-9, abs=0.0)
+        assert predicted_key_updates(rates, WINDOW) == pytest.approx(twin, rel=1e-9, abs=0.0)
 
 
 def test_predicted_overhead_components():
     pred = predicted_message_overhead(RATES, NET, WINDOW, RANGE, 1.0)
-    assert pred.alpha_prime == pytest.approx(1.0 / 105.0, rel=1e-15)
-    assert pred.density == pytest.approx(RANGE.r2 - RANGE.r1, rel=1e-10)
-    assert pred.key_updates == pytest.approx(U_K_PRED_REF, rel=1e-10)
-    assert pred.connectivity_factor == pytest.approx(CONN_FACTOR_REF, rel=1e-12)
+    assert pred.alpha_prime == pytest.approx(1.0 / 105.0, rel=1e-15, abs=0.0)
+    assert pred.density == pytest.approx(RANGE.r2 - RANGE.r1, rel=1e-10, abs=0.0)
+    assert pred.key_updates == pytest.approx(U_K_PRED_REF, rel=1e-10, abs=0.0)
+    assert pred.connectivity_factor == pytest.approx(CONN_FACTOR_REF, rel=1e-12, abs=0.0)
     composed = (
         NET.Q
         / pred.key_updates
@@ -215,7 +222,7 @@ def test_predicted_overhead_components():
             * pred.connectivity_factor
         )
     )
-    assert pred.composed == pytest.approx(composed, rel=1e-14)
+    assert pred.composed == pytest.approx(composed, rel=1e-14, abs=0.0)
     assert pred.relative_difference >= 0.0
 
 
@@ -226,10 +233,10 @@ def test_a1_composed_overhead_is_negative():
     # "Composed overhead at A1"). This pins the current sign and values.
     pred = predicted_message_overhead(RATES, NET, WINDOW, RANGE, 1.0)
     assert pred.connectivity_factor < 0.0
-    assert pred.composed == pytest.approx(-1.2024148e7, rel=1e-7)
-    assert pred.printed == pytest.approx(7.872080e5, rel=1e-6)
+    assert pred.composed == pytest.approx(-1.2024148e7, rel=1e-7, abs=0.0)
+    assert pred.printed == pytest.approx(7.872080e5, rel=1e-6, abs=0.0)
     # |composed - printed| / max(|composed|, |printed|)
-    assert pred.relative_difference == pytest.approx(1.0654689, rel=1e-7)
+    assert pred.relative_difference == pytest.approx(1.0654689, rel=1e-7, abs=0.0)
 
 
 def test_predicted_overhead_q_linearity():
@@ -237,34 +244,21 @@ def test_predicted_overhead_q_linearity():
     for q in range(2, 6):
         net = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=q)
         got = predicted_message_overhead(RATES, net, WINDOW, RANGE, 1.0).composed
-        assert got == pytest.approx(q * base, rel=1e-12)
+        assert got == pytest.approx(q * base, rel=1e-12, abs=0.0)
 
 
 def test_predicted_overhead_o_b_linearity():
     base = predicted_message_overhead(RATES, NET, WINDOW, RANGE, 1.0).composed
     for k in (0.5, 2.0, 7.25):
         got = predicted_message_overhead(RATES, NET, WINDOW, RANGE, k).composed
-        assert got == pytest.approx(k * base, rel=1e-12)
+        assert got == pytest.approx(k * base, rel=1e-12, abs=0.0)
 
 
 def test_predicted_overhead_printed_form_is_q_free():
     p1 = predicted_message_overhead(RATES, NET, WINDOW, RANGE, 1.0).printed
     net5 = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=5)
     p5 = predicted_message_overhead(RATES, net5, WINDOW, RANGE, 1.0).printed
-    assert p5 == pytest.approx(p1, rel=1e-14)
-
-
-def test_predicted_overhead_rate_variants():
-    out = predicted_message_overhead(RATES, NET, WINDOW, RANGE, 1.0)
-    inc = predicted_message_overhead(
-        RATES, NET, WINDOW, RANGE, 1.0, rate_variant="incoming"
-    )
-    assert inc.connectivity_factor == pytest.approx(
-        connectivity_window_factor(NET, RATES.gamma, WINDOW), rel=1e-12
-    )
-    assert inc.connectivity_factor != out.connectivity_factor
-    with pytest.raises(DomainError):
-        predicted_message_overhead(RATES, NET, WINDOW, RANGE, 1.0, rate_variant="x")
+    assert p5 == pytest.approx(p1, rel=1e-14, abs=0.0)
 
 
 def test_predicted_overhead_alpha_prime_domain():
@@ -296,7 +290,7 @@ def test_failsafe_likelihood_antiderivative():
     for mu in (0.5, 1.0, 2.5, 3.0, 7.0, 20.0, 50.0):
         r = failsafe_likelihood(mu, b, 110.0)
         expected = ((1.0 - b.d1) ** mu - (1.0 - b.d2) ** mu) / 110.0
-        assert r.integral == pytest.approx(expected, rel=1e-9)
+        assert r.integral == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_failsafe_likelihood_floor():
@@ -313,10 +307,10 @@ def test_failsafe_likelihood_floor():
 def test_failsafe_likelihood_reference_values():
     b = LikelihoodBounds(d1=0.1, d2=0.9)
     assert failsafe_likelihood(1.0, b, 110.0).integral == pytest.approx(
-        0.8 / 110.0, rel=1e-10
+        0.8 / 110.0, rel=1e-10, abs=0.0
     )
     assert failsafe_likelihood(3.0, b, 110.0).tau == pytest.approx(
-        0.728 / 110.0, rel=1e-10
+        0.728 / 110.0, rel=1e-10, abs=0.0
     )
 
 
@@ -324,8 +318,8 @@ def test_failsafe_likelihood_closed_variants():
     b = LikelihoodBounds(d1=0.1, d2=0.9)
     r = failsafe_likelihood(3.0, b, 110.0)
     base = 0.9 * 0.1
-    assert r.closed_reduced == pytest.approx(3.0 * base**2, rel=1e-9)
-    assert r.closed_full == pytest.approx(3.0 / base, rel=1e-9)
+    assert r.closed_reduced == pytest.approx(3.0 * base**2, rel=1e-9, abs=0.0)
+    assert r.closed_full == pytest.approx(3.0 / base, rel=1e-9, abs=0.0)
     # the full variant overflows to inf for large mu instead of raising
     assert failsafe_likelihood(300.0, b, 110.0).closed_full == math.inf
 
@@ -343,7 +337,7 @@ def test_failsafe_tau_matches_quadrature_twin():
     for mu in (0.5, 1.0, 2.0):
         assert failsafe_tau(mu, b, 110.0) == 0.0
         assert failsafe_likelihood(mu, b, 110.0).tau == 0.0
-    assert failsafe_tau(3.0, b, 110.0) == pytest.approx(0.728 / 110.0, rel=1e-12)
+    assert failsafe_tau(3.0, b, 110.0) == pytest.approx(0.728 / 110.0, rel=1e-12, abs=0.0)
     rng = np.random.default_rng(2718)
     checked = 0
     for _ in range(200):
@@ -353,7 +347,7 @@ def test_failsafe_tau_matches_quadrature_twin():
         twin = failsafe_likelihood(mu, bounds, 110.0).tau
         if twin < sys.float_info.min:
             continue  # subnormal results lose precision on both routes
-        assert failsafe_tau(mu, bounds, 110.0) == pytest.approx(twin, rel=1e-9)
+        assert failsafe_tau(mu, bounds, 110.0) == pytest.approx(twin, rel=1e-9, abs=0.0)
         checked += 1
     assert checked >= 100
     with pytest.raises(DomainError):
@@ -365,16 +359,16 @@ def test_failsafe_tau_matches_quadrature_twin():
 def test_scale_asymptote_value_and_divergence():
     b = LikelihoodBounds(d1=0.1, d2=0.9, c1=0.1, c2=0.9)
     got = scale_asymptote(b, 110.0)
-    assert got == pytest.approx(SCALE_ASYMPTOTE_REF, rel=1e-9)
+    assert got == pytest.approx(SCALE_ASYMPTOTE_REF, rel=1e-9, abs=0.0)
     xs = np.linspace(0.1, 0.9, 400001)
     oracle = np.exp(-xs / 110.0) / np.log(1.0 / (1.0 - xs))
-    assert got == pytest.approx(float(np.trapezoid(oracle, xs)), rel=1e-8)
+    assert got == pytest.approx(float(np.trapezoid(oracle, xs)), rel=1e-8, abs=0.0)
     with pytest.raises(DivergenceError):
         scale_asymptote(LikelihoodBounds(d1=0.1, d2=0.9, c1=0.0, c2=0.5), 110.0)
 
 
 def test_scale_growth_diagnostic():
-    assert scale_growth_diagnostic(110.0, 2) == pytest.approx(12100.0, rel=1e-15)
+    assert scale_growth_diagnostic(110.0, 2) == pytest.approx(12100.0, rel=1e-15, abs=0.0)
     assert scale_growth_diagnostic(110.0, 0) == 1.0
     with pytest.raises(DomainError):
         scale_growth_diagnostic(0.0, 2)

@@ -48,14 +48,14 @@ EI_REFERENCE = {
 
 def test_ei_reference_points():
     for x, ref in EI_REFERENCE.items():
-        assert expint_ei(x) == pytest.approx(ref, rel=1e-14)
+        assert expint_ei(x) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_ei_against_quadrature_oracle_series_branch():
     rng = np.random.default_rng(2301)
     for x in rng.uniform(0.009, 30.0, size=100):
         x = float(x)
-        assert expint_ei(x) == pytest.approx(oracle_ei(x), rel=1e-12)
+        assert expint_ei(x) == pytest.approx(oracle_ei(x), rel=1e-12, abs=0.0)
 
 
 def test_ei_against_scipy_expi():
@@ -66,7 +66,7 @@ def test_ei_against_scipy_expi():
     for x in map(float, xs):
         if abs(x - x0) < 0.01:
             continue  # Ei crosses 0 there: checked absolutely below
-        assert expint_ei(x) == pytest.approx(special.expi(x), rel=1e-12), x
+        assert expint_ei(x) == pytest.approx(special.expi(x), rel=1e-12, abs=0.0), x
     for x in map(float, np.linspace(x0 - 0.01, x0 + 0.01, 201)):
         assert expint_ei(x) == pytest.approx(special.expi(x), rel=0.0, abs=1e-15), x
 
@@ -75,14 +75,14 @@ def test_ei_branch_consistency_at_cutoff():
     # both branches must agree where the implementation switches
     lo = expint_ei(math.nextafter(40.0, 0.0))
     hi = expint_ei(math.nextafter(40.0, math.inf))
-    assert hi == pytest.approx(lo, rel=1e-13)
-    assert expint_ei(40.0) == pytest.approx(oracle_ei(40.0), rel=1e-12)
+    assert hi == pytest.approx(lo, rel=1e-13, abs=0.0)
+    assert expint_ei(40.0) == pytest.approx(oracle_ei(40.0), rel=1e-12, abs=0.0)
 
 
 def test_ei_asymptotic_branch_against_oracle():
     for x in (41.0, 55.0, 80.0, 120.0, 250.0):
         # oracle integral needs rescaled nodes; still analytic, still exact
-        assert expint_ei(x) == pytest.approx(oracle_ei(x), rel=1e-12)
+        assert expint_ei(x) == pytest.approx(oracle_ei(x), rel=1e-12, abs=0.0)
 
 
 def test_ei_is_strictly_increasing():
@@ -121,8 +121,8 @@ def test_ln_gamma_matches_factorials_exactly():
 
 
 def test_ln_gamma_nonintegral_and_domain():
-    assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15)
-    assert ln_gamma(301.5) == pytest.approx(math.lgamma(301.5), rel=1e-15)
+    assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15, abs=0.0)
+    assert ln_gamma(301.5) == pytest.approx(math.lgamma(301.5), rel=1e-15, abs=0.0)
     with pytest.raises(DomainError):
         ln_gamma(0.0)
     with pytest.raises(DomainError):
@@ -151,18 +151,18 @@ def test_integrate_degenerate_interval():
 def test_integrate_polynomials_exact():
     # Simpson with Richardson is exact through degree five
     r = integrate(lambda x: x**3 - 2 * x + 1, QuadSpec(-1.0, 2.0))
-    assert r.value == pytest.approx(3.75 - 3.0 + 3.0, rel=1e-14)
+    assert r.value == pytest.approx(3.75 - 3.0 + 3.0, rel=1e-14, abs=0.0)
     r = integrate(lambda x: x**5, QuadSpec(0.0, 1.0))
-    assert r.value == pytest.approx(1.0 / 6.0, rel=1e-13)
+    assert r.value == pytest.approx(1.0 / 6.0, rel=1e-13, abs=0.0)
 
 
 def test_integrate_known_transcendentals():
     r = integrate(math.sin, QuadSpec(0.0, math.pi))
-    assert r.value == pytest.approx(2.0, rel=1e-11)
+    assert r.value == pytest.approx(2.0, rel=1e-11, abs=0.0)
     r = integrate(math.exp, QuadSpec(0.0, 1.0))
-    assert r.value == pytest.approx(math.e - 1.0, rel=1e-11)
+    assert r.value == pytest.approx(math.e - 1.0, rel=1e-11, abs=0.0)
     r = integrate(lambda x: 1.0 / x, QuadSpec(1.0, math.e))
-    assert r.value == pytest.approx(1.0, rel=1e-11)
+    assert r.value == pytest.approx(1.0, rel=1e-11, abs=0.0)
 
 
 def test_integrate_error_estimate_brackets_truth():
@@ -176,7 +176,7 @@ def test_integrate_respects_tighter_tolerance():
     tight = integrate(lambda x: math.exp(-x) * math.sin(8 * x), QuadSpec(0.0, 6.0, rel_tol=1e-12))
     # antiderivative of e^-x sin(8x) is -e^-x (sin 8x + 8 cos 8x) / 65
     truth = (8.0 + math.exp(-6.0) * (-math.sin(48.0) - 8.0 * math.cos(48.0))) / 65.0
-    assert tight.value == pytest.approx(truth, rel=1e-11)
+    assert tight.value == pytest.approx(truth, rel=1e-11, abs=0.0)
     assert tight.evaluations > loose.evaluations
 
 
@@ -198,7 +198,7 @@ def test_integrate_convergence_failure_carries_best_estimate():
             lambda x: 1.0 / math.sqrt(x) if x > 0 else 0.0,
             QuadSpec(0.0, 1.0, rel_tol=1e-13, max_depth=8),
         )
-    assert exc.value.best_estimate == pytest.approx(2.0, rel=0.05)
+    assert exc.value.best_estimate == pytest.approx(2.0, rel=0.05, abs=0.0)
     assert exc.value.error_estimate >= 0.0
 
 
@@ -206,4 +206,4 @@ def test_integrate_window_shape_used_by_model():
     # e^{1/t}/t over [5, 105] has antiderivative -Ei(1/t)
     r = integrate(lambda t: math.exp(1.0 / t) / t, QuadSpec(5.0, 105.0))
     expected = expint_ei(0.2) - expint_ei(1.0 / 105.0)
-    assert r.value == pytest.approx(expected, rel=1e-10)
+    assert r.value == pytest.approx(expected, rel=1e-10, abs=0.0)
