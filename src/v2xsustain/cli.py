@@ -112,9 +112,7 @@ def _cell(fn, warnings: list[str], name: str):
 def cmd_validate(args) -> int:
     b = _bundle(args)
     scn = b.scenario
-    violations = check_constraints(
-        scn.net, scn.rates, scn.window, b.U_k, b.D, scn.thresholds
-    )
+    violations = check_constraints(scn.net, scn.window, b.U_k, b.D, scn.thresholds)
     if not violations:
         print("ok: all constraints satisfied")
         return EXIT_OK
@@ -248,6 +246,9 @@ def cmd_simulate(args) -> int:
     b = _bundle(args)
     base = b.scenario
     seed = base.seed if args.seed is None else args.seed
+    if seed + args.runs - 1 >= 2**64:
+        raise ConfigError(f"seeds {seed}..{seed + args.runs - 1} of --runs {args.runs} "
+                          f"pass the 64-bit seed range")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i in range(args.runs):
@@ -257,9 +258,9 @@ def cmd_simulate(args) -> int:
         except SimulationTruncated as e:
             print(f"run {i}: truncated at event cap: {e}", file=sys.stderr)
             return EXIT_CHECK_FAILED
-        report = compare_to_model(trace, scn)
         trace.export_events_csv(out / f"run{i}_events.csv")
         trace.export_metrics_csv(out / f"run{i}_metrics.csv")
+        report = compare_to_model(trace, scn)
         report.export_csv(out / f"run{i}_comparison.csv")
         mad = "" if report.survivor_mad is None else f"{report.survivor_mad:.4f}"
         print(

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 from .csvio import nan_to_none
 from .errors import DomainError, OverflowRangeError
 from .predict import SCALE_FLOOR, LikelihoodBounds, failsafe_tau
-from .sustain import NetworkParams, RateParams, TimeWindow
+from .sustain import NetworkParams, TimeWindow
 from .sustain import hop_loss_probability, message_overhead
 
 CONTINUE = "continue"
@@ -179,7 +179,6 @@ class Violation(NamedTuple):
 
 def check_constraints(
     net: NetworkParams,
-    rates: RateParams,
     window: TimeWindow,
     U_k: float,
     D: float,
@@ -193,7 +192,6 @@ def check_constraints(
     t_use < t_min_hold (reported with its slack). An empty list means the
     configuration is admissible.
     """
-    del rates  # rate positivity is structural, enforced by RateParams itself
     violations = []
     if U_k < thresholds.U_prime_N:
         violations.append(

@@ -84,14 +84,15 @@ class KeyHierarchy:
         return [c for c, p in PARENTS.items() if p == label]
 
     def descendants(self, label: str) -> list[str]:
-        # Depth-first in fixed label order; parents precede children.
+        # Breadth-first in fixed label order: level by level, so parents
+        # precede children. The derivation log follows this order.
         out = []
-        stack = [label]
-        while stack:
-            cur = stack.pop(0)
+        queue = [label]
+        while queue:
+            cur = queue.pop(0)
             kids = self.children(cur)
             out.extend(kids)
-            stack.extend(kids)
+            queue.extend(kids)
         return out
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -219,8 +220,7 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     """
     net, rates, window = scenario.net, scenario.rates, scenario.window
     violations = check_constraints(
-        net, rates, window,
-        U_k=scenario.thresholds.U_prime_N, D=net.N, thresholds=scenario.thresholds,
+        net, window, U_k=scenario.thresholds.U_prime_N, D=net.N, thresholds=scenario.thresholds
     )
     if violations:
         names = ", ".join(v.constraint for v in violations)
@@ -301,23 +301,24 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     )
 
 
-@dataclass(frozen=True)
-class SlotComparison:
-    t_s: float
-    S_N_emp: float | None
-    S_N_model: float | None
-    S_N_rel_dev: float | None
-    P_emp: float
-    P_model: float
-    P_abs_dev: float
-    survivor_emp: float | None
-    survivor_model: float | None
-    survivor_abs_dev: float | None
+class ComparisonTable(NamedTuple):
+    """The compared slots by column; the field names are the comparison CSV header."""
+
+    t_s: list[float]
+    S_N_emp: list[float | None]
+    S_N_model: list[float | None]
+    S_N_rel_dev: list[float | None]
+    P_emp: list[float]
+    P_model: list[float]
+    P_abs_dev: list[float]
+    survivor_emp: list[float | None]
+    survivor_model: list[float | None]
+    survivor_abs_dev: list[float | None]
 
 
 @dataclass
 class ComparisonReport:
-    rows: list[SlotComparison]
+    table: ComparisonTable
     p_model: float
     survivor_mad: float | None
     passes_observed: int
@@ -326,75 +327,55 @@ class ComparisonReport:
     s_n_mean_rel_dev: float | None = None
 
     def export_csv(self, path: str | Path) -> None:
-        header = [f.name for f in fields(SlotComparison)]  # the CSV columns, in order
-        write_csv(path, header, [[getattr(r, name) for r in self.rows] for name in header])
+        write_csv(path, ComparisonTable._fields, self.table)
+
+
+def _mean_abs(column: list[float | None]) -> float | None:
+    """Mean of |v| over the defined cells, summed in slot order; None if none."""
+    defined = [abs(v) for v in column if v is not None]
+    return sum(defined) / len(defined) if defined else None
 
 
 def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     """Slot-by-slot empirical vs closed-form comparison.
 
     Model sustainability for a slot integrates the closed form over that
-    slot's window; the first slot has no model value because its window
-    starts at t = 0. Survivor fractions compare the initial cohort against
-    exponential decay. The pass identity checks the trace's auth_pass rows
-    against Q per arrival plus, if the scenario counts them, Q per update.
+    slot's window (previous edge, edge], clipped at T; the first slot has no
+    model value because its window starts at t = 0. Survivor fractions
+    compare the initial cohort against exponential decay. The pass identity
+    checks the trace's auth_pass rows against its passes_total: Q per
+    arrival plus, if the scenario counts them, Q per update.
     """
     if trace.scenario != scenario:
         raise DomainError("trace was not produced from this scenario")
     net, rates, window = scenario.net, scenario.rates, scenario.window
     p_model = loss_probability_model(net)
-    model_ok = rates.alpha > 0.0 and rates.beta > rates.alpha
-
-    rows = []
-    survivor_devs = []
-    s_n_devs = []
-    prev = 0.0
     s = trace.slots
-    for t_s, s_n_emp, p_emp, cohort in zip(*map(nan_to_none, (
-            s.t_s, s.S_N_emp, s.P_empirical, s.cohort_fraction))):
-        s_n_model = None
-        s_n_rel = None
-        slot_t2 = min(t_s, window.T)
-        if model_ok and 0.0 < prev < slot_t2:
-            slot_window = TimeWindow(
-                t1=prev, t2=slot_t2, T=window.T, t_x_step=window.t_x_step
-            )
-            s_n_model = sustainability_window(rates, net, slot_window)
-            if s_n_emp is not None and s_n_model != 0.0:
-                s_n_rel = (s_n_emp - s_n_model) / abs(s_n_model)
-                s_n_devs.append(abs(s_n_rel))
-        survivor_model = None
-        survivor_dev = None
-        if cohort is not None:
-            survivor_model = math.exp(-rates.gamma_prime * t_s)
-            survivor_dev = abs(cohort - survivor_model)
-            survivor_devs.append(survivor_dev)
-        rows.append(
-            SlotComparison(
-                t_s=t_s,
-                S_N_emp=s_n_emp,
-                S_N_model=s_n_model,
-                S_N_rel_dev=s_n_rel,
-                P_emp=p_emp,
-                P_model=p_model,
-                P_abs_dev=abs(p_emp - p_model),
-                survivor_emp=cohort,
-                survivor_model=survivor_model,
-                survivor_abs_dev=survivor_dev,
-            )
-        )
-        prev = t_s
-
-    expected = net.Q * trace.arrivals_total
-    if scenario.count_reauth_passes:
-        expected += net.Q * trace.key_updates_total
+    t_s, s_n_emp, p_emp, cohort = map(nan_to_none, (
+        s.t_s, s.S_N_emp, s.P_empirical, s.cohort_fraction))
+    s_n_model = [None] * len(t_s)
+    if rates.alpha > 0.0 and rates.beta > rates.alpha:
+        for k, (t1, edge) in enumerate(zip([0.0, *t_s], t_s)):
+            t2 = min(edge, window.T)
+            if 0.0 < t1 < t2:
+                s_n_model[k] = sustainability_window(
+                    rates, net, TimeWindow(t1=t1, t2=t2, T=window.T, t_x_step=window.t_x_step))
+    s_n_rel = [None if e is None or m is None or m == 0.0 else (e - m) / abs(m)
+               for e, m in zip(s_n_emp, s_n_model)]
+    survivor_model = [None if c is None else math.exp(-rates.gamma_prime * t)
+                      for t, c in zip(t_s, cohort)]
+    survivor_dev = [None if c is None else abs(c - m) for c, m in zip(cohort, survivor_model)]
+    table = ComparisonTable(
+        t_s, s_n_emp, s_n_model, s_n_rel, p_emp, [p_model] * len(t_s),
+        [abs(p - p_model) for p in p_emp], cohort, survivor_model, survivor_dev,
+    )
     observed = int(np.count_nonzero(trace.events.kind == _AUTH_PASS))
     return ComparisonReport(
-        rows=rows,
+        table=table,
         p_model=p_model,
-        survivor_mad=(sum(survivor_devs) / len(survivor_devs)) if survivor_devs else None,
+        survivor_mad=_mean_abs(survivor_dev),
         passes_observed=observed,
-        passes_expected=expected,
-        pass_identity_ok=observed == expected,
-        s_n_mean_rel_dev=(sum(s_n_devs) / len(s_n_devs)) if s_n_devs else None,
+        passes_expected=trace.passes_total,
+        pass_identity_ok=observed == trace.passes_total,
+        s_n_mean_rel_dev=_mean_abs(s_n_rel),
     )

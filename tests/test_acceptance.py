@@ -305,7 +305,7 @@ def test_criterion_09_decision_engine():
     t_s, s_n, _ = zip(*trace)
     assert failsafe_point(t_s, s_n, Thresholds(S_N_TH=5.0, M_O_TH=1000.0)) == trace[2][0]
 
-    clean = dict(net=NET, rates=RATES, window=WINDOW, U_k=1.0, D=10.0, thresholds=TH)
+    clean = dict(net=NET, window=WINDOW, U_k=1.0, D=10.0, thresholds=TH)
     assert check_constraints(**clean) == []
     negations = [
         ("U_k >= U'_N", {"U_k": 0.0}),

@@ -27,12 +27,14 @@ from v2xsustain import (
     Thresholds,
     TimeWindow,
     build_bundle,
+    compare_to_model,
     default_config,
     load_bundle,
     load_config,
     loss_probability_model,
     merge_config,
     message_overhead,
+    run_simulation,
     signaling_overhead,
 )
 from v2xsustain.cli import SWEEP_GRIDS, main
@@ -302,6 +304,31 @@ def test_out_of_range_runs_exit_one_with_one_line(tmp_path, capsys, command, ove
     assert err.count("\n") == 1
 
 
+def test_simulate_keeps_the_run_when_the_model_leaves_double_range(tmp_path, capsys):
+    # the slot window [0.1, 0.2] gives (beta - alpha)/t1 = 19990, past Ei's range
+    cfg = write_config(tmp_path, T_s=0.3, t2_s=0.25, t1_s=0.05, tx_step_s=0.1,
+                       gamma_prime=5, E=1000, E0=500, beta=2000, alpha=1)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: expint_ei(19990.0) exceeds double-precision range\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["run0_events.csv", "run0_metrics.csv"]
+    assert len((out / "run0_metrics.csv").read_text().splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("route", ["--seed", "config"])
+def test_seed_range_past_64_bits_exits_two_before_any_run(tmp_path, capsys, route):
+    top = 2**64 - 1
+    argv = ["--seed", str(top)] if route == "--seed" else [write_config(tmp_path, seed=top)]
+    out = tmp_path / "out"
+    assert main(["simulate", *argv, "--runs", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sweep_alpha_prime_default_lives_in_the_library(tmp_path, capsys):
     # a configured alpha_prime (not the alpha/t2 = 1/105 default) prices O_S
     cfg = write_config(tmp_path, alpha_prime=0.05)
@@ -519,6 +546,29 @@ def test_simulate_golden_digest(tmp_path, monkeypatch, capsys):
     for kind, digest in GOLDEN_A1_SEED_1234.items():
         data = (tmp_path / f"run0_{kind}.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, kind
+
+
+# SHA-256 of the comparison CSV at E=100, E0=10, seed 1234. The hub is not
+# full there, so S_N_rel_dev is defined in 21 of the 22 slots (in 1 at A1).
+GOLDEN_E100_COMPARISON_SEED_1234 = (
+    "eba8f2bcb9f984bf298be2e3bf70317a31b2a7aa0195bfa8384222995c43c9ab"
+)
+
+
+def test_simulate_comparison_digest_where_s_n_is_defined(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    cfg = write_config(tmp_path, E=100, E0=10)
+    assert main(["simulate", cfg, "--out", str(tmp_path / "sims"), "--seed", "1234"]) == 0
+    capsys.readouterr()
+    data = (tmp_path / "sims" / "run0_comparison.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_E100_COMPARISON_SEED_1234
+    scn = load_bundle(cfg).scenario
+    report = compare_to_model(run_simulation(scn), scn)
+    table = report.table
+    devs = [abs((e - m) / abs(m)) for e, m in zip(table.S_N_emp, table.S_N_model)
+            if e is not None and m is not None]
+    assert len(devs) == 21 and devs == [abs(v) for v in table.S_N_rel_dev if v is not None]
+    assert report.s_n_mean_rel_dev == sum(devs) / len(devs)  # slot order, bit for bit
 
 
 # SHA-256 of the events CSV at the heavy point beta=20, alpha=10, seed 7:

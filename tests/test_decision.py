@@ -14,7 +14,6 @@ from v2xsustain import (
     FactorInputs,
     FailSafeReport,
     NetworkParams,
-    RateParams,
     Thresholds,
     TimeWindow,
     build_bundle,
@@ -34,7 +33,6 @@ from v2xsustain.sustain import hop_loss_probability, message_overhead
 from oracles import scale_param_sustainability
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
-RATES = RateParams(alpha=1.0, beta=2.0)
 WINDOW = TimeWindow(t1=5.0, t2=105.0, T=110.0)
 TH = Thresholds(S_N_TH=50.0, M_O_TH=1000.0)
 
@@ -129,7 +127,7 @@ def test_thresholds_validation():
 
 
 def test_check_constraints_admissible_defaults():
-    assert check_constraints(NET, RATES, WINDOW, U_k=1.0, D=10.0, thresholds=TH) == []
+    assert check_constraints(NET, WINDOW, U_k=1.0, D=10.0, thresholds=TH) == []
 
 
 @pytest.mark.parametrize(
@@ -156,7 +154,6 @@ def test_check_constraints_admissible_defaults():
 def test_check_constraints_single_clause(name, kwargs):
     args = {
         "net": NET,
-        "rates": RATES,
         "window": WINDOW,
         "U_k": 1.0,
         "D": 10.0,
@@ -170,7 +167,7 @@ def test_check_constraints_single_clause(name, kwargs):
 
 def test_check_constraints_multiple():
     bad_net = NetworkParams(N=10, E=10, E_zero=10, n_inv=10)
-    violations = check_constraints(bad_net, RATES, WINDOW, U_k=0.0, D=0.0, thresholds=TH)
+    violations = check_constraints(bad_net, WINDOW, U_k=0.0, D=0.0, thresholds=TH)
     names = {v.constraint for v in violations}
     assert names == {"U_k >= U'_N", "0 < D <= N", "n_inv != E"}
 

@@ -196,3 +196,9 @@ def test_key_material_is_full_width():
 
 def test_hierarchy_class_alias():
     assert build_hierarchy(ROOT).nodes.keys() == KeyHierarchy(ROOT).nodes.keys()
+
+
+def test_descendants_are_breadth_first():
+    # level by level in label order; the derivation log follows this order
+    h = build_hierarchy(ROOT)
+    assert h.descendants("K_AMF") == ["K_OTK", "K_TM", "K_Hub", "K_SRPK", "K_LRPK"]

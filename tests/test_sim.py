@@ -373,11 +373,11 @@ def test_compare_report_shape():
     sc = scenario()
     report = compare_to_model(run_simulation(sc), sc)
     assert isinstance(report, ComparisonReport)
-    assert len(report.rows) == 22
+    assert all(len(column) == 22 for column in report.table)
     assert report.pass_identity_ok
     assert report.passes_observed == report.passes_expected
-    assert report.rows[0].S_N_model is None  # first slot starts at t = 0
-    assert all(r.S_N_model is not None for r in report.rows[1:])
+    assert report.table.S_N_model[0] is None  # first slot starts at t = 0
+    assert all(m is not None for m in report.table.S_N_model[1:])
     assert report.p_model == pytest.approx(0.5**10, rel=1e-12, abs=0.0)
 
 
@@ -385,7 +385,7 @@ def test_compare_model_columns_absent_without_closed_form():
     rates = RateParams(alpha=2.0, beta=2.0, gamma_prime=0.1)
     sc = scenario(rates=rates)
     report = compare_to_model(run_simulation(sc), sc)
-    assert all(r.S_N_model is None for r in report.rows)
+    assert all(m is None for m in report.table.S_N_model)
     assert report.s_n_mean_rel_dev is None
 
 
