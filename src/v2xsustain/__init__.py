@@ -29,7 +29,7 @@ _EXPORTS = {
             predicted_key_updates predicted_message_overhead resolve_alpha_prime
             scale_asymptote scale_growth_diagnostic scale_param""",
         "keychain": """KEY_BYTES LABELS MODE_PASSKEY PARENTS KeyHierarchy KeyNode
-            PeerCredential Session build_hierarchy establish_session
+            PeerCredential Session establish_session
             export_derivation_log peer_credential refresh_subtree verify_session""",
         "decision": """CONTINUE DECISIONS RECONFIGURE UPDATE_KEYS FactorBounds
             FactorInputs FailSafeReport Thresholds Violation

@@ -202,7 +202,7 @@ def _sweep_row(param: str, value: float, base: dict, warnings: list[str]) -> tup
     pred = _cell(
         lambda: predicted_message_overhead(
             rates, net, window, scn.range_params, scn.thresholds.O_b,
-            alpha_prime=b.alpha_prime,
+            alpha_prime=alpha_prime,
         ),
         warnings,
         "M_O_pred",
@@ -262,6 +262,9 @@ def cmd_simulate(args) -> int:
         trace.export_metrics_csv(out / f"run{i}_metrics.csv")
         report = compare_to_model(trace, scn)
         report.export_csv(out / f"run{i}_comparison.csv")
+        if errors := report.s_n_model_errors:
+            print(f"warning: run {i}: S_N_model empty in {len(errors)} slots: {errors[0]}",
+                  file=sys.stderr)
         mad = "" if report.survivor_mad is None else f"{report.survivor_mad:.4f}"
         print(
             f"run {i}: seed={scn.seed} arrivals={trace.arrivals_total} "

@@ -49,8 +49,6 @@ FIELDS = (
     Field("t_u_s", "float", None, "key time in use (s); when absent, `tx_step_s`"),
     Field("r1_m", "float", 100.0, "short coverage range (m)"),
     Field("r2_m", "float", 500.0, "long coverage range (m)"),
-    Field("c1", "float", 0.1, "lower connection-probability bound"),
-    Field("c2", "float", 0.9, "upper connection-probability bound"),
     Field("d1", "float", 0.1, "lower fail-safe checkpoint bound"),
     Field("d2", "float", 0.9, "upper fail-safe checkpoint bound"),
     Field("p_x", "prob", 0.5, "credential non-availability, scalar or list"),
@@ -226,9 +224,7 @@ def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
             S_N_TH=config["S_N_TH"], M_O_TH=config["M_O_TH"],
             U_prime_N=config["U_prime_N"], O_b=config["O_b"],
         )
-        bounds = LikelihoodBounds(
-            d1=config["d1"], d2=config["d2"], c1=config["c1"], c2=config["c2"],
-        )
+        bounds = LikelihoodBounds(d1=config["d1"], d2=config["d2"])
         scenario = Scenario(
             net=net, rates=rates, window=window, range_params=rp,
             thresholds=thresholds, seed=config["seed"],

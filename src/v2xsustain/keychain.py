@@ -24,8 +24,7 @@ from .errors import AuthenticationError, DomainError
 
 KEY_BYTES = 32
 
-ROOT_LABEL = "K_AMF"
-# child -> parent; the tree shape is fixed.
+# child -> parent in level order: the one statement of the fixed tree.
 PARENTS = {
     "K_OTK": "K_AMF",
     "K_TM": "K_OTK",
@@ -34,7 +33,7 @@ PARENTS = {
     "K_LRPK": "K_Hub",
 }
 # Topological order: parents always precede children.
-LABELS = ("K_AMF", "K_OTK", "K_TM", "K_Hub", "K_SRPK", "K_LRPK")
+LABELS = ("K_AMF", *PARENTS)
 
 MODE_PASSKEY = {"long_range": "K_LRPK", "short_range": "K_SRPK"}
 
@@ -50,8 +49,9 @@ class KeyNode:
 class KeyHierarchy:
     """Single-writer key tree with an append-only derivation log.
 
-    Refreshes must be externally serialized; lookups and session
-    verification are read-only.
+    Pure function of the root material: identical input gives a
+    bit-identical tree. Zero material is rejected. Refreshes must be
+    externally serialized; lookups and session verification are read-only.
     """
 
     def __init__(self, root_material: bytes):
@@ -64,51 +64,31 @@ class KeyHierarchy:
         self._root = root_material
         self.nodes: dict[str, KeyNode] = {}
         self.derivation_log: list[tuple[float, str, int]] = []
-        self._clock = 0.0
         for label in LABELS:
-            parent = PARENTS.get(label)
-            parent_material = self._root if parent is None else self.nodes[parent].material
-            self.nodes[label] = KeyNode(
-                label=label,
-                material=_derive(parent_material, label, 0),
-                epoch=0,
-                parent=parent,
-            )
-            self._log(label, 0)
+            self._rekey(label, 0)
 
-    def _log(self, label: str, epoch: int) -> None:
-        self._clock += 1.0
-        self.derivation_log.append((self._clock, label, epoch))
+    def _rekey(self, label: str, epoch: int) -> None:
+        # Derive the node from its parent's material (the root's for K_AMF);
+        # label string plus epoch counter give per-node domain separation.
+        # The log timestamp is the row number.
+        parent = PARENTS.get(label)
+        source = self._root if parent is None else self.nodes[parent].material
+        context = label.encode("ascii") + b"|" + epoch.to_bytes(8, "big")
+        material = hmac.new(source, context, hashlib.sha256).digest()
+        self.nodes[label] = KeyNode(label, material, epoch, parent)
+        self.derivation_log.append((float(len(self.derivation_log) + 1), label, epoch))
 
     def children(self, label: str) -> list[str]:
         return [c for c, p in PARENTS.items() if p == label]
 
     def descendants(self, label: str) -> list[str]:
-        # Breadth-first in fixed label order: level by level, so parents
-        # precede children. The derivation log follows this order.
-        out = []
-        queue = [label]
-        while queue:
-            cur = queue.pop(0)
-            kids = self.children(cur)
-            out.extend(kids)
-            queue.extend(kids)
-        return out
-
-
-def _derive(parent_material: bytes, label: str, epoch: int) -> bytes:
-    # Label string plus epoch counter give per-node domain separation.
-    context = label.encode("ascii") + b"|" + epoch.to_bytes(8, "big")
-    return hmac.new(parent_material, context, hashlib.sha256).digest()
-
-
-def build_hierarchy(root_material: bytes) -> KeyHierarchy:
-    """Derive the full six-key tree from the root material.
-
-    Pure function of the material: identical input gives a bit-identical
-    tree. Zero material is rejected.
-    """
-    return KeyHierarchy(root_material)
+        # PARENTS is in level order, so one scan gives them breadth-first:
+        # parents precede children. The derivation log follows this order.
+        below: list[str] = []
+        for child, parent in PARENTS.items():
+            if parent == label or parent in below:
+                below.append(child)
+        return below
 
 
 def refresh_subtree(h: KeyHierarchy, label: str) -> KeyHierarchy:
@@ -120,17 +100,9 @@ def refresh_subtree(h: KeyHierarchy, label: str) -> KeyHierarchy:
     """
     if label not in h.nodes:
         raise DomainError(f"unknown key label {label!r}")
-    node = h.nodes[label]
-    parent = node.parent
-    parent_material = h._root if parent is None else h.nodes[parent].material
-    node.epoch += 1
-    node.material = _derive(parent_material, label, node.epoch)
-    h._log(label, node.epoch)
-    for child_label in h.descendants(label):
-        child = h.nodes[child_label]
-        child.epoch = max(child.epoch + 1, h.nodes[child.parent].epoch)
-        child.material = _derive(h.nodes[child.parent].material, child_label, child.epoch)
-        h._log(child_label, child.epoch)
+    h._rekey(label, h.nodes[label].epoch + 1)
+    for child in h.descendants(label):
+        h._rekey(child, max(h.nodes[child].epoch + 1, h.nodes[PARENTS[child]].epoch))
     return h
 
 
@@ -193,44 +165,30 @@ def establish_session(
     snapshot by default equal to the current key). Any response that does
     not verify under the current key, which is exactly what happens after
     a refresh of the passkey or one of its ancestors, aborts with an
-    authentication failure.
+    authentication failure. The session records the credential's epoch.
     """
     if not isinstance(Q, int) or Q < 1:
         raise DomainError(f"Q must be a positive integer, got {Q!r}")
     label = _passkey_label(mode)
-    node = h.nodes[label]
     if credential is None:
         credential = peer_credential(h, mode)
     if credential.label != label:
         raise DomainError(
             f"credential is for {credential.label!r}, session needs {label!r}"
         )
-    transcript = []
-    for i in range(Q):
-        challenge = _challenge(mode, peer, i)
-        response = _response(credential.material, mode, peer, i, challenge)
-        expected = _response(node.material, mode, peer, i, challenge)
-        if not hmac.compare_digest(response, expected):
-            raise AuthenticationError(
-                f"pass {i + 1} failed for peer {peer!r}: credential epoch "
-                f"{credential.epoch} does not match current epoch {node.epoch}"
-            )
-        transcript.append((challenge, response))
-    return Session(
-        mode=mode,
-        passkey_label=label,
-        passes_used=Q,
-        established_at=at,
-        peer=peer,
-        epoch=node.epoch,
-        transcript=tuple(transcript),
+    challenges = [_challenge(mode, peer, i) for i in range(Q)]
+    transcript = tuple(
+        (c, _response(credential.material, mode, peer, i, c)) for i, c in enumerate(challenges)
     )
+    session = Session(mode, label, Q, at, peer, credential.epoch, transcript)
+    verify_session(h, session)
+    return session
 
 
 def verify_session(h: KeyHierarchy, session: Session) -> None:
-    """Re-verify a transcript against the current keys.
+    """Verify a transcript against the current keys.
 
-    Raises AuthenticationError if any recorded response no longer matches
+    Raises AuthenticationError if any recorded response does not match
     the current passkey material, i.e. after the passkey's subtree was
     refreshed. Replaying an old transcript therefore fails.
     """
@@ -239,8 +197,8 @@ def verify_session(h: KeyHierarchy, session: Session) -> None:
         expected = _response(node.material, session.mode, session.peer, i, challenge)
         if not hmac.compare_digest(response, expected):
             raise AuthenticationError(
-                f"transcript pass {i + 1} for peer {session.peer!r} does not "
-                f"verify at epoch {node.epoch}"
+                f"pass {i + 1} failed for peer {session.peer!r}: session epoch "
+                f"{session.epoch} does not match current epoch {node.epoch}"
             )
 
 

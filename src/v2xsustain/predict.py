@@ -53,7 +53,8 @@ class LikelihoodBounds:
     """Probability bounds for the fail-safe likelihood and the scale asymptote.
 
     (d1, d2) bound the checkpoint integral, (c1, c2) the rate integral of
-    the asymptote. Both pairs live inside the unit interval.
+    the library-only asymptote; no config field sets them. Both pairs live
+    inside the unit interval.
     """
 
     d1: float
@@ -79,9 +80,8 @@ class LikelihoodBounds:
 def _beta_density(x: float, shape: float, scale: float, log_norm: float) -> float:
     # Beta density extended to the closed interval by continuity where the
     # exponent allows it; a singular endpoint is a divergence, not a sample.
+    # BetaTraffic holds shape >= 1, so only the x = 1 end can diverge.
     if x == 0.0:
-        if shape < 1.0:
-            raise DivergenceError("beta density diverges at 0 for shape < 1")
         return math.exp(log_norm) if shape == 1.0 else 0.0
     if x == 1.0:
         if scale < 1.0:

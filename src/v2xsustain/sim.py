@@ -21,7 +21,7 @@ placed inside [r1, r2], so D counts the vehicles present in the slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,7 +30,7 @@ import numpy as np
 from .config import Scenario
 from .csvio import nan_to_none, write_csv, write_event_columns
 from .decision import check_constraints
-from .errors import DomainError, SimulationTruncated
+from .errors import DomainError, OverflowRangeError, SimulationTruncated
 from .sustain import TimeWindow, loss_probability_model, sustainability_window
 
 # The events CSV labels, indexed by EventTable.kind code in tie-break order.
@@ -325,6 +325,8 @@ class ComparisonReport:
     passes_expected: int
     pass_identity_ok: bool
     s_n_mean_rel_dev: float | None = None
+    # one message per slot whose model value left the closed form's range
+    s_n_model_errors: list[str] = field(default_factory=list)
 
     def export_csv(self, path: str | Path) -> None:
         write_csv(path, ComparisonTable._fields, self.table)
@@ -341,7 +343,9 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
 
     Model sustainability for a slot integrates the closed form over that
     slot's window (previous edge, edge], clipped at T; the first slot has no
-    model value because its window starts at t = 0. Survivor fractions
+    model value because its window starts at t = 0. A slot whose closed form
+    leaves its domain or double range has no model value either; its
+    message goes to s_n_model_errors. Survivor fractions
     compare the initial cohort against exponential decay. The pass identity
     checks the trace's auth_pass rows against its passes_total: Q per
     arrival plus, if the scenario counts them, Q per update.
@@ -354,12 +358,16 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     t_s, s_n_emp, p_emp, cohort = map(nan_to_none, (
         s.t_s, s.S_N_emp, s.P_empirical, s.cohort_fraction))
     s_n_model = [None] * len(t_s)
+    model_errors = []
     if rates.alpha > 0.0 and rates.beta > rates.alpha:
         for k, (t1, edge) in enumerate(zip([0.0, *t_s], t_s)):
             t2 = min(edge, window.T)
             if 0.0 < t1 < t2:
-                s_n_model[k] = sustainability_window(
-                    rates, net, TimeWindow(t1=t1, t2=t2, T=window.T, t_x_step=window.t_x_step))
+                try:
+                    s_n_model[k] = sustainability_window(
+                        rates, net, TimeWindow(t1=t1, t2=t2, T=window.T, t_x_step=window.t_x_step))
+                except (DomainError, OverflowRangeError) as e:
+                    model_errors.append(str(e))
     s_n_rel = [None if e is None or m is None or m == 0.0 else (e - m) / abs(m)
                for e, m in zip(s_n_emp, s_n_model)]
     survivor_model = [None if c is None else math.exp(-rates.gamma_prime * t)
@@ -378,4 +386,5 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
         passes_expected=trace.passes_total,
         pass_identity_ok=observed == trace.passes_total,
         s_n_mean_rel_dev=_mean_abs(s_n_rel),
+        s_n_model_errors=model_errors,
     )

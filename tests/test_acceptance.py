@@ -20,6 +20,7 @@ from v2xsustain import (
     EULER_GAMMA,
     LABELS,
     RECONFIGURE,
+    KeyHierarchy,
     LikelihoodBounds,
     NetworkParams,
     RangeParams,
@@ -27,7 +28,6 @@ from v2xsustain import (
     Scenario,
     Thresholds,
     TimeWindow,
-    build_hierarchy,
     check_constraints,
     compare_to_model,
     connectivity_prob,
@@ -261,8 +261,8 @@ def test_criterion_07_loss_model_required_direction():
 
 def test_criterion_08_key_hierarchy():
     root = bytes(range(32))
-    a = build_hierarchy(root)
-    b = build_hierarchy(root)
+    a = KeyHierarchy(root)
+    b = KeyHierarchy(root)
     assert all(a.nodes[k].material == b.nodes[k].material for k in LABELS)
 
     rng = np.random.default_rng(88)
@@ -271,12 +271,12 @@ def test_criterion_08_key_hierarchy():
         material = bytes(rng.integers(0, 256, size=32, dtype=np.uint8))
         if material == bytes(32):
             material = bytes([1]) + material[1:]
-        h = build_hierarchy(material)
+        h = KeyHierarchy(material)
         for label in LABELS:
             seen.add(h.nodes[label].material)
     assert len(seen) == 6 * 10_000
 
-    h = build_hierarchy(root)
+    h = KeyHierarchy(root)
     long_session = establish_session(h, "long_range", "veh-1", Q=2)
     short_session = establish_session(h, "short_range", "veh-1", Q=2)
     refresh_subtree(h, "K_Hub")

@@ -22,7 +22,6 @@ import pytest
 import v2xsustain
 from v2xsustain import (
     ENV_CONFIG_PATH,
-    LikelihoodBounds,
     Scenario,
     Thresholds,
     TimeWindow,
@@ -63,7 +62,8 @@ def test_default_config_is_admissible():
 
 def test_merge_rejects_unknown_and_mistyped_fields():
     assert merge_config({"beta": 4})["beta"] == 4.0
-    for name in ("bandwidth", "gamma"):  # gamma: no command reads an incoming rate
+    # gamma, c1, c2: no command reads an incoming rate or a connection bound
+    for name in ("bandwidth", "gamma", "c1", "c2"):
         with pytest.raises(ConfigError, match="unknown field"):
             merge_config({name: 1.0})
     with pytest.raises(ConfigError):
@@ -195,8 +195,6 @@ def test_dataclass_defaults_are_the_field_table_defaults():
         (TimeWindow, "t_x_step"): "tx_step_s",
         (Thresholds, "U_prime_N"): "U_prime_N",
         (Thresholds, "O_b"): "O_b",
-        (LikelihoodBounds, "c1"): "c1",
-        (LikelihoodBounds, "c2"): "c2",
     }
     for (cls, attr), name in pairs.items():
         default = {f.name: f.default for f in dataclasses.fields(cls)}[attr]
@@ -288,9 +286,8 @@ def test_sweep_out_of_range_cells_are_typed(tmp_path, capsys, param, value, cell
 @pytest.mark.parametrize(
     "command,overrides",
     [("failsafe", {"N": 745}), ("failsafe", {"N": 800}),
-     ("failsafe", {"N": 700, "omega_x": 1e-16}), ("simulate", {"N": 1040})],
-    ids=["failsafe-M_O-overflows", "failsafe-P-underflows", "failsafe-mu-overflows",
-         "simulate-S_N-overflows"],
+     ("failsafe", {"N": 700, "omega_x": 1e-16})],
+    ids=["failsafe-M_O-overflows", "failsafe-P-underflows", "failsafe-mu-overflows"],
 )
 def test_out_of_range_runs_exit_one_with_one_line(tmp_path, capsys, command, overrides):
     # each once printed inf cells or ended in a ZeroDivisionError or
@@ -305,16 +302,29 @@ def test_out_of_range_runs_exit_one_with_one_line(tmp_path, capsys, command, ove
 
 
 def test_simulate_keeps_the_run_when_the_model_leaves_double_range(tmp_path, capsys):
-    # the slot window [0.1, 0.2] gives (beta - alpha)/t1 = 19990, past Ei's range
-    cfg = write_config(tmp_path, T_s=0.3, t2_s=0.25, t1_s=0.05, tx_step_s=0.1,
-                       gamma_prime=5, E=1000, E0=500, beta=2000, alpha=1)
-    out = tmp_path / "out"
-    assert main(["simulate", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: expint_ei(19990.0) exceeds double-precision range\n"
-    )
-    assert sorted(p.name for p in out.iterdir()) == ["run0_events.csv", "run0_metrics.csv"]
-    assert len((out / "run0_metrics.csv").read_text().splitlines()) == 1 + 3
+    # A slot whose model value leaves double range gets empty S_N_model and
+    # S_N_rel_dev cells and one warning line per run; the run still writes
+    # all three files and exits 0.
+    cases = [
+        # the slot window [0.1, 0.2] gives (beta - alpha)/t1 = 19990, past Ei's range
+        ({"T_s": 0.3, "t2_s": 0.25, "t1_s": 0.05, "tx_step_s": 0.1, "gamma_prime": 5,
+          "E": 1000, "E0": 500, "beta": 2000, "alpha": 1},
+         3, "2 slots: expint_ei(19990.0) exceeds double-precision range"),
+        # every slot past the first: the window form gives inf
+        ({"N": 1040}, 22, "21 slots: window form gives inf, outside double range"),
+    ]
+    for k, (overrides, slots, warning) in enumerate(cases):
+        out = tmp_path / f"out{k}"
+        assert main(["simulate", write_config(tmp_path, **overrides), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: run 0: S_N_model empty in {warning}\n"
+        assert captured.out.startswith("run 0: seed=1234 ")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "run0_comparison.csv", "run0_events.csv", "run0_metrics.csv"]
+        assert len((out / "run0_metrics.csv").read_text().splitlines()) == 1 + slots
+        rows = [line.split(",") for line in
+                (out / "run0_comparison.csv").read_text().splitlines()[1:]]
+        assert len(rows) == slots and all(r[2] == r[3] == "" for r in rows)
 
 
 @pytest.mark.parametrize("route", ["--seed", "config"])
@@ -479,7 +489,7 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert main(["sweep", "--param", "E", "--values", "12.5", "--out", out]) == 2
     assert main(["sweep", "--param", "beta", "--values", "oops", "--out", out]) == 2
     assert main(["sweep", "--param", "beta", "--start", "1", "--out", out]) == 2
-    assert main(["sweep", "--param", "c1", "--out", out]) == 2  # no default grid
+    assert main(["sweep", "--param", "d1", "--out", out]) == 2  # no default grid
 
 
 def test_sweep_accepts_every_table_field(tmp_path, capsys):

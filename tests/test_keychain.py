@@ -14,7 +14,6 @@ from v2xsustain import (
     LABELS,
     PARENTS,
     KeyHierarchy,
-    build_hierarchy,
     establish_session,
     export_derivation_log,
     peer_credential,
@@ -41,15 +40,15 @@ def oracle_material(root: bytes, label: str, epochs: dict[str, int] | None = Non
 
 def test_root_material_validation():
     with pytest.raises(DomainError):
-        build_hierarchy(b"short")
+        KeyHierarchy(b"short")
     with pytest.raises(DomainError):
-        build_hierarchy(bytes(KEY_BYTES))
+        KeyHierarchy(bytes(KEY_BYTES))
     with pytest.raises(DomainError):
-        build_hierarchy("x" * 32)  # str, not bytes
+        KeyHierarchy("x" * 32)  # str, not bytes
 
 
 def test_tree_shape():
-    h = build_hierarchy(ROOT)
+    h = KeyHierarchy(ROOT)
     assert set(h.nodes) == set(LABELS)
     assert h.nodes["K_AMF"].parent is None
     assert sorted(h.children("K_OTK")) == ["K_Hub", "K_TM"]
@@ -58,23 +57,23 @@ def test_tree_shape():
 
 
 def test_derivation_matches_hmac_oracle():
-    h = build_hierarchy(ROOT)
+    h = KeyHierarchy(ROOT)
     for label in LABELS:
         assert h.nodes[label].material == oracle_material(ROOT, label)
         assert h.nodes[label].epoch == 0
 
 
 def test_determinism_and_root_sensitivity():
-    a = build_hierarchy(ROOT)
-    b = build_hierarchy(ROOT)
-    c = build_hierarchy(OTHER_ROOT)
+    a = KeyHierarchy(ROOT)
+    b = KeyHierarchy(ROOT)
+    c = KeyHierarchy(OTHER_ROOT)
     for label in LABELS:
         assert a.nodes[label].material == b.nodes[label].material
         assert a.nodes[label].material != c.nodes[label].material
 
 
 def test_refresh_scopes_to_subtree():
-    h = build_hierarchy(ROOT)
+    h = KeyHierarchy(ROOT)
     before = {label: h.nodes[label].material for label in LABELS}
     refresh_subtree(h, "K_TM")
     for label in ("K_AMF", "K_OTK", "K_Hub", "K_LRPK"):
@@ -90,7 +89,7 @@ def test_refresh_scopes_to_subtree():
 
 
 def test_refresh_epoch_rule_child_never_behind_parent():
-    h = build_hierarchy(ROOT)
+    h = KeyHierarchy(ROOT)
     # bump a child ahead of its parent, then refresh the parent
     refresh_subtree(h, "K_TM")
     refresh_subtree(h, "K_TM")
@@ -107,7 +106,7 @@ def test_refresh_epoch_rule_child_never_behind_parent():
 
 
 def test_refresh_root_rekeys_everything():
-    h = build_hierarchy(ROOT)
+    h = KeyHierarchy(ROOT)
     before = {label: h.nodes[label].material for label in LABELS}
     refresh_subtree(h, "K_AMF")
     for label in LABELS:
@@ -118,7 +117,7 @@ def test_refresh_root_rekeys_everything():
 
 
 def test_establish_session_counts_passes():
-    h = build_hierarchy(ROOT)
+    h = KeyHierarchy(ROOT)
     s = establish_session(h, "long_range", "veh-1", Q=3, at=4.5)
     assert s.passkey_label == "K_LRPK"
     assert s.passes_used == 3
@@ -133,7 +132,7 @@ def test_establish_session_counts_passes():
 
 
 def test_transcript_matches_response_oracle():
-    h = build_hierarchy(ROOT)
+    h = KeyHierarchy(ROOT)
     s = establish_session(h, "short_range", "veh-7", Q=2)
     material = h.nodes["K_SRPK"].material
     for i, (challenge, response) in enumerate(s.transcript):
@@ -146,11 +145,12 @@ def test_transcript_matches_response_oracle():
 
 
 def test_stale_credential_rejected_after_ancestor_refresh():
-    h = build_hierarchy(ROOT)
+    h = KeyHierarchy(ROOT)
     long_cred = peer_credential(h, "long_range")
     short_cred = peer_credential(h, "short_range")
     refresh_subtree(h, "K_Hub")
-    with pytest.raises(AuthenticationError):
+    stale = "session epoch 0 does not match current epoch 1"
+    with pytest.raises(AuthenticationError, match=stale):
         establish_session(h, "long_range", "veh-1", Q=1, credential=long_cred)
     # the short-range branch is outside the refreshed subtree
     s = establish_session(h, "short_range", "veh-1", Q=1, credential=short_cred)
@@ -160,17 +160,17 @@ def test_stale_credential_rejected_after_ancestor_refresh():
 
 
 def test_replay_fails_after_refresh():
-    h = build_hierarchy(ROOT)
+    h = KeyHierarchy(ROOT)
     s = establish_session(h, "long_range", "veh-2", Q=2)
     refresh_subtree(h, "K_OTK")
-    with pytest.raises(AuthenticationError):
+    with pytest.raises(AuthenticationError, match="pass 1 failed for peer 'veh-2'"):
         verify_session(h, s)
     # a fresh session under the new keys verifies
     verify_session(h, establish_session(h, "long_range", "veh-2", Q=2))
 
 
 def test_derivation_log_and_export(tmp_path):
-    h = build_hierarchy(ROOT)
+    h = KeyHierarchy(ROOT)
     assert len(h.derivation_log) == len(LABELS)
     refresh_subtree(h, "K_OTK")
     # the refreshed node plus its four descendants
@@ -189,16 +189,33 @@ def test_derivation_log_and_export(tmp_path):
 
 
 def test_key_material_is_full_width():
-    h = build_hierarchy(ROOT)
+    h = KeyHierarchy(ROOT)
     for label in LABELS:
         assert len(h.nodes[label].material) == KEY_BYTES
 
 
-def test_hierarchy_class_alias():
-    assert build_hierarchy(ROOT).nodes.keys() == KeyHierarchy(ROOT).nodes.keys()
-
-
 def test_descendants_are_breadth_first():
     # level by level in label order; the derivation log follows this order
-    h = build_hierarchy(ROOT)
+    h = KeyHierarchy(ROOT)
     assert h.descendants("K_AMF") == ["K_OTK", "K_TM", "K_Hub", "K_SRPK", "K_LRPK"]
+
+
+
+def test_key_layer_bytes_are_pinned(tmp_path):
+    # One SHA-256 over the derivation log CSV after six refreshes, every
+    # node's material and epoch, and the Q=3 transcripts of both modes.
+    h = KeyHierarchy(ROOT)
+    for label in ("K_TM", "K_TM", "K_OTK", "K_LRPK", "K_AMF", "K_Hub"):
+        refresh_subtree(h, label)
+    out = tmp_path / "log.csv"
+    export_derivation_log(h, out)
+    digest = hashlib.sha256(out.read_bytes())
+    for label in LABELS:
+        digest.update(label.encode() + h.nodes[label].material)
+        digest.update(h.nodes[label].epoch.to_bytes(8, "big"))
+    for mode in ("long_range", "short_range"):
+        for challenge, response in establish_session(h, mode, "veh-9", Q=3).transcript:
+            digest.update(challenge + response)
+    assert digest.hexdigest() == (
+        "de58f0e2ca82a43bc99456dc7e35d5b6e2f490bff3cc3c52a368be6d37b5674b"
+    )

@@ -87,7 +87,6 @@ def configs(draw) -> dict:
             config.pop(name, None)
     unit = st.floats(0.0, 1.0, exclude_max=True)
     config["r1_m"], config["r2_m"] = draw(increasing(BY_KIND["float"]))
-    config["c1"], config["c2"] = draw(increasing(unit))
     config["d1"], config["d2"] = draw(increasing(unit))
     return config
 
