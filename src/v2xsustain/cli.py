@@ -170,10 +170,10 @@ def _sweep_row(param: str, value: float, base: dict, warnings: list[str]) -> tup
         overrides["alpha"] = value / 2.0
     if param == "E":
         overrides.setdefault("E0", min(base["E0"], int(value)))
-    config = dict(base)
-    config.update(overrides)
     source = f"sweep {param}={value:g}"
-    b = build_bundle(merge_config(config, source=source), source=source)
+    # base is checked once by _resolve_config; a row checks only its overrides
+    checked = merge_config(overrides, source=source)
+    b = build_bundle({**base, **{k: checked[k] for k in overrides}}, source=source)
     scn = b.scenario
     net, rates, window = scn.net, scn.rates, scn.window
     alpha_prime = resolve_alpha_prime(rates, window, b.alpha_prime)

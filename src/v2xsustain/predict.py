@@ -12,7 +12,7 @@ closed form is known (the Beta mass and the scale asymptote).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DivergenceError, DomainError
@@ -22,9 +22,10 @@ from .sustain import (
     RangeParams,
     RateParams,
     TimeWindow,
+    _ei_window,
+    _window_form,
     hop_loss_probability,
     signaling_overhead,
-    sustainability_window,
 )
 
 SCALE_FLOOR = 2.0  # scale parameter at or below this marks a non-operable network
@@ -271,7 +272,7 @@ def predicted_message_overhead(
     u_k = predicted_key_updates(rates, window)
     if u_k == 0.0:
         raise DomainError(f"predicted key updates round to 0 at alpha={rates.alpha!r}")
-    s_n_unit = sustainability_window(rates, replace(net, Q=1), window)
+    s_n_unit = _window_form(rates, net, window, 1)
     o_s = signaling_overhead(O_b, alpha_prime, net, window)
     density = rng.r2 - rng.r1
     conn = connectivity_window_factor(net, rates.gamma_prime, window)
@@ -307,8 +308,6 @@ def _printed_overhead_expansion(
     prefactor differs from the composed route, so values can differ in
     both magnitude and sign. Its last factor is the composition's conn.
     """
-    from .specfun import expint_ei
-
     a2 = rates.alpha / window.t2
     a1 = rates.alpha / window.t1
     if not 0.0 < a2 < 1.0:
@@ -329,7 +328,7 @@ def _printed_overhead_expansion(
         raise DomainError(f"P^2 underflows to 0 at N={net.N!r} E={net.E!r}")
     second = rates.alpha * (rng.r2 - rng.r1)
     second /= rates.beta * net.N * p2
-    second *= expint_ei(d / window.t1) - expint_ei(d / window.t2)
+    second *= _ei_window(d, window.t1, window.t2)
     return first * second * conn
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .errors import DomainError, OverflowRangeError
@@ -226,6 +227,13 @@ def sustainability_window(
 
     Requires beta > alpha > 0 so the Ei arguments stay positive.
     """
+    return _window_form(rates, net, window, net.Q)
+
+
+def _window_form(
+    rates: RateParams, net: NetworkParams, window: TimeWindow, Q: int
+) -> float:
+    """sustainability_window at Q passes per session in place of net.Q."""
     if not rates.alpha > 0.0:
         raise DomainError(f"window form requires alpha > 0, got {rates.alpha!r}")
     if not rates.beta > rates.alpha:
@@ -234,17 +242,28 @@ def sustainability_window(
             f"alpha={rates.alpha!r}"
         )
     P = _divisor_loss_probability(net)
-    d = rates.beta - rates.alpha
     try:
-        prefactor = rates.alpha**2 / (2.0 * rates.beta * net.N * P * net.Q)
+        prefactor = rates.alpha**2 / (2.0 * rates.beta * net.N * P * Q)
     except OverflowError as e:
         raise OverflowRangeError(
             f"window prefactor alpha^2 overflows at alpha={rates.alpha!r}"
         ) from e
-    s_n = prefactor * (expint_ei(d / window.t1) - expint_ei(d / window.t2))
+    s_n = prefactor * _ei_window(rates.beta - rates.alpha, window.t1, window.t2)
     if not math.isfinite(s_n):
         raise OverflowRangeError(f"window form gives {s_n!r}, outside double range")
     return s_n
+
+
+@lru_cache(maxsize=8)
+def _ei_window(d: float, t1: float, t2: float) -> float:
+    """The window difference Ei(d/t1) - Ei(d/t2).
+
+    A sweep row takes it three times at one (d, t1, t2): for S_N, for the
+    unit-pass S_N of the overhead prediction and in its printed expansion.
+    A few entries serve a row; an error is raised again on every call,
+    since lru_cache stores only returned values.
+    """
+    return expint_ei(d / t1) - expint_ei(d / t2)
 
 
 def sustainability_window_quadrature(

@@ -28,6 +28,7 @@ from v2xsustain import (
     build_bundle,
     compare_to_model,
     default_config,
+    expint_ei,
     load_bundle,
     load_config,
     loss_probability_model,
@@ -36,6 +37,7 @@ from v2xsustain import (
     run_simulation,
     signaling_overhead,
 )
+from v2xsustain import config as config_module
 from v2xsustain.cli import SWEEP_GRIDS, main
 from v2xsustain.config import FIELDS
 from v2xsustain.csvio import fmt
@@ -602,14 +604,23 @@ def test_simulate_heavy_events_digest(tmp_path, monkeypatch, capsys):
 # nonzero there) and the failsafe table (nonzero tau in every row), plus the
 # failsafe table at 0.1 s slots (1100 rows, seed 1234), at Q = 2 (S_N
 # divides by Q) and with a list omega_x of 22 distinct values (mu sums
-# ln(1/(1 - omega_x))). A change of route for any quantity these print
-# shows here; update the digests only together with a change of the
-# printed values.
+# ln(1/(1 - omega_x))). The sweeps add the benchmark's 200-point beta grid,
+# an E grid whose first row clamps E0 to E = 5, and the default alpha grid,
+# whose alpha >= beta rows leave S_N and M_O_pred empty. A change of route
+# for any quantity these print shows here; update the digests only together
+# with a change of the printed values.
+BETA_200 = ["sweep", "--param", "beta", "--start", "2", "--stop", "9.96", "--step", "0.04"]
 GOLDEN_ANALYTIC = [
     (["sweep", "--param", "beta"], {}, 0,
      "167b6496d49ee5f1409f560dc21d023400d111f081870a33823c6ebdc692531f"),
     (["sweep", "--param", "p_x"], {}, 0,
      "dc53a686da74b75a1f09a0838dbe0fc8b45b1dbfdae36010c403233c7ecc6636"),
+    (BETA_200, {}, 0,
+     "53fadc64fce71adf99b88a378774980a2c568abe1048f129ae0ccc19aed14cdd"),
+    (["sweep", "--param", "E", "--values", "5,10,40"], {}, 0,
+     "d6a09f020dee012c8809beac89f8e1be2da4cec97aa19572a5e863ba73e70b2e"),
+    (["sweep", "--param", "alpha"], {}, 0,
+     "eabde5ac06984118cf47f8e56403faf55c823d4322f18a2debed97a21362b407"),
     (["failsafe"], {}, 1,
      "cccb0f351c5375871b1fd422fecf7326b44e72aabd809f5026188119821f59f1"),
     (["failsafe"], {"tx_step_s": 0.1}, 1,
@@ -620,7 +631,8 @@ GOLDEN_ANALYTIC = [
      "c2d2c0ab43437f48fa9068a5a12f4e3957631ee1dd9f711e9b9ce6b3131be6f0"),
 ]
 GOLDEN_ANALYTIC_IDS = [
-    "sweep_beta", "sweep_p_x", "failsafe", "failsafe_fine", "failsafe_q2", "failsafe_omega_list",
+    "sweep_beta", "sweep_p_x", "sweep_beta200", "sweep_E_clamp", "sweep_alpha",
+    "failsafe", "failsafe_fine", "failsafe_q2", "failsafe_omega_list",
 ]
 
 
@@ -658,6 +670,58 @@ def test_analytic_commands_never_integrate(
     monkeypatch.setattr("v2xsustain.sustain.integrate", refuse)
     assert_golden_output(tmp_path, argv, overrides, code, digest)
     capsys.readouterr()
+
+
+def test_sweep_alpha_grid_warnings(tmp_path, monkeypatch, capsys):
+    # one line per empty cell, in row order: S_N first, then M_O_pred
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    argv, overrides, code, digest = GOLDEN_ANALYTIC[GOLDEN_ANALYTIC_IDS.index("sweep_alpha")]
+    assert_golden_output(tmp_path, argv, overrides, code, digest)
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {cell}: window form requires beta > alpha, got beta=2.0 alpha={a}"
+        for a in ("2.0", "3.0", "4.0", "5.0") for cell in ("S_N", "M_O_pred")
+    ]
+
+
+# SHA-256 of the 200-point beta sweep over a per-entity p_x list of 1000
+# values: mu sums ln(1/(1 - p_x)) over the list
+P_X_LIST = [round(0.05 + 0.0009 * k, 4) for k in range(1000)]
+GOLDEN_P_X_LIST_BETA_200 = "162628ffaa2a7d6cb5fe7addcee6447aaf97c81dd74e4a89eab6ce4a624dec3d"
+
+
+def test_sweep_rows_check_only_their_overrides(tmp_path, monkeypatch, capsys):
+    # The config is checked once when it is loaded; each beta row checks its
+    # beta and alpha, and not the other fields or the list again.
+    calls = []
+    check = config_module._check_scalar
+
+    def counting(name, kind, value):
+        calls.append(name)
+        return check(name, kind, value)
+
+    monkeypatch.setattr(config_module, "_check_scalar", counting)
+    assert_golden_output(tmp_path, BETA_200, {"p_x": P_X_LIST}, 0, GOLDEN_P_X_LIST_BETA_200)
+    capsys.readouterr()
+    assert calls == ["p_x"] * len(P_X_LIST) + ["beta", "alpha"] * 200
+
+
+def test_sweep_row_evaluates_its_ei_window_once(tmp_path, monkeypatch, capsys):
+    # S_N, the unit-pass S_N of M_O_pred and the printed expansion share one
+    # Ei(d/t1) - Ei(d/t2) per row. The grid's 200 windows are distinct, so
+    # no row finds another's in the memo.
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return expint_ei(x)
+
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    monkeypatch.setattr("v2xsustain.sustain.expint_ei", counting)
+    monkeypatch.setattr("v2xsustain.specfun.expint_ei", counting)
+    index = GOLDEN_ANALYTIC_IDS.index("sweep_beta200")
+    assert_golden_output(tmp_path, *GOLDEN_ANALYTIC[index])
+    capsys.readouterr()
+    assert len(calls) == 2 * 200 and len(set(calls)) == len(calls)
 
 
 def test_failsafe_never_calls_the_batch_scale_estimate(tmp_path, monkeypatch, capsys):

@@ -32,6 +32,7 @@ from v2xsustain import (
     scale_asymptote,
     scale_growth_diagnostic,
     scale_param,
+    sustainability_window,
 )
 from v2xsustain.errors import DivergenceError, DomainError
 
@@ -259,6 +260,19 @@ def test_predicted_overhead_printed_form_is_q_free():
     net5 = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=5)
     p5 = predicted_message_overhead(RATES, net5, WINDOW, RANGE, 1.0).printed
     assert p5 == pytest.approx(p1, rel=1e-14, abs=0.0)
+
+
+def test_predicted_overhead_builds_no_network_params(monkeypatch):
+    # the unit-pass S_N takes Q = 1 as a number, not from a copy of net
+    net3 = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=3)
+    unit = sustainability_window(RATES, NET, WINDOW)  # NET is net3 at Q = 1
+
+    def refuse(self):
+        raise AssertionError("predicted_message_overhead built a NetworkParams")
+
+    monkeypatch.setattr(NetworkParams, "__post_init__", refuse)
+    pred = predicted_message_overhead(RATES, net3, WINDOW, RANGE, 1.0)
+    assert pred.sustainability_unit_passes == unit
 
 
 def test_predicted_overhead_alpha_prime_domain():

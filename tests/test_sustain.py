@@ -7,6 +7,7 @@ time factor has the antiderivative ((1-a')^t2 - (1-a')^t1)/ln(1-a').
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from v2xsustain import (
     window_integrand,
 )
 from v2xsustain.errors import DomainError, OverflowRangeError
+from v2xsustain.sustain import _ei_window
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
 RATES = RateParams(alpha=1.0, beta=2.0, gamma_prime=0.1)
@@ -221,6 +223,44 @@ def test_sustainability_window_out_of_range_is_typed():
         sustainability_window(RATES, huge_n, WINDOW)
     with pytest.raises(DomainError, match="underflows"):
         signaling_overhead(1.0, 0.5, huge_n, WINDOW)
+
+
+def test_ei_window_memo_returns_the_uncached_difference():
+    # derandomized windows, each taken twice in a row: a miss, then a hit
+    rng = random.Random(19)
+    _ei_window.cache_clear()
+    for _ in range(200):
+        d = 10.0 ** rng.uniform(-3.0, 1.5)
+        t1 = 10.0 ** rng.uniform(-1.0, 2.0)
+        t2 = t1 * (1.0 + 10.0 ** rng.uniform(-3.0, 3.0))
+        uncached = expint_ei(d / t1) - expint_ei(d / t2)
+        assert _ei_window(d, t1, t2).hex() == uncached.hex()
+        assert _ei_window(d, t1, t2).hex() == uncached.hex()
+    assert _ei_window.cache_info().hits == 200
+
+
+@pytest.mark.parametrize(
+    "d,t1,t2,error,message",
+    [(0.0, 5.0, 105.0, DomainError, "expint_ei requires x > 0, got 0.0"),
+     (1e-290, 1.0, 1e20, DomainError, "below the domain floor"),
+     (1e4, 1.0, 2.0, OverflowRangeError, "expint_ei(10000.0) exceeds double-precision range")],
+    ids=["zero-argument", "second-argument-below-floor", "overflow"],
+)
+def test_ei_window_raises_again_and_stores_no_error(d, t1, t2, error, message):
+    _ei_window.cache_clear()
+    texts = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            _ei_window(d, t1, t2)
+        texts.append(str(info.value))
+    assert texts[0] == texts[1] and message in texts[0]
+    assert _ei_window.cache_info().currsize == 0
+
+
+def test_ei_window_memo_is_bounded():
+    # a row needs one entry; the bound keeps a long sweep from growing it
+    maxsize = _ei_window.cache_info().maxsize
+    assert maxsize is not None and 1 <= maxsize <= 64
 
 
 def test_sustainability_scales_inversely_with_q():
