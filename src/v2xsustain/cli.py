@@ -97,7 +97,7 @@ def _resolve_config(path: str | None) -> tuple[dict, str]:
 
 
 def _bundle(args) -> ScenarioBundle:
-    return build_bundle(*_resolve_config(getattr(args, "config", None)))
+    return build_bundle(*_resolve_config(args.config))
 
 
 def _cell(fn, warnings: list[str], name: str):
@@ -243,10 +243,11 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     from .sim import compare_to_model, run_simulation  # loads numpy
 
-    b = _bundle(args)
-    base = b.scenario
+    base = _bundle(args).scenario
     seed = base.seed if args.seed is None else args.seed
-    if seed + args.runs - 1 >= 2**64:
+    if args.runs < 1:
+        raise ConfigError(f"--runs must be positive, got {args.runs}")
+    if not 0 <= seed <= 2**64 - args.runs:
         raise ConfigError(f"seeds {seed}..{seed + args.runs - 1} of --runs {args.runs} "
                           f"pass the 64-bit seed range")
     out = Path(args.out)
@@ -342,12 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "runs", 1) is not None and getattr(args, "runs", 1) <= 0:
-        parser.error("--runs must be positive")
-    if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2**64:
-        parser.error("--seed must fit in 64 bits")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, OSError) as e:  # OSError: an --out that cannot be written

@@ -24,7 +24,7 @@ ENV_CONFIG_PATH = "V2XSUSTAIN_CONFIG"
 
 class Field(NamedTuple):
     name: str
-    kind: str  # "float", "int", "bool", "str", or "prob": a probability or a list of them
+    kind: str  # "float", "int", "bool", "str", or "prob": a value in (0, 1) or a list of them
     default: float | int | bool | str | None
     meaning: str
 
@@ -66,7 +66,6 @@ FIELDS = (
 )
 FIELD_KINDS = {f.name: f.kind for f in FIELDS}
 _DEFAULTS = {f.name: f.default for f in FIELDS if f.default is not None}
-_PROBABILITIES = tuple(f.name for f in FIELDS if f.kind == "prob")
 
 
 def default_config() -> dict:
@@ -74,27 +73,31 @@ def default_config() -> dict:
     return dict(_DEFAULTS)
 
 
-def _check_scalar(name: str, kind: str, value) -> float | int | bool | str:
+def _check_scalar(source: str, name: str, kind: str, value) -> float | int | bool | str:
     if kind == "bool":
         if not isinstance(value, bool):
-            raise ConfigError(f"field {name!r}: expected a boolean, got {value!r}")
+            raise ConfigError(f"{source}: field {name!r}: expected a boolean, got {value!r}")
         return value
     if kind == "str":
         if not isinstance(value, str):
-            raise ConfigError(f"field {name!r}: expected a string, got {value!r}")
+            raise ConfigError(f"{source}: field {name!r}: expected a string, got {value!r}")
         return value
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"field {name!r}: expected an integer, got {value!r}")
+            raise ConfigError(f"{source}: field {name!r}: expected an integer, got {value!r}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {name!r}: expected a number, got {value!r}")
+        raise ConfigError(f"{source}: field {name!r}: expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
-        raise ConfigError(f"field {name!r}: integer beyond the float range") from None
+        raise ConfigError(f"{source}: field {name!r}: integer beyond the float range") from None
     if not math.isfinite(number):
-        raise ConfigError(f"field {name!r}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{source}: field {name!r}: expected a finite number, got {value!r}")
+    if kind == "prob" and not 0.0 < number < 1.0:
+        raise ConfigError(
+            f"{source}: field {name!r} values must lie strictly in (0, 1), got {number!r}"
+        )
     return number
 
 
@@ -108,9 +111,9 @@ def merge_config(overrides: dict, source: str = "<dict>") -> dict:
         if kind == "prob" and isinstance(value, list):
             if not value:
                 raise ConfigError(f"{source}: field {name!r} list is empty")
-            config[name] = [_check_scalar(name, kind, v) for v in value]
+            config[name] = [_check_scalar(source, name, kind, v) for v in value]
         else:
-            config[name] = _check_scalar(name, kind, value)
+            config[name] = _check_scalar(source, name, kind, value)
     return config
 
 
@@ -192,18 +195,10 @@ class ScenarioBundle:
 def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
     """Turn a merged config dict into typed scenario objects.
 
-    Structural invariant breaches (reversed windows, E0 > E, probabilities
-    off range) surface as ConfigError naming the source; admissibility
-    violations are left to check_constraints, which treats them as data.
+    Structural invariant breaches (reversed windows, E0 > E) surface as
+    ConfigError naming the source; admissibility violations are left to
+    check_constraints, which treats them as data.
     """
-    for name in _PROBABILITIES:
-        values = config[name] if isinstance(config[name], list) else [config[name]]
-        for v in values:
-            if not 0.0 < v < 1.0:
-                raise ConfigError(
-                    f"{source}: field {name!r} values must lie strictly in (0, 1), "
-                    f"got {v!r}"
-                )
     try:
         net = NetworkParams(
             N=config["N"], E=config["E"], E_zero=config["E0"],

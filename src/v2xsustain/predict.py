@@ -272,7 +272,7 @@ def predicted_message_overhead(
     u_k = predicted_key_updates(rates, window)
     if u_k == 0.0:
         raise DomainError(f"predicted key updates round to 0 at alpha={rates.alpha!r}")
-    s_n_unit = _window_form(rates, net, window, 1)
+    s_n_unit = _window_form(rates, net, window.t1, window.t2, 1)
     o_s = signaling_overhead(O_b, alpha_prime, net, window)
     density = rng.r2 - rng.r1
     conn = connectivity_window_factor(net, rates.gamma_prime, window)

@@ -31,7 +31,7 @@ from .config import Scenario
 from .csvio import nan_to_none, write_csv, write_event_columns
 from .decision import check_constraints
 from .errors import DomainError, OverflowRangeError, SimulationTruncated
-from .sustain import TimeWindow, loss_probability_model, sustainability_window
+from .sustain import _window_form, loss_probability_model
 
 # The events CSV labels, indexed by EventTable.kind code in tie-break order.
 _KIND_NAMES = ("arrival", "auth_pass", "key_update", "departure")
@@ -364,8 +364,7 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
             t2 = min(edge, window.T)
             if 0.0 < t1 < t2:
                 try:
-                    s_n_model[k] = sustainability_window(
-                        rates, net, TimeWindow(t1=t1, t2=t2, T=window.T, t_x_step=window.t_x_step))
+                    s_n_model[k] = _window_form(rates, net, t1, t2, net.Q)
                 except (DomainError, OverflowRangeError) as e:
                     model_errors.append(str(e))
     s_n_rel = [None if e is None or m is None or m == 0.0 else (e - m) / abs(m)

@@ -227,13 +227,13 @@ def sustainability_window(
 
     Requires beta > alpha > 0 so the Ei arguments stay positive.
     """
-    return _window_form(rates, net, window, net.Q)
+    return _window_form(rates, net, window.t1, window.t2, net.Q)
 
 
 def _window_form(
-    rates: RateParams, net: NetworkParams, window: TimeWindow, Q: int
+    rates: RateParams, net: NetworkParams, t1: float, t2: float, Q: int
 ) -> float:
-    """sustainability_window at Q passes per session in place of net.Q."""
+    """sustainability_window over checked bounds 0 < t1 < t2, at Q passes per session."""
     if not rates.alpha > 0.0:
         raise DomainError(f"window form requires alpha > 0, got {rates.alpha!r}")
     if not rates.beta > rates.alpha:
@@ -248,7 +248,7 @@ def _window_form(
         raise OverflowRangeError(
             f"window prefactor alpha^2 overflows at alpha={rates.alpha!r}"
         ) from e
-    s_n = prefactor * _ei_window(rates.beta - rates.alpha, window.t1, window.t2)
+    s_n = prefactor * _ei_window(rates.beta - rates.alpha, t1, t2)
     if not math.isfinite(s_n):
         raise OverflowRangeError(f"window form gives {s_n!r}, outside double range")
     return s_n

@@ -42,6 +42,7 @@ from v2xsustain.cli import SWEEP_GRIDS, main
 from v2xsustain.config import FIELDS
 from v2xsustain.csvio import fmt
 from v2xsustain.errors import ConfigError
+from v2xsustain.sustain import _ei_window
 
 SRC = str(Path(v2xsustain.__file__).resolve().parents[1])
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -329,16 +330,35 @@ def test_simulate_keeps_the_run_when_the_model_leaves_double_range(tmp_path, cap
         assert len(rows) == slots and all(r[2] == r[3] == "" for r in rows)
 
 
-@pytest.mark.parametrize("route", ["--seed", "config"])
+@pytest.mark.parametrize("route", ["--seed", "config", "--runs=0", "--seed=-1"])
 def test_seed_range_past_64_bits_exits_two_before_any_run(tmp_path, capsys, route):
+    # the seeds top..top+1 of two runs, no run at all, or a negative seed
     top = 2**64 - 1
-    argv = ["--seed", str(top)] if route == "--seed" else [write_config(tmp_path, seed=top)]
+    if route == "--seed":
+        argv = ["--seed", str(top), "--runs", "2"]
+    elif route == "config":
+        argv = [write_config(tmp_path, seed=top), "--runs", "2"]
+    else:
+        argv = route.split("=")
     out = tmp_path / "out"
-    assert main(["simulate", *argv, "--runs", "2", "--out", str(out)]) == 2
+    assert main(["simulate", *argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+def test_every_field_error_names_its_file(tmp_path, capsys):
+    # one wrong value of each field kind, and a bad entry of a prob list
+    cases = {"beta": "x", "N": 2.5, "count_reauth_passes": "yes", "label": 7,
+             "p_x": 1.5, "omega_x": [0.5, 1.0]}
+    for name, value in cases.items():
+        path = write_config(tmp_path, f"{name}.json", **{name: value})
+        assert main(["validate", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: field {name!r}")
+        assert captured.err.count("\n") == 1
 
 
 def test_sweep_alpha_prime_default_lives_in_the_library(tmp_path, capsys):
@@ -480,7 +500,9 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert main(["sweep", "--param", "gamma", "--values", "1", "--out", out]) == 2
     assert capsys.readouterr().err == "error: unknown sweep parameter 'gamma'\n"
     assert main(["sweep", "--param", "label", "--values", "1", "--out", out]) == 2
-    assert capsys.readouterr().err == "error: field 'label': expected a string, got 1.0\n"
+    assert capsys.readouterr().err == (
+        "error: sweep label=1: field 'label': expected a string, got 1.0\n"
+    )
     assert main(["sweep", "--param", "event_cap", "--values", "0", "--out", out]) == 2
     assert capsys.readouterr().err == (
         "error: sweep event_cap=0: event_cap must be positive, got 0\n"
@@ -695,9 +717,9 @@ def test_sweep_rows_check_only_their_overrides(tmp_path, monkeypatch, capsys):
     calls = []
     check = config_module._check_scalar
 
-    def counting(name, kind, value):
+    def counting(source, name, kind, value):
         calls.append(name)
-        return check(name, kind, value)
+        return check(source, name, kind, value)
 
     monkeypatch.setattr(config_module, "_check_scalar", counting)
     assert_golden_output(tmp_path, BETA_200, {"p_x": P_X_LIST}, 0, GOLDEN_P_X_LIST_BETA_200)
@@ -716,6 +738,7 @@ def test_sweep_row_evaluates_its_ei_window_once(tmp_path, monkeypatch, capsys):
         return expint_ei(x)
 
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    _ei_window.cache_clear()  # an earlier A1 window would serve the first row
     monkeypatch.setattr("v2xsustain.sustain.expint_ei", counting)
     monkeypatch.setattr("v2xsustain.specfun.expint_ei", counting)
     index = GOLDEN_ANALYTIC_IDS.index("sweep_beta200")
@@ -818,13 +841,12 @@ def test_failsafe_compliance_of_one_empties_every_mu(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_main_usage_errors():
+def test_main_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--out", "x", "--runs", "0"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--out", "x", "--seed", "-3"])
-    assert exc.value.code == 2
+    out = tmp_path / "x"
+    assert main(["simulate", "--out", str(out), "--runs", "0"]) == 2
+    assert main(["simulate", "--out", str(out), "--seed", "-3"]) == 2
+    assert not out.exists()
+    capsys.readouterr()

@@ -381,6 +381,25 @@ def test_compare_report_shape():
     assert report.p_model == pytest.approx(0.5**10, rel=1e-12, abs=0.0)
 
 
+def test_compare_builds_no_window_per_slot(monkeypatch):
+    # each slot's closed form takes the slot bounds as floats; the scenario's
+    # window was checked once, when the scenario was built
+    sc = scenario(window=dataclasses.replace(WINDOW, t_x_step=0.1))
+    trace = run_simulation(sc)
+    calls = []
+    check = TimeWindow.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(TimeWindow, "__post_init__", counting)
+    report = compare_to_model(trace, sc)
+    assert len(report.table.t_s) == 1100
+    assert all(m is not None for m in report.table.S_N_model[1:])
+    assert calls == []
+
+
 def test_compare_model_columns_absent_without_closed_form():
     rates = RateParams(alpha=2.0, beta=2.0, gamma_prime=0.1)
     sc = scenario(rates=rates)
