@@ -15,25 +15,22 @@ __version__ = "0.2.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "errors": """AuthenticationError ConfigError ConvergenceError DivergenceError
-            DomainError IntegrandError OverflowRangeError
-            SimulationTruncated""",
+        "errors": """AuthenticationError ConfigError ConvergenceError DomainError
+            IntegrandError OverflowRangeError SimulationTruncated""",
         "specfun": "EULER_GAMMA QuadResult QuadSpec expint_ei integrate ln_gamma",
         "sustain": """NetworkParams RangeParams RateParams TimeWindow
-            loss_probability_model message_overhead
-            signaling_overhead signaling_overhead_raw signaling_time_factor
-            sustainability_asymptote sustainability_point sustainability_window
-            sustainability_window_quadrature vehicles_in_range window_integrand""",
-        "predict": """SCALE_FLOOR BetaTraffic LikelihoodBounds OverheadPrediction
-            connectivity_prob connectivity_window_factor density_beta failsafe_tau
+            loss_probability_model message_overhead signaling_overhead
+            signaling_time_factor sustainability_window
+            sustainability_window_quadrature window_integrand""",
+        "predict": """SCALE_FLOOR LikelihoodBounds OverheadPrediction
+            connectivity_prob connectivity_window_factor failsafe_tau
             predicted_key_updates predicted_message_overhead resolve_alpha_prime
-            scale_asymptote scale_growth_diagnostic scale_param""",
+            scale_param""",
         "keychain": """KEY_BYTES LABELS MODE_PASSKEY PARENTS KeyHierarchy KeyNode
             PeerCredential Session establish_session
             export_derivation_log peer_credential refresh_subtree verify_session""",
-        "decision": """CONTINUE DECISIONS RECONFIGURE UPDATE_KEYS FactorBounds
-            FactorInputs FailSafeReport Thresholds Violation
-            check_constraints combine_factors decide factor_score failsafe_point""",
+        "decision": """CONTINUE DECISIONS RECONFIGURE UPDATE_KEYS FailSafeReport
+            Thresholds Violation check_constraints decide failsafe_point""",
         "sim": "ComparisonReport SimTrace SlotTable compare_to_model run_simulation",
         "config": """ENV_CONFIG_PATH Scenario ScenarioBundle build_bundle default_config
             load_bundle load_config merge_config""",

@@ -287,15 +287,20 @@ def cmd_table3(args) -> int:
 
 
 def cmd_failsafe(args) -> int:
-    from .sim import run_simulation  # loads numpy
+    from .sim import run_simulation, slot_count  # loads numpy
 
-    b = _bundle(args)
+    config, source = _resolve_config(args.config)
+    b = build_bundle(config, source)
+    try:  # an omega_x list too short for the slots fails before any draw
+        compliance = b.omega_compliance(slot_count(b.scenario))
+    except ConfigError as e:
+        raise ConfigError(f"{source}: {e}") from None
     try:
         trace = run_simulation(b.scenario)
     except SimulationTruncated as e:
         print(f"simulation truncated at event cap: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    table = score_failsafe_slots(trace, b.omega_compliance(len(trace.slots)), b.bounds)
+    table = score_failsafe_slots(trace, compliance, b.bounds)
     write_csv(args.out, FailsafeTable._fields, table)
     last_decision = table.decision[-1] if table.decision else None
     print(f"wrote {len(table.t_s)} rows to {args.out}; final decision: {last_decision}")

@@ -1,10 +1,9 @@
-"""Operational decision layer: constraint checks, factor score, fail-safe
-point and per-slot fail-safe scoring.
+"""Operational decision layer: constraint checks, fail-safe point and
+per-slot fail-safe scoring.
 
 The decision order is fixed: a scale parameter at or below the operability
 floor forces reconfiguration no matter what else holds; otherwise threshold
-breaches demand key updates; otherwise the network continues. The factor
-score G_f is advisory context attached to the rationale, never the decider.
+breaches demand key updates; otherwise the network continues.
 score_failsafe_slots applies the two column rules, _rule (whose one-row
 case is decide()) and failsafe_point for F_S.
 """
@@ -25,128 +24,6 @@ CONTINUE = "continue"
 UPDATE_KEYS = "update_keys"
 RECONFIGURE = "reconfigure"
 DECISIONS = frozenset({CONTINUE, UPDATE_KEYS, RECONFIGURE})
-
-
-@dataclass(frozen=True)
-class FactorInputs:
-    """Raw vehicle observables feeding the factorized score.
-
-    speed in m/s, location and associativity already normalized to [0,1],
-    last_update in seconds since the last key refresh, shared_sessions and
-    total_keys as counts, refresh_rate per second, zone_traversals as a
-    count. deltas are the per-group distribution constants, thetas the
-    priority weights, w how many groups participate (first w of three).
-    """
-
-    speed: float = 0.0
-    location: float = 0.0
-    last_update: float = 0.0
-    shared_sessions: float = 0.0
-    refresh_rate: float = 0.0
-    total_keys: float = 0.0
-    zone_traversals: float = 0.0
-    associativity: float = 0.0
-    deltas: tuple[float, float, float] = (1.0 / 3, 1.0 / 3, 1.0 / 3)
-    thetas: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    w: int = 3
-
-    def __post_init__(self):
-        for name in ("location", "associativity"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must be in [0, 1], got {v!r}")
-        for name in ("speed", "last_update", "shared_sessions", "refresh_rate",
-                     "total_keys", "zone_traversals"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
-        if len(self.deltas) != 3 or len(self.thetas) != 3:
-            raise DomainError("deltas and thetas must have three entries")
-        for d in self.deltas:
-            if not 0.0 <= d <= 1.0:
-                raise DomainError(f"delta must be in [0, 1], got {d!r}")
-        if not 0.0 < sum(self.deltas) <= 1.0:
-            raise DomainError(
-                f"delta sum must be in (0, 1], got {sum(self.deltas)!r}"
-            )
-        for t in self.thetas:
-            if not 0.0 <= t <= 1.0 or not math.isfinite(t):
-                raise DomainError(f"theta must be in [0, 1], got {t!r}")
-        if not isinstance(self.w, int) or not 1 <= self.w <= 3:
-            raise DomainError(f"w must be an integer in [1, 3], got {self.w!r}")
-
-
-@dataclass(frozen=True)
-class FactorBounds:
-    """Min-max normalization ranges for the unbounded observables.
-
-    Values outside a range clamp to it, so a runaway input saturates its
-    group instead of blowing up the score.
-    """
-
-    speed: tuple[float, float] = (0.0, 50.0)
-    last_update: tuple[float, float] = (0.0, 3600.0)
-    shared_sessions: tuple[float, float] = (0.0, 100.0)
-    refresh_rate: tuple[float, float] = (0.0, 1.0)
-    total_keys: tuple[float, float] = (0.0, 100.0)
-    zone_traversals: tuple[float, float] = (0.0, 50.0)
-
-    def __post_init__(self):
-        for name in ("speed", "last_update", "shared_sessions", "refresh_rate",
-                     "total_keys", "zone_traversals"):
-            lo, hi = getattr(self, name)
-            if not hi > lo:
-                raise DomainError(f"{name} bounds must satisfy hi > lo, got ({lo!r}, {hi!r})")
-
-
-DEFAULT_BOUNDS = FactorBounds()
-
-
-def _norm(value: float, bounds: tuple[float, float]) -> float:
-    lo, hi = bounds
-    return min(1.0, max(0.0, (value - lo) / (hi - lo)))
-
-
-def combine_factors(g: Sequence[float], thetas: Sequence[float]) -> float:
-    """Priority-weighted mean of group scores, clamped to [0, 1]."""
-    if len(g) == 0 or len(g) > 3:
-        raise DomainError(f"between 1 and 3 group scores expected, got {len(g)}")
-    if len(g) != len(thetas):
-        raise DomainError("g and thetas must have equal length")
-    total = sum(thetas)
-    if total <= 0.0:
-        raise DomainError("theta sum must be positive")
-    score = sum(gi * ti for gi, ti in zip(g, thetas)) / total
-    return min(1.0, max(0.0, score))
-
-
-def factor_score(inputs: FactorInputs, bounds: FactorBounds = DEFAULT_BOUNDS) -> float:
-    """Factorized decision score G_f in [0, 1].
-
-    Three groups: mobility (speed, location), key usage (last update age,
-    shared sessions, refresh rate, total keys), and zone behavior
-    (traversals, associativity). Each group is the arithmetic mean of its
-    min-max normalized members scaled by its delta; the first w groups are
-    combined by theta-weighted mean.
-    """
-    g1 = inputs.deltas[0] * (
-        (_norm(inputs.speed, bounds.speed) + inputs.location) / 2.0
-    )
-    g2 = inputs.deltas[1] * (
-        (
-            _norm(inputs.last_update, bounds.last_update)
-            + _norm(inputs.shared_sessions, bounds.shared_sessions)
-            + _norm(inputs.refresh_rate, bounds.refresh_rate)
-            + _norm(inputs.total_keys, bounds.total_keys)
-        )
-        / 4.0
-    )
-    g3 = inputs.deltas[2] * (
-        (_norm(inputs.zone_traversals, bounds.zone_traversals) + inputs.associativity)
-        / 2.0
-    )
-    groups = (g1, g2, g3)[: inputs.w]
-    return combine_factors(groups, inputs.thetas[: inputs.w])
 
 
 @dataclass(frozen=True)
@@ -269,8 +146,8 @@ def failsafe_point(
     return f_s
 
 
-def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence, thresholds: Thresholds,
-          advisory: str = "") -> tuple[list[str], list[str]]:
+def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence,
+          thresholds: Thresholds) -> tuple[list[str], list[str]]:
     """The decision and rationale columns for columns of S_N, M_O and mu
     (None where undefined); decide() is the one-row case. The kind code keeps
     the decision order: too few observations, then mu <= SCALE_FLOOR, then
@@ -280,11 +157,11 @@ def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence, thresholds: Thresholds,
     kinds = (  # (decision, rationale template, its columns), by kind code
         (UPDATE_KEYS, "insufficient observations in this slot", ()),
         (RECONFIGURE, f"scale parameter %g at or below {SCALE_FLOOR:g}: "
-                      f"network not operable without reconfiguration{advisory}", (mu,)),
-        (CONTINUE, f"S_N and M_O within thresholds{advisory}", ()),
-        (UPDATE_KEYS, f"S_N %g < {s_th:g}{advisory}", (s_n,)),
-        (UPDATE_KEYS, f"M_O %g > {m_th:g}{advisory}", (m_o,)),
-        (UPDATE_KEYS, f"S_N %g < {s_th:g}; M_O %g > {m_th:g}{advisory}", (s_n, m_o)),
+                      "network not operable without reconfiguration", (mu,)),
+        (CONTINUE, "S_N and M_O within thresholds", ()),
+        (UPDATE_KEYS, f"S_N %g < {s_th:g}", (s_n,)),
+        (UPDATE_KEYS, f"M_O %g > {m_th:g}", (m_o,)),
+        (UPDATE_KEYS, f"S_N %g < {s_th:g}; M_O %g > {m_th:g}", (s_n, m_o)),
     )
     code = [0 if s is None or u is None else 1 if u <= SCALE_FLOOR
             else 2 + (s < s_th) + 2 * (m > m_th) for s, m, u in zip(s_n, m_o, mu)]
@@ -299,21 +176,13 @@ def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence, thresholds: Thresholds,
     return [kinds[c][0] for c in code], rationale
 
 
-def decide(
-    s_n: float,
-    m_o: float,
-    mu: float,
-    g_f: float | None,
-    thresholds: Thresholds,
-) -> FailSafeReport:
+def decide(s_n: float, m_o: float, mu: float, thresholds: Thresholds) -> FailSafeReport:
     """Operational decision from current metrics, the one-row case of _rule.
 
     Reconfiguration wins whenever mu is at or below the operability floor;
-    then threshold breaches force key updates; otherwise continue. The
-    factor score only annotates the rationale.
+    then threshold breaches force key updates; otherwise continue.
     """
-    advisory = f"; advisory G_f={g_f:.3f}" if g_f is not None else ""
-    (decision,), (rationale,) = _rule([s_n], [m_o], [mu], thresholds, advisory)
+    (decision,), (rationale,) = _rule([s_n], [m_o], [mu], thresholds)
     return FailSafeReport(mu=mu, decision=decision, rationale=rationale)
 
 
@@ -362,8 +231,7 @@ def score_failsafe_slots(
     log_sum = np.zeros(n)
     log_sum[compliant] = np.cumsum([math.log(1.0 / v) for v in w[compliant].tolist()])
     with np.errstate(all="ignore"):  # the first bad slot is found below
-        # observed D may exceed the planning bound N, so the point-form
-        # guard does not apply here
+        # observed D may exceed the planning bound N, so it is not checked against N
         s_n = (slots.U_k / net.n_inv) / (slots.D * p * net.Q)
         m_o = slots.passes * (1.0 - p) / (net.E * p)
         s_n_sum = np.cumsum(np.where(ok, s_n, 0.0))

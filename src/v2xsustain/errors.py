@@ -10,10 +10,6 @@ class DomainError(ValueError):
     """Input violates a documented precondition of the model."""
 
 
-class DivergenceError(DomainError):
-    """The requested integral or endpoint value diverges."""
-
-
 class OverflowRangeError(OverflowError):
     """Result exceeds double-precision range."""
 

@@ -1,12 +1,11 @@
 """Prediction-side mathematics.
 
-Beta-distributed traffic density, connectivity probability from the
-exponential departure model, the predicted message overhead composition,
-the fail-safe likelihood, and the scale-parameter asymptotics. These let
-the network act before measurements exist: everything here is a function
-of rates and window bounds only. Each quantity has one route: a closed
-form, whose quadrature twin lives with the tests, or quadrature where no
-closed form is known (the Beta mass and the scale asymptote).
+The scale parameter, connectivity probability from the exponential
+departure model, the predicted message overhead composition and the
+fail-safe likelihood. These let the network act before measurements exist:
+everything here is a function of rates and window bounds only. Each
+quantity has one route, a closed form, whose quadrature twin lives with
+the tests.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DivergenceError, DomainError
-from .specfun import QuadSpec, integrate, ln_gamma
+from .errors import DomainError
 from .sustain import (
     NetworkParams,
     RangeParams,
@@ -32,36 +30,12 @@ SCALE_FLOOR = 2.0  # scale parameter at or below this marks a non-operable netwo
 
 
 @dataclass(frozen=True)
-class BetaTraffic:
-    """Beta-model traffic parameters.
-
-    shape/scale are the Beta density parameters (shape >= 1 per the model's
-    operating assumption).
-    """
-
-    shape: float = 1.0
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not self.shape >= 1.0:
-            raise DomainError(f"shape must be >= 1, got {self.shape!r}")
-        if not self.scale > 0.0:
-            raise DomainError(f"scale must be positive, got {self.scale!r}")
-
-
-@dataclass(frozen=True)
 class LikelihoodBounds:
-    """Probability bounds for the fail-safe likelihood and the scale asymptote.
-
-    (d1, d2) bound the checkpoint integral, (c1, c2) the rate integral of
-    the library-only asymptote; no config field sets them. Both pairs live
-    inside the unit interval.
-    """
+    """Probability bounds (d1, d2) of the fail-safe checkpoint integral,
+    inside the unit interval."""
 
     d1: float
     d2: float
-    c1: float = 0.1
-    c2: float = 0.9
 
     def __post_init__(self):
         if not 0.0 <= self.d1 < self.d2:
@@ -70,59 +44,6 @@ class LikelihoodBounds:
             )
         if not self.d2 < 1.0:
             raise DomainError(f"d2 must be < 1, got {self.d2!r}")
-        if not 0.0 <= self.c1 < self.c2:
-            raise DomainError(
-                f"bounds require 0 <= c1 < c2, got c1={self.c1!r} c2={self.c2!r}"
-            )
-        if not self.c2 < 1.0:
-            raise DomainError(f"c2 must be < 1, got {self.c2!r}")
-
-
-def _beta_density(x: float, shape: float, scale: float, log_norm: float) -> float:
-    # Beta density extended to the closed interval by continuity where the
-    # exponent allows it; a singular endpoint is a divergence, not a sample.
-    # BetaTraffic holds shape >= 1, so only the x = 1 end can diverge.
-    if x == 0.0:
-        return math.exp(log_norm) if shape == 1.0 else 0.0
-    if x == 1.0:
-        if scale < 1.0:
-            raise DivergenceError("beta density diverges at 1 for scale < 1")
-        return math.exp(log_norm) if scale == 1.0 else 0.0
-    log_val = log_norm + (shape - 1.0) * math.log(x) + (scale - 1.0) * math.log1p(-x)
-    return math.exp(log_val)
-
-
-def density_beta(
-    traffic: BetaTraffic,
-    rng: RangeParams,
-    normalizer: float | None = None,
-) -> float:
-    """Expected presence mass: Beta(shape, scale) integrated over the range.
-
-    The meter range [r1, r2] is mapped into the unit interval, either
-    directly (when it already lies there) or by dividing through
-    `normalizer`. The result is the probability mass the Beta traffic
-    model assigns to the range.
-    """
-    lo, hi = rng.r1, rng.r2
-    if normalizer is not None:
-        if not normalizer > 0.0:
-            raise DomainError(f"normalizer must be positive, got {normalizer!r}")
-        lo, hi = lo / normalizer, hi / normalizer
-    if not (0.0 <= lo < hi <= 1.0):
-        raise DomainError(
-            f"mapped interval [{lo!r}, {hi!r}] must lie within [0, 1]"
-        )
-    log_norm = (
-        ln_gamma(traffic.shape + traffic.scale)
-        - ln_gamma(traffic.shape)
-        - ln_gamma(traffic.scale)
-    )
-
-    def pdf(x: float) -> float:
-        return _beta_density(x, traffic.shape, traffic.scale, log_norm)
-
-    return integrate(pdf, QuadSpec(lo, hi)).value
 
 
 def scale_param(
@@ -257,8 +178,8 @@ def predicted_message_overhead(
     the leading factor; the expanded printed form carries no Q at all.
 
     alpha_prime defaults as in resolve_alpha_prime; the connectivity factor
-    decays at gamma'. The density component is the unit-shape Beta mass of
-    the meter range, which is the plain range width r2 - r1.
+    decays at gamma'. The density component is the plain range width
+    r2 - r1 of the meter range.
     """
     if O_b < 0.0:
         raise DomainError(f"O_b must be >= 0, got {O_b!r}")
@@ -348,35 +269,3 @@ def failsafe_tau(mu: float, bounds: LikelihoodBounds, T: float) -> float:
     keep = 1.0 - bounds.d1
     drop = -math.expm1(mu * math.log1p((bounds.d1 - bounds.d2) / keep))
     return keep**mu * drop / T
-
-
-def scale_asymptote(bounds: LikelihoodBounds, T: float) -> float:
-    """Asymptote integral of the scale parameter over the rate interval.
-
-    f = int_{c1}^{c2} e^{-rate/T} / ln(1/(1-rate)) d rate. The integrand
-    behaves like 1/rate near zero, so c1 = 0 is an explicit divergence.
-    """
-    if not T > 0.0:
-        raise DomainError(f"T must be positive, got {T!r}")
-    if bounds.c1 == 0.0:
-        raise DivergenceError(
-            "the asymptote integral is divergent at c1 = 0 (integrand ~ 1/rate)"
-        )
-
-    def f(rate: float) -> float:
-        return math.exp(-rate / T) / math.log(1.0 / (1.0 - rate))
-
-    return integrate(f, QuadSpec(bounds.c1, bounds.c2)).value
-
-
-def scale_growth_diagnostic(T: float, t_x_slots: int) -> float:
-    """Reference growth envelope T^(t_x) for the scale parameter.
-
-    Reported for inspection only; no computation in this package consumes
-    it.
-    """
-    if not T > 0.0:
-        raise DomainError(f"T must be positive, got {T!r}")
-    if not isinstance(t_x_slots, int) or t_x_slots < 0:
-        raise DomainError(f"t_x_slots must be a non-negative integer, got {t_x_slots!r}")
-    return float(T) ** t_x_slots

@@ -207,6 +207,26 @@ def _exact_sum(counts: np.ndarray) -> int:
     return (int(np.sum(counts >> 32)) << 32) + int(np.sum(counts & 0xFFFFFFFF))
 
 
+def slot_count(scenario: Scenario) -> int:
+    """The number of reporting slots, known before any draw.
+
+    The slot edges are k * t_x_step for k = 0, 1, ..., slot_count, up to T
+    with a 1e-12 relative allowance for rounding. Raises DomainError when
+    T / t_x_step exceeds the event cap, before the edges are counted.
+    """
+    window = scenario.window
+    step, slots = window.t_x_step, window.T / window.t_x_step
+    if slots > scenario.event_cap:
+        raise DomainError(
+            f"{slots:.6g} slots of {step:g} s exceed the event cap {scenario.event_cap}"
+        )
+    last = window.T * (1.0 + 1e-12)
+    n = int(last // step) + 1
+    while n * step > last:  # k * step rounds, so the last candidates may pass T
+        n -= 1
+    return n
+
+
 def run_simulation(scenario: Scenario) -> SimTrace:
     """Simulate [0, T] and extract per-slot empirical metrics.
 
@@ -225,12 +245,7 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     if violations:
         names = ", ".join(v.constraint for v in violations)
         raise DomainError(f"scenario fails constraint check: {names}")
-    slots = window.T / window.t_x_step
-    if slots > scenario.event_cap:
-        raise DomainError(
-            f"{slots:.6g} slots of {window.t_x_step:g} s exceed the event cap "
-            f"{scenario.event_cap}"
-        )
+    n_slots = slot_count(scenario)
     T = window.T
     for name, rate in (("beta", rates.beta), ("alpha", rates.alpha)):
         if rate * T > _POISSON_LAM_MAX:
@@ -266,9 +281,7 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     events = _event_table(arrive, depart, upd_t, upd_id, scenario)
 
     # Slot counts are differences of cumulative counts at [0, b1, b2, ...].
-    last = T * (1.0 + 1e-12)
-    edges = np.arange(int(last // window.t_x_step) + 2) * window.t_x_step
-    edges = edges[edges <= last]
+    edges = np.arange(n_slots + 1) * window.t_x_step
 
     def upto(sorted_times: np.ndarray) -> np.ndarray:
         return np.searchsorted(sorted_times, edges, side="right")

@@ -1,10 +1,9 @@
 """Special functions and adaptive quadrature.
 
-The analysis layer needs three pieces of numerics: the exponential integral
-Ei that closed-form sustainability windows reduce to, log-gamma for Beta
-density normalization, and a self-contained adaptive Simpson integrator
-for the model quantities without a closed form and for the tests'
-quadrature twins of the closed forms.
+The analysis layer needs the exponential integral Ei that closed-form
+sustainability windows reduce to. Log-gamma and a self-contained adaptive
+Simpson integrator, which runs the quadrature twins of the closed forms,
+complete the set.
 """
 
 from __future__ import annotations
@@ -98,10 +97,9 @@ def _ei_asymptotic(x: float) -> float:
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0.
 
-    math.lgamma with the domain restricted to the positive axis, which is
-    all the Beta-density work needs. Integral arguments reduce to
-    factorials and are returned as log((x-1)!) exactly; lgamma drifts a
-    couple of ulp off the factorial route there.
+    math.lgamma with the domain restricted to the positive axis. Integral
+    arguments reduce to factorials and are returned as log((x-1)!)
+    exactly; lgamma drifts a couple of ulp off the factorial route there.
     """
     if not (isinstance(x, (int, float)) and math.isfinite(x)):
         raise DomainError(f"ln_gamma requires a finite argument, got {x!r}")

@@ -60,8 +60,7 @@ class RateParams:
     alpha: key updates per vehicle, beta: vehicle arrivals, gamma_prime:
     outgoing connection (departure) rate. The window
     closed form additionally needs beta > alpha > 0; that is checked at
-    the point of use because the asymptote and the simulator are both
-    well defined without it.
+    the point of use because the simulator is well defined without it.
     """
 
     alpha: float
@@ -168,36 +167,6 @@ def _divisor_loss_probability(net: NetworkParams) -> float:
     return P
 
 
-def sustainability_point(
-    U_k: float,
-    D: float,
-    P: float | None,
-    net: NetworkParams,
-    R: float | None = None,
-) -> float:
-    """Point sustainability n*U_k / (D * P * Q), or the range variant with R.
-
-    U_k is the surviving key-update count, D the vehicles in range, P the
-    loss probability (replaced by the zone span R when given), and
-    n = 1/n_inv. Zero denominators and D outside (0, N] are domain errors.
-    """
-    if U_k < 0.0:
-        raise DomainError(f"U_k must be >= 0, got {U_k!r}")
-    if not 0.0 < D <= net.N:
-        raise DomainError(f"D must satisfy 0 < D <= N={net.N!r}, got {D!r}")
-    if R is not None:
-        if not R > 0.0:
-            raise DomainError(f"R must be positive, got {R!r}")
-        denom_factor = R
-    else:
-        if P is None:
-            raise DomainError("either P or R must be given")
-        if not 0.0 < P <= 1.0:
-            raise DomainError(f"P must be in (0, 1], got {P!r}")
-        denom_factor = P
-    return (U_k / net.n_inv) / (D * denom_factor * net.Q)
-
-
 def window_integrand(rates: RateParams) -> Callable[[float], float]:
     """Density ratio integrand of the windowed sustainability integral.
 
@@ -286,26 +255,6 @@ def sustainability_window_quadrature(
     return result.value / (net.N * P * net.Q)
 
 
-def sustainability_asymptote(rates: RateParams) -> float:
-    """Large-window limit alpha/beta of the sustainability ratio.
-
-    Well defined for any alpha >= 0; alpha == beta gives 1 even though the
-    window form itself requires beta > alpha.
-    """
-    return rates.alpha / rates.beta
-
-
-def signaling_overhead_raw(O_b: float, alpha_prime: float, t: float) -> float:
-    """Instantaneous signaling load O_b (1 - alpha')^t at time t."""
-    if not 0.0 < alpha_prime < 1.0:
-        raise DomainError(f"alpha_prime must be in (0, 1), got {alpha_prime!r}")
-    if O_b < 0.0:
-        raise DomainError(f"O_b must be >= 0, got {O_b!r}")
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
-    return O_b * (1.0 - alpha_prime) ** t
-
-
 def signaling_time_factor(alpha_prime: float, window: TimeWindow) -> float:
     """Windowed decay factor: integral of (1-alpha')^t over [t1, t2].
 
@@ -351,22 +300,3 @@ def message_overhead(O_S: float, P: float, E: int) -> float:
     if not math.isfinite(m_o):
         raise OverflowRangeError(f"M_O is {m_o!r} at P={P!r}, outside double range")
     return m_o
-
-
-def vehicles_in_range(
-    density: Callable[[float], float],
-    rng: RangeParams,
-) -> float:
-    """Expected vehicle count D: integral of a density over [r1, r2].
-
-    The density must be non-negative on the interval; the D <= N check
-    belongs to the caller, which knows the hop budget.
-    """
-
-    def guarded(x: float) -> float:
-        v = density(x)
-        if v < 0.0:
-            raise DomainError(f"density is negative at x={x!r}: {v!r}")
-        return v
-
-    return integrate(guarded, QuadSpec(rng.r1, rng.r2)).value

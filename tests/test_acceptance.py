@@ -299,7 +299,7 @@ def test_criterion_08_key_hierarchy():
 def test_criterion_09_decision_engine():
     for mu in (2.0, 1.0, 0.1):
         for s_n, m_o in ((1e9, 0.0), (0.0, 1e9), (50.0, 1000.0)):
-            assert decide(s_n, m_o, mu, None, TH).decision == RECONFIGURE
+            assert decide(s_n, m_o, mu, TH).decision == RECONFIGURE
 
     trace = [(1.0, 10.0, 0.0), (2.0, 8.0, 0.0), (3.0, 6.0, 0.0), (4.0, 4.0, 0.0)]
     t_s, s_n, _ = zip(*trace)

@@ -38,6 +38,7 @@ from v2xsustain import (
     signaling_overhead,
 )
 from v2xsustain import config as config_module
+from v2xsustain import predict as predict_module
 from v2xsustain.cli import SWEEP_GRIDS, main
 from v2xsustain.config import FIELDS
 from v2xsustain.csvio import fmt
@@ -688,7 +689,7 @@ def test_analytic_commands_never_integrate(
         raise AssertionError("a production path called specfun.integrate")
 
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
-    monkeypatch.setattr("v2xsustain.predict.integrate", refuse)
+    assert not hasattr(predict_module, "integrate")  # predict has no quadrature route
     monkeypatch.setattr("v2xsustain.sustain.integrate", refuse)
     assert_golden_output(tmp_path, argv, overrides, code, digest)
     capsys.readouterr()
@@ -839,6 +840,22 @@ def test_failsafe_compliance_of_one_empties_every_mu(tmp_path, capsys):
     assert all(row[3] == "" and row[4] == "" for row in rows)
     assert {row[6] for row in rows} == {"update_keys"}
     capsys.readouterr()
+
+
+def test_failsafe_short_omega_list_fails_before_any_draw(tmp_path, monkeypatch, capsys):
+    # T_s and tx_step_s fix the slot count, so a list too short for it is an
+    # error of its file, found before the simulation runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("failsafe simulated with a short omega_x list")
+
+    monkeypatch.setattr("v2xsustain.sim.run_simulation", refuse)
+    cfg = write_config(tmp_path, omega_x=[0.5, 0.5])
+    out = tmp_path / "failsafe.csv"
+    assert main(["failsafe", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: omega_x list has 2 entries, 22 slots requested\n"
+    )
+    assert not out.exists()
 
 
 def test_main_usage_errors(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Decision-layer tests: factor score, constraint clauses, fail-safe
-extraction, decision priority and fail-safe slot scoring."""
+"""Decision-layer tests: constraint clauses, fail-safe extraction,
+decision priority and fail-safe slot scoring."""
 
 import math
 import random
@@ -10,17 +10,13 @@ from v2xsustain import (
     CONTINUE,
     RECONFIGURE,
     UPDATE_KEYS,
-    FactorBounds,
-    FactorInputs,
     FailSafeReport,
     NetworkParams,
     Thresholds,
     TimeWindow,
     build_bundle,
     check_constraints,
-    combine_factors,
     decide,
-    factor_score,
     failsafe_point,
     merge_config,
     run_simulation,
@@ -35,84 +31,6 @@ from oracles import scale_param_sustainability
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
 WINDOW = TimeWindow(t1=5.0, t2=105.0, T=110.0)
 TH = Thresholds(S_N_TH=50.0, M_O_TH=1000.0)
-
-
-def test_combine_factors():
-    assert combine_factors([0.2, 0.4, 0.6], [1.0, 1.0, 1.0]) == pytest.approx(0.4)
-    assert combine_factors([1.0, 0.0], [3.0, 1.0]) == pytest.approx(0.75)
-    assert combine_factors([2.0], [1.0]) == 1.0  # clamped
-    with pytest.raises(DomainError):
-        combine_factors([], [])
-    with pytest.raises(DomainError):
-        combine_factors([0.1] * 4, [1.0] * 4)
-    with pytest.raises(DomainError):
-        combine_factors([0.1, 0.2], [1.0])
-    with pytest.raises(DomainError):
-        combine_factors([0.1], [0.0])
-
-
-def test_factor_score_extremes():
-    assert factor_score(FactorInputs()) == 0.0
-    saturated = FactorInputs(
-        speed=50.0,
-        location=1.0,
-        last_update=3600.0,
-        shared_sessions=100.0,
-        refresh_rate=1.0,
-        total_keys=100.0,
-        zone_traversals=50.0,
-        associativity=1.0,
-    )
-    # each group maxes out at its delta = 1/3
-    assert factor_score(saturated) == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
-
-
-def test_factor_score_hand_values():
-    mobility = FactorInputs(speed=25.0, location=0.5, w=1)
-    assert factor_score(mobility) == pytest.approx(1.0 / 6.0, rel=1e-12, abs=0.0)
-    usage = FactorInputs(
-        last_update=1800.0,
-        shared_sessions=50.0,
-        refresh_rate=0.5,
-        total_keys=50.0,
-        w=2,
-    )
-    # g1 = 0, g2 = (1/3)(0.5); theta-mean over two groups halves it
-    assert factor_score(usage) == pytest.approx(1.0 / 12.0, rel=1e-12, abs=0.0)
-
-
-def test_factor_score_clamps_runaway_inputs():
-    assert factor_score(FactorInputs(speed=5000.0, w=1)) == pytest.approx(
-        1.0 / 6.0, rel=1e-12, abs=0.0
-    )
-    tight = FactorBounds(speed=(0.0, 10.0))
-    assert factor_score(FactorInputs(speed=25.0, w=1), tight) == pytest.approx(
-        1.0 / 6.0, rel=1e-12, abs=0.0
-    )
-
-
-def test_factor_score_w_truncates_groups():
-    inputs = FactorInputs(zone_traversals=50.0, associativity=1.0, w=2)
-    assert factor_score(inputs) == 0.0  # zone group excluded
-    full = FactorInputs(zone_traversals=50.0, associativity=1.0, w=3)
-    assert factor_score(full) == pytest.approx(1.0 / 9.0, rel=1e-12, abs=0.0)
-
-
-def test_factor_inputs_validation():
-    with pytest.raises(DomainError):
-        FactorInputs(location=1.5)
-    with pytest.raises(DomainError):
-        FactorInputs(speed=-1.0)
-    with pytest.raises(DomainError):
-        FactorInputs(deltas=(0.5, 0.5, 0.5))
-    with pytest.raises(DomainError):
-        FactorInputs(deltas=(0.0, 0.0, 0.0))
-    with pytest.raises(DomainError):
-        FactorInputs(thetas=(1.0, 1.0, 1.5))
-    with pytest.raises(DomainError):
-        FactorInputs(w=0)
-    with pytest.raises(DomainError):
-        FactorBounds(speed=(10.0, 10.0))
 
 
 def test_thresholds_validation():
@@ -268,7 +186,7 @@ def scalar_scores(trace, compliance, bounds):
         if s_n is None or mu is None:
             decision, rationale = UPDATE_KEYS, "insufficient observations in this slot"
         else:
-            report = decide(s_n, m_o, mu, None, thresholds)
+            report = decide(s_n, m_o, mu, thresholds)
             decision, rationale = report.decision, report.rationale
         for column, cell in zip(table, (t, s_n, m_o, mu, tau, None, decision, rationale)):
             column.append(cell)
@@ -313,31 +231,31 @@ def test_score_failsafe_slots_matches_the_scalar_scorer(overrides):
 def test_decide_scale_floor_wins():
     # even perfect metrics cannot override an inoperable scale parameter
     for mu in (2.0, 1.0, 0.5):
-        report = decide(s_n=1e6, m_o=0.0, mu=mu, g_f=None, thresholds=TH)
+        report = decide(s_n=1e6, m_o=0.0, mu=mu, thresholds=TH)
         assert report.decision == RECONFIGURE
-    breached = decide(s_n=0.0, m_o=1e9, mu=1.0, g_f=0.9, thresholds=TH)
+    breached = decide(s_n=0.0, m_o=1e9, mu=1.0, thresholds=TH)
     assert breached.decision == RECONFIGURE
     assert breached.rationale == ("scale parameter 1 at or below 2: network not operable "
-                                  "without reconfiguration; advisory G_f=0.900")
+                                  "without reconfiguration")
 
 
 def test_decide_threshold_breaches():
-    low = decide(s_n=10.0, m_o=0.0, mu=5.0, g_f=None, thresholds=TH)
+    low = decide(s_n=10.0, m_o=0.0, mu=5.0, thresholds=TH)
     assert low.decision == UPDATE_KEYS and "S_N" in low.rationale
-    high = decide(s_n=100.0, m_o=2000.0, mu=5.0, g_f=None, thresholds=TH)
+    high = decide(s_n=100.0, m_o=2000.0, mu=5.0, thresholds=TH)
     assert high.decision == UPDATE_KEYS and "M_O" in high.rationale
-    both = decide(s_n=10.0, m_o=2000.0, mu=5.0, g_f=None, thresholds=TH)
+    both = decide(s_n=10.0, m_o=2000.0, mu=5.0, thresholds=TH)
     assert "S_N" in both.rationale and "M_O" in both.rationale
     assert both.rationale == "S_N 10 < 50; M_O 2000 > 1000"
-    assert decide(s_n=12.5, m_o=2.5e9, mu=5.0, g_f=0.5, thresholds=TH).rationale == (
-        "S_N 12.5 < 50; M_O 2.5e+09 > 1000; advisory G_f=0.500")
+    assert decide(s_n=12.5, m_o=2.5e9, mu=5.0, thresholds=TH).rationale == (
+        "S_N 12.5 < 50; M_O 2.5e+09 > 1000")
 
 
-def test_decide_continue_with_advisory():
-    report = decide(s_n=100.0, m_o=10.0, mu=5.0, g_f=0.25, thresholds=TH)
+def test_decide_continue():
+    report = decide(s_n=100.0, m_o=10.0, mu=5.0, thresholds=TH)
     assert report.decision == CONTINUE
     assert report.mu == 5.0
-    assert report.rationale == "S_N and M_O within thresholds; advisory G_f=0.250"
+    assert report.rationale == "S_N and M_O within thresholds"
 
 
 def test_failsafe_report_validation():

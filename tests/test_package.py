@@ -50,6 +50,18 @@ def test_readme_quick_start_runs_as_written(capsys):
     assert capsys.readouterr().out.startswith("True ")
 
 
+def _library_only_names(readme: str) -> dict[str, list[str]]:
+    """Module -> the names its module-map row lists after "library only:"."""
+    section = readme.split("## Module map", 1)[1]
+    listed = {}
+    for module, contents in re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M):
+        if "library only:" in contents:
+            tail = contents.split("library only:", 1)[1]
+            listed[module] = [n for n in re.findall(r"`([^`]+)`", tail)
+                              if not n.startswith("tests/")]
+    return listed
+
+
 def test_readme_references_exist():
     # every test the README cites is defined in its file, and every name
     # after "library only:" in the module map is an attribute of that
@@ -61,16 +73,37 @@ def test_readme_references_exist():
         tree = ast.parse((ROOT / "tests" / path).read_text(encoding="utf-8"))
         defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
         assert name in defined, f"tests/{path}::{name}"
-    section = readme.split("## Module map", 1)[1]
-    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M)
     library_only = 0
-    for module, contents in rows:
-        if "library only:" not in contents:
-            continue
+    for module, names in _library_only_names(readme).items():
         source = importlib.import_module(f"v2xsustain.{module}")
-        tail = contents.split("library only:", 1)[1]
-        for name in re.findall(r"`([^`]+)`", tail):
-            if not name.startswith("tests/"):
-                assert hasattr(source, name), f"{module}.{name}"
-                library_only += 1
-    assert library_only >= 10
+        for name in names:
+            assert hasattr(source, name), f"{module}.{name}"
+            library_only += 1
+    assert library_only == 6
+
+
+def test_every_export_is_reached():
+    # an exported name is reached when package code other than the export
+    # map uses it, when an acceptance criterion names it, or when the
+    # module map records it as library only
+    used = set()
+    for path in (ROOT / "src" / "v2xsustain").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    criteria = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library_only = _library_only_names(readme)
+    unreached = [
+        name for name, module in sorted(v2xsustain._EXPORTS.items())
+        if name not in used
+        and not re.search(rf"\b{name}\b", criteria)
+        and name not in library_only.get(module, ())
+    ]
+    assert unreached == []

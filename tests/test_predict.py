@@ -1,9 +1,8 @@
 """Prediction-side tests.
 
-Oracles: the Beta(1, mu) mass over (a, b) has antiderivative
--(1-x)^mu, the predicted update mass has closed form
+Oracles: the predicted update mass has closed form
 (alpha/2)(e^{-alpha/t2} - e^{-alpha/t1}), and the fail-safe likelihood has
-antiderivative (1/T)((1-d1)^mu - (1-d2)^mu). All three are frozen here
+antiderivative (1/T)((1-d1)^mu - (1-d2)^mu). Both are frozen here
 independently of the implementations they check; the production closed
 forms failsafe_tau and predicted_key_updates are also checked against
 their quadrature twins in oracles.py.
@@ -17,7 +16,6 @@ import pytest
 
 from v2xsustain import (
     SCALE_FLOOR,
-    BetaTraffic,
     LikelihoodBounds,
     NetworkParams,
     RangeParams,
@@ -25,16 +23,13 @@ from v2xsustain import (
     TimeWindow,
     connectivity_prob,
     connectivity_window_factor,
-    density_beta,
     failsafe_tau,
     predicted_key_updates,
     predicted_message_overhead,
-    scale_asymptote,
-    scale_growth_diagnostic,
     scale_param,
     sustainability_window,
 )
-from v2xsustain.errors import DivergenceError, DomainError
+from v2xsustain.errors import DomainError
 
 from oracles import (
     failsafe_likelihood,
@@ -49,14 +44,6 @@ RANGE = RangeParams(r1=100.0, r2=500.0)
 
 U_K_PRED_REF = 0.08589532262067583  # (1/2)(e^-1/105 - e^-1/5)
 CONN_FACTOR_REF = -5.065031232632837  # 1 - 10 (e^-0.5 - e^-10.5), as printed
-SCALE_ASYMPTOTE_REF = 1.7382839533197498
-
-
-def test_beta_traffic_validation():
-    with pytest.raises(DomainError):
-        BetaTraffic(shape=0.5)
-    with pytest.raises(DomainError):
-        BetaTraffic(scale=0.0)
 
 
 def test_likelihood_bounds_validation():
@@ -65,48 +52,8 @@ def test_likelihood_bounds_validation():
     with pytest.raises(DomainError):
         LikelihoodBounds(d1=0.1, d2=1.0)
     with pytest.raises(DomainError):
-        LikelihoodBounds(d1=0.1, d2=0.9, c1=0.9, c2=0.1)
+        LikelihoodBounds(d1=0.5, d2=0.5)
     LikelihoodBounds(d1=0.0, d2=0.5)  # closed lower end is fine
-
-
-def test_density_beta_uniform():
-    assert density_beta(BetaTraffic(), RangeParams(r1=0.1, r2=0.9)) == pytest.approx(
-        0.8, rel=1e-12, abs=0.0
-    )
-    # meter range scaled into the unit interval and back
-    assert density_beta(BetaTraffic(), RANGE, normalizer=600.0) == pytest.approx(
-        400.0 / 600.0, rel=1e-12, abs=0.0
-    )
-
-
-def test_density_beta_shape_one_scale_three():
-    got = density_beta(BetaTraffic(shape=1.0, scale=3.0), RangeParams(r1=0.1, r2=0.9))
-    assert got == pytest.approx(0.9**3 - 0.1**3, rel=1e-10, abs=0.0)
-    assert got == pytest.approx(0.728, rel=1e-10, abs=0.0)
-
-
-def test_density_beta_total_mass_and_trapezoid_oracle():
-    tr = BetaTraffic(shape=2.0, scale=5.0)
-    full = density_beta(tr, RangeParams(r1=0.0, r2=1.0))
-    assert full == pytest.approx(1.0, rel=1e-9, abs=0.0)
-    xs = np.linspace(0.2, 0.7, 200001)
-    pdf = 30.0 * xs * (1.0 - xs) ** 4  # Beta(2,5) density
-    part = density_beta(tr, RangeParams(r1=0.2, r2=0.7))
-    assert part == pytest.approx(float(np.trapezoid(pdf, xs)), rel=1e-8, abs=0.0)
-
-
-def test_density_beta_interval_and_normalizer_validation():
-    with pytest.raises(DomainError):
-        density_beta(BetaTraffic(), RANGE)  # meters without a normalizer
-    with pytest.raises(DomainError):
-        density_beta(BetaTraffic(), RangeParams(r1=0.1, r2=0.9), normalizer=0.0)
-
-
-def test_density_beta_divergent_endpoint():
-    with pytest.raises(DivergenceError):
-        density_beta(
-            BetaTraffic(shape=1.0, scale=0.5), RangeParams(r1=0.5, r2=1.0)
-        )
 
 
 def test_scale_param_credentials():
@@ -368,26 +315,6 @@ def test_failsafe_tau_matches_quadrature_twin():
         failsafe_tau(0.0, b, 110.0)
     with pytest.raises(DomainError):
         failsafe_tau(3.0, b, 0.0)
-
-
-def test_scale_asymptote_value_and_divergence():
-    b = LikelihoodBounds(d1=0.1, d2=0.9, c1=0.1, c2=0.9)
-    got = scale_asymptote(b, 110.0)
-    assert got == pytest.approx(SCALE_ASYMPTOTE_REF, rel=1e-9, abs=0.0)
-    xs = np.linspace(0.1, 0.9, 400001)
-    oracle = np.exp(-xs / 110.0) / np.log(1.0 / (1.0 - xs))
-    assert got == pytest.approx(float(np.trapezoid(oracle, xs)), rel=1e-8, abs=0.0)
-    with pytest.raises(DivergenceError):
-        scale_asymptote(LikelihoodBounds(d1=0.1, d2=0.9, c1=0.0, c2=0.5), 110.0)
-
-
-def test_scale_growth_diagnostic():
-    assert scale_growth_diagnostic(110.0, 2) == pytest.approx(12100.0, rel=1e-15, abs=0.0)
-    assert scale_growth_diagnostic(110.0, 0) == 1.0
-    with pytest.raises(DomainError):
-        scale_growth_diagnostic(0.0, 2)
-    with pytest.raises(DomainError):
-        scale_growth_diagnostic(110.0, -1)
 
 
 def test_scale_floor_constant():

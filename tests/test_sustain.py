@@ -23,13 +23,9 @@ from v2xsustain import (
     loss_probability_model,
     message_overhead,
     signaling_overhead,
-    signaling_overhead_raw,
     signaling_time_factor,
-    sustainability_asymptote,
-    sustainability_point,
     sustainability_window,
     sustainability_window_quadrature,
-    vehicles_in_range,
     window_integrand,
 )
 from v2xsustain.errors import DomainError, OverflowRangeError
@@ -139,34 +135,6 @@ def test_loss_probability_requires_spare_capacity():
         loss_probability_model(NetworkParams(N=10, E=5, n_inv=7))
 
 
-def test_sustainability_point_hand_value():
-    net = NetworkParams(N=10, E=10, n_inv=5, Q=2)
-    assert sustainability_point(2.0, 4.0, 0.5, net) == pytest.approx(0.1, rel=1e-15, abs=0.0)
-
-
-def test_sustainability_point_range_variant():
-    net = NetworkParams(N=10, E=10, n_inv=5, Q=1)
-    # R replaces P in the denominator and is not capped at 1
-    assert sustainability_point(5.0, 2.0, None, net, R=4.0) == pytest.approx(
-        1.0 / 8.0, rel=1e-15, abs=0.0
-    )
-    with pytest.raises(DomainError):
-        sustainability_point(5.0, 2.0, None, net)
-    with pytest.raises(DomainError):
-        sustainability_point(5.0, 2.0, 0.5, net, R=-1.0)
-
-
-def test_sustainability_point_domain():
-    with pytest.raises(DomainError):
-        sustainability_point(-1.0, 2.0, 0.5, NET)
-    with pytest.raises(DomainError):
-        sustainability_point(1.0, 0.0, 0.5, NET)
-    with pytest.raises(DomainError):
-        sustainability_point(1.0, 11.0, 0.5, NET)  # D > N
-    with pytest.raises(DomainError):
-        sustainability_point(1.0, 2.0, 0.0, NET)
-
-
 def test_window_integrand_shape():
     f = window_integrand(RATES)
     assert f(5.0) == pytest.approx(math.exp(0.2) / 20.0, rel=1e-15, abs=0.0)
@@ -272,24 +240,6 @@ def test_sustainability_scales_inversely_with_q():
         )
 
 
-def test_sustainability_asymptote():
-    assert sustainability_asymptote(RATES) == pytest.approx(0.5, rel=1e-15, abs=0.0)
-    assert sustainability_asymptote(RateParams(alpha=3.0, beta=4.0)) == pytest.approx(
-        0.75, rel=1e-15, abs=0.0
-    )
-
-
-def test_signaling_overhead_raw_hand_value():
-    assert signaling_overhead_raw(10.0, 0.5, 2.0) == pytest.approx(2.5, rel=1e-15, abs=0.0)
-    assert signaling_overhead_raw(0.0, 0.5, 2.0) == 0.0
-    with pytest.raises(DomainError):
-        signaling_overhead_raw(1.0, 0.0, 2.0)
-    with pytest.raises(DomainError):
-        signaling_overhead_raw(1.0, 1.0, 2.0)
-    with pytest.raises(DomainError):
-        signaling_overhead_raw(-1.0, 0.5, 2.0)
-
-
 def test_signaling_time_factor_antiderivative():
     w = TimeWindow(t1=1.0, t2=3.0, T=3.0)
     expected = (0.5**3 - 0.5) / math.log(0.5)
@@ -364,14 +314,3 @@ def test_message_overhead_overflow_is_typed():
     # a subnormal P makes 1/(E P) overflow; it once returned inf silently
     with pytest.raises(OverflowRangeError, match="double range"):
         message_overhead(1.0, 5e-320, 10)
-
-
-def test_vehicles_in_range_constant_density():
-    rp = RangeParams(r1=100.0, r2=500.0)
-    assert vehicles_in_range(lambda x: 0.02, rp) == pytest.approx(8.0, rel=1e-12, abs=0.0)
-
-
-def test_vehicles_in_range_rejects_negative_density():
-    rp = RangeParams(r1=0.0, r2=1.0)
-    with pytest.raises(DomainError):
-        vehicles_in_range(lambda x: -0.5, rp)
