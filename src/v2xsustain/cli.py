@@ -42,7 +42,6 @@ from .decision import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DomainError,
     OverflowRangeError,
     SimulationTruncated,
@@ -104,7 +103,7 @@ def _cell(fn, warnings: list[str], name: str):
     """Evaluate one sweep cell; domain failures become empty cells."""
     try:
         return fn()
-    except (DomainError, OverflowRangeError, ConvergenceError) as e:
+    except (DomainError, OverflowRangeError) as e:
         warnings.append(f"{name}: {e}")
         return None
 
@@ -212,11 +211,7 @@ def _sweep_row(param: str, value: float, base: dict, warnings: list[str]) -> tup
         warnings,
         "P_c",
     )
-    mu = _cell(
-        lambda: scale_param("credentials", availabilities=b.availabilities()),
-        warnings,
-        "mu",
-    )
+    mu = _cell(lambda: scale_param(b.availabilities()), warnings, "mu")
     tau = None if mu is None else failsafe_tau(mu, b.bounds, window.T)
     return (
         param, value, s_n, o_s, m_o,

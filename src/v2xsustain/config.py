@@ -24,8 +24,8 @@ ENV_CONFIG_PATH = "V2XSUSTAIN_CONFIG"
 
 class Field(NamedTuple):
     name: str
-    kind: str  # "float", "int", "bool", "str", or "prob": a value in (0, 1) or a list of them
-    default: float | int | bool | str | None
+    kind: str  # "float", "int", or "prob": a value in (0, 1) or a list of them
+    default: float | int | None
     meaning: str
 
 
@@ -61,8 +61,6 @@ FIELDS = (
     Field("D", "float", None, "observed vehicles in range for `validate`; when absent, `N`"),
     Field("seed", "int", 1234, "base RNG seed"),
     Field("event_cap", "int", 2_000_000, "simulator event budget"),
-    Field("count_reauth_passes", "bool", True, "count `Q` passes per key update"),
-    Field("label", "str", "A1", "free-form scenario tag"),
 )
 FIELD_KINDS = {f.name: f.kind for f in FIELDS}
 _DEFAULTS = {f.name: f.default for f in FIELDS if f.default is not None}
@@ -73,15 +71,7 @@ def default_config() -> dict:
     return dict(_DEFAULTS)
 
 
-def _check_scalar(source: str, name: str, kind: str, value) -> float | int | bool | str:
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{source}: field {name!r}: expected a boolean, got {value!r}")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{source}: field {name!r}: expected a string, got {value!r}")
-        return value
+def _check_scalar(source: str, name: str, kind: str, value) -> float | int:
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{source}: field {name!r}: expected an integer, got {value!r}")
@@ -147,8 +137,6 @@ class Scenario:
     thresholds: Thresholds
     seed: int
     event_cap: int = 2_000_000
-    count_reauth_passes: bool = True
-    label: str = "A1"
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
@@ -222,10 +210,7 @@ def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
         bounds = LikelihoodBounds(d1=config["d1"], d2=config["d2"])
         scenario = Scenario(
             net=net, rates=rates, window=window, range_params=rp,
-            thresholds=thresholds, seed=config["seed"],
-            event_cap=config["event_cap"],
-            count_reauth_passes=config["count_reauth_passes"],
-            label=config["label"],
+            thresholds=thresholds, seed=config["seed"], event_cap=config["event_cap"],
         )
     except DomainError as e:
         raise ConfigError(f"{source}: {e}") from e

@@ -163,7 +163,7 @@ def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence,
         (UPDATE_KEYS, f"M_O %g > {m_th:g}", (m_o,)),
         (UPDATE_KEYS, f"S_N %g < {s_th:g}; M_O %g > {m_th:g}", (s_n, m_o)),
     )
-    code = [0 if s is None or u is None else 1 if u <= SCALE_FLOOR
+    code = [0 if s is None or m is None or u is None else 1 if u <= SCALE_FLOOR
             else 2 + (s < s_th) + 2 * (m > m_th) for s, m, u in zip(s_n, m_o, mu)]
     rows = [[] for _ in kinds]
     for k, c in enumerate(code):

@@ -46,44 +46,24 @@ class LikelihoodBounds:
             raise DomainError(f"d2 must be < 1, got {self.d2!r}")
 
 
-def scale_param(
-    mode: str,
-    *,
-    availabilities: Sequence[float] | None = None,
-    gamma_prime: float | None = None,
-) -> float:
-    """Scale parameter mu under one of two estimators.
+def scale_param(availabilities: Sequence[float]) -> float:
+    """Scale parameter mu = E / sum_i ln(1/a_i) over per-entity credential
+    availabilities a_i = 1-p_x.
 
-    credentials:    mu = E / sum_i ln(1/a_i) over per-entity credential
-                    availabilities a_i = 1-p_x.
-    outgoing:       mu = 1 / ln(1/(1-gamma')) from the departure rate.
-
-    Natural logs throughout. Probabilities at 0 or 1 hit log singularities
-    and are rejected; gamma' = 0 makes mu unbounded and is rejected too.
-    The fail-safe scorer keeps the compliance estimator as running sums.
+    The outgoing-rate estimator 1 / ln(1/(1-gamma')) is the one-entry case
+    a = 1-gamma'. Natural logs throughout. An availability at 0 or 1 hits a
+    log singularity and is rejected, and so is a gamma' whose 1-gamma'
+    rounds to 1. The fail-safe scorer keeps the compliance estimator as
+    running sums.
     """
-    if mode == "credentials":
-        if not availabilities:
-            raise DomainError("credentials mode requires a nonempty availability list")
-        total = 0.0
-        for a in availabilities:
-            if not 0.0 < a < 1.0:
-                raise DomainError(
-                    f"availability must lie strictly in (0, 1), got {a!r}"
-                )
-            total += math.log(1.0 / a)
-        return len(availabilities) / total
-    if mode == "outgoing":
-        if gamma_prime is None:
-            raise DomainError("outgoing mode requires gamma_prime")
-        if gamma_prime == 0.0:
-            raise DomainError("gamma_prime = 0 makes the scale parameter unbounded")
-        if not 0.0 < gamma_prime < 1.0:
-            raise DomainError(
-                f"outgoing mode requires gamma_prime in (0, 1), got {gamma_prime!r}"
-            )
-        return 1.0 / math.log(1.0 / (1.0 - gamma_prime))
-    raise DomainError(f"unknown scale_param mode {mode!r}")
+    if not availabilities:
+        raise DomainError("scale parameter requires a nonempty availability list")
+    total = 0.0
+    for a in availabilities:
+        if not 0.0 < a < 1.0:
+            raise DomainError(f"availability must lie strictly in (0, 1), got {a!r}")
+        total += math.log(1.0 / a)
+    return len(availabilities) / total
 
 
 def connectivity_prob(net: NetworkParams, gamma_prime: float, t: float) -> float:
@@ -228,6 +208,7 @@ def _printed_overhead_expansion(
     as the signaling overhead) for comparison against the composition; its
     prefactor differs from the composed route, so values can differ in
     both magnitude and sign. Its last factor is the composition's conn.
+    The caller's unit-pass S_N has already required beta > alpha > 0.
     """
     a2 = rates.alpha / window.t2
     a1 = rates.alpha / window.t1
@@ -241,15 +222,12 @@ def _printed_overhead_expansion(
     if first_divisor == 0.0:
         raise DomainError(f"expansion divisor rounds to 0 at alpha/t2={a2!r}")
     first = O_b * hop**net.N * time_factor / first_divisor
-    d = rates.beta - rates.alpha
-    if not d > 0.0:
-        raise DomainError("expansion requires beta > alpha")
     p2 = hop_loss_probability(net.n_inv, net.E, net.N) ** 2
     if p2 == 0.0:
         raise DomainError(f"P^2 underflows to 0 at N={net.N!r} E={net.E!r}")
     second = rates.alpha * (rng.r2 - rng.r1)
     second /= rates.beta * net.N * p2
-    second *= _ei_window(d, window.t1, window.t2)
+    second *= _ei_window(rates.beta - rates.alpha, window.t1, window.t2)
     return first * second * conn
 
 

@@ -3,8 +3,9 @@
 Vehicles arrive as a Poisson stream (rate beta) on top of an initial
 cohort, stay for exponential lifetimes (rate gamma'), refresh their key
 pair as a per-vehicle Poisson process (rate alpha, one event refreshes
-both keys of the pair), and spend Q authentication passes per session
-establishment. Every random draw comes from one of three seed-split
+both keys of the pair), and spend Q authentication passes per session:
+at arrival, and again at every key update, which re-authenticates the
+vehicle. Every random draw comes from one of three seed-split
 streams (arrivals, lifetimes, updates) so changing one rate never
 perturbs another stream's draws. Each Poisson process is drawn as a
 count, then as that many i.i.d. uniform times (Ross, Simulation, ch. 5):
@@ -161,10 +162,9 @@ def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario) -> EventTabl
     n = len(arrive)
     ids = np.arange(n)
     gone = np.flatnonzero(depart <= scenario.window.T)
-    if scenario.count_reauth_passes and len(upd_t):
+    if len(upd_t):
         # Sessions in entity order, each vehicle's arrival before its
         # updates, so their tie-stable time order is (t, entity) order.
-        # Without updates the sessions are the arrivals, already in order.
         first = ids + np.searchsorted(upd_id, ids)
         is_upd = np.ones(n + len(upd_t), dtype=bool)
         is_upd[first] = False
@@ -176,9 +176,9 @@ def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario) -> EventTabl
         passes = (session_t, session_id, order, Q)
         updates = (session_t, session_id, order[is_upd[order]], 1)
         del first, is_upd, order, session_t, session_id
-    else:
+    else:  # the sessions are the arrivals, already in order; no update rows
         passes = (arrive, ids, ids, Q)
-        updates = (upd_t, upd_id, _time_order(upd_t), 1)
+        updates = (upd_t, upd_id, ids[:0], 1)
     departures = (depart, ids, gone[_time_order(depart[gone])], 1)
     # (times, ids, order, repeats) per kind code: rows times[order], ids[order]
     blocks = [(arrive, ids, ids, 1), passes, updates, departures]
@@ -270,10 +270,9 @@ def run_simulation(scenario: Scenario) -> SimTrace:
 
     stay = np.minimum(depart, T) - arrive
     n_upd = rng_upd.poisson(rates.alpha * stay)
-    reauth = scenario.count_reauth_passes
     departures = int(np.count_nonzero(depart <= T))
     updates = _exact_sum(n_upd)  # one vehicle's count can reach 9.2e18
-    needed = (1 + net.Q) * n + departures + (1 + net.Q * reauth) * updates
+    needed = (1 + net.Q) * (n + updates) + departures
     if needed > cap:
         raise SimulationTruncated(cap, needed)
     upd_id = np.repeat(np.arange(n), n_upd)
@@ -292,7 +291,7 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     arrived = upto(arrive)
     active = arrived - upto(gone_t)
     u_k = np.diff(upto(events.t[events.kind == _KEY_UPDATE]))
-    passes = net.Q * (np.diff(arrived) + reauth * u_k)
+    passes = net.Q * (np.diff(arrived) + u_k)
     survivors = net.E_zero - upto(gone_t[events.entity[gone] < net.E_zero])
 
     d = active[1:]
@@ -310,7 +309,7 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     return SimTrace(
         scenario=scenario, events=events, slots=slots,
         arrivals_total=n, departures_total=departures,
-        key_updates_total=updates, passes_total=net.Q * (n + reauth * updates),
+        key_updates_total=updates, passes_total=net.Q * (n + updates),
     )
 
 
@@ -361,7 +360,7 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     message goes to s_n_model_errors. Survivor fractions
     compare the initial cohort against exponential decay. The pass identity
     checks the trace's auth_pass rows against its passes_total: Q per
-    arrival plus, if the scenario counts them, Q per update.
+    arrival and per key update.
     """
     if trace.scenario != scenario:
         raise DomainError("trace was not produced from this scenario")

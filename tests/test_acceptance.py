@@ -213,7 +213,7 @@ def test_criterion_07_monotonicity_suite():
     pcs = [connectivity_prob(NET, 0.1, float(t)) for t in ts]
     assert all(b >= a for a, b in zip(pcs, pcs[1:]))
     assert all(0.0 <= p < 1.0 for p in pcs)
-    mus = [scale_param("outgoing", gamma_prime=g) for g in np.linspace(0.05, 0.95, 19)]
+    mus = [scale_param([1.0 - g]) for g in np.linspace(0.05, 0.95, 19)]
     assert all(b < a for a, b in zip(mus, mus[1:]))
     eis = [expint_ei(float(x)) for x in np.linspace(0.01, 60.0, 120)]
     assert all(b > a for a, b in zip(eis, eis[1:]))

@@ -66,8 +66,10 @@ def test_default_config_is_admissible():
 
 def test_merge_rejects_unknown_and_mistyped_fields():
     assert merge_config({"beta": 4})["beta"] == 4.0
-    # gamma, c1, c2: no command reads an incoming rate or a connection bound
-    for name in ("bandwidth", "gamma", "c1", "c2"):
+    # gamma, c1, c2: no command reads an incoming rate or a connection bound;
+    # label, count_reauth_passes: nothing read the tag, and every key update
+    # re-authenticates
+    for name in ("bandwidth", "gamma", "c1", "c2", "label", "count_reauth_passes"):
         with pytest.raises(ConfigError, match="unknown field"):
             merge_config({name: 1.0})
     with pytest.raises(ConfigError):
@@ -76,10 +78,6 @@ def test_merge_rejects_unknown_and_mistyped_fields():
         merge_config({"N": True})
     with pytest.raises(ConfigError, match="expected a number"):
         merge_config({"beta": True})  # a JSON boolean is not 1.0
-    with pytest.raises(ConfigError):
-        merge_config({"label": 7})
-    with pytest.raises(ConfigError):
-        merge_config({"count_reauth_passes": "yes"})
     with pytest.raises(ConfigError):
         merge_config({"p_x": []})
 
@@ -194,8 +192,6 @@ def test_dataclass_defaults_are_the_field_table_defaults():
     table = {f.name: f.default for f in FIELDS}
     pairs = {
         (Scenario, "event_cap"): "event_cap",
-        (Scenario, "count_reauth_passes"): "count_reauth_passes",
-        (Scenario, "label"): "label",
         (TimeWindow, "t_x_step"): "tx_step_s",
         (Thresholds, "U_prime_N"): "U_prime_N",
         (Thresholds, "O_b"): "O_b",
@@ -351,8 +347,7 @@ def test_seed_range_past_64_bits_exits_two_before_any_run(tmp_path, capsys, rout
 
 def test_every_field_error_names_its_file(tmp_path, capsys):
     # one wrong value of each field kind, and a bad entry of a prob list
-    cases = {"beta": "x", "N": 2.5, "count_reauth_passes": "yes", "label": 7,
-             "p_x": 1.5, "omega_x": [0.5, 1.0]}
+    cases = {"beta": "x", "N": 2.5, "p_x": 1.5, "omega_x": [0.5, 1.0]}
     for name, value in cases.items():
         path = write_config(tmp_path, f"{name}.json", **{name: value})
         assert main(["validate", path]) == 2
@@ -501,9 +496,7 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert main(["sweep", "--param", "gamma", "--values", "1", "--out", out]) == 2
     assert capsys.readouterr().err == "error: unknown sweep parameter 'gamma'\n"
     assert main(["sweep", "--param", "label", "--values", "1", "--out", out]) == 2
-    assert capsys.readouterr().err == (
-        "error: sweep label=1: field 'label': expected a string, got 1.0\n"
-    )
+    assert capsys.readouterr().err == "error: unknown sweep parameter 'label'\n"
     assert main(["sweep", "--param", "event_cap", "--values", "0", "--out", out]) == 2
     assert capsys.readouterr().err == (
         "error: sweep event_cap=0: event_cap must be positive, got 0\n"

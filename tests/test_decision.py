@@ -258,6 +258,14 @@ def test_decide_continue():
     assert report.rationale == "S_N and M_O within thresholds"
 
 
+def test_decide_undefined_metric_is_insufficient_observations():
+    # None marks a metric undefined in its slot, for S_N, M_O and mu alike
+    for s_n, m_o, mu in ((None, 10.0, 5.0), (100.0, None, 5.0), (100.0, 10.0, None)):
+        report = decide(s_n=s_n, m_o=m_o, mu=mu, thresholds=TH)
+        assert report.decision == UPDATE_KEYS
+        assert report.rationale == "insufficient observations in this slot"
+
+
 def test_failsafe_report_validation():
     with pytest.raises(DomainError):
         FailSafeReport(mu=None, decision="panic", rationale="")

@@ -3,7 +3,9 @@ one name -> submodule map, and the README's code and references hold.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -107,3 +109,24 @@ def test_every_export_is_reached():
         and name not in library_only.get(module, ())
     ]
     assert unreached == []
+
+
+def _settable_values(obj) -> int:
+    """Fields of a dataclass, parameters of another callable, else 0."""
+    if dataclasses.is_dataclass(obj):
+        return len(dataclasses.fields(obj))
+    if callable(obj):
+        try:
+            return len(inspect.signature(obj).parameters)
+        except ValueError:  # an exception class with the builtin constructor
+            return 0
+    return 0
+
+
+def test_settable_values_do_not_grow():
+    # A new setting raises these pins, with its reason recorded in CHANGES.md.
+    from v2xsustain.config import FIELDS
+
+    total = sum(_settable_values(getattr(v2xsustain, name)) for name in v2xsustain.__all__)
+    assert total <= 188
+    assert len(FIELDS) <= 30

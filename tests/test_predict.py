@@ -58,16 +58,23 @@ def test_likelihood_bounds_validation():
 
 def test_scale_param_credentials():
     # four entities at availability 1/e: mu = 4 / (4 * 1) = 1
-    assert scale_param(
-        "credentials", availabilities=[math.exp(-1.0)] * 4
-    ) == pytest.approx(1.0, rel=1e-12, abs=0.0)
-    assert scale_param("credentials", availabilities=[0.5] * 10) == pytest.approx(
-        1.0 / math.log(2.0), rel=1e-12, abs=0.0
+    assert scale_param([math.exp(-1.0)] * 4) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert scale_param([0.5] * 10) == pytest.approx(1.0 / math.log(2.0), rel=1e-12, abs=0.0)
+    with pytest.raises(DomainError):
+        scale_param([])
+    with pytest.raises(DomainError):
+        scale_param([0.5, 1.0])
+    # the outgoing-rate estimator 1 / ln(1/(1-gamma')) is the one-entry case
+    assert scale_param([1.0 - (1.0 - math.exp(-1.0))]) == pytest.approx(
+        1.0, rel=1e-12, abs=0.0
     )
-    with pytest.raises(DomainError):
-        scale_param("credentials", availabilities=[])
-    with pytest.raises(DomainError):
-        scale_param("credentials", availabilities=[0.5, 1.0])
+    assert scale_param([1.0 - 0.9]) == pytest.approx(1.0 / math.log(10.0), rel=1e-12, abs=0.0)
+    for gamma_prime in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            scale_param([1.0 - gamma_prime])
+    # 1 - 1e-17 rounds to 1: a typed error, not a division by ln(1) = 0
+    with pytest.raises(DomainError, match="strictly in"):
+        scale_param([1.0 - 1e-17])
 
 
 def test_scale_param_sustainability():
@@ -77,29 +84,6 @@ def test_scale_param_sustainability():
         scale_param_sustainability(mean_sustainability=0.0, omegas=[0.5])
     with pytest.raises(DomainError):
         scale_param_sustainability(mean_sustainability=1.0, omegas=[])
-    # the package keeps the credentials and outgoing estimators only
-    with pytest.raises(DomainError, match="unknown scale_param mode"):
-        scale_param("sustainability")
-
-
-def test_scale_param_outgoing():
-    assert scale_param("outgoing", gamma_prime=1.0 - math.exp(-1.0)) == pytest.approx(
-        1.0, rel=1e-12, abs=0.0
-    )
-    assert scale_param("outgoing", gamma_prime=0.9) == pytest.approx(
-        1.0 / math.log(10.0), rel=1e-12, abs=0.0
-    )
-    with pytest.raises(DomainError):
-        scale_param("outgoing", gamma_prime=0.0)
-    with pytest.raises(DomainError):
-        scale_param("outgoing", gamma_prime=1.0)
-    with pytest.raises(DomainError):
-        scale_param("nonsense", gamma_prime=0.5)
-
-
-def test_scale_param_outgoing_decreasing_in_rate():
-    vals = [scale_param("outgoing", gamma_prime=g) for g in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_connectivity_prob_values_and_monotonicity():

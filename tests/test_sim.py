@@ -84,15 +84,11 @@ def test_events_sorted_and_complete():
     assert int(np.count_nonzero(cohort)) == NET.E_zero
 
 
-def test_pass_identity_with_and_without_reauth():
-    with_reauth = run_simulation(scenario())
-    assert with_reauth.passes_total == NET.Q * (
-        with_reauth.arrivals_total + with_reauth.key_updates_total
-    )
-    bare = run_simulation(scenario(count_reauth_passes=False))
-    assert bare.passes_total == NET.Q * bare.arrivals_total
-    # the random streams are split, so arrivals are unaffected by the flag
-    assert bare.arrivals_total == with_reauth.arrivals_total
+def test_pass_identity_counts_q_per_arrival_and_key_update():
+    for Q in (1, 3):
+        trace = run_simulation(scenario(net=dataclasses.replace(NET, Q=Q)))
+        assert trace.key_updates_total > 0
+        assert trace.passes_total == Q * (trace.arrivals_total + trace.key_updates_total)
 
 
 def test_pass_identity_counts_the_pass_rows():
@@ -182,7 +178,7 @@ def test_event_cap_boundary_in_both_checks():
     # A run of exactly event_cap events returns; at one less it truncates.
     # With key updates and departures the exact count decides.
     q3 = dataclasses.replace(NET, Q=3)
-    for overrides in ({}, {"net": q3, "count_reauth_passes": False}):
+    for overrides in ({}, {"net": q3}):
         total = len(run_simulation(scenario(**overrides)).events)
         assert len(run_simulation(scenario(**overrides, event_cap=total)).events) == total
         with pytest.raises(SimulationTruncated) as exc:
@@ -211,8 +207,8 @@ def lexsort_event_table(arrive, depart, upd_t, upd_id, scn) -> EventTable:
     Q = scn.net.Q
     ids = np.arange(len(arrive))
     gone = depart <= scn.window.T
-    session_t = np.concatenate((arrive, upd_t)) if scn.count_reauth_passes else arrive
-    session_id = np.concatenate((ids, upd_id)) if scn.count_reauth_passes else ids
+    session_t = np.concatenate((arrive, upd_t))
+    session_id = np.concatenate((ids, upd_id))
     sizes = (len(ids), Q * len(session_t), len(upd_t), int(np.count_nonzero(gone)))
     t = np.concatenate((arrive, np.repeat(session_t, Q), upd_t, depart[gone]))
     entity = np.concatenate((ids, np.repeat(session_id, Q), upd_id, ids[gone]))
@@ -222,14 +218,13 @@ def lexsort_event_table(arrive, depart, upd_t, upd_id, scn) -> EventTable:
 
 
 @pytest.mark.parametrize("Q", [1, 3])
-@pytest.mark.parametrize("reauth", [True, False])
-def test_event_table_matches_lexsort_on_tied_times(Q, reauth):
+def test_event_table_matches_lexsort_on_tied_times(Q):
     # Every time lies on a grid of step 1/k, so arrivals, passes, updates and
     # departures of many vehicles tie; the inputs keep what run_simulation
     # guarantees: arrivals sorted, the cohort first, update ids nondecreasing.
-    scn = scenario(net=dataclasses.replace(NET, Q=Q), count_reauth_passes=reauth)
+    scn = scenario(net=dataclasses.replace(NET, Q=Q))
     T = scn.window.T
-    rng = np.random.default_rng([Q, reauth, 0])
+    rng = np.random.default_rng([Q, 1, 0])
     for _ in range(40):
         k = int(rng.integers(1, 5))
         n = int(rng.integers(0, 40))
@@ -302,7 +297,7 @@ def test_too_many_slots_rejected_before_any_draw(tmp_path, capsys):
 
 @pytest.mark.parametrize("overrides", [
     {},
-    {"Q": 2, "count_reauth_passes": False},
+    {"Q": 2},
     {"E0": 0, "beta": 0.3, "tx_step_s": 0.5},
     {"E0": 3, "beta": 0.5, "gamma_prime": 0.5, "tx_step_s": 1.0},
     {"E0": 0, "beta": 1e-9},
@@ -319,7 +314,7 @@ def test_slot_columns_match_the_scalar_slot_loop(overrides):
         upto, inside = ev.t <= t_s, (ev.t > prev) & (ev.t <= t_s)
         d = int(np.count_nonzero(upto & (ev.kind == 0)) - np.count_nonzero(upto & (ev.kind == 3)))
         u = int(np.count_nonzero(inside & (ev.kind == 2)))
-        passes = net.Q * int(np.count_nonzero(inside & (ev.kind == 0)) + scn.count_reauth_passes * u)
+        passes = net.Q * int(np.count_nonzero(inside & (ev.kind == 0)) + u)
         gone = int(np.count_nonzero(upto & (ev.kind == 3) & (ev.entity < net.E_zero)))
         e_prime = min(d, net.E)
         p_emp = 1.0 - e_prime / net.E
@@ -435,10 +430,9 @@ def test_csv_exports(tmp_path):
     "overrides",
     [
         {},
-        {"net": NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=3),
-         "count_reauth_passes": False},
+        {"net": NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=3)},
     ],
-    ids=["A1", "Q3-no-reauth"],
+    ids=["A1", "Q3"],
 )
 def test_events_csv_matches_write_csv(tmp_path, overrides):
     # the column writer must give the bytes of the row writer through fmt
