@@ -64,6 +64,9 @@ def test_scale_param_credentials():
         scale_param([])
     with pytest.raises(DomainError):
         scale_param([0.5, 1.0])
+
+
+def test_scale_param_outgoing():
     # the outgoing-rate estimator 1 / ln(1/(1-gamma')) is the one-entry case
     assert scale_param([1.0 - (1.0 - math.exp(-1.0))]) == pytest.approx(
         1.0, rel=1e-12, abs=0.0
@@ -75,6 +78,11 @@ def test_scale_param_credentials():
     # 1 - 1e-17 rounds to 1: a typed error, not a division by ln(1) = 0
     with pytest.raises(DomainError, match="strictly in"):
         scale_param([1.0 - 1e-17])
+
+
+def test_scale_param_outgoing_decreasing_in_rate():
+    vals = [scale_param([1.0 - g]) for g in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_scale_param_sustainability():
