@@ -159,7 +159,7 @@ def _sweep_values(args) -> list[float]:
     )
 
 
-def _sweep_row(param: str, value: float, base: dict, warnings: list[str]) -> tuple:
+def _sweep_row(param: str, value: float, base: dict, warnings: list[str], last_mu: list) -> tuple:
     integer = FIELD_KINDS[param] == "int"
     if integer and not (math.isfinite(value) and value == int(value)):
         raise ConfigError(f"parameter {param!r} takes integer values, got {value!r}")
@@ -211,7 +211,12 @@ def _sweep_row(param: str, value: float, base: dict, warnings: list[str]) -> tup
         warnings,
         "P_c",
     )
-    mu = _cell(lambda: scale_param(b.availabilities()), warnings, "mu")
+    # mu depends on p_x alone, and rows that keep the base's p_x share its object
+    if last_mu[0] is not b.p_x:
+        found: list[str] = []
+        last_mu[:] = b.p_x, _cell(lambda: scale_param(b.availabilities()), found, "mu"), found
+    _, mu, found = last_mu
+    warnings += found
     tau = None if mu is None else failsafe_tau(mu, b.bounds, window.T)
     return (
         param, value, s_n, o_s, m_o,
@@ -226,8 +231,11 @@ def cmd_sweep(args) -> int:
     if args.param not in FIELD_KINDS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}")
     values = _sweep_values(args)
+    # lists become tuples once, which build_bundle passes on without a copy
+    base = {k: tuple(v) if isinstance(v, list) else v for k, v in base.items()}
     warnings: list[str] = []
-    rows = [_sweep_row(args.param, v, base, warnings) for v in values]
+    last_mu: list = [None, None, []]  # p_x, its mu, its warnings
+    rows = [_sweep_row(args.param, v, base, warnings, last_mu) for v in values]
     write_csv(args.out, SWEEP_HEADER, list(zip(*rows, strict=True)))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -180,34 +181,40 @@ class ScenarioBundle:
         return tuple(1.0 - self.omega_x for _ in range(slots))
 
 
+@lru_cache(maxsize=16, typed=True)
+def _recent_part(cls, *values):
+    return cls(*values)
+
+
 def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
     """Turn a merged config dict into typed scenario objects.
 
     Structural invariant breaches (reversed windows, E0 > E) surface as
     ConfigError naming the source; admissibility violations are left to
     check_constraints, which treats them as data.
+
+    Each part takes its config values in its field order. The parts are
+    frozen, so one built from the same values (and types) by a recent call
+    is reused: a sweep row builds only the parts its overrides change. A
+    part whose checks raised is never kept.
     """
+    # 0.0 == -0.0 would share an entry, so a config holding a zero builds afresh
+    part = _recent_part.__wrapped__ if 0 in config.values() else _recent_part
     try:
-        net = NetworkParams(
-            N=config["N"], E=config["E"], E_zero=config["E0"],
-            n_inv=config["n_inv"], Q=config["Q"],
+        net = part(
+            NetworkParams, config["N"], config["E"], config["E0"], config["n_inv"], config["Q"]
         )
-        rates = RateParams(
-            alpha=config["alpha"], beta=config["beta"], gamma_prime=config["gamma_prime"],
+        rates = part(RateParams, config["alpha"], config["beta"], config["gamma_prime"])
+        window = part(
+            TimeWindow, config["t1_s"], config["t2_s"], config["T_s"], config["tx_step_s"],
+            config.get("t_attack_s"), config.get("t_prime_s"), config.get("t_u_s"),
         )
-        window = TimeWindow(
-            t1=config["t1_s"], t2=config["t2_s"], T=config["T_s"],
-            t_x_step=config["tx_step_s"],
-            t_attack=config.get("t_attack_s"),
-            t_min_hold=config.get("t_prime_s"),
-            t_use=config.get("t_u_s"),
+        rp = part(RangeParams, config["r1_m"], config["r2_m"])
+        thresholds = part(
+            Thresholds, config["S_N_TH"], config["M_O_TH"],
+            config["U_prime_N"], config["O_b"],
         )
-        rp = RangeParams(r1=config["r1_m"], r2=config["r2_m"])
-        thresholds = Thresholds(
-            S_N_TH=config["S_N_TH"], M_O_TH=config["M_O_TH"],
-            U_prime_N=config["U_prime_N"], O_b=config["O_b"],
-        )
-        bounds = LikelihoodBounds(d1=config["d1"], d2=config["d2"])
+        bounds = part(LikelihoodBounds, config["d1"], config["d2"])
         scenario = Scenario(
             net=net, rates=rates, window=window, range_params=rp,
             thresholds=thresholds, seed=config["seed"], event_cap=config["event_cap"],

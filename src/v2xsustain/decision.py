@@ -150,7 +150,7 @@ def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence,
           thresholds: Thresholds) -> tuple[list[str], list[str]]:
     """The decision and rationale columns for columns of S_N, M_O and mu
     (None where undefined); decide() is the one-row case. The kind code keeps
-    the decision order: too few observations, then mu <= SCALE_FLOOR, then
+    the decision order: mu <= SCALE_FLOOR, then too few observations, then
     S_N/M_O breaches, then continue. Each rationale kind is formatted in one
     "%g" batch over its rows; '%g' % x is f"{x:g}" for a float."""
     s_th, m_th = thresholds.S_N_TH, thresholds.M_O_TH
@@ -163,7 +163,7 @@ def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence,
         (UPDATE_KEYS, f"M_O %g > {m_th:g}", (m_o,)),
         (UPDATE_KEYS, f"S_N %g < {s_th:g}; M_O %g > {m_th:g}", (s_n, m_o)),
     )
-    code = [0 if s is None or m is None or u is None else 1 if u <= SCALE_FLOOR
+    code = [1 if u is not None and u <= SCALE_FLOOR else 0 if s is None or m is None or u is None
             else 2 + (s < s_th) + 2 * (m > m_th) for s, m, u in zip(s_n, m_o, mu)]
     rows = [[] for _ in kinds]
     for k, c in enumerate(code):
@@ -180,7 +180,8 @@ def decide(s_n: float, m_o: float, mu: float, thresholds: Thresholds) -> FailSaf
     """Operational decision from current metrics, the one-row case of _rule.
 
     Reconfiguration wins whenever mu is at or below the operability floor;
-    then threshold breaches force key updates; otherwise continue.
+    then an undefined metric (None) or a threshold breach forces key
+    updates; otherwise continue.
     """
     (decision,), (rationale,) = _rule([s_n], [m_o], [mu], thresholds)
     return FailSafeReport(mu=mu, decision=decision, rationale=rationale)

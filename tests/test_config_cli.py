@@ -22,6 +22,10 @@ import pytest
 import v2xsustain
 from v2xsustain import (
     ENV_CONFIG_PATH,
+    LikelihoodBounds,
+    NetworkParams,
+    RangeParams,
+    RateParams,
     Scenario,
     Thresholds,
     TimeWindow,
@@ -625,7 +629,21 @@ def test_simulate_heavy_events_digest(tmp_path, monkeypatch, capsys):
 # whose alpha >= beta rows leave S_N and M_O_pred empty. A change of route
 # for any quantity these print shows here; update the digests only together
 # with a change of the printed values.
+#
+# The sweeps after the failsafe tables change one field of each scenario
+# part (N, T_s, d2, r2_m, O_b), a field that another resolves from
+# (U_prime_N for U_k, alpha_prime, T_s for t_attack_s), the p_x of mu (200
+# points, a 1000-entry list, and 1e-17, whose 1 - p_x rounds to 1 so that
+# every row warns) and the seed, whose -1 row ends the sweep with exit 2 and
+# no CSV (digest None). No sweep column reads t_attack_s, so both T_s
+# sweeps print the same bytes. GOLDEN_STREAMS pins their stdout and stderr.
 BETA_200 = ["sweep", "--param", "beta", "--start", "2", "--stop", "9.96", "--step", "0.04"]
+P_X_200 = ["sweep", "--param", "p_x", "--start", "0.004", "--stop", "0.8", "--step", "0.004"]
+# SHA-256 of the 200-point beta sweep over a per-entity p_x list of 1000
+# values: mu sums ln(1/(1 - p_x)) over the list
+P_X_LIST = [round(0.05 + 0.0009 * k, 4) for k in range(1000)]
+GOLDEN_P_X_LIST_BETA_200 = "162628ffaa2a7d6cb5fe7addcee6447aaf97c81dd74e4a89eab6ce4a624dec3d"
+GOLDEN_T_S = "8a218c874feab850f4e223b180c48eefc159b1a3975fe9edf2d19793a6dd0467"
 GOLDEN_ANALYTIC = [
     (["sweep", "--param", "beta"], {}, 0,
      "167b6496d49ee5f1409f560dc21d023400d111f081870a33823c6ebdc692531f"),
@@ -645,11 +663,44 @@ GOLDEN_ANALYTIC = [
      "afcecbbd86e4b72d4e7209b9251e7b7a2153241f4589015e23df2e0a30fa8837"),
     (["failsafe"], {"omega_x": [round(0.05 + 0.04 * k, 2) for k in range(22)]}, 1,
      "c2d2c0ab43437f48fa9068a5a12f4e3957631ee1dd9f711e9b9ce6b3131be6f0"),
+    (["sweep", "--param", "N", "--values", "2,5,40"], {}, 0,
+     "e75ddbf5f96b3852f75d35a7428b88845359283907dae7c1515b7910df04c831"),
+    (["sweep", "--param", "T_s", "--values", "105,110,200"], {"t_attack_s": 300.0}, 0,
+     GOLDEN_T_S),
+    (["sweep", "--param", "d2", "--values", "0.5,0.9,0.99"], {}, 0,
+     "0760a171a797d1e9d4744096dc8789c36c4a67b7ec6128ecaeb876fb8071f545"),
+    (["sweep", "--param", "r2_m", "--values", "200,500,1000"], {}, 0,
+     "6e13dda5a51b3ea6d4a2a3c1d48e7a4e2cb081354a7f15535e6defe7bff81e1c"),
+    (["sweep", "--param", "O_b", "--values", "0.5,1,2"], {}, 0,
+     "378ba0dd55a147bbaf2e720c5e70a0c75da42ce46f79dcc3c17b40b994d8f500"),
+    (["sweep", "--param", "U_prime_N", "--values", "1,2,3"], {}, 0,
+     "3494e759aece754a4b406aa798074466ab6833c88a85a58a1d4b18e56fafe3b1"),
+    (["sweep", "--param", "alpha_prime", "--values", "0.005,0.01,0.02"], {}, 0,
+     "439b41ca59e4ca54e448abb497a4f005ec1706faadd64d3dfb6f3476f68bebee"),
+    (["sweep", "--param", "T_s", "--values", "105,110,200"], {}, 0, GOLDEN_T_S),
+    (P_X_200, {}, 0, "90309aad5506a9a0fa5d440dad62323e6f7fe1d96474f6fedb393844fe4aebbe"),
+    (BETA_200, {"p_x": P_X_LIST}, 0, GOLDEN_P_X_LIST_BETA_200),
+    (["sweep", "--param", "beta"], {"p_x": 1e-17}, 0,
+     "ce8c783f147df6fe32dd09ef5d85ecd3ea0b56a847c482b82cb022da11de6592"),
+    (["sweep", "--param", "seed", "--values", "1,-1"], {}, 2, None),
 ]
 GOLDEN_ANALYTIC_IDS = [
     "sweep_beta", "sweep_p_x", "sweep_beta200", "sweep_E_clamp", "sweep_alpha",
     "failsafe", "failsafe_fine", "failsafe_q2", "failsafe_omega_list",
+    "sweep_N", "sweep_T_s", "sweep_d2", "sweep_r2_m", "sweep_O_b",
+    "sweep_U_prime_N", "sweep_alpha_prime", "sweep_T_s_derived_t_attack",
+    "sweep_p_x200", "sweep_beta200_p_x_list", "sweep_beta_p_x_1e-17", "sweep_seed_negative",
 ]
+MU_UNDEFINED = "warning: mu: availability must lie strictly in (0, 1), got 1.0"
+GOLDEN_STREAMS = {  # id: (rows reported on stdout, or None for no CSV; stderr lines)
+    **{name: (3, []) for name in GOLDEN_ANALYTIC_IDS[9:17]},
+    "sweep_p_x200": (200, []),
+    "sweep_beta200_p_x_list": (200, []),
+    "sweep_beta_p_x_1e-17": (5, [MU_UNDEFINED] * 5),
+    "sweep_seed_negative": (
+        None, ["error: sweep seed=-1: seed must be a 64-bit unsigned integer, got -1"]
+    ),
+}
 
 
 def assert_golden_output(tmp_path, argv, overrides, code, digest):
@@ -657,7 +708,10 @@ def assert_golden_output(tmp_path, argv, overrides, code, digest):
         argv = argv + [write_config(tmp_path, **overrides)]
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == code
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if digest is None:
+        assert not out.exists()
+    else:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -688,6 +742,18 @@ def test_analytic_commands_never_integrate(
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", GOLDEN_STREAMS)
+def test_sweep_golden_streams(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    argv, overrides, code, digest = GOLDEN_ANALYTIC[GOLDEN_ANALYTIC_IDS.index(name)]
+    assert_golden_output(tmp_path, argv, overrides, code, digest)
+    rows, err = GOLDEN_STREAMS[name]
+    captured = capsys.readouterr()
+    wrote = f"wrote {rows} rows to {tmp_path / 'out.csv'}\n"
+    assert captured.out == ("" if rows is None else wrote)
+    assert captured.err.splitlines() == err
+
+
 def test_sweep_alpha_grid_warnings(tmp_path, monkeypatch, capsys):
     # one line per empty cell, in row order: S_N first, then M_O_pred
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
@@ -697,12 +763,6 @@ def test_sweep_alpha_grid_warnings(tmp_path, monkeypatch, capsys):
         f"warning: {cell}: window form requires beta > alpha, got beta=2.0 alpha={a}"
         for a in ("2.0", "3.0", "4.0", "5.0") for cell in ("S_N", "M_O_pred")
     ]
-
-
-# SHA-256 of the 200-point beta sweep over a per-entity p_x list of 1000
-# values: mu sums ln(1/(1 - p_x)) over the list
-P_X_LIST = [round(0.05 + 0.0009 * k, 4) for k in range(1000)]
-GOLDEN_P_X_LIST_BETA_200 = "162628ffaa2a7d6cb5fe7addcee6447aaf97c81dd74e4a89eab6ce4a624dec3d"
 
 
 def test_sweep_rows_check_only_their_overrides(tmp_path, monkeypatch, capsys):
@@ -739,6 +799,98 @@ def test_sweep_row_evaluates_its_ei_window_once(tmp_path, monkeypatch, capsys):
     assert_golden_output(tmp_path, *GOLDEN_ANALYTIC[index])
     capsys.readouterr()
     assert len(calls) == 2 * 200 and len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize(
+    "name,calls", [("sweep_beta200", 1), ("sweep_beta200_p_x_list", 1), ("sweep_p_x200", 200)]
+)
+def test_sweep_computes_mu_once_per_p_x(tmp_path, monkeypatch, capsys, name, calls):
+    # mu depends on p_x alone: the rows of a beta sweep share the base's
+    # mu, and each row of a p_x sweep has its own
+    from v2xsustain import cli
+
+    seen = []
+    scale = cli.scale_param
+
+    def counting(availabilities):
+        seen.append(availabilities)
+        return scale(availabilities)
+
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    monkeypatch.setattr(cli, "scale_param", counting)
+    assert_golden_output(tmp_path, *GOLDEN_ANALYTIC[GOLDEN_ANALYTIC_IDS.index(name)])
+    capsys.readouterr()
+    assert len(seen) == calls
+
+
+# One valid change per config field, all valid together, with distinct
+# values inside each scenario part so that a field passed to the wrong
+# parameter shows.
+CHANGED = {
+    "beta": 3.0, "alpha": 0.5, "gamma_prime": 0.2, "alpha_prime": 0.02,
+    "N": 14, "E": 12, "E0": 5, "n_inv": 4, "Q": 2,
+    "t1_s": 4.0, "t2_s": 100.0, "T_s": 120.0, "tx_step_s": 2.5,
+    "t_attack_s": 90.0, "t_prime_s": 60.0, "t_u_s": 3.0, "r1_m": 50.0, "r2_m": 400.0,
+    "d1": 0.2, "d2": 0.8, "p_x": [0.2, 0.3], "omega_x": 0.3, "S_N_TH": 40.0,
+    "M_O_TH": 900.0, "U_prime_N": 2, "O_b": 1.5, "U_k": 3.0, "D": 4.0,
+    "seed": 7, "event_cap": 1000,
+}
+
+
+def test_changed_values_cover_every_field():
+    assert list(CHANGED) == [f.name for f in FIELDS]
+
+
+def test_build_bundle_gives_each_part_its_fields():
+    c = merge_config(CHANGED)
+    b = build_bundle(c)
+    scn = b.scenario
+    want = [
+        NetworkParams(N=c["N"], E=c["E"], E_zero=c["E0"], n_inv=c["n_inv"], Q=c["Q"]),
+        RateParams(alpha=c["alpha"], beta=c["beta"], gamma_prime=c["gamma_prime"]),
+        TimeWindow(t1=c["t1_s"], t2=c["t2_s"], T=c["T_s"], t_x_step=c["tx_step_s"],
+                   t_attack=c["t_attack_s"], t_min_hold=c["t_prime_s"], t_use=c["t_u_s"]),
+        RangeParams(r1=c["r1_m"], r2=c["r2_m"]),
+        Thresholds(S_N_TH=c["S_N_TH"], M_O_TH=c["M_O_TH"], U_prime_N=c["U_prime_N"],
+                   O_b=c["O_b"]),
+        LikelihoodBounds(d1=c["d1"], d2=c["d2"]),
+    ]
+    got = [scn.net, scn.rates, scn.window, scn.range_params, scn.thresholds, b.bounds]
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
+@pytest.mark.parametrize("name", [f.name for f in FIELDS])
+def test_reused_parts_match_fresh_builds(name):
+    # base, changed, base: each bundle equals one built with the reuse
+    # cleared. The base leaves the derived-default fields (alpha_prime,
+    # t_attack_s, t_prime_s, t_u_s, U_k, D) absent, so a change of T_s,
+    # tx_step_s, U_prime_N or N must reach what they resolve to.
+    configs = [default_config(), merge_config({name: CHANGED[name]})]
+    configs.append(configs[0])
+    fresh = []
+    for c in configs:
+        config_module._recent_part.cache_clear()
+        fresh.append(build_bundle(c))
+    config_module._recent_part.cache_clear()
+    for k, (c, want) in enumerate(zip(configs, fresh)):
+        got = build_bundle(c)
+        assert got.scenario == want.scenario and repr(got.scenario) == repr(want.scenario)
+        assert got == want and repr(got) == repr(want)
+        if k:  # at most the one part that owns the field is built again
+            assert config_module._recent_part.cache_info().hits >= 5 * k
+
+
+def test_reuse_keeps_zero_signs_types_and_failures_apart():
+    # 0.0 == -0.0 and 10 == 10.0, but neither pair may share a part; a part
+    # whose checks raise is never kept, so it raises again
+    assert math.copysign(1.0, build_bundle(merge_config({"alpha": 0.0})).scenario.rates.alpha) > 0
+    assert math.copysign(1.0, build_bundle(merge_config({"alpha": -0.0})).scenario.rates.alpha) < 0
+    build_bundle(default_config())
+    with pytest.raises(ConfigError, match="N must be a positive integer, got 10.0"):
+        build_bundle({**default_config(), "N": 10.0})
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="r2=50.0 must exceed r1=100.0"):
+            build_bundle(merge_config({"r2_m": 50.0}))
 
 
 def test_failsafe_never_calls_the_batch_scale_estimate(tmp_path, monkeypatch, capsys):
@@ -810,6 +962,28 @@ def test_failsafe_point_holds_after_first_breach(tmp_path, capsys):
     f_s = [line.split(",")[5] for line in out.read_text().splitlines()[1:]]
     assert f_s == ["5", "10"] + ["10"] * 20
     capsys.readouterr()
+
+
+def test_failsafe_scale_floor_outranks_missing_observations(tmp_path, capsys):
+    # the last slot has no S_N or M_O, but its mu 1.668 is at or below 2
+    cfg = write_config(tmp_path, E0=10, beta=0.1, gamma_prime=0.02, alpha=0.05,
+                       omega_x=0.9, seed=1)
+    out = tmp_path / "failsafe.csv"
+    assert main(["failsafe", cfg, "--out", str(out)]) == 1
+    last = out.read_text().splitlines()[-1].split(",")
+    assert last[:4] == ["110", "", "", "1.66793928"] and last[6] == "reconfigure"
+    assert "final decision: reconfigure" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", GOLDEN_ANALYTIC_IDS[5:9])
+def test_failsafe_goldens_reconfigure_at_the_scale_floor(tmp_path, monkeypatch, capsys, name):
+    # no pinned row has mu <= 2 without reconfigure, so the decision order
+    # (scale floor before missing observations) moves none of these pins
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    assert_golden_output(tmp_path, *GOLDEN_ANALYTIC[GOLDEN_ANALYTIC_IDS.index(name)])
+    capsys.readouterr()
+    rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    assert rows and all(r[6] == "reconfigure" for r in rows if r[3] and float(r[3]) <= 2.0)
 
 
 def test_failsafe_without_slots(tmp_path, capsys):

@@ -266,6 +266,16 @@ def test_decide_undefined_metric_is_insufficient_observations():
         assert report.rationale == "insufficient observations in this slot"
 
 
+def test_decide_scale_floor_wins_over_undefined_metrics():
+    # an inoperable mu forces reconfiguration even where S_N or M_O is undefined
+    for s_n, m_o in ((None, 10.0), (100.0, None), (None, None)):
+        report = decide(s_n=s_n, m_o=m_o, mu=1.0, thresholds=TH)
+        assert report.decision == RECONFIGURE and report.mu == 1.0
+        assert report.rationale == ("scale parameter 1 at or below 2: network not operable "
+                                    "without reconfiguration")
+    assert decide(None, 10.0, 1.0, TH).decision == RECONFIGURE  # raised DomainError
+
+
 def test_failsafe_report_validation():
     with pytest.raises(DomainError):
         FailSafeReport(mu=None, decision="panic", rationale="")
