@@ -27,8 +27,8 @@ _EXPORTS = {
             predicted_key_updates predicted_message_overhead resolve_alpha_prime
             scale_param""",
         "keychain": """KEY_BYTES LABELS MODE_PASSKEY PARENTS KeyHierarchy KeyNode
-            PeerCredential Session establish_session
-            export_derivation_log peer_credential refresh_subtree verify_session""",
+            Session establish_session export_derivation_log peer_credential
+            refresh_subtree verify_session""",
         "decision": """CONTINUE DECISIONS RECONFIGURE UPDATE_KEYS FailSafeReport
             Thresholds Violation check_constraints decide failsafe_point""",
         "sim": "ComparisonReport SimTrace SlotTable compare_to_model run_simulation",

@@ -38,12 +38,14 @@ LABELS = ("K_AMF", *PARENTS)
 MODE_PASSKEY = {"long_range": "K_LRPK", "short_range": "K_SRPK"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class KeyNode:
+    """One key at one epoch. A refresh replaces the node, so a held node
+    is a snapshot that goes stale when its key refreshes."""
+
     label: str
     material: bytes
     epoch: int
-    parent: str | None
 
 
 class KeyHierarchy:
@@ -70,16 +72,13 @@ class KeyHierarchy:
     def _rekey(self, label: str, epoch: int) -> None:
         # Derive the node from its parent's material (the root's for K_AMF);
         # label string plus epoch counter give per-node domain separation.
-        # The log timestamp is the row number.
+        # The log timestamp is the 1-based derivation index.
         parent = PARENTS.get(label)
         source = self._root if parent is None else self.nodes[parent].material
         context = label.encode("ascii") + b"|" + epoch.to_bytes(8, "big")
         material = hmac.new(source, context, hashlib.sha256).digest()
-        self.nodes[label] = KeyNode(label, material, epoch, parent)
+        self.nodes[label] = KeyNode(label, material, epoch)
         self.derivation_log.append((float(len(self.derivation_log) + 1), label, epoch))
-
-    def children(self, label: str) -> list[str]:
-        return [c for c, p in PARENTS.items() if p == label]
 
     def descendants(self, label: str) -> list[str]:
         # PARENTS is in level order, so one scan gives them breadth-first:
@@ -106,27 +105,14 @@ def refresh_subtree(h: KeyHierarchy, label: str) -> KeyHierarchy:
     return h
 
 
-@dataclass(frozen=True)
-class PeerCredential:
-    """A peer's snapshot of one passkey; goes stale when the key refreshes."""
-
-    label: str
-    material: bytes
-    epoch: int
-
-
-def peer_credential(h: KeyHierarchy, mode: str) -> PeerCredential:
-    label = _passkey_label(mode)
-    node = h.nodes[label]
-    return PeerCredential(label=label, material=node.material, epoch=node.epoch)
+def peer_credential(h: KeyHierarchy, mode: str) -> KeyNode:
+    """The mode's current passkey node, which the peer holds as its credential."""
+    return h.nodes[_passkey_label(mode)]
 
 
 @dataclass(frozen=True)
 class Session:
     mode: str
-    passkey_label: str
-    passes_used: int
-    established_at: float
     peer: str
     epoch: int
     transcript: tuple[tuple[bytes, bytes], ...]
@@ -156,8 +142,7 @@ def establish_session(
     mode: str,
     peer: str,
     Q: int,
-    credential: PeerCredential | None = None,
-    at: float = 0.0,
+    credential: KeyNode | None = None,
 ) -> Session:
     """Run a Q-pass challenge-response under the mode's passkey.
 
@@ -180,7 +165,7 @@ def establish_session(
     transcript = tuple(
         (c, _response(credential.material, mode, peer, i, c)) for i, c in enumerate(challenges)
     )
-    session = Session(mode, label, Q, at, peer, credential.epoch, transcript)
+    session = Session(mode, peer, credential.epoch, transcript)
     verify_session(h, session)
     return session
 
@@ -192,7 +177,7 @@ def verify_session(h: KeyHierarchy, session: Session) -> None:
     the current passkey material, i.e. after the passkey's subtree was
     refreshed. Replaying an old transcript therefore fails.
     """
-    node = h.nodes[session.passkey_label]
+    node = h.nodes[_passkey_label(session.mode)]
     for i, (challenge, response) in enumerate(session.transcript):
         expected = _response(node.material, session.mode, session.peer, i, challenge)
         if not hmac.compare_digest(response, expected):
@@ -203,4 +188,5 @@ def verify_session(h: KeyHierarchy, session: Session) -> None:
 
 
 def export_derivation_log(h: KeyHierarchy, path: str | Path) -> None:
+    """Write the log as CSV; timestamp_s is the 1-based derivation index, not a time."""
     write_csv(path, ("timestamp_s", "label", "epoch"), zip(*h.derivation_log, strict=True))

@@ -98,12 +98,15 @@ def predicted_key_updates(rates: RateParams, window: TimeWindow) -> float:
 
     Integral of e^{-alpha/t} (alpha/t)^2 / 2 over [t1, t2], which is
     (alpha/2)(e^{-alpha/t2} - e^{-alpha/t1}), with the difference taken
-    through expm1 because both terms are near 1 for small alpha/t1.
+    through expm1 because both terms are near 1 for small alpha/t1. The
+    exponent alpha (t1 - t2) / (t1 t2) keeps a narrow window's width, which
+    alpha/t2 - alpha/t1 loses to cancellation; it is grouped so that no
+    intermediate leaves double range before the exponent does.
     """
     if not rates.alpha > 0.0:
         raise DomainError(f"prediction requires alpha > 0, got {rates.alpha!r}")
     a, t1, t2 = rates.alpha, window.t1, window.t2
-    return (a / 2.0) * math.exp(-a / t2) * -math.expm1(a / t2 - a / t1)
+    return (a / 2.0) * math.exp(-a / t2) * -math.expm1(a / t1 * ((t1 - t2) / t2))
 
 
 @dataclass(frozen=True)
@@ -112,19 +115,12 @@ class OverheadPrediction:
 
     composed multiplies the separately predicted components; printed is
     the single expanded expression. They disagree as printed (the
-    expansion drops the pass count and the update normalization), so the
-    relative difference between them is reported rather than hidden.
+    expansion drops the pass count and the update normalization), so both
+    are reported rather than one hidden.
     """
 
     composed: float
     printed: float
-    relative_difference: float
-    key_updates: float
-    sustainability_unit_passes: float
-    signaling: float
-    density: float
-    connectivity_factor: float
-    alpha_prime: float
 
 
 def resolve_alpha_prime(
@@ -178,19 +174,9 @@ def predicted_message_overhead(
     density = rng.r2 - rng.r1
     conn = connectivity_window_factor(net, rates.gamma_prime, window)
 
-    composed = net.Q / u_k * (s_n_unit * o_s * density * conn)
-    printed = _printed_overhead_expansion(rates, net, window, rng, O_b, conn)
-    denom = max(abs(composed), abs(printed), 1e-300)
     return OverheadPrediction(
-        composed=composed,
-        printed=printed,
-        relative_difference=abs(composed - printed) / denom,
-        key_updates=u_k,
-        sustainability_unit_passes=s_n_unit,
-        signaling=o_s,
-        density=density,
-        connectivity_factor=conn,
-        alpha_prime=alpha_prime,
+        composed=net.Q / u_k * (s_n_unit * o_s * density * conn),
+        printed=_printed_overhead_expansion(rates, net, window, rng, O_b, conn),
     )
 
 

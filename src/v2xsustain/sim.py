@@ -331,7 +331,6 @@ class ComparisonTable(NamedTuple):
 @dataclass
 class ComparisonReport:
     table: ComparisonTable
-    p_model: float
     survivor_mad: float | None
     passes_observed: int
     passes_expected: int
@@ -391,7 +390,6 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     observed = int(np.count_nonzero(trace.events.kind == _AUTH_PASS))
     return ComparisonReport(
         table=table,
-        p_model=p_model,
         survivor_mad=_mean_abs(survivor_dev),
         passes_observed=observed,
         passes_expected=trace.passes_total,

@@ -4,6 +4,7 @@ The derivation oracle is recomputed here from scratch with hmac/hashlib:
 material(child) = HMAC-SHA256(material(parent), label || "|" || epoch_be64).
 """
 
+import dataclasses
 import hashlib
 import hmac
 
@@ -12,6 +13,7 @@ import pytest
 from v2xsustain import (
     KEY_BYTES,
     LABELS,
+    MODE_PASSKEY,
     PARENTS,
     KeyHierarchy,
     establish_session,
@@ -50,8 +52,8 @@ def test_root_material_validation():
 def test_tree_shape():
     h = KeyHierarchy(ROOT)
     assert set(h.nodes) == set(LABELS)
-    assert h.nodes["K_AMF"].parent is None
-    assert sorted(h.children("K_OTK")) == ["K_Hub", "K_TM"]
+    assert LABELS[0] == "K_AMF" and "K_AMF" not in PARENTS
+    assert sorted(c for c, p in PARENTS.items() if p == "K_OTK") == ["K_Hub", "K_TM"]
     assert set(h.descendants("K_OTK")) == {"K_TM", "K_Hub", "K_SRPK", "K_LRPK"}
     assert h.descendants("K_SRPK") == []
 
@@ -118,11 +120,9 @@ def test_refresh_root_rekeys_everything():
 
 def test_establish_session_counts_passes():
     h = KeyHierarchy(ROOT)
-    s = establish_session(h, "long_range", "veh-1", Q=3, at=4.5)
-    assert s.passkey_label == "K_LRPK"
-    assert s.passes_used == 3
+    s = establish_session(h, "long_range", "veh-1", Q=3)
+    assert MODE_PASSKEY[s.mode] == "K_LRPK"
     assert len(s.transcript) == 3
-    assert s.established_at == 4.5
     assert s.epoch == 0
     verify_session(h, s)
     with pytest.raises(DomainError):
@@ -157,6 +157,23 @@ def test_stale_credential_rejected_after_ancestor_refresh():
     assert s.epoch == 0
     with pytest.raises(DomainError):
         establish_session(h, "long_range", "veh-1", Q=1, credential=short_cred)
+
+
+def test_held_key_node_is_a_snapshot():
+    # a refresh replaces nodes rather than changing them, so the node a
+    # peer holds keeps its material and epoch
+    h = KeyHierarchy(ROOT)
+    held = peer_credential(h, "long_range")
+    assert held is h.nodes["K_LRPK"]
+    material = held.material
+    refresh_subtree(h, "K_AMF")
+    assert (held.label, held.material, held.epoch) == ("K_LRPK", material, 0)
+    assert h.nodes["K_LRPK"].epoch == 1
+    assert h.nodes["K_LRPK"].material != material
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        held.epoch = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.nodes["K_AMF"].material = bytes(KEY_BYTES)
 
 
 def test_replay_fails_after_refresh():

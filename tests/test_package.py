@@ -127,6 +127,8 @@ def test_settable_values_do_not_grow():
     # A new setting raises these pins, with its reason recorded in CHANGES.md.
     from v2xsustain.config import FIELDS
 
-    total = sum(_settable_values(getattr(v2xsustain, name)) for name in v2xsustain.__all__)
-    assert total <= 188
+    counts = {name: _settable_values(getattr(v2xsustain, name)) for name in v2xsustain.__all__}
+    listing = ", ".join(f"{name}={n}" for name, n in counts.items())
+    assert sum(counts.values()) <= 172, listing
+    assert len(counts) <= 73, sorted(counts)
     assert len(FIELDS) <= 30

@@ -26,7 +26,9 @@ from v2xsustain import (
     failsafe_tau,
     predicted_key_updates,
     predicted_message_overhead,
+    resolve_alpha_prime,
     scale_param,
+    signaling_overhead,
     sustainability_window,
 )
 from v2xsustain.errors import DomainError
@@ -146,24 +148,57 @@ def test_predicted_key_updates_closed_form_random_rates():
         assert predicted_key_updates(rates, WINDOW) == pytest.approx(twin, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("width", [1e-3, 1e-5, 1e-9, 1e-12])
+def test_predicted_key_updates_on_narrow_windows(width):
+    # (a/2)(e^{-a/t2} - e^{-a/t1}) at 50 digits, on the floats t1 and t2
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for a in (0.05, 1.0, 4.9):
+            for t1 in (5.0, 37.3, 1000.0):
+                t2 = t1 * (1.0 + width)
+                ref = (mpmath.mpf(a) / 2) * (
+                    mpmath.exp(-mpmath.mpf(a) / t2) - mpmath.exp(-mpmath.mpf(a) / t1)
+                )
+                rates = RateParams(alpha=a, beta=a + 1.0)
+                got = predicted_key_updates(rates, TimeWindow(t1, t2, t2))
+                assert abs((got - ref) / ref) < 1e-13, (a, t1)
+
+
+def test_predicted_key_updates_far_from_unit_time_scales():
+    # t1 * t2 would underflow to 0 here (a ZeroDivisionError) and overflow
+    # to inf below (a result of 0); the exponent a (t1 - t2) / (t1 t2) does not
+    tiny = predicted_key_updates(
+        RateParams(alpha=1e-200, beta=1.0), TimeWindow(1e-200, 2e-200, 1.0)
+    )
+    assert tiny == pytest.approx(
+        0.5e-200 * math.exp(-0.5) * -math.expm1(-0.5), rel=1e-14, abs=0.0
+    )
+    huge = predicted_key_updates(RateParams(alpha=1.0, beta=2.0), TimeWindow(1e200, 2e200, 2e200))
+    assert huge == pytest.approx(2.5e-201, rel=1e-14, abs=0.0)
+
+
+def composed_from_components(net):
+    """Q / U_K^pred * (unit-pass S_N * O_S * (r2 - r1) * connectivity factor),
+    rebuilt from the public component functions at O_b = 1."""
+    alpha_prime = resolve_alpha_prime(RATES, WINDOW)
+    return net.Q / predicted_key_updates(RATES, WINDOW) * (
+        sustainability_window(RATES, NET, WINDOW)  # NET has Q = 1
+        * signaling_overhead(1.0, alpha_prime, net, WINDOW)
+        * (RANGE.r2 - RANGE.r1)
+        * connectivity_window_factor(net, RATES.gamma_prime, WINDOW)
+    )
+
+
 def test_predicted_overhead_components():
     pred = predicted_message_overhead(RATES, NET, WINDOW, RANGE, 1.0)
-    assert pred.alpha_prime == pytest.approx(1.0 / 105.0, rel=1e-15, abs=0.0)
-    assert pred.density == pytest.approx(RANGE.r2 - RANGE.r1, rel=1e-10, abs=0.0)
-    assert pred.key_updates == pytest.approx(U_K_PRED_REF, rel=1e-10, abs=0.0)
-    assert pred.connectivity_factor == pytest.approx(CONN_FACTOR_REF, rel=1e-12, abs=0.0)
-    composed = (
-        NET.Q
-        / pred.key_updates
-        * (
-            pred.sustainability_unit_passes
-            * pred.signaling
-            * pred.density
-            * pred.connectivity_factor
-        )
+    assert resolve_alpha_prime(RATES, WINDOW) == pytest.approx(1.0 / 105.0, rel=1e-15, abs=0.0)
+    assert predicted_key_updates(RATES, WINDOW) == pytest.approx(
+        U_K_PRED_REF, rel=1e-10, abs=0.0
     )
-    assert pred.composed == pytest.approx(composed, rel=1e-14, abs=0.0)
-    assert pred.relative_difference >= 0.0
+    assert connectivity_window_factor(NET, RATES.gamma_prime, WINDOW) == pytest.approx(
+        CONN_FACTOR_REF, rel=1e-12, abs=0.0
+    )
+    assert pred.composed == pytest.approx(composed_from_components(NET), rel=1e-14, abs=0.0)
 
 
 def test_a1_composed_overhead_is_negative():
@@ -172,11 +207,13 @@ def test_a1_composed_overhead_is_negative():
     # would carry 1/(t2 - t1); which form the paper means is open (README,
     # "Composed overhead at A1"). This pins the current sign and values.
     pred = predicted_message_overhead(RATES, NET, WINDOW, RANGE, 1.0)
-    assert pred.connectivity_factor < 0.0
+    assert connectivity_window_factor(NET, RATES.gamma_prime, WINDOW) < 0.0
     assert pred.composed == pytest.approx(-1.2024148e7, rel=1e-7, abs=0.0)
     assert pred.printed == pytest.approx(7.872080e5, rel=1e-6, abs=0.0)
-    # |composed - printed| / max(|composed|, |printed|)
-    assert pred.relative_difference == pytest.approx(1.0654689, rel=1e-7, abs=0.0)
+    relative_difference = abs(pred.composed - pred.printed) / max(
+        abs(pred.composed), abs(pred.printed)
+    )
+    assert relative_difference == pytest.approx(1.0654689, rel=1e-7, abs=0.0)
 
 
 def test_predicted_overhead_q_linearity():
@@ -204,14 +241,14 @@ def test_predicted_overhead_printed_form_is_q_free():
 def test_predicted_overhead_builds_no_network_params(monkeypatch):
     # the unit-pass S_N takes Q = 1 as a number, not from a copy of net
     net3 = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=3)
-    unit = sustainability_window(RATES, NET, WINDOW)  # NET is net3 at Q = 1
+    composed = composed_from_components(net3)  # before NetworkParams is refused
 
     def refuse(self):
         raise AssertionError("predicted_message_overhead built a NetworkParams")
 
     monkeypatch.setattr(NetworkParams, "__post_init__", refuse)
     pred = predicted_message_overhead(RATES, net3, WINDOW, RANGE, 1.0)
-    assert pred.sustainability_unit_passes == unit
+    assert pred.composed == pytest.approx(composed, rel=1e-14, abs=0.0)
 
 
 def test_predicted_overhead_alpha_prime_domain():

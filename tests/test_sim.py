@@ -373,7 +373,7 @@ def test_compare_report_shape():
     assert report.passes_observed == report.passes_expected
     assert report.table.S_N_model[0] is None  # first slot starts at t = 0
     assert all(m is not None for m in report.table.S_N_model[1:])
-    assert report.p_model == pytest.approx(0.5**10, rel=1e-12, abs=0.0)
+    assert report.table.P_model == pytest.approx([0.5**10] * 22, rel=1e-12, abs=0.0)
 
 
 def test_compare_builds_no_window_per_slot(monkeypatch):
