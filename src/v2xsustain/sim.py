@@ -109,30 +109,25 @@ class SimTrace:
 
 
 def _time_order(t: np.ndarray) -> np.ndarray:
-    """Stable sort order of float64 t: ties keep their row order.
+    """Stable sort order of float64 t as int64: ties keep their row order.
 
-    numpy's default quicksort is vectorised and several times faster than
-    its stable sort, but leaves the rows of a tie in any order. The key
-    (rank << b) | row, where rank numbers the distinct times in order and
-    both fit in b bits (2b < 63 while n < 2**31), sorts by time and then by
-    row, so one integer sort of the keys puts every tie back in row order,
-    exactly.
+    t must be >= +0.0 with no nan and no -0.0, as run_simulation's times
+    are; there the bit patterns, read as int64, sort like the times. Each
+    key is t's bits with the low len(t).bit_length() bits replaced by the
+    row, so one integer sort orders the keys by the time's high bits, then
+    by row. Only keys with equal high bits can be out of time order. If
+    any are, every run of such keys gets one stable argsort by time; runs
+    of different high bits hold disjoint time ranges, so each stays put.
     """
-    n = len(t)
-    b = n.bit_length()
-    order = np.argsort(t)
-    key = np.empty(n, dtype=np.int64)
-    # the sorted times borrow key's buffer until their ranks replace them
-    ts = np.take(t, order, out=key.view(t.dtype), mode="clip")
-    new = ts[1:] != ts[:-1]
-    key[:1] = 0
-    np.cumsum(new, out=key[1:])
-    del ts, new
-    key <<= b
-    key |= order
-    del order
+    low = (1 << len(t).bit_length()) - 1
+    key = t.view(np.int64) & ~low
+    key |= np.arange(len(t))
     key.sort()
-    key &= (1 << b) - 1
+    near = np.flatnonzero((key[1:] ^ key[:-1]) <= low)
+    if np.any(t[key[near + 1] & low] < t[key[near] & low]):
+        runs = np.union1d(near, near + 1)
+        key[runs] = key[runs][np.argsort(t[key[runs] & low], kind="stable")]
+    key &= low
     return key
 
 
@@ -154,9 +149,10 @@ def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario) -> EventTabl
     """Sorted events of the vehicles in arrive.
 
     arrive must be sorted and upd_id nondecreasing, as run_simulation draws
-    them. Each kind's block is put in (t, entity) order and the blocks are
-    laid out in kind-code order, so one stable sort on t merges the four
-    sorted runs into (t, kind code, entity) order.
+    them. Each kind's block is put in (t, entity) order, by at most one
+    packed-key _time_order sort, and the blocks are laid out in kind-code
+    order, so one stable sort on t merges the four sorted runs into
+    (t, kind code, entity) order.
     """
     Q = scenario.net.Q
     n = len(arrive)
@@ -269,7 +265,10 @@ def run_simulation(scenario: Scenario) -> SimTrace:
         depart = np.full(n, np.inf)
 
     stay = np.minimum(depart, T) - arrive
-    n_upd = rng_upd.poisson(rates.alpha * stay)
+    if rates.alpha > 0.0:
+        n_upd = rng_upd.poisson(rates.alpha * stay)
+    else:  # a zero mean draws nothing from the stream, so skipping it keeps it
+        n_upd = np.zeros(n, np.int64)
     departures = int(np.count_nonzero(depart <= T))
     updates = _exact_sum(n_upd)  # one vehicle's count can reach 9.2e18
     needed = (1 + net.Q) * (n + updates) + departures

@@ -619,6 +619,29 @@ def test_simulate_heavy_events_digest(tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(data).hexdigest() == GOLDEN_HEAVY_EVENTS_SEED_7
 
 
+# SHA-256 of the simulate CSVs at a zero update rate, seed 7: a 1000-vehicle
+# cohort with arrivals and departures and no key update. run_simulation
+# draws no update counts when alpha is not above 0; a zero Poisson mean
+# takes nothing from the update stream, so these are also the digests of a
+# run that draws every count. alpha -0.0 passes the config and prints the same.
+GOLDEN_ALPHA_0_SEED_7 = {
+    "events": "60cfbadfeb5abf7fe612b19d7e7a578e4023585c5e07994983e645329081055b",
+    "metrics": "6c71d885af385e248117099e30391dcbcfd6c98d4b65da29e82460e416c1e65b",
+    "comparison": "7f9c86aee513af1dd4e6d1a5a8fa4ac004dc208be3d06915622b15f53d41edac",
+}
+
+
+@pytest.mark.parametrize("alpha", [0, -0.0], ids=["zero", "minus_zero"])
+def test_simulate_zero_update_rate_digests(alpha, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    cfg = write_config(tmp_path, E=1000, E0=1000, alpha=alpha, beta=2, gamma_prime=0.1)
+    assert main(["simulate", cfg, "--out", str(tmp_path / "sims"), "--seed", "7"]) == 0
+    capsys.readouterr()
+    for kind, digest in GOLDEN_ALPHA_0_SEED_7.items():
+        data = (tmp_path / "sims" / f"run0_{kind}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, kind
+
+
 # SHA-256 of the analytic command outputs at the A1 defaults: the default
 # beta and p_x sweep grids (mu > 2 on part of the p_x grid, so tau is
 # nonzero there) and the failsafe table (nonzero tau in every row), plus the

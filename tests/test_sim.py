@@ -217,14 +217,37 @@ def lexsort_event_table(arrive, depart, upd_t, upd_id, scn) -> EventTable:
     return EventTable(t[order], kind[order], entity[order])
 
 
+def packed_order(t: np.ndarray) -> np.ndarray:
+    """The order of sim._time_order's packed keys before its repair: by the
+    bits of t above the low n.bit_length() bits, then by row."""
+    low = (1 << len(t).bit_length()) - 1
+    return np.sort((t.view(np.int64) & ~low) | np.arange(len(t))) & low
+
+
+def nudge(t: np.ndarray, rng, ulps: int = 4) -> np.ndarray:
+    """t with 0 to ulps - 1 added to each bit pattern: near ties of t >= 0."""
+    return (t.view(np.int64) + rng.integers(0, ulps, len(t))).view(t.dtype)
+
+
 @pytest.mark.parametrize("Q", [1, 3])
-def test_event_table_matches_lexsort_on_tied_times(Q):
+def test_event_table_matches_lexsort_on_tied_times(Q, monkeypatch):
     # Every time lies on a grid of step 1/k, so arrivals, passes, updates and
     # departures of many vehicles tie; the inputs keep what run_simulation
     # guarantees: arrivals sorted, the cohort first, update ids nondecreasing.
+    # Each draw runs again with the later times a few ulps apart, so that the
+    # packed keys of both _time_order calls (sessions, then departures) come
+    # out of time order and take the repair.
     scn = scenario(net=dataclasses.replace(NET, Q=Q))
     T = scn.window.T
     rng = np.random.default_rng([Q, 1, 0])
+    repaired = {"sessions": 0, "departures": 0}
+    time_order, calls = sim._time_order, []
+
+    def spy(t):
+        calls.append(not np.array_equal(packed_order(t), np.argsort(t, kind="stable")))
+        return time_order(t)
+
+    monkeypatch.setattr(sim, "_time_order", spy)
     for _ in range(40):
         k = int(rng.integers(1, 5))
         n = int(rng.integers(0, 40))
@@ -235,12 +258,19 @@ def test_event_table_matches_lexsort_on_tied_times(Q):
         most = int(rng.integers(0, 4))  # 0: no key update at all
         upd_id = np.repeat(np.arange(n), rng.integers(0, most + 1, n))
         upd_t = np.minimum(arrive[upd_id] + rng.integers(0, 40 * k, len(upd_id)) / k, T)
-        got = sim._event_table(arrive, depart, upd_t, upd_id, scn)
-        want = lexsort_event_table(arrive, depart, upd_t, upd_id, scn)
-        assert got == want
-        assert (got.t.dtype, got.kind.dtype, got.entity.dtype) == (
-            want.t.dtype, want.kind.dtype, want.entity.dtype
-        )
+        near = (np.concatenate((arrive[:cohort], np.sort(nudge(later, rng)))),
+                nudge(depart, rng), nudge(upd_t, rng))
+        for arrive, depart, upd_t in ((arrive, depart, upd_t), near):
+            calls.clear()
+            got = sim._event_table(arrive, depart, upd_t, upd_id, scn)
+            want = lexsort_event_table(arrive, depart, upd_t, upd_id, scn)
+            assert got == want
+            assert (got.t.dtype, got.kind.dtype, got.entity.dtype) == (
+                want.t.dtype, want.kind.dtype, want.entity.dtype
+            )
+            repaired["departures"] += calls[-1]
+            repaired["sessions"] += len(calls) == 2 and calls[0]
+    assert min(repaired.values()) > 0, repaired
 
 
 def test_exact_sum_does_not_wrap():
@@ -269,6 +299,17 @@ def test_time_order_on_many_ties_matches_a_stable_sort():
         for levels in (1, 3, size):
             t = rng.integers(0, levels, size) / 4.0
             assert np.array_equal(sim._time_order(t), np.argsort(t, kind="stable"))
+
+
+def test_time_order_repairs_keys_that_share_their_high_bits():
+    # 1.0 plus 3, 0, 2, 0 and 1 ulps: five rows share every bit above the
+    # low 3, so the packed keys come out in row order and only the repair
+    # puts them in time order.
+    t = (np.full(5, 1.0).view(np.int64) + [3, 0, 2, 0, 1]).view(float)
+    want = np.argsort(t, kind="stable")
+    assert want.tolist() == [1, 3, 4, 2, 0]
+    assert packed_order(t).tolist() == [0, 1, 2, 3, 4]
+    assert np.array_equal(sim._time_order(t), want)
 
 
 def test_too_many_slots_rejected_before_any_draw(tmp_path, capsys):

@@ -1,5 +1,8 @@
-"""Property test: every scenario the config layer accepts either simulates
-within its event cap or fails with a typed error, in bounded memory.
+"""Property tests of the simulator.
+
+Every scenario the config layer accepts either simulates within its event
+cap or fails with a typed error, in bounded memory; and sim._time_order is
+numpy's stable argsort on times that tie or differ only in their low bits.
 
 Every field of config.FIELDS is drawn by its kind, so a new field is drawn
 without a change here. Floats (rates, windows, thresholds) are drawn
@@ -11,9 +14,10 @@ Hypothesis is not installed.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from v2xsustain import build_bundle, merge_config, run_simulation
+from v2xsustain import build_bundle, merge_config, run_simulation, sim
 from v2xsustain.config import FIELDS
 from v2xsustain.errors import (
     ConfigError,
@@ -111,3 +115,29 @@ def test_accepted_scenarios_end_typed_in_bounded_memory(config):
         tracemalloc.stop()
     hypothesis.target(peak / 2**20, label="peak MiB")
     assert peak < PEAK_BOUND
+
+
+@st.composite
+def near_tied_times(draw) -> np.ndarray:
+    """Up to 4 base times >= 0 with 0 to 2**w - 1 added to their bit
+    patterns, so many times differ only in their low bits, mixed with runs
+    of +0.0 and +inf; 0 to 3000 times, the bulk drawn from a numpy seed."""
+    bases = np.array(draw(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=4)))
+    n = draw(st.integers(0, 3000) | st.integers(0, 8))
+    width, run = draw(st.integers(0, 16)), draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = np.abs(bases).view(np.int64)[rng.integers(0, len(bases), n)]
+    t = (bits + rng.integers(0, 2**width, n)).view(np.float64)
+    for special in (0.0, np.inf):
+        starts = rng.integers(0, n, rng.integers(0, 4)) if n else []
+        for lo in starts:
+            t[lo : lo + run] = special
+    return t
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(t=near_tied_times())
+def test_time_order_is_the_stable_argsort(t):
+    order = sim._time_order(t)
+    assert order.dtype == np.int64
+    assert np.array_equal(order, np.argsort(t, kind="stable"))
