@@ -37,7 +37,7 @@ from .sustain import _window_form, loss_probability_model
 # The events CSV labels, indexed by EventTable.kind code in tie-break order.
 _KIND_NAMES = ("arrival", "auth_pass", "key_update", "departure")
 _AUTH_PASS, _KEY_UPDATE, _DEPARTURE = 1, 2, 3  # kind codes
-_GATHER_ROWS = 1 << 16  # rows per in-place gather step in _event_table
+_GATHER_ROWS = 1 << 16  # rows per in-place gather step in _merge_blocks
 # The largest mean Generator.poisson accepts; above it, it raises ValueError.
 _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
@@ -58,11 +58,20 @@ class _Columns:
 @dataclass(frozen=True, eq=False)
 class EventTable(_Columns):
     """Events as numpy columns sorted by (t, kind code, entity), with no
-    Python object per event."""
+    Python object per event; SimTrace.events builds it on first access."""
 
     t: np.ndarray
     kind: np.ndarray
     entity: np.ndarray
+
+
+class _Block(NamedTuple):
+    """One kind's event rows, times[order] and ids[order], each row repeated."""
+
+    times: np.ndarray
+    ids: np.ndarray
+    order: np.ndarray
+    repeats: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +92,37 @@ class SlotTable(_Columns):
 
 @dataclass
 class SimTrace:
+    """One run: its slot metrics, event totals and events.
+
+    _events holds the run's per-kind event blocks until events first merges
+    them into the EventTable, which then takes their place: in the CLI only
+    the events CSV reads the merged order, and a run that never asks for it
+    never builds it.
+    """
+
     scenario: Scenario
-    events: EventTable
+    _events: EventTable | tuple[_Block, ...]
     slots: SlotTable
     arrivals_total: int = 0
     departures_total: int = 0
     key_updates_total: int = 0
     passes_total: int = 0
+
+    @property
+    def events(self) -> EventTable:
+        if not isinstance(self._events, EventTable):
+            # _merge_blocks empties this list: the trace holds no block while it sorts
+            blocks, self._events = list(self._events), None
+            self._events = _merge_blocks(blocks)
+        return self._events
+
+    def __eq__(self, other):
+        # by the merged tables: blocks of numpy arrays have no truth value
+        if type(other) is not type(self):
+            return NotImplemented
+        rest = [f.name for f in fields(self) if f.name != "_events"]
+        return self.events == other.events and all(
+            getattr(self, name) == getattr(other, name) for name in rest)
 
     def export_events_csv(self, path: str | Path) -> None:
         ev = self.events
@@ -145,14 +178,13 @@ def _concat_rows(parts, size: int) -> np.ndarray:
     return out
 
 
-def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario) -> EventTable:
-    """Sorted events of the vehicles in arrive.
+def _event_blocks(arrive, depart, upd_t, upd_id, scenario: Scenario) -> tuple[_Block, ...]:
+    """Each kind's events of the vehicles in arrive, in kind-code order.
 
     arrive must be sorted and upd_id nondecreasing, as run_simulation draws
-    them. Each kind's block is put in (t, entity) order, by at most one
-    packed-key _time_order sort, and the blocks are laid out in kind-code
-    order, so one stable sort on t merges the four sorted runs into
-    (t, kind code, entity) order.
+    them. Each block's rows are in (t, entity) order, by at most one
+    packed-key _time_order sort: the arrivals are in order already, and the
+    passes and key updates share the sessions' sort.
     """
     Q = scenario.net.Q
     n = len(arrive)
@@ -169,20 +201,26 @@ def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario) -> EventTabl
         session_t[first], session_id[first] = arrive, ids
         session_t[is_upd], session_id[is_upd] = upd_t, upd_id
         order = _time_order(session_t)
-        passes = (session_t, session_id, order, Q)
-        updates = (session_t, session_id, order[is_upd[order]], 1)
-        del first, is_upd, order, session_t, session_id
+        passes = _Block(session_t, session_id, order, Q)
+        updates = _Block(session_t, session_id, order[is_upd[order]], 1)
     else:  # the sessions are the arrivals, already in order; no update rows
-        passes = (arrive, ids, ids, Q)
-        updates = (upd_t, upd_id, ids[:0], 1)
-    departures = (depart, ids, gone[_time_order(depart[gone])], 1)
-    # (times, ids, order, repeats) per kind code: rows times[order], ids[order]
-    blocks = [(arrive, ids, ids, 1), passes, updates, departures]
-    del passes, updates, departures
-    ends = np.cumsum([len(order) * r for _, _, order, r in blocks])
-    t = _concat_rows([(times, order, r) for times, _, order, r in blocks], ends[-1])
-    entity = _concat_rows([(i, order, r) for _, i, order, r in blocks], ends[-1])
-    del blocks, ids, gone  # not held while sorting
+        passes = _Block(arrive, ids, ids, Q)
+        updates = _Block(upd_t, upd_id, ids[:0], 1)
+    departures = _Block(depart, ids, gone[_time_order(depart[gone])], 1)
+    return _Block(arrive, ids, ids, 1), passes, updates, departures
+
+
+def _merge_blocks(blocks: list[_Block]) -> EventTable:
+    """The rows of _event_blocks' blocks in (t, kind code, entity) order.
+
+    The blocks come in kind-code order, each a run sorted by (t, entity),
+    so one stable sort on t merges them. blocks is emptied once its rows
+    are copied, so that it holds none of their arrays while sorting.
+    """
+    ends = np.cumsum([len(b.order) * b.repeats for b in blocks])
+    t = _concat_rows([(b.times, b.order, b.repeats) for b in blocks], ends[-1])
+    entity = _concat_rows([(b.ids, b.order, b.repeats) for b in blocks], ends[-1])
+    blocks.clear()
     order = np.argsort(t, kind="stable")
     kind = np.zeros(len(order), dtype=np.int8)
     for end in ends[:-1]:
@@ -196,6 +234,39 @@ def _event_table(arrive, depart, upd_t, upd_id, scenario: Scenario) -> EventTabl
     del entity
     t.sort(kind="stable")
     return EventTable(t, kind, order)
+
+
+def _slot_table(blocks: tuple[_Block, ...], n_slots: int, scenario: Scenario) -> SlotTable:
+    """Per-slot metrics counted from each kind's block, with no merged table."""
+    net = scenario.net
+    # Slot counts are differences of cumulative counts at [0, b1, b2, ...].
+    edges = np.arange(n_slots + 1) * scenario.window.t_x_step
+
+    def upto(sorted_times: np.ndarray) -> np.ndarray:
+        return np.searchsorted(sorted_times, edges, side="right")
+
+    arrive = blocks[0].times  # the arrival block's order is its row order
+    gone, upd = blocks[_DEPARTURE], blocks[_KEY_UPDATE]
+    gone_t = gone.times[gone.order]
+    arrived = upto(arrive)
+    active = arrived - upto(gone_t)
+    u_k = np.diff(upto(upd.times[upd.order]))
+    passes = net.Q * (np.diff(arrived) + u_k)
+    survivors = net.E_zero - upto(gone_t[gone.ids[gone.order] < net.E_zero])
+
+    d = active[1:]
+    # d <= len(arrive), so clipping E there first changes no minimum and
+    # keeps an E past the int64 range out of numpy's integer casts.
+    e_prime = np.minimum(d, min(net.E, len(arrive)))
+    p_emp = 1.0 - e_prime / net.E
+    nan = np.full(len(d), np.nan)
+    return SlotTable(
+        t_s=edges[1:], E_prime=e_prime, P_empirical=p_emp, U_k=u_k, D=d, passes=passes,
+        S_N_emp=np.divide(u_k / net.n_inv, d * p_emp * net.Q, out=nan.copy(),
+                          where=(p_emp > 0.0) & (d > 0)),
+        M_O_emp=np.divide(passes * (1.0 - p_emp), net.E * p_emp, out=nan.copy(), where=p_emp > 0),
+        cohort_fraction=survivors[1:] / net.E_zero if net.E_zero else nan,
+    )
 
 
 def _exact_sum(counts: np.ndarray) -> int:
@@ -276,37 +347,9 @@ def run_simulation(scenario: Scenario) -> SimTrace:
         raise SimulationTruncated(cap, needed)
     upd_id = np.repeat(np.arange(n), n_upd)
     upd_t = arrive[upd_id] + stay[upd_id] * rng_upd.random(len(upd_id))
-    events = _event_table(arrive, depart, upd_t, upd_id, scenario)
-
-    # Slot counts are differences of cumulative counts at [0, b1, b2, ...].
-    edges = np.arange(n_slots + 1) * window.t_x_step
-
-    def upto(sorted_times: np.ndarray) -> np.ndarray:
-        return np.searchsorted(sorted_times, edges, side="right")
-
-    # the event table holds each kind's rows in time order
-    gone = events.kind == _DEPARTURE
-    gone_t = events.t[gone]
-    arrived = upto(arrive)
-    active = arrived - upto(gone_t)
-    u_k = np.diff(upto(events.t[events.kind == _KEY_UPDATE]))
-    passes = net.Q * (np.diff(arrived) + u_k)
-    survivors = net.E_zero - upto(gone_t[events.entity[gone] < net.E_zero])
-
-    d = active[1:]
-    e_prime = np.minimum(d, net.E)
-    p_emp = 1.0 - e_prime / net.E
-    nan = np.full(len(d), np.nan)
-    slots = SlotTable(
-        t_s=edges[1:], E_prime=e_prime, P_empirical=p_emp, U_k=u_k, D=d, passes=passes,
-        S_N_emp=np.divide(u_k / net.n_inv, d * p_emp * net.Q, out=nan.copy(),
-                          where=(p_emp > 0.0) & (d > 0)),
-        M_O_emp=np.divide(passes * (1.0 - p_emp), net.E * p_emp, out=nan.copy(), where=p_emp > 0),
-        cohort_fraction=survivors[1:] / net.E_zero if net.E_zero else nan,
-    )
-
+    blocks = _event_blocks(arrive, depart, upd_t, upd_id, scenario)
     return SimTrace(
-        scenario=scenario, events=events, slots=slots,
+        scenario=scenario, _events=blocks, slots=_slot_table(blocks, n_slots, scenario),
         arrivals_total=n, departures_total=departures,
         key_updates_total=updates, passes_total=net.Q * (n + updates),
     )
@@ -357,8 +400,9 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     leaves its domain or double range has no model value either; its
     message goes to s_n_model_errors. Survivor fractions
     compare the initial cohort against exponential decay. The pass identity
-    checks the trace's auth_pass rows against its passes_total: Q per
-    arrival and per key update.
+    checks the auth_pass rows that the trace's event table holds, or will
+    hold, against its passes_total: Q per arrival and per key update. No
+    table is built for it: before the merge the pass block gives the count.
     """
     if trace.scenario != scenario:
         raise DomainError("trace was not produced from this scenario")
@@ -386,7 +430,11 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
         t_s, s_n_emp, s_n_model, s_n_rel, p_emp, [p_model] * len(t_s),
         [abs(p - p_model) for p in p_emp], cohort, survivor_model, survivor_dev,
     )
-    observed = int(np.count_nonzero(trace.events.kind == _AUTH_PASS))
+    if isinstance(trace._events, EventTable):
+        observed = int(np.count_nonzero(trace._events.kind == _AUTH_PASS))
+    else:  # the rows the table will hold, counted without building it
+        passes = trace._events[_AUTH_PASS]
+        observed = len(passes.order) * passes.repeats
     return ComparisonReport(
         table=table,
         survivor_mad=_mean_abs(survivor_dev),

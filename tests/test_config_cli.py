@@ -305,6 +305,29 @@ def test_out_of_range_runs_exit_one_with_one_line(tmp_path, capsys, command, ove
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("E", [2**63, 2**64, 10**30], ids=["2**63", "2**64", "10**30"])
+@pytest.mark.parametrize("command", ["simulate", "failsafe"])
+def test_hub_capacity_past_int64_runs_without_a_traceback(tmp_path, capsys, command, E):
+    # E = 2**63 once ended in an OverflowError traceback at the slot metrics'
+    # min(D, E); a hub this large is never full, so E' = D and P_emp rounds
+    # to 1 in every slot.
+    out = tmp_path / "out"
+    code = main([command, write_config(tmp_path, E=E), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if err.startswith("error: "):
+        assert code in (1, 2) and err.count("\n") == 1
+        return
+    assert code in (0, 1)
+    path = out / "run0_metrics.csv" if command == "simulate" else out
+    header, *rows = (line.split(",") for line in path.read_text().splitlines())
+    assert len(rows) == 22
+    if command == "simulate":
+        column = dict(zip(header, zip(*rows)))
+        assert column["E_active"] == column["D"]
+        assert set(column["P_empirical"]) == {"1"}
+
+
 def test_simulate_keeps_the_run_when_the_model_leaves_double_range(tmp_path, capsys):
     # A slot whose model value leaves double range gets empty S_N_model and
     # S_N_rel_dev cells and one warning line per run; the run still writes

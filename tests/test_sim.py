@@ -51,6 +51,7 @@ def scenario(**overrides) -> Scenario:
 def test_same_seed_reproduces_trace():
     a = run_simulation(scenario())
     b = run_simulation(scenario())
+    assert a == b
     assert a.events == b.events
     assert a.slots == b.slots
     assert a.passes_total == b.passes_total
@@ -60,6 +61,7 @@ def test_same_seed_reproduces_trace():
 def test_different_seeds_differ():
     a = run_simulation(scenario(seed=1234))
     b = run_simulation(scenario(seed=1235))
+    assert a != b
     assert a.events != b.events
 
 
@@ -92,17 +94,37 @@ def test_pass_identity_counts_q_per_arrival_and_key_update():
 
 
 def test_pass_identity_counts_the_pass_rows():
+    # Q = 1: dropping one row of the pass block drops one auth_pass row
     sc = scenario()
     trace = run_simulation(sc)
-    ev = trace.events
-    keep = np.ones(len(ev), dtype=bool)
-    keep[np.flatnonzero(ev.kind == 1)[0]] = False  # drop one auth_pass row
-    tampered = dataclasses.replace(
-        trace, events=EventTable(ev.t[keep], ev.kind[keep], ev.entity[keep])
-    )
-    report = compare_to_model(tampered, sc)
-    assert report.passes_observed == report.passes_expected - 1
-    assert report.pass_identity_ok is False
+    blocks = list(trace._events)
+    blocks[1] = blocks[1]._replace(order=blocks[1].order[1:])
+    tampered = dataclasses.replace(trace, _events=tuple(blocks))
+    before = compare_to_model(tampered, sc)  # counts the pass block
+    assert int(np.count_nonzero(tampered.events.kind == 1)) == trace.passes_total - 1
+    after = compare_to_model(tampered, sc)  # counts the merged table's rows
+    for report in (before, after):
+        assert report.passes_observed == report.passes_expected - 1
+        assert report.pass_identity_ok is False
+
+
+def test_events_are_merged_once_and_only_when_read(tmp_path, monkeypatch):
+    merge, merges = sim._merge_blocks, []
+
+    def spy(blocks):
+        merges.append(len(blocks))
+        return merge(blocks)
+
+    monkeypatch.setattr(sim, "_merge_blocks", spy)
+    sc = scenario()
+    trace = run_simulation(sc)
+    assert compare_to_model(trace, sc).pass_identity_ok
+    assert merges == []
+    assert trace.events is trace.events
+    assert merges == [4]
+    assert compare_to_model(trace, sc).pass_identity_ok
+    assert main(["simulate", "--out", str(tmp_path / "o"), "--runs", "2"]) == 0
+    assert merges == [4] * 3
 
 
 def test_pass_identity_scales_with_q():
@@ -262,7 +284,7 @@ def test_event_table_matches_lexsort_on_tied_times(Q, monkeypatch):
                 nudge(depart, rng), nudge(upd_t, rng))
         for arrive, depart, upd_t in ((arrive, depart, upd_t), near):
             calls.clear()
-            got = sim._event_table(arrive, depart, upd_t, upd_id, scn)
+            got = sim._merge_blocks([*sim._event_blocks(arrive, depart, upd_t, upd_id, scn)])
             want = lexsort_event_table(arrive, depart, upd_t, upd_id, scn)
             assert got == want
             assert (got.t.dtype, got.kind.dtype, got.entity.dtype) == (
@@ -344,12 +366,14 @@ def test_too_many_slots_rejected_before_any_draw(tmp_path, capsys):
     {"E0": 0, "beta": 1e-9},
 ])
 def test_slot_columns_match_the_scalar_slot_loop(overrides):
-    # Reference: each slot recounted from the event rows, then the scalar
-    # metric forms the columns replaced, with None for an undefined metric.
     scn = build_bundle(merge_config(overrides)).scenario
-    net = scn.net
     trace = run_simulation(scn)
-    ev, s = trace.events, trace.slots
+    assert_slots_recount(trace.events, trace.slots, scn.net)
+
+
+def assert_slots_recount(ev: EventTable, s, net) -> None:
+    """Each slot recounted from the event rows, then the scalar metric forms
+    the columns replaced, with None for an undefined metric."""
     prev = 0.0
     for k, t_s in enumerate(s.t_s.tolist()):
         upto, inside = ev.t <= t_s, (ev.t > prev) & (ev.t <= t_s)
@@ -367,6 +391,31 @@ def test_slot_columns_match_the_scalar_slot_loop(overrides):
         got = [s.S_N_emp[k], s.M_O_emp[k], s.cohort_fraction[k]]
         assert [None if math.isnan(x) else x for x in got] == [s_n, m_o, still]
         prev = t_s
+
+
+def test_slot_columns_from_the_blocks_match_the_merged_table():
+    # The slot columns read each kind's block without the merge, so a block
+    # out of time order shows in them. Times lie on a grid of step 1/k that
+    # holds the slot edges (multiples of 5 s), and each draw runs again with
+    # the later times a few ulps apart; the cohort (ids below E_zero) and the
+    # later arrivals both depart, and most vehicles update their keys.
+    scn = scenario(net=dataclasses.replace(NET, Q=2))
+    T, n_slots = scn.window.T, sim.slot_count(scn)
+    rng = np.random.default_rng([2, 6])
+    for _ in range(30):
+        k = int(rng.integers(1, 5))
+        later = np.sort(rng.integers(1, int(T) * k, int(rng.integers(5, 40)))) / k
+        arrive = np.concatenate((np.zeros(NET.E_zero), later))
+        n = len(arrive)
+        depart = arrive + rng.integers(0, 40 * k, n) / k
+        upd_id = np.repeat(np.arange(n), rng.integers(0, 4, n))
+        upd_t = np.minimum(arrive[upd_id] + rng.integers(0, 40 * k, len(upd_id)) / k, T)
+        near = (np.concatenate((arrive[:NET.E_zero], np.sort(nudge(later, rng)))),
+                nudge(depart, rng), nudge(upd_t, rng))
+        for arrive, depart, upd_t in ((arrive, depart, upd_t), near):
+            blocks = sim._event_blocks(arrive, depart, upd_t, upd_id, scn)
+            slots = sim._slot_table(blocks, n_slots, scn)
+            assert_slots_recount(sim._merge_blocks([*blocks]), slots, scn.net)
 
 
 def test_empty_hub_has_no_observations():
