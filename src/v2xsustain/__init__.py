@@ -21,7 +21,7 @@ _EXPORTS = {
         "sustain": """NetworkParams RangeParams RateParams TimeWindow
             loss_probability_model message_overhead signaling_overhead
             signaling_time_factor sustainability_window
-            sustainability_window_quadrature window_integrand""",
+            sustainability_window_quadrature""",
         "predict": """SCALE_FLOOR LikelihoodBounds OverheadPrediction
             connectivity_prob connectivity_window_factor failsafe_tau
             predicted_key_updates predicted_message_overhead resolve_alpha_prime
@@ -33,7 +33,7 @@ _EXPORTS = {
             Thresholds Violation check_constraints decide failsafe_point""",
         "sim": "ComparisonReport SimTrace SlotTable compare_to_model run_simulation",
         "config": """ENV_CONFIG_PATH Scenario ScenarioBundle build_bundle default_config
-            load_bundle load_config merge_config""",
+            load_config merge_config""",
         "fixtures": "CASES CheckRow FailsafeCase run_structural_checks",
     }.items()
     for name in names.split()

@@ -233,6 +233,3 @@ def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
         alpha_prime=config.get("alpha_prime"),
     )
 
-
-def load_bundle(path: str | Path) -> ScenarioBundle:
-    return build_bundle(load_config(path), source=str(path))

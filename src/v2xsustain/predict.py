@@ -54,7 +54,9 @@ def scale_param(availabilities: Sequence[float]) -> float:
     a = 1-gamma'. Natural logs throughout. An availability at 0 or 1 hits a
     log singularity and is rejected, and so is a gamma' whose 1-gamma'
     rounds to 1. The fail-safe scorer keeps the compliance estimator as
-    running sums.
+    running sums. Each term is -ln(a), not ln(1/a), so no rounding of 1/a
+    enters it: a one-entry list is within 1e-15 relative of mu for every
+    a in [5e-324, 1 - 2**-53].
     """
     if not availabilities:
         raise DomainError("scale parameter requires a nonempty availability list")
@@ -62,7 +64,7 @@ def scale_param(availabilities: Sequence[float]) -> float:
     for a in availabilities:
         if not 0.0 < a < 1.0:
             raise DomainError(f"availability must lie strictly in (0, 1), got {a!r}")
-        total += math.log(1.0 / a)
+        total -= math.log(a)
     return len(availabilities) / total
 
 
@@ -157,8 +159,6 @@ def predicted_message_overhead(
     decays at gamma'. The density component is the plain range width
     r2 - r1 of the meter range.
     """
-    if O_b < 0.0:
-        raise DomainError(f"O_b must be >= 0, got {O_b!r}")
     alpha_prime = resolve_alpha_prime(rates, window, alpha_prime)
     if alpha_prime is None or not 0.0 < alpha_prime < 1.0:
         raise DomainError(

@@ -106,7 +106,11 @@ class SimTrace:
     arrivals_total: int = 0
     departures_total: int = 0
     key_updates_total: int = 0
-    passes_total: int = 0
+
+    @property
+    def passes_total(self) -> int:
+        """Authentication passes: Q per arrival and per key update."""
+        return self.scenario.net.Q * (self.arrivals_total + self.key_updates_total)
 
     @property
     def events(self) -> EventTable:
@@ -350,8 +354,7 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     blocks = _event_blocks(arrive, depart, upd_t, upd_id, scenario)
     return SimTrace(
         scenario=scenario, _events=blocks, slots=_slot_table(blocks, n_slots, scenario),
-        arrivals_total=n, departures_total=departures,
-        key_updates_total=updates, passes_total=net.Q * (n + updates),
+        arrivals_total=n, departures_total=departures, key_updates_total=updates,
     )
 
 
@@ -372,14 +375,25 @@ class ComparisonTable(NamedTuple):
 
 @dataclass
 class ComparisonReport:
+    """The compared slots and the pass counts; the summaries are views of them."""
+
     table: ComparisonTable
-    survivor_mad: float | None
     passes_observed: int
     passes_expected: int
-    pass_identity_ok: bool
-    s_n_mean_rel_dev: float | None = None
     # one message per slot whose model value left the closed form's range
     s_n_model_errors: list[str] = field(default_factory=list)
+
+    @property
+    def survivor_mad(self) -> float | None:
+        return _mean_abs(self.table.survivor_abs_dev)
+
+    @property
+    def s_n_mean_rel_dev(self) -> float | None:
+        return _mean_abs(self.table.S_N_rel_dev)
+
+    @property
+    def pass_identity_ok(self) -> bool:
+        return self.passes_observed == self.passes_expected
 
     def export_csv(self, path: str | Path) -> None:
         write_csv(path, ComparisonTable._fields, self.table)
@@ -435,12 +449,4 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     else:  # the rows the table will hold, counted without building it
         passes = trace._events[_AUTH_PASS]
         observed = len(passes.order) * passes.repeats
-    return ComparisonReport(
-        table=table,
-        survivor_mad=_mean_abs(survivor_dev),
-        passes_observed=observed,
-        passes_expected=trace.passes_total,
-        pass_identity_ok=observed == trace.passes_total,
-        s_n_mean_rel_dev=_mean_abs(s_n_rel),
-        s_n_model_errors=model_errors,
-    )
+    return ComparisonReport(table, observed, trace.passes_total, model_errors)

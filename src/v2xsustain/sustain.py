@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .errors import DomainError, OverflowRangeError
 from .specfun import QuadSpec, expint_ei, integrate
@@ -167,22 +166,6 @@ def _divisor_loss_probability(net: NetworkParams) -> float:
     return P
 
 
-def window_integrand(rates: RateParams) -> Callable[[float], float]:
-    """Density ratio integrand of the windowed sustainability integral.
-
-    At time t the expected surviving updates per vehicle follow
-    e^{-alpha/t} (alpha/t)^2 / 2 against arrivals e^{-beta/t} (beta/t);
-    the ratio reduces to e^{(beta-alpha)/t} * alpha^2 / (2 beta t).
-    """
-    a = rates.alpha
-    b = rates.beta
-
-    def f(t: float) -> float:
-        return math.exp((b - a) / t) * a * a / (2.0 * b * t)
-
-    return f
-
-
 def sustainability_window(
     rates: RateParams, net: NetworkParams, window: TimeWindow
 ) -> float:
@@ -244,13 +227,18 @@ def sustainability_window_quadrature(
     """Same quantity as sustainability_window, via adaptive quadrature.
 
     Kept as an independent route for cross-validation; the closed form and
-    this one must agree to the quadrature tolerance.
+    this one must agree to the quadrature tolerance. The integrand is the
+    density ratio: at time t the expected surviving updates per vehicle
+    follow e^{-alpha/t} (alpha/t)^2 / 2 against arrivals e^{-beta/t} (beta/t),
+    and the ratio reduces to e^{(beta-alpha)/t} * alpha^2 / (2 beta t).
     """
     if not rates.alpha > 0.0 or not rates.beta > rates.alpha:
         raise DomainError("quadrature form requires beta > alpha > 0")
+    a, b = rates.alpha, rates.beta
     P = loss_probability_model(net)
     result = integrate(
-        window_integrand(rates), QuadSpec(window.t1, window.t2, rel_tol=rel_tol)
+        lambda t: math.exp((b - a) / t) * a * a / (2.0 * b * t),
+        QuadSpec(window.t1, window.t2, rel_tol=rel_tol),
     )
     return result.value / (net.N * P * net.Q)
 

@@ -33,7 +33,6 @@ from v2xsustain import (
     compare_to_model,
     default_config,
     expint_ei,
-    load_bundle,
     load_config,
     loss_probability_model,
     merge_config,
@@ -140,30 +139,31 @@ def test_load_config_rejects_huge_integers(tmp_path, capsys):
 
 def test_bundle_broadcasts_probability_lists(tmp_path):
     path = write_config(tmp_path, p_x=[0.1, 0.2], omega_x=0.25, E=2, E0=2)
-    bundle = load_bundle(path)
+    bundle = build_bundle(load_config(path), source=path)
     assert bundle.availabilities() == (0.9, 0.8)
-    scalar = load_bundle(write_config(tmp_path, "s.json", p_x=0.25, E=1000, E0=10))
-    assert scalar.availabilities() == (0.75,)
+    path = write_config(tmp_path, "s.json", p_x=0.25, E=1000, E0=10)
+    assert build_bundle(load_config(path), source=path).availabilities() == (0.75,)
     assert bundle.omega_compliance(3) == (0.75, 0.75, 0.75)
+    path = write_config(tmp_path, "w.json", omega_x=[0.1, 0.2])
     with pytest.raises(ConfigError, match="omega_x list"):
-        load_bundle(write_config(tmp_path, "w.json", omega_x=[0.1, 0.2])).omega_compliance(3)
+        build_bundle(load_config(path), source=path).omega_compliance(3)
 
 
 def test_bundle_rejects_structural_breaches(tmp_path):
     # p_x and omega_x lie strictly inside (0, 1): both endpoints are breaches
-    for name, value in (("p_x", 0.0), ("p_x", 1.0), ("omega_x", 0.0), ("omega_x", 1.0)):
-        with pytest.raises(ConfigError, match=name):
-            load_bundle(write_config(tmp_path, **{name: value}))
-    with pytest.raises(ConfigError, match="E_zero"):
-        load_bundle(write_config(tmp_path, "e.json", E0=20))
-    with pytest.raises(ConfigError, match="t1"):
-        load_bundle(write_config(tmp_path, "t.json", t1_s=200.0))
-    with pytest.raises(ConfigError, match="t_min_hold=60.0 exceeds t_attack=50.0"):
-        load_bundle(write_config(tmp_path, "h.json", t_attack_s=50, t_prime_s=60))
+    breaches = [(name, {name: value}) for name, value in (
+        ("p_x", 0.0), ("p_x", 1.0), ("omega_x", 0.0), ("omega_x", 1.0))]
+    breaches += [("E_zero", {"E0": 20}), ("t1", {"t1_s": 200.0}),
+                 ("t_min_hold=60.0 exceeds t_attack=50.0", {"t_attack_s": 50, "t_prime_s": 60})]
+    for message, overrides in breaches:
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=message):
+            build_bundle(load_config(path), source=path)
 
 
 def test_minimum_hold_defaults_to_the_attack_time(tmp_path):
-    window = load_bundle(write_config(tmp_path, t_attack_s=50)).scenario.window
+    path = write_config(tmp_path, t_attack_s=50)
+    window = build_bundle(load_config(path), source=path).scenario.window
     assert window.t_attack == window.t_min_hold == 50.0
     window = build_bundle(default_config()).scenario.window
     assert window.t_attack == window.t_min_hold == window.T
@@ -484,8 +484,8 @@ def test_runs_beyond_the_budget_end_at_once(tmp_path, overrides, message):
     cfg = write_config(tmp_path, **overrides)
     after = (
         "import tracemalloc\n"
-        "from v2xsustain import load_bundle, run_simulation\n"
-        f"scenario = load_bundle({cfg!r}).scenario\n"
+        "from v2xsustain import build_bundle, load_config, run_simulation\n"
+        f"scenario = build_bundle(load_config({cfg!r}), source={cfg!r}).scenario\n"
         "tracemalloc.start()\n"
         "try:\n"
         "    run_simulation(scenario)\n"
@@ -617,7 +617,7 @@ def test_simulate_comparison_digest_where_s_n_is_defined(tmp_path, monkeypatch, 
     capsys.readouterr()
     data = (tmp_path / "sims" / "run0_comparison.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN_E100_COMPARISON_SEED_1234
-    scn = load_bundle(cfg).scenario
+    scn = build_bundle(load_config(cfg), source=cfg).scenario
     report = compare_to_model(run_simulation(scn), scn)
     table = report.table
     devs = [abs((e - m) / abs(m)) for e, m in zip(table.S_N_emp, table.S_N_model)

@@ -1,9 +1,11 @@
 """Decision-layer tests: constraint clauses, fail-safe extraction,
 decision priority and fail-safe slot scoring."""
 
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from v2xsustain import (
@@ -226,6 +228,24 @@ def test_score_failsafe_slots_matches_the_scalar_scorer(overrides):
         assert str(got.value) == str(e)
     else:
         assert score_failsafe_slots(trace, compliance, b.bounds) == want
+
+
+def test_score_failsafe_slots_s_n_sum_overflow_is_typed():
+    # P = (1/6)^390 = 3e-304 puts each slot's S_N at 1.1e308: finite alone,
+    # past double range once two are summed, while M_O stays finite
+    b = build_bundle(merge_config({"N": 390, "E": 10**9, "E0": 10, "n_inv": 5}))
+    trace = run_simulation(b.scenario)
+    slots = trace.slots
+    counts = {"E_prime": 6, "D": 6, "U_k": 10**6, "passes": 2 * 10**6}
+    three = {f.name: getattr(slots, f.name)[:3] for f in dataclasses.fields(slots)}
+    three.update((name, np.full(3, count)) for name, count in counts.items())
+    trace = dataclasses.replace(trace, slots=type(slots)(**three))
+    with pytest.raises(OverflowRangeError) as got:
+        score_failsafe_slots(trace, [0.5] * 3, b.bounds)
+    assert str(got.value) == "S_N is outside double range at t_s=10"
+    with pytest.raises(OverflowRangeError) as want:
+        scalar_scores(trace, [0.5] * 3, b.bounds)
+    assert str(want.value) == str(got.value)
 
 
 def test_decide_scale_floor_wins():

@@ -1,5 +1,5 @@
-"""Property test: each production closed form agrees with its quadrature
-twin over random admissible inputs.
+"""Property tests: each production closed form agrees with its quadrature
+twin over random admissible inputs, and scale_param with 50-digit mpmath.
 
 The twins are `sustain.sustainability_window_quadrature` and the two in
 `oracles.py`. They run at `rel_tol=1e-12`, because at the default 1e-10
@@ -18,6 +18,7 @@ from v2xsustain import (
     TimeWindow,
     failsafe_tau,
     predicted_key_updates,
+    scale_param,
     sustainability_window,
     sustainability_window_quadrature,
 )
@@ -99,3 +100,22 @@ def test_closed_forms_match_their_quadrature_twins(case, fail_safe):
     twin = failsafe_likelihood(mu, bounds, window.T).tau
     hypothesis.assume(mu <= SCALE_FLOOR or twin >= TWIN_FLOOR)
     assert failsafe_tau(mu, bounds, window.T) == pytest.approx(twin, rel=1e-9, abs=0.0)
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(a=st.one_of(
+    st.floats(5e-324, 1.0 - 2.0**-53),
+    st.integers(1, 53).map(lambda k: 1.0 - 2.0**-k),
+    st.floats(1.0, 15.9).map(lambda e: 1.0 - 10.0**-e),
+))
+@hypothesis.example(a=5e-324)
+@hypothesis.example(a=1.0 - 2.0**-53)
+@hypothesis.example(a=1.0 - 1e-8)
+@hypothesis.example(a=1.0 - 1e-12)
+@hypothesis.example(a=1.0 - 1e-15)  # 0.10 off while the sum took ln(1/a)
+def test_scale_param_one_entry_within_its_bound(a):
+    # the bound its docstring states, against 1 / ln(1/a) on the float a
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ref = 1 / -mpmath.log(mpmath.mpf(a))
+        assert abs((scale_param([a]) - ref) / ref) <= 1e-15, a

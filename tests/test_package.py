@@ -81,7 +81,7 @@ def test_readme_references_exist():
         for name in names:
             assert hasattr(source, name), f"{module}.{name}"
             library_only += 1
-    assert library_only == 6
+    assert library_only == 5
 
 
 def test_every_export_is_reached():
@@ -129,6 +129,6 @@ def test_settable_values_do_not_grow():
 
     counts = {name: _settable_values(getattr(v2xsustain, name)) for name in v2xsustain.__all__}
     listing = ", ".join(f"{name}={n}" for name, n in counts.items())
-    assert sum(counts.values()) <= 172, listing
-    assert len(counts) <= 73, sorted(counts)
+    assert sum(counts.values()) <= 166, listing
+    assert len(counts) <= 71, sorted(counts)
     assert len(FIELDS) <= 30

@@ -261,6 +261,12 @@ def test_predicted_overhead_alpha_prime_domain():
         predicted_message_overhead(fast, NET, WINDOW, RANGE, 1.0)
 
 
+def test_predicted_overhead_rejects_a_negative_o_b():
+    # signaling_overhead makes the one O_b check on the way
+    with pytest.raises(DomainError, match="O_b must be >= 0"):
+        predicted_message_overhead(RATES, NET, WINDOW, RANGE, -1.0)
+
+
 def test_predicted_overhead_vanishing_divisors_are_typed():
     # each case once raised a bare ZeroDivisionError
     def predict(alpha, net=NET):

@@ -466,6 +466,23 @@ def test_compare_report_shape():
     assert report.table.P_model == pytest.approx([0.5**10] * 22, rel=1e-12, abs=0.0)
 
 
+def test_report_summaries_are_views_of_its_table():
+    sc = scenario(net=dataclasses.replace(NET, E=100))
+    trace = run_simulation(sc)
+    report = compare_to_model(trace, sc)
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "table", "passes_observed", "passes_expected", "s_n_model_errors"]
+    assert "passes_total" not in [f.name for f in dataclasses.fields(trace)]
+    for summary, column in ((report.survivor_mad, report.table.survivor_abs_dev),
+                            (report.s_n_mean_rel_dev, report.table.S_N_rel_dev)):
+        defined = [abs(v) for v in column if v is not None]
+        assert len(defined) > 10 and summary == sum(defined) / len(defined)
+    assert report.pass_identity_ok
+    assert not dataclasses.replace(report, passes_observed=0).pass_identity_ok
+    with pytest.raises(AttributeError):
+        report.survivor_mad = 0.0
+
+
 def test_compare_builds_no_window_per_slot(monkeypatch):
     # each slot's closed form takes the slot bounds as floats; the scenario's
     # window was checked once, when the scenario was built

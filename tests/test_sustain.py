@@ -26,7 +26,6 @@ from v2xsustain import (
     signaling_time_factor,
     sustainability_window,
     sustainability_window_quadrature,
-    window_integrand,
 )
 from v2xsustain.errors import DomainError, OverflowRangeError
 from v2xsustain.sustain import _ei_window
@@ -133,12 +132,6 @@ def test_loss_probability_requires_spare_capacity():
         loss_probability_model(NetworkParams(N=10, E=5, n_inv=5))
     with pytest.raises(DomainError):
         loss_probability_model(NetworkParams(N=10, E=5, n_inv=7))
-
-
-def test_window_integrand_shape():
-    f = window_integrand(RATES)
-    assert f(5.0) == pytest.approx(math.exp(0.2) / 20.0, rel=1e-15, abs=0.0)
-    assert f(105.0) == pytest.approx(math.exp(1.0 / 105.0) / 420.0, rel=1e-15, abs=0.0)
 
 
 def test_sustainability_window_reference_value():
