@@ -36,7 +36,7 @@ from .sustain import _window_form, loss_probability_model
 
 # The events CSV labels, indexed by EventTable.kind code in tie-break order.
 _KIND_NAMES = ("arrival", "auth_pass", "key_update", "departure")
-_AUTH_PASS, _KEY_UPDATE, _DEPARTURE = 1, 2, 3  # kind codes
+_AUTH_PASS = 1  # the auth_pass kind code
 _GATHER_ROWS = 1 << 16  # rows per in-place gather step in _merge_blocks
 # The largest mean Generator.poisson accepts; above it, it raises ValueError.
 _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
@@ -94,14 +94,15 @@ class SlotTable(_Columns):
 class SimTrace:
     """One run: its slot metrics, event totals and events.
 
-    _events holds the run's per-kind event blocks until events first merges
-    them into the EventTable, which then takes their place: in the CLI only
-    the events CSV reads the merged order, and a run that never asks for it
-    never builds it.
+    _events holds the run's draws (arrive, depart, upd_t, upd_id) until
+    events first orders them into blocks and merges those into the
+    EventTable, which then takes their place: in the CLI only the events
+    CSV reads the event order, and a run that never asks for it never
+    builds a block.
     """
 
     scenario: Scenario
-    _events: EventTable | tuple[_Block, ...]
+    _events: EventTable | tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     slots: SlotTable
     arrivals_total: int = 0
     departures_total: int = 0
@@ -115,13 +116,15 @@ class SimTrace:
     @property
     def events(self) -> EventTable:
         if not isinstance(self._events, EventTable):
-            # _merge_blocks empties this list: the trace holds no block while it sorts
-            blocks, self._events = list(self._events), None
+            blocks = list(_event_blocks(*self._events, self.scenario))
+            # _merge_blocks empties blocks: with the draws dropped here, the
+            # trace holds none of their arrays while it sorts
+            self._events = None
             self._events = _merge_blocks(blocks)
         return self._events
 
     def __eq__(self, other):
-        # by the merged tables: blocks of numpy arrays have no truth value
+        # by the merged tables: tuples of numpy arrays have no truth value
         if type(other) is not type(self):
             return NotImplemented
         rest = [f.name for f in fields(self) if f.name != "_events"]
@@ -186,9 +189,11 @@ def _event_blocks(arrive, depart, upd_t, upd_id, scenario: Scenario) -> tuple[_B
     """Each kind's events of the vehicles in arrive, in kind-code order.
 
     arrive must be sorted and upd_id nondecreasing, as run_simulation draws
-    them. Each block's rows are in (t, entity) order, by at most one
-    packed-key _time_order sort: the arrivals are in order already, and the
-    passes and key updates share the sessions' sort.
+    them. Each block's rows are in (t, entity) order, the sorted runs that
+    _merge_blocks merges, by at most one packed-key _time_order sort: the
+    arrivals are in order already, and the passes and key updates share
+    the sessions' sort. Only SimTrace.events calls it; the slot metrics
+    count from the draws.
     """
     Q = scenario.net.Q
     n = len(arrive)
@@ -240,23 +245,28 @@ def _merge_blocks(blocks: list[_Block]) -> EventTable:
     return EventTable(t, kind, order)
 
 
-def _slot_table(blocks: tuple[_Block, ...], n_slots: int, scenario: Scenario) -> SlotTable:
-    """Per-slot metrics counted from each kind's block, with no merged table."""
+def _slot_table(arrive, depart, upd_t, n_slots: int, scenario: Scenario) -> SlotTable:
+    """Per-slot metrics counted from run_simulation's draws.
+
+    arrive must be sorted, as run_simulation draws it; depart and upd_t
+    are counted from plain value sorts, as no count needs the event order.
+    """
     net = scenario.net
     # Slot counts are differences of cumulative counts at [0, b1, b2, ...].
     edges = np.arange(n_slots + 1) * scenario.window.t_x_step
+    # A departure after T is no event: departures count at min(edge, T),
+    # as the last edge may round past T.
+    gone_at = np.minimum(edges, scenario.window.T)
 
-    def upto(sorted_times: np.ndarray) -> np.ndarray:
-        return np.searchsorted(sorted_times, edges, side="right")
+    def upto(times: np.ndarray, at: np.ndarray = edges) -> np.ndarray:
+        return np.searchsorted(times, at, side="right")
 
-    arrive = blocks[0].times  # the arrival block's order is its row order
-    gone, upd = blocks[_DEPARTURE], blocks[_KEY_UPDATE]
-    gone_t = gone.times[gone.order]
     arrived = upto(arrive)
-    active = arrived - upto(gone_t)
-    u_k = np.diff(upto(upd.times[upd.order]))
+    cohort_gone = upto(np.sort(depart[:net.E_zero]), gone_at)
+    active = arrived - cohort_gone - upto(np.sort(depart[net.E_zero:]), gone_at)
+    u_k = np.diff(upto(np.sort(upd_t)))
     passes = net.Q * (np.diff(arrived) + u_k)
-    survivors = net.E_zero - upto(gone_t[gone.ids[gone.order] < net.E_zero])
+    survivors = net.E_zero - cohort_gone
 
     d = active[1:]
     # d <= len(arrive), so clipping E there first changes no minimum and
@@ -332,28 +342,32 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     n = net.E_zero + n_poisson
     if n * (1 + net.Q) > cap:
         raise SimulationTruncated(cap, n * (1 + net.Q))
-    arrivals = np.sort(rng_arr.uniform(0.0, T, n_poisson))
-    arrive = np.concatenate((np.zeros(net.E_zero), arrivals))
+    arrive = np.zeros(n)
+    arrive[net.E_zero:] = rng_arr.uniform(0.0, T, n_poisson)
+    arrive[net.E_zero:].sort()
     if rates.gamma_prime > 0.0:
-        depart = arrive + rng_life.exponential(1.0 / rates.gamma_prime, size=n)
+        depart = rng_life.exponential(1.0 / rates.gamma_prime, size=n)
+        depart += arrive
     else:
         depart = np.full(n, np.inf)
-
-    stay = np.minimum(depart, T) - arrive
-    if rates.alpha > 0.0:
-        n_upd = rng_upd.poisson(rates.alpha * stay)
-    else:  # a zero mean draws nothing from the stream, so skipping it keeps it
-        n_upd = np.zeros(n, np.int64)
     departures = int(np.count_nonzero(depart <= T))
-    updates = _exact_sum(n_upd)  # one vehicle's count can reach 9.2e18
+
+    updates = 0  # at a zero mean no count is drawn: the stream keeps its draws
+    if rates.alpha > 0.0:
+        stay = np.minimum(depart, T) - arrive
+        n_upd = rng_upd.poisson(rates.alpha * stay)
+        updates = _exact_sum(n_upd)  # one vehicle's count can reach 9.2e18
     needed = (1 + net.Q) * (n + updates) + departures
     if needed > cap:
         raise SimulationTruncated(cap, needed)
-    upd_id = np.repeat(np.arange(n), n_upd)
-    upd_t = arrive[upd_id] + stay[upd_id] * rng_upd.random(len(upd_id))
-    blocks = _event_blocks(arrive, depart, upd_t, upd_id, scenario)
+    if updates:
+        upd_id = np.repeat(np.arange(n), n_upd)
+        upd_t = arrive[upd_id] + stay[upd_id] * rng_upd.random(len(upd_id))
+    else:
+        upd_id, upd_t = np.zeros(0, np.int64), np.zeros(0)
     return SimTrace(
-        scenario=scenario, _events=blocks, slots=_slot_table(blocks, n_slots, scenario),
+        scenario=scenario, _events=(arrive, depart, upd_t, upd_id),
+        slots=_slot_table(arrive, depart, upd_t, n_slots, scenario),
         arrivals_total=n, departures_total=departures, key_updates_total=updates,
     )
 
@@ -416,7 +430,7 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     compare the initial cohort against exponential decay. The pass identity
     checks the auth_pass rows that the trace's event table holds, or will
     hold, against its passes_total: Q per arrival and per key update. No
-    table is built for it: before the merge the pass block gives the count.
+    table is built for it: before the merge the draws give the count.
     """
     if trace.scenario != scenario:
         raise DomainError("trace was not produced from this scenario")
@@ -446,7 +460,7 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     )
     if isinstance(trace._events, EventTable):
         observed = int(np.count_nonzero(trace._events.kind == _AUTH_PASS))
-    else:  # the rows the table will hold, counted without building it
-        passes = trace._events[_AUTH_PASS]
-        observed = len(passes.order) * passes.repeats
+    else:  # the rows the table will hold: Q per arrival and per key update draw
+        arrive, _, upd_t, _ = trace._events
+        observed = net.Q * (len(arrive) + len(upd_t))
     return ComparisonReport(table, observed, trace.passes_total, model_errors)

@@ -94,17 +94,17 @@ def test_pass_identity_counts_q_per_arrival_and_key_update():
 
 
 def test_pass_identity_counts_the_pass_rows():
-    # Q = 1: dropping one row of the pass block drops one auth_pass row
-    sc = scenario()
+    # Q = 2: dropping one key-update draw drops Q auth_pass rows
+    sc = scenario(net=dataclasses.replace(NET, Q=2))
     trace = run_simulation(sc)
-    blocks = list(trace._events)
-    blocks[1] = blocks[1]._replace(order=blocks[1].order[1:])
-    tampered = dataclasses.replace(trace, _events=tuple(blocks))
-    before = compare_to_model(tampered, sc)  # counts the pass block
-    assert int(np.count_nonzero(tampered.events.kind == 1)) == trace.passes_total - 1
+    arrive, depart, upd_t, upd_id = trace._events
+    assert len(upd_t) > 0
+    tampered = dataclasses.replace(trace, _events=(arrive, depart, upd_t[1:], upd_id[1:]))
+    before = compare_to_model(tampered, sc)  # counts the draws
+    assert int(np.count_nonzero(tampered.events.kind == 1)) == trace.passes_total - 2
     after = compare_to_model(tampered, sc)  # counts the merged table's rows
     for report in (before, after):
-        assert report.passes_observed == report.passes_expected - 1
+        assert report.passes_observed == report.passes_expected - 2
         assert report.pass_identity_ok is False
 
 
@@ -113,6 +113,8 @@ def test_events_are_merged_once_and_only_when_read(tmp_path, monkeypatch):
 
     def spy(blocks):
         merges.append(len(blocks))
+        if len(merges) == 1:  # the trace below holds no draw while it merges
+            assert trace._events is None
         return merge(blocks)
 
     monkeypatch.setattr(sim, "_merge_blocks", spy)
@@ -364,6 +366,9 @@ def test_too_many_slots_rejected_before_any_draw(tmp_path, capsys):
     {"E0": 0, "beta": 0.3, "tx_step_s": 0.5},
     {"E0": 3, "beta": 0.5, "gamma_prime": 0.5, "tx_step_s": 1.0},
     {"E0": 0, "beta": 1e-9},
+    {"alpha": 0.0},
+    {"tx_step_s": 4.4},  # the last edge, 25 * 4.4, rounds past T = 110
+    {"gamma_prime": 0.0},  # no vehicle departs
 ])
 def test_slot_columns_match_the_scalar_slot_loop(overrides):
     scn = build_bundle(merge_config(overrides)).scenario
@@ -393,29 +398,64 @@ def assert_slots_recount(ev: EventTable, s, net) -> None:
         prev = t_s
 
 
-def test_slot_columns_from_the_blocks_match_the_merged_table():
-    # The slot columns read each kind's block without the merge, so a block
-    # out of time order shows in them. Times lie on a grid of step 1/k that
-    # holds the slot edges (multiples of 5 s), and each draw runs again with
-    # the later times a few ulps apart; the cohort (ids below E_zero) and the
-    # later arrivals both depart, and most vehicles update their keys.
-    scn = scenario(net=dataclasses.replace(NET, Q=2))
-    T, n_slots = scn.window.T, sim.slot_count(scn)
+def near_tie_draws(scn):
+    """30 run_simulation-like draws (arrive, depart, upd_t, upd_id) on a grid
+    of step 1/k that holds the slot edges (multiples of 5 s), each followed
+    by the same draw with the later times a few ulps apart. The cohort (ids
+    below E_zero) and the later arrivals both depart, and most vehicles
+    update their keys."""
+    T, cohort = scn.window.T, scn.net.E_zero
     rng = np.random.default_rng([2, 6])
     for _ in range(30):
         k = int(rng.integers(1, 5))
         later = np.sort(rng.integers(1, int(T) * k, int(rng.integers(5, 40)))) / k
-        arrive = np.concatenate((np.zeros(NET.E_zero), later))
+        arrive = np.concatenate((np.zeros(cohort), later))
         n = len(arrive)
         depart = arrive + rng.integers(0, 40 * k, n) / k
         upd_id = np.repeat(np.arange(n), rng.integers(0, 4, n))
         upd_t = np.minimum(arrive[upd_id] + rng.integers(0, 40 * k, len(upd_id)) / k, T)
-        near = (np.concatenate((arrive[:NET.E_zero], np.sort(nudge(later, rng)))),
-                nudge(depart, rng), nudge(upd_t, rng))
-        for arrive, depart, upd_t in ((arrive, depart, upd_t), near):
-            blocks = sim._event_blocks(arrive, depart, upd_t, upd_id, scn)
-            slots = sim._slot_table(blocks, n_slots, scn)
-            assert_slots_recount(sim._merge_blocks([*blocks]), slots, scn.net)
+        yield arrive, depart, upd_t, upd_id
+        near = np.concatenate((arrive[:cohort], np.sort(nudge(later, rng))))
+        yield near, nudge(depart, rng), nudge(upd_t, rng), upd_id
+
+
+def test_event_blocks_are_sorted_runs():
+    # _merge_blocks' one stable sort on t merges the blocks only if each is
+    # in (t, entity) order (a vehicle's arrival and updates may tie); the
+    # near ties take _time_order's repair.
+    scn = scenario(net=dataclasses.replace(NET, Q=2))
+    for draw in near_tie_draws(scn):
+        for block in sim._event_blocks(*draw, scn):
+            t, ids = block.times[block.order], block.ids[block.order]
+            assert np.all((t[:-1] < t[1:]) | ((t[:-1] == t[1:]) & (ids[:-1] <= ids[1:])))
+
+
+def test_slot_columns_from_the_draws_match_the_merged_table():
+    # The slot columns count from value sorts of the draws; the recount
+    # reads the merged table of the same draws.
+    scn = scenario(net=dataclasses.replace(NET, Q=2))
+    n_slots = sim.slot_count(scn)
+    for draw in near_tie_draws(scn):
+        slots = sim._slot_table(*draw[:3], n_slots, scn)
+        assert_slots_recount(sim._merge_blocks([*sim._event_blocks(*draw, scn)]), slots, scn.net)
+
+
+def test_departures_after_t_stay_in_the_last_slot():
+    # With 4.4 s slots the last edge is 25 * 4.4 = 110.00000000000001 > T;
+    # a departure one ulp past T = 110 is no event, so its vehicle stays in D.
+    scn = scenario(window=dataclasses.replace(WINDOW, t_x_step=4.4))
+    n_slots = sim.slot_count(scn)
+    late = np.nextafter(110.0, np.inf)
+    assert n_slots * 4.4 == late
+    arrive = np.concatenate((np.zeros(NET.E_zero), [50.0, 60.0]))
+    n = len(arrive)
+    for at, gone in ((late, 0), (110.0, 2)):
+        depart = np.full(n, np.inf)
+        depart[[0, n - 1]] = at  # one of the cohort, one later arrival
+        s = sim._slot_table(arrive, depart, np.zeros(0), n_slots, scn)
+        assert s.t_s[-1] == late
+        assert s.D[-1] == n - gone
+        assert s.cohort_fraction[-1] == (NET.E_zero - gone // 2) / NET.E_zero
 
 
 def test_empty_hub_has_no_observations():
