@@ -223,7 +223,7 @@ def score_failsafe_slots(
     n = len(slots)
     w = np.array(compliance, dtype=float)
     if len(w) != n:
-        raise ValueError(f"{len(w)} compliance values for {n} slots")
+        raise DomainError(f"{len(w)} compliance values for {n} slots")
     ok = (slots.E_prime > net.n_inv) & (slots.D > 0)
     levels, which = np.unique(slots.E_prime[ok], return_inverse=True)
     p = np.full(n, np.nan)

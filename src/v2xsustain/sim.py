@@ -15,8 +15,8 @@ Slot metrics use the (previous boundary, boundary] convention; the
 initial cohort's t = 0 passes therefore belong to the event totals but to
 no slot. Empirical sustainability is computed directly from the defining
 ratio, without the model-side admissibility guard D <= N, because the
-observed count is an output here, not a constraint. Every vehicle is
-placed inside [r1, r2], so D counts the vehicles present in the slot.
+observed count is an output here, not a constraint. No position is
+drawn: D counts the vehicles present in the slot.
 """
 
 from __future__ import annotations
@@ -36,14 +36,13 @@ from .sustain import _window_form, loss_probability_model
 
 # The events CSV labels, indexed by EventTable.kind code in tie-break order.
 _KIND_NAMES = ("arrival", "auth_pass", "key_update", "departure")
-_AUTH_PASS = 1  # the auth_pass kind code
 _GATHER_ROWS = 1 << 16  # rows per in-place gather step in _merge_blocks
 # The largest mean Generator.poisson accepts; above it, it raises ValueError.
 _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
 
 class _Columns:
-    """Dataclass fields of equal-length numpy columns; == matches NaN to NaN."""
+    """Dataclass fields of numpy columns, len the first's; == matches NaN to NaN."""
 
     def __len__(self) -> int:
         return len(getattr(self, fields(self)[0].name))
@@ -58,7 +57,7 @@ class _Columns:
 @dataclass(frozen=True, eq=False)
 class EventTable(_Columns):
     """Events as numpy columns sorted by (t, kind code, entity), with no
-    Python object per event; SimTrace.events builds it on first access."""
+    Python object per event; SimTrace.events builds it on each read."""
 
     t: np.ndarray
     kind: np.ndarray
@@ -90,23 +89,44 @@ class SlotTable(_Columns):
     cohort_fraction: np.ndarray
 
 
-@dataclass
-class SimTrace:
-    """One run: its slot metrics, event totals and events.
+@dataclass(frozen=True, eq=False)
+class Draws(_Columns):
+    """One run's draws: each vehicle's arrival and departure time and its
+    key-update count, in vehicle order (the cohort first, arrive sorted),
+    and the update times, vehicle by vehicle."""
 
-    _events holds the run's draws (arrive, depart, upd_t, upd_id) until
-    events first orders them into blocks and merges those into the
-    EventTable, which then takes their place: in the CLI only the events
-    CSV reads the event order, and a run that never asks for it never
-    builds a block.
+    arrive: np.ndarray
+    depart: np.ndarray
+    upd_t: np.ndarray
+    n_upd: np.ndarray
+
+
+@dataclass(frozen=True)
+class SimTrace:
+    """One run: its draws and slot metrics. The event totals and the
+    event table are read off the draws.
+
+    events orders and merges the table on every read and keeps none: in
+    the CLI only the events CSV reads the event order, and a run that
+    never asks for it never orders an event.
     """
 
     scenario: Scenario
-    _events: EventTable | tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    draws: Draws
     slots: SlotTable
-    arrivals_total: int = 0
-    departures_total: int = 0
-    key_updates_total: int = 0
+
+    @property
+    def arrivals_total(self) -> int:
+        return len(self.draws.arrive)
+
+    @property
+    def departures_total(self) -> int:
+        """Departures up to T; a later one is no event."""
+        return int(np.count_nonzero(self.draws.depart <= self.scenario.window.T))
+
+    @property
+    def key_updates_total(self) -> int:
+        return len(self.draws.upd_t)
 
     @property
     def passes_total(self) -> int:
@@ -115,21 +135,7 @@ class SimTrace:
 
     @property
     def events(self) -> EventTable:
-        if not isinstance(self._events, EventTable):
-            blocks = list(_event_blocks(*self._events, self.scenario))
-            # _merge_blocks empties blocks: with the draws dropped here, the
-            # trace holds none of their arrays while it sorts
-            self._events = None
-            self._events = _merge_blocks(blocks)
-        return self._events
-
-    def __eq__(self, other):
-        # by the merged tables: tuples of numpy arrays have no truth value
-        if type(other) is not type(self):
-            return NotImplemented
-        rest = [f.name for f in fields(self) if f.name != "_events"]
-        return self.events == other.events and all(
-            getattr(self, name) == getattr(other, name) for name in rest)
+        return _merge_blocks(list(_event_blocks(self.draws, self.scenario)))
 
     def export_events_csv(self, path: str | Path) -> None:
         ev = self.events
@@ -185,37 +191,36 @@ def _concat_rows(parts, size: int) -> np.ndarray:
     return out
 
 
-def _event_blocks(arrive, depart, upd_t, upd_id, scenario: Scenario) -> tuple[_Block, ...]:
-    """Each kind's events of the vehicles in arrive, in kind-code order.
+def _event_blocks(draws: Draws, scenario: Scenario) -> tuple[_Block, ...]:
+    """Each kind's events of the drawn vehicles, in kind-code order.
 
-    arrive must be sorted and upd_id nondecreasing, as run_simulation draws
-    them. Each block's rows are in (t, entity) order, the sorted runs that
+    Each block's rows are in (t, entity) order, the sorted runs that
     _merge_blocks merges, by at most one packed-key _time_order sort: the
     arrivals are in order already, and the passes and key updates share
     the sessions' sort. Only SimTrace.events calls it; the slot metrics
     count from the draws.
     """
-    Q = scenario.net.Q
+    arrive, upd_t = draws.arrive, draws.upd_t
     n = len(arrive)
     ids = np.arange(n)
-    gone = np.flatnonzero(depart <= scenario.window.T)
+    gone = np.flatnonzero(draws.depart <= scenario.window.T)
     if len(upd_t):
         # Sessions in entity order, each vehicle's arrival before its
         # updates, so their tie-stable time order is (t, entity) order.
-        first = ids + np.searchsorted(upd_id, ids)
-        is_upd = np.ones(n + len(upd_t), dtype=bool)
+        sessions = draws.n_upd + 1
+        session_id = np.repeat(ids, sessions)
+        first = np.cumsum(sessions) - sessions
+        is_upd = np.ones(len(session_id), dtype=bool)
         is_upd[first] = False
-        session_t = np.empty(len(is_upd))
-        session_id = np.empty(len(is_upd), dtype=ids.dtype)
-        session_t[first], session_id[first] = arrive, ids
-        session_t[is_upd], session_id[is_upd] = upd_t, upd_id
+        session_t = np.empty(len(session_id))
+        session_t[first], session_t[is_upd] = arrive, upd_t
         order = _time_order(session_t)
-        passes = _Block(session_t, session_id, order, Q)
+        passes = _Block(session_t, session_id, order, scenario.net.Q)
         updates = _Block(session_t, session_id, order[is_upd[order]], 1)
     else:  # the sessions are the arrivals, already in order; no update rows
-        passes = _Block(arrive, ids, ids, Q)
-        updates = _Block(upd_t, upd_id, ids[:0], 1)
-    departures = _Block(depart, ids, gone[_time_order(depart[gone])], 1)
+        passes = _Block(arrive, ids, ids, scenario.net.Q)
+        updates = _Block(upd_t, ids[:0], ids[:0], 1)
+    departures = _Block(draws.depart, ids, gone[_time_order(draws.depart[gone])], 1)
     return _Block(arrive, ids, ids, 1), passes, updates, departures
 
 
@@ -245,13 +250,14 @@ def _merge_blocks(blocks: list[_Block]) -> EventTable:
     return EventTable(t, kind, order)
 
 
-def _slot_table(arrive, depart, upd_t, n_slots: int, scenario: Scenario) -> SlotTable:
+def _slot_table(draws: Draws, n_slots: int, scenario: Scenario) -> SlotTable:
     """Per-slot metrics counted from run_simulation's draws.
 
-    arrive must be sorted, as run_simulation draws it; depart and upd_t
-    are counted from plain value sorts, as no count needs the event order.
+    arrive is sorted; depart and upd_t are counted from plain value sorts,
+    as no count needs the event order.
     """
     net = scenario.net
+    arrive, depart = draws.arrive, draws.depart
     # Slot counts are differences of cumulative counts at [0, b1, b2, ...].
     edges = np.arange(n_slots + 1) * scenario.window.t_x_step
     # A departure after T is no event: departures count at min(edge, T),
@@ -264,7 +270,7 @@ def _slot_table(arrive, depart, upd_t, n_slots: int, scenario: Scenario) -> Slot
     arrived = upto(arrive)
     cohort_gone = upto(np.sort(depart[:net.E_zero]), gone_at)
     active = arrived - cohort_gone - upto(np.sort(depart[net.E_zero:]), gone_at)
-    u_k = np.diff(upto(np.sort(upd_t)))
+    u_k = np.diff(upto(np.sort(draws.upd_t)))
     passes = net.Q * (np.diff(arrived) + u_k)
     survivors = net.E_zero - cohort_gone
 
@@ -352,7 +358,8 @@ def run_simulation(scenario: Scenario) -> SimTrace:
         depart = np.full(n, np.inf)
     departures = int(np.count_nonzero(depart <= T))
 
-    updates = 0  # at a zero mean no count is drawn: the stream keeps its draws
+    # a zero mean draws no count (the stream keeps its draws), and n zeros need no memory
+    updates, n_upd = 0, np.broadcast_to(np.int64(0), n)
     if rates.alpha > 0.0:
         stay = np.minimum(depart, T) - arrive
         n_upd = rng_upd.poisson(rates.alpha * stay)
@@ -360,16 +367,11 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     needed = (1 + net.Q) * (n + updates) + departures
     if needed > cap:
         raise SimulationTruncated(cap, needed)
+    upd_t = np.zeros(0)
     if updates:
-        upd_id = np.repeat(np.arange(n), n_upd)
-        upd_t = arrive[upd_id] + stay[upd_id] * rng_upd.random(len(upd_id))
-    else:
-        upd_id, upd_t = np.zeros(0, np.int64), np.zeros(0)
-    return SimTrace(
-        scenario=scenario, _events=(arrive, depart, upd_t, upd_id),
-        slots=_slot_table(arrive, depart, upd_t, n_slots, scenario),
-        arrivals_total=n, departures_total=departures, key_updates_total=updates,
-    )
+        upd_t = np.repeat(arrive, n_upd) + np.repeat(stay, n_upd) * rng_upd.random(updates)
+    draws = Draws(arrive, depart, upd_t, n_upd)
+    return SimTrace(scenario, draws, _slot_table(draws, n_slots, scenario))
 
 
 class ComparisonTable(NamedTuple):
@@ -389,7 +391,8 @@ class ComparisonTable(NamedTuple):
 
 @dataclass
 class ComparisonReport:
-    """The compared slots and the pass counts; the summaries are views of them."""
+    """The compared slots and the pass counts, both trace.passes_total (see
+    compare_to_model); the summaries are views of them."""
 
     table: ComparisonTable
     passes_observed: int
@@ -427,10 +430,11 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     model value because its window starts at t = 0. A slot whose closed form
     leaves its domain or double range has no model value either; its
     message goes to s_n_model_errors. Survivor fractions
-    compare the initial cohort against exponential decay. The pass identity
-    checks the auth_pass rows that the trace's event table holds, or will
-    hold, against its passes_total: Q per arrival and per key update. No
-    table is built for it: before the merge the draws give the count.
+    compare the initial cohort against exponential decay. Both pass counts
+    are trace.passes_total, so the pass identity holds on every trace by
+    construction; they stay only while perfbench's cohort_1e5 check reads
+    them (ROADMAP item 16). The event table's auth_pass rows are checked in
+    test_events_sorted_and_complete and perfbench's simulate_heavy CSV check.
     """
     if trace.scenario != scenario:
         raise DomainError("trace was not produced from this scenario")
@@ -458,9 +462,4 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
         t_s, s_n_emp, s_n_model, s_n_rel, p_emp, [p_model] * len(t_s),
         [abs(p - p_model) for p in p_emp], cohort, survivor_model, survivor_dev,
     )
-    if isinstance(trace._events, EventTable):
-        observed = int(np.count_nonzero(trace._events.kind == _AUTH_PASS))
-    else:  # the rows the table will hold: Q per arrival and per key update draw
-        arrive, _, upd_t, _ = trace._events
-        observed = net.Q * (len(arrive) + len(upd_t))
-    return ComparisonReport(table, observed, trace.passes_total, model_errors)
+    return ComparisonReport(table, trace.passes_total, trace.passes_total, model_errors)

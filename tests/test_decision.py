@@ -248,6 +248,16 @@ def test_score_failsafe_slots_s_n_sum_overflow_is_typed():
     assert str(want.value) == str(got.value)
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_score_failsafe_slots_rejects_a_compliance_list_of_another_length(extra):
+    b = build_bundle(merge_config({}))
+    trace = run_simulation(b.scenario)
+    n = len(trace.slots)
+    compliance = b.omega_compliance(n + extra)
+    with pytest.raises(DomainError, match=f"^{n + extra} compliance values for {n} slots$"):
+        score_failsafe_slots(trace, compliance, b.bounds)
+
+
 def test_decide_scale_floor_wins():
     # even perfect metrics cannot override an inoperable scale parameter
     for mu in (2.0, 1.0, 0.5):

@@ -29,7 +29,7 @@ from v2xsustain.config import build_bundle, merge_config
 from v2xsustain.csvio import write_csv, write_event_columns
 from v2xsustain.decision import UPDATE_KEYS, score_failsafe_slots
 from v2xsustain.errors import DomainError, SimulationTruncated
-from v2xsustain.sim import EventTable
+from v2xsustain.sim import Draws, EventTable
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
 RATES = RateParams(alpha=1.0, beta=2.0, gamma_prime=0.1)
@@ -94,39 +94,62 @@ def test_pass_identity_counts_q_per_arrival_and_key_update():
 
 
 def test_pass_identity_counts_the_pass_rows():
-    # Q = 2: dropping one key-update draw drops Q auth_pass rows
-    sc = scenario(net=dataclasses.replace(NET, Q=2))
-    trace = run_simulation(sc)
-    arrive, depart, upd_t, upd_id = trace._events
-    assert len(upd_t) > 0
-    tampered = dataclasses.replace(trace, _events=(arrive, depart, upd_t[1:], upd_id[1:]))
-    before = compare_to_model(tampered, sc)  # counts the draws
-    assert int(np.count_nonzero(tampered.events.kind == 1)) == trace.passes_total - 2
-    after = compare_to_model(tampered, sc)  # counts the merged table's rows
-    for report in (before, after):
-        assert report.passes_observed == report.passes_expected - 2
-        assert report.pass_identity_ok is False
+    # Q = 2: dropping the first key-update draw drops Q auth_pass rows
+    trace = run_simulation(scenario(net=dataclasses.replace(NET, Q=2)))
+    d = trace.draws
+    assert len(d.upd_t) > 0
+    n_upd = d.n_upd.copy()
+    n_upd[np.argmax(n_upd > 0)] -= 1
+    tampered = dataclasses.replace(
+        trace, draws=dataclasses.replace(d, upd_t=d.upd_t[1:], n_upd=n_upd))
+    passes = int(np.count_nonzero(tampered.events.kind == KIND["auth_pass"]))
+    assert passes == tampered.passes_total == trace.passes_total - 2
 
 
-def test_events_are_merged_once_and_only_when_read(tmp_path, monkeypatch):
+def spy_on_merges(monkeypatch, fail_first: bool = False) -> list[int]:
+    """The block count of each sim._merge_blocks call, recorded as it starts;
+    with fail_first the first call raises MemoryError."""
     merge, merges = sim._merge_blocks, []
 
     def spy(blocks):
         merges.append(len(blocks))
-        if len(merges) == 1:  # the trace below holds no draw while it merges
-            assert trace._events is None
+        if fail_first and len(merges) == 1:
+            raise MemoryError
         return merge(blocks)
 
     monkeypatch.setattr(sim, "_merge_blocks", spy)
+    return merges
+
+
+def test_events_are_merged_once_and_only_when_read(tmp_path, monkeypatch):
+    merges = spy_on_merges(monkeypatch)
     sc = scenario()
     trace = run_simulation(sc)
     assert compare_to_model(trace, sc).pass_identity_ok
     assert merges == []
-    assert trace.events is trace.events
-    assert merges == [4]
-    assert compare_to_model(trace, sc).pass_identity_ok
+    assert trace.events == trace.events  # each read merges once and keeps nothing
+    assert merges == [4, 4]
     assert main(["simulate", "--out", str(tmp_path / "o"), "--runs", "2"]) == 0
+    assert merges == [4] * 4
+
+
+def test_a_failed_merge_leaves_the_trace_readable(monkeypatch):
+    merges = spy_on_merges(monkeypatch, fail_first=True)
+    trace = run_simulation(scenario())
+    with pytest.raises(MemoryError):
+        trace.events  # noqa: B018
+    assert trace.events == run_simulation(scenario()).events
     assert merges == [4] * 3
+
+
+def test_trace_equality_merges_nothing(monkeypatch):
+    merges = spy_on_merges(monkeypatch)
+    a, b = run_simulation(scenario()), run_simulation(scenario())
+    c = run_simulation(scenario(seed=1235))
+    assert a == b
+    assert a != c
+    assert not (a != b)
+    assert merges == []
 
 
 def test_pass_identity_scales_with_q():
@@ -226,10 +249,12 @@ def test_event_cap_boundary_in_both_checks():
     assert peak < 2**20
 
 
-def lexsort_event_table(arrive, depart, upd_t, upd_id, scn) -> EventTable:
+def lexsort_event_table(draws: Draws, scn) -> EventTable:
     """Oracle: every event row built unsorted, then one three-key lexsort."""
     Q = scn.net.Q
+    arrive, depart, upd_t = draws.arrive, draws.depart, draws.upd_t
     ids = np.arange(len(arrive))
+    upd_id = np.repeat(ids, draws.n_upd)
     gone = depart <= scn.window.T
     session_t = np.concatenate((arrive, upd_t))
     session_id = np.concatenate((ids, upd_id))
@@ -257,7 +282,8 @@ def nudge(t: np.ndarray, rng, ulps: int = 4) -> np.ndarray:
 def test_event_table_matches_lexsort_on_tied_times(Q, monkeypatch):
     # Every time lies on a grid of step 1/k, so arrivals, passes, updates and
     # departures of many vehicles tie; the inputs keep what run_simulation
-    # guarantees: arrivals sorted, the cohort first, update ids nondecreasing.
+    # guarantees: arrivals sorted, the cohort first, update times grouped
+    # by vehicle in vehicle order.
     # Each draw runs again with the later times a few ulps apart, so that the
     # packed keys of both _time_order calls (sessions, then departures) come
     # out of time order and take the repair.
@@ -280,14 +306,15 @@ def test_event_table_matches_lexsort_on_tied_times(Q, monkeypatch):
         arrive = np.concatenate((np.zeros(cohort), later))
         depart = arrive + rng.integers(0, 40 * k, n) / k
         most = int(rng.integers(0, 4))  # 0: no key update at all
-        upd_id = np.repeat(np.arange(n), rng.integers(0, most + 1, n))
-        upd_t = np.minimum(arrive[upd_id] + rng.integers(0, 40 * k, len(upd_id)) / k, T)
+        n_upd = rng.integers(0, most + 1, n)
+        upd_t = np.repeat(arrive, n_upd) + rng.integers(0, 40 * k, int(n_upd.sum())) / k
+        upd_t = np.minimum(upd_t, T)
         near = (np.concatenate((arrive[:cohort], np.sort(nudge(later, rng)))),
-                nudge(depart, rng), nudge(upd_t, rng))
-        for arrive, depart, upd_t in ((arrive, depart, upd_t), near):
+                nudge(depart, rng), nudge(upd_t, rng), n_upd)
+        for draws in (Draws(arrive, depart, upd_t, n_upd), Draws(*near)):
             calls.clear()
-            got = sim._merge_blocks([*sim._event_blocks(arrive, depart, upd_t, upd_id, scn)])
-            want = lexsort_event_table(arrive, depart, upd_t, upd_id, scn)
+            got = sim._merge_blocks([*sim._event_blocks(draws, scn)])
+            want = lexsort_event_table(draws, scn)
             assert got == want
             assert (got.t.dtype, got.kind.dtype, got.entity.dtype) == (
                 want.t.dtype, want.kind.dtype, want.entity.dtype
@@ -399,11 +426,10 @@ def assert_slots_recount(ev: EventTable, s, net) -> None:
 
 
 def near_tie_draws(scn):
-    """30 run_simulation-like draws (arrive, depart, upd_t, upd_id) on a grid
-    of step 1/k that holds the slot edges (multiples of 5 s), each followed
-    by the same draw with the later times a few ulps apart. The cohort (ids
-    below E_zero) and the later arrivals both depart, and most vehicles
-    update their keys."""
+    """30 run_simulation-like Draws on a grid of step 1/k that holds the
+    slot edges (multiples of 5 s), each followed by the same draw with the
+    later times a few ulps apart. The cohort (ids below E_zero) and the
+    later arrivals both depart, and most vehicles update their keys."""
     T, cohort = scn.window.T, scn.net.E_zero
     rng = np.random.default_rng([2, 6])
     for _ in range(30):
@@ -412,11 +438,12 @@ def near_tie_draws(scn):
         arrive = np.concatenate((np.zeros(cohort), later))
         n = len(arrive)
         depart = arrive + rng.integers(0, 40 * k, n) / k
-        upd_id = np.repeat(np.arange(n), rng.integers(0, 4, n))
-        upd_t = np.minimum(arrive[upd_id] + rng.integers(0, 40 * k, len(upd_id)) / k, T)
-        yield arrive, depart, upd_t, upd_id
+        n_upd = rng.integers(0, 4, n)
+        upd_t = np.repeat(arrive, n_upd) + rng.integers(0, 40 * k, int(n_upd.sum())) / k
+        upd_t = np.minimum(upd_t, T)
+        yield Draws(arrive, depart, upd_t, n_upd)
         near = np.concatenate((arrive[:cohort], np.sort(nudge(later, rng))))
-        yield near, nudge(depart, rng), nudge(upd_t, rng), upd_id
+        yield Draws(near, nudge(depart, rng), nudge(upd_t, rng), n_upd)
 
 
 def test_event_blocks_are_sorted_runs():
@@ -425,7 +452,7 @@ def test_event_blocks_are_sorted_runs():
     # near ties take _time_order's repair.
     scn = scenario(net=dataclasses.replace(NET, Q=2))
     for draw in near_tie_draws(scn):
-        for block in sim._event_blocks(*draw, scn):
+        for block in sim._event_blocks(draw, scn):
             t, ids = block.times[block.order], block.ids[block.order]
             assert np.all((t[:-1] < t[1:]) | ((t[:-1] == t[1:]) & (ids[:-1] <= ids[1:])))
 
@@ -436,8 +463,8 @@ def test_slot_columns_from_the_draws_match_the_merged_table():
     scn = scenario(net=dataclasses.replace(NET, Q=2))
     n_slots = sim.slot_count(scn)
     for draw in near_tie_draws(scn):
-        slots = sim._slot_table(*draw[:3], n_slots, scn)
-        assert_slots_recount(sim._merge_blocks([*sim._event_blocks(*draw, scn)]), slots, scn.net)
+        slots = sim._slot_table(draw, n_slots, scn)
+        assert_slots_recount(sim._merge_blocks([*sim._event_blocks(draw, scn)]), slots, scn.net)
 
 
 def test_departures_after_t_stay_in_the_last_slot():
@@ -452,7 +479,8 @@ def test_departures_after_t_stay_in_the_last_slot():
     for at, gone in ((late, 0), (110.0, 2)):
         depart = np.full(n, np.inf)
         depart[[0, n - 1]] = at  # one of the cohort, one later arrival
-        s = sim._slot_table(arrive, depart, np.zeros(0), n_slots, scn)
+        s = sim._slot_table(Draws(arrive, depart, np.zeros(0), np.zeros(n, np.int64)),
+                            n_slots, scn)
         assert s.t_s[-1] == late
         assert s.D[-1] == n - gone
         assert s.cohort_fraction[-1] == (NET.E_zero - gone // 2) / NET.E_zero
@@ -512,7 +540,9 @@ def test_report_summaries_are_views_of_its_table():
     report = compare_to_model(trace, sc)
     assert [f.name for f in dataclasses.fields(report)] == [
         "table", "passes_observed", "passes_expected", "s_n_model_errors"]
-    assert "passes_total" not in [f.name for f in dataclasses.fields(trace)]
+    assert [f.name for f in dataclasses.fields(trace)] == ["scenario", "draws", "slots"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.slots = trace.slots
     for summary, column in ((report.survivor_mad, report.table.survivor_abs_dev),
                             (report.s_n_mean_rel_dev, report.table.S_N_rel_dev)):
         defined = [abs(v) for v in column if v is not None]
