@@ -17,7 +17,8 @@ _EXPORTS = {
     for module, names in {
         "errors": """AuthenticationError ConfigError ConvergenceError DomainError
             IntegrandError OverflowRangeError SimulationTruncated""",
-        "specfun": "EULER_GAMMA QuadResult QuadSpec expint_ei integrate ln_gamma",
+        "specfun": "EULER_GAMMA expint_ei ln_gamma",
+        "quadrature": "QuadResult QuadSpec integrate",
         "sustain": """NetworkParams RangeParams RateParams TimeWindow
             loss_probability_model message_overhead signaling_overhead
             signaling_time_factor sustainability_window

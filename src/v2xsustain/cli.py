@@ -46,7 +46,6 @@ from .errors import (
     OverflowRangeError,
     SimulationTruncated,
 )
-from .fixtures import run_structural_checks
 from .predict import (
     connectivity_prob,
     failsafe_tau,
@@ -278,6 +277,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table3(args) -> int:
+    from .fixtures import run_structural_checks  # only table3 loads the fixtures
+
     rows = run_structural_checks()
     write_csv(
         args.out,

@@ -114,6 +114,8 @@ def load_config(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from e
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

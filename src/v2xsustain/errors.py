@@ -19,10 +19,13 @@ class IntegrandError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to reach the requested tolerance.
+    """A series or a quadrature failed to reach its tolerance.
 
-    Carries the best available estimate so callers can inspect how far
-    the refinement got before its maximum depth.
+    The `Ei` power series (`specfun.expint_ei`) raises it after 600
+    terms, and the quadrature twin's engine (`quadrature.integrate`) at
+    its depth cap. Carries the best available estimate and an error
+    estimate (the last series term, or the quadrature's summed leaf
+    error), so callers can see how far the refinement got.
     """
 
     def __init__(self, message: str, best_estimate: float, error_estimate: float):

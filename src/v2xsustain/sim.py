@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Scenario
-from .csvio import nan_to_none, write_csv, write_event_columns
+from .csvio import nan_to_none, write_csv
 from .decision import check_constraints
 from .errors import DomainError, OverflowRangeError, SimulationTruncated
 from .sustain import _window_form, loss_probability_model
@@ -138,6 +138,8 @@ class SimTrace:
         return _merge_blocks(list(_event_blocks(self.draws, self.scenario)))
 
     def export_events_csv(self, path: str | Path) -> None:
+        from .eventcsv import write_event_columns  # only simulate writes events
+
         ev = self.events
         write_event_columns(
             path, ("t_s", "kind", "entity_id"), ev.t, ev.kind, _KIND_NAMES, ev.entity

@@ -5,7 +5,8 @@ delivery, normalized by the vehicles served and the passes each session
 costs. Closed forms below come from integrating Poisson arrival and
 key-update densities over an observation window. Commands run only them;
 the quadrature twin of sustainability_window stays here because the
-benchmark's sweep check imports it from this module.
+benchmark's sweep check imports it from this module, and it loads the
+adaptive Simpson engine (`quadrature`) on its first call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, OverflowRangeError
-from .specfun import QuadSpec, expint_ei, integrate
+from .specfun import expint_ei
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,8 @@ def sustainability_window_quadrature(
     follow e^{-alpha/t} (alpha/t)^2 / 2 against arrivals e^{-beta/t} (beta/t),
     and the ratio reduces to e^{(beta-alpha)/t} * alpha^2 / (2 beta t).
     """
+    from .quadrature import QuadSpec, integrate  # no command loads the engine
+
     if not rates.alpha > 0.0 or not rates.beta > rates.alpha:
         raise DomainError("quadrature form requires beta > alpha > 0")
     a, b = rates.alpha, rates.beta

@@ -17,7 +17,8 @@ from typing import Sequence
 
 from v2xsustain.errors import DomainError
 from v2xsustain.predict import SCALE_FLOOR, LikelihoodBounds
-from v2xsustain.specfun import QuadSpec, integrate, ln_gamma
+from v2xsustain.quadrature import QuadSpec, integrate
+from v2xsustain.specfun import ln_gamma
 from v2xsustain.sustain import RateParams, TimeWindow
 
 

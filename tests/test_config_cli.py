@@ -42,6 +42,7 @@ from v2xsustain import (
 )
 from v2xsustain import config as config_module
 from v2xsustain import predict as predict_module
+from v2xsustain import sustain as sustain_module
 from v2xsustain.cli import SWEEP_GRIDS, main
 from v2xsustain.config import FIELDS
 from v2xsustain.csvio import fmt
@@ -85,7 +86,7 @@ def test_merge_rejects_unknown_and_mistyped_fields():
         merge_config({"p_x": []})
 
 
-def test_load_config_reports_position(tmp_path):
+def test_load_config_reports_position(tmp_path, monkeypatch, capsys):
     good = tmp_path / "good.json"
     good.write_text('{"beta": 4.0}')
     assert load_config(good)["beta"] == 4.0
@@ -99,6 +100,16 @@ def test_load_config_reports_position(tmp_path):
         load_config(arr)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match=r"utf16\.json: not UTF-8 text"):
+        load_config(utf16)
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    assert main(["validate", str(utf16)]) == 2
+    monkeypatch.setenv(ENV_CONFIG_PATH, str(utf16))
+    assert main(["validate"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {utf16}: not UTF-8 text: invalid start byte at byte 0"] * 2
 
 
 def test_load_config_rejects_non_finite_numbers(tmp_path, capsys):
@@ -504,16 +515,25 @@ def test_runs_beyond_the_budget_end_at_once(tmp_path, overrides, message):
     assert int(peak) < 2**20
 
 
-def test_commands_that_do_not_simulate_never_import_numpy(tmp_path):
-    checks = (
-        "assert code == 0\n"
-        "assert main(['table3', '--out', 'table3.csv']) == 0\n"
-        "assert main(['sweep', '--param', 'beta', '--out', 'sweep.csv']) == 0\n"
-        "print('numpy' in sys.modules)\n"
-    )
-    proc = run_main_in_child(["validate"], tmp_path, after=checks)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+# Modules that a command may load only when it runs them.
+ON_DEMAND = ("numpy", "v2xsustain.sim", "v2xsustain.fixtures", "v2xsustain.quadrature",
+             "v2xsustain.eventcsv")
+COMMAND_LOADS = [  # argv at the A1 defaults, exit code, what it loads
+    (["validate"], 0, set()),
+    (["sweep", "--param", "beta", "--out", "sweep.csv"], 0, set()),
+    (["table3", "--out", "table3.csv"], 0, {"v2xsustain.fixtures"}),
+    (["failsafe", "--out", "failsafe.csv"], 1, {"numpy", "v2xsustain.sim"}),
+    (["simulate", "--out", "out"], 0, {"numpy", "v2xsustain.sim", "v2xsustain.eventcsv"}),
+]
+
+
+@pytest.mark.parametrize("argv,code,loads", COMMAND_LOADS,
+                         ids=[argv[0] for argv, _, _ in COMMAND_LOADS])
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, code, loads):
+    after = f"print(sorted(m for m in {ON_DEMAND!r} if m in sys.modules))\n"
+    proc = run_main_in_child(argv, tmp_path, after=after)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(sorted(loads))
 
 
 def test_sweep_usage_errors(tmp_path, capsys):
@@ -783,7 +803,8 @@ def test_analytic_commands_never_integrate(
 
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
     assert not hasattr(predict_module, "integrate")  # predict has no quadrature route
-    monkeypatch.setattr("v2xsustain.sustain.integrate", refuse)
+    assert not hasattr(sustain_module, "integrate")  # the twin imports it when called
+    monkeypatch.setattr("v2xsustain.quadrature.integrate", refuse)
     assert_golden_output(tmp_path, argv, overrides, code, digest)
     capsys.readouterr()
 

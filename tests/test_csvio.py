@@ -11,8 +11,9 @@ import io
 import numpy as np
 import pytest
 
-from v2xsustain import csvio
-from v2xsustain.csvio import fmt, write_csv, write_event_columns
+from v2xsustain import eventcsv
+from v2xsustain.csvio import fmt, write_csv
+from v2xsustain.eventcsv import write_event_columns
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -84,7 +85,7 @@ def test_event_columns_match_the_csv_module(tmp_path_factory, t, chunk, data):
     path = tmp_path_factory.mktemp("csv") / "columns.csv"
     header = ("t_s", "kind", "entity_id")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(csvio, "_CHUNK_ROWS", chunk)
+        mp.setattr(eventcsv, "_CHUNK_ROWS", chunk)
         write_event_columns(path, header, t, codes, LABELS, ids)
     rows = zip(t.tolist(), (LABELS[c] for c in codes), ids.tolist())
     assert path.read_bytes() == csv_module_bytes(header, rows)

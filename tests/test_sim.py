@@ -23,10 +23,11 @@ from v2xsustain import (
     compare_to_model,
     run_simulation,
 )
-from v2xsustain import csvio, sim
+from v2xsustain import eventcsv, sim
 from v2xsustain.cli import main
 from v2xsustain.config import build_bundle, merge_config
-from v2xsustain.csvio import write_csv, write_event_columns
+from v2xsustain.csvio import write_csv
+from v2xsustain.eventcsv import write_event_columns
 from v2xsustain.decision import UPDATE_KEYS, score_failsafe_slots
 from v2xsustain.errors import DomainError, SimulationTruncated
 from v2xsustain.sim import Draws, EventTable
@@ -654,7 +655,7 @@ def test_events_csv_formats_times_by_bits_across_chunks(tmp_path, monkeypatch):
     labels = ("a", "bb", "c", "d")
     by_column = tmp_path / "columns.csv"
     by_row = tmp_path / "rows.csv"
-    monkeypatch.setattr(csvio, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(eventcsv, "_CHUNK_ROWS", 3)
     write_event_columns(by_column, ("t", "k", "i"), t, codes, labels, ids)
     write_csv(by_row, ("t", "k", "i"), (t.tolist(), [labels[c] for c in codes], ids.tolist()))
     assert by_column.read_bytes() == by_row.read_bytes()
@@ -672,8 +673,8 @@ def test_events_csv_formats_in_range_times_without_fmt(tmp_path, monkeypatch):
     rng = np.random.default_rng(20)
     t = np.concatenate([10.0 ** rng.uniform(-4, 8, 3000), [2.0**-13, 0.0, math.nan]])
     calls = []
-    real_fmt = csvio.fmt
-    monkeypatch.setattr(csvio, "fmt", lambda v: calls.append(v) or real_fmt(v))
+    real_fmt = eventcsv.fmt
+    monkeypatch.setattr(eventcsv, "fmt", lambda v: calls.append(v) or real_fmt(v))
     path = tmp_path / "events.csv"
     ids = np.zeros(len(t), dtype=np.int64)
     write_event_columns(path, ("t",), t, ids.astype(np.int8), ("a",), ids)

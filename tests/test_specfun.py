@@ -12,13 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from v2xsustain import (
-    EULER_GAMMA,
-    QuadSpec,
-    expint_ei,
-    integrate,
-    ln_gamma,
-)
+from v2xsustain.quadrature import QuadSpec, integrate
+from v2xsustain.specfun import EULER_GAMMA, expint_ei, ln_gamma
 from v2xsustain.errors import (
     ConvergenceError,
     DomainError,
