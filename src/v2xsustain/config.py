@@ -146,6 +146,8 @@ class Scenario:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not isinstance(self.event_cap, int) or self.event_cap < 1:
             raise DomainError(f"event_cap must be positive, got {self.event_cap!r}")
+        if self.event_cap >= 2**63:  # a run within the cap then counts in int64
+            raise DomainError(f"event_cap must be below 2**63, got {self.event_cap!r}")
 
 
 @dataclass(frozen=True)

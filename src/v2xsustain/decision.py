@@ -209,7 +209,7 @@ def score_failsafe_slots(
     loss at the observed connected count E', as the closed forms do; the
     empirical loss share 1 - E'/E is 0 at full connectivity and would leave
     S_N undefined. compliance holds one probability 1 - omega_x per slot.
-    Row k's mu is the batch estimator mean(S_N so far) / sum(ln(1/w)) over
+    Row k's mu is the batch estimator mean(S_N so far) / sum(-ln w) over
     compliance[:k], kept as running sums that add in the batch order, so
     both agree bit for bit. F_S is failsafe_point on the t_s and S_N
     columns, clipped to each row's t_s. numpy does only + - * / on the slot
@@ -230,7 +230,7 @@ def score_failsafe_slots(
     p[ok] = np.array([hop_loss_probability(net.n_inv, e, net.N) for e in levels.tolist()])[which]
     compliant = np.logical_and.accumulate((w > 0.0) & (w < 1.0))
     log_sum = np.zeros(n)
-    log_sum[compliant] = np.cumsum([math.log(1.0 / v) for v in w[compliant].tolist()])
+    log_sum[compliant] = np.cumsum([-math.log(v) for v in w[compliant].tolist()])
     with np.errstate(all="ignore"):  # the first bad slot is found below
         # observed D may exceed the planning bound N, so it is not checked against N
         s_n = (slots.U_k / net.n_inv) / (slots.D * p * net.Q)
@@ -240,7 +240,9 @@ def score_failsafe_slots(
         has_mu = compliant & (mean > 0.0)
         mu = np.divide(mean, log_sum, out=np.full(n, np.nan), where=has_mu)
     bad = ok & ~((p > 0.0) & np.isfinite(m_o) & np.isfinite(s_n_sum))
-    bad |= has_mu & ~(np.isfinite(mu) & (mu > 0.0))
+    # where has_mu, mean >= cap**-4 and log_sum <= 745 * cap with the event
+    # cap below 2**63, so mu >= 2**-325: it can only overflow
+    bad |= has_mu & ~np.isfinite(mu)
     if bad.any():  # raise what the first bad slot meets first
         k = int(np.argmax(bad))
         t = float(slots.t_s[k])
@@ -251,9 +253,7 @@ def score_failsafe_slots(
             message_overhead(float(slots.passes[k]), float(p[k]), net.E)
             if not math.isfinite(s_n_sum[k]):
                 raise OverflowRangeError(f"S_N is outside double range at t_s={t:g}")
-        if not math.isfinite(mu[k]):
-            raise OverflowRangeError(f"mu is outside double range at t_s={t:g}")
-        failsafe_tau(float(mu[k]), bounds, T)
+        raise OverflowRangeError(f"mu is outside double range at t_s={t:g}")
     t_s = slots.t_s.tolist()
     s_n, m_o, mu = map(nan_to_none, (s_n, m_o, mu))  # NaN where p or mu is
     tau = [None if u is None else failsafe_tau(u, bounds, T) for u in mu]

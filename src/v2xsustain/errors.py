@@ -19,13 +19,11 @@ class IntegrandError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A series or a quadrature failed to reach its tolerance.
+    """A quadrature failed to reach its tolerance.
 
-    The `Ei` power series (`specfun.expint_ei`) raises it after 600
-    terms, and the quadrature twin's engine (`quadrature.integrate`) at
-    its depth cap. Carries the best available estimate and an error
-    estimate (the last series term, or the quadrature's summed leaf
-    error), so callers can see how far the refinement got.
+    The quadrature twin's engine (`quadrature.integrate`) raises it at its
+    depth cap. Carries the best available estimate and an error estimate
+    (the summed leaf error), so callers can see how far the refinement got.
     """
 
     def __init__(self, message: str, best_estimate: float, error_estimate: float):

@@ -100,8 +100,6 @@ def run_structural_checks() -> list[CheckRow]:
         mu_q1 = case.mu[0]
         if mu_q1 is not None:
             for q, mu_q in zip(Q_VALUES, case.mu):
-                if mu_q is None:
-                    continue
                 rel = abs(mu_q * q - mu_q1) / mu_q1
                 rows.append(
                     CheckRow(

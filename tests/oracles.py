@@ -38,7 +38,7 @@ def scale_param_sustainability(mean_sustainability: float | None,
             raise DomainError(
                 f"compliance probability must lie strictly in (0, 1), got {w!r}"
             )
-        total += math.log(1.0 / w)
+        total -= math.log(w)
     return mean_sustainability / total
 
 

@@ -339,6 +339,18 @@ def test_hub_capacity_past_int64_runs_without_a_traceback(tmp_path, capsys, comm
         assert set(column["P_empirical"]) == {"1"}
 
 
+@pytest.mark.parametrize("command", ["validate", "sweep", "simulate", "failsafe"])
+def test_an_event_cap_past_int64_is_rejected(tmp_path, capsys, command):
+    # Q = 10**30 under a cap of 10**40 once ended simulate and failsafe in an
+    # OverflowError traceback at the slot metrics' Q * counts
+    cfg = write_config(tmp_path, Q=10**30, event_cap=10**40)
+    argv = {"validate": [], "sweep": ["--param", "beta", "--out", str(tmp_path / "x.csv")]}
+    assert main([command, cfg, *argv.get(command, ["--out", str(tmp_path / "out")])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"event_cap must be below 2**63, got {10**40}\n")
+
+
 def test_simulate_keeps_the_run_when_the_model_leaves_double_range(tmp_path, capsys):
     # A slot whose model value leaves double range gets empty S_N_model and
     # S_N_rel_dev cells and one warning line per run; the run still writes
@@ -438,17 +450,28 @@ def _limit_child_memory():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def run_main_in_child(argv: list[str], cwd, after: str = "") -> subprocess.CompletedProcess:
-    """main(argv) in a fresh interpreter, then the statements in after. The
+def run_in_child(args: list[str], cwd) -> subprocess.CompletedProcess:
+    """python args in a fresh interpreter with the package on PYTHONPATH. The
     timeout and the memory limit turn a grid loop that never ends into a
     failure instead of a hang."""
-    code = f"import sys\nfrom v2xsustain.cli import main\ncode = main({argv!r})\n{after}"
     env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG_PATH}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code + "sys.exit(code)\n"], cwd=cwd, env=env,
+        [sys.executable, *args], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=5, preexec_fn=_limit_child_memory,
     )
+
+
+def run_main_in_child(argv: list[str], cwd, after: str = "") -> subprocess.CompletedProcess:
+    """main(argv) in a fresh interpreter, then the statements in after."""
+    code = f"import sys\nfrom v2xsustain.cli import main\ncode = main({argv!r})\n{after}"
+    return run_in_child(["-c", code + "sys.exit(code)\n"], cwd)
+
+
+def test_the_cli_module_runs_as_a_script(tmp_path):
+    # the README times this entry point
+    proc = run_in_child(["-m", "v2xsustain.cli", "validate"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok: all constraints satisfied\n", "")
 
 
 @pytest.mark.parametrize("start,stop,step,message", SWEEP_RANGE_REJECTS)
@@ -554,6 +577,13 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert main(["sweep", "--param", "E", "--values", "12.5", "--out", out]) == 2
     assert main(["sweep", "--param", "beta", "--values", "oops", "--out", out]) == 2
     assert main(["sweep", "--param", "beta", "--start", "1", "--out", out]) == 2
+    capsys.readouterr()
+    for values in ("", ","):
+        assert main(["sweep", "--param", "beta", "--values", values, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --values: empty list\n"
+    range_argv = ["--start", "3", "--stop", "2", "--step", "1"]
+    assert main(["sweep", "--param", "beta", *range_argv, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: --start/--stop/--step produced no values\n"
     assert main(["sweep", "--param", "d1", "--out", out]) == 2  # no default grid
 
 

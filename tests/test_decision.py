@@ -179,7 +179,7 @@ def scalar_scores(trace, compliance, bounds):
                 raise OverflowRangeError(f"S_N is outside double range at t_s={t:g}")
         compliant = compliant and 0.0 < w < 1.0
         if compliant:
-            log_sum += math.log(1.0 / w)
+            log_sum -= math.log(w)
         mean = s_n_sum / s_n_count if s_n_count else 0.0
         mu = mean / log_sum if compliant and mean > 0.0 else None
         if mu is not None and not math.isfinite(mu):
@@ -228,6 +228,27 @@ def test_score_failsafe_slots_matches_the_scalar_scorer(overrides):
         assert str(got.value) == str(e)
     else:
         assert score_failsafe_slots(trace, compliance, b.bounds) == want
+
+
+def test_score_failsafe_slots_mu_is_accurate_near_full_compliance():
+    # ln(1/w) rounds 1/w first, which at w = 1 - 1e-15 put a 0.11 relative
+    # error into every mu; -ln(w) keeps w's digits
+    mpmath = pytest.importorskip("mpmath")
+    b = build_bundle(merge_config({"omega_x": 1e-15}))
+    trace = run_simulation(b.scenario)
+    compliance = b.omega_compliance(len(trace.slots))
+    table = score_failsafe_slots(trace, compliance, b.bounds)
+    checked = 0
+    for k, mu in enumerate(table.mu):
+        if mu is None:
+            continue
+        s_n = [s for s in table.S_N[: k + 1] if s is not None]
+        with mpmath.workdps(50):
+            log_sum = (k + 1) * -mpmath.log(mpmath.mpf(compliance[k]))
+            want = float(mpmath.mpf(math.fsum(s_n) / len(s_n)) / log_sum)
+        assert mu == pytest.approx(want, rel=1e-14, abs=0.0), k
+        checked += 1
+    assert checked > 10
 
 
 def test_score_failsafe_slots_s_n_sum_overflow_is_typed():

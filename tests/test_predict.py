@@ -255,6 +255,9 @@ def test_predicted_overhead_alpha_prime_domain():
     hot = RateParams(alpha=200.0, beta=300.0, gamma_prime=0.1)
     with pytest.raises(DomainError):
         predicted_message_overhead(hot, NET, WINDOW, RANGE, 1.0)
+    # a given alpha' passes that check, and the printed expansion's alpha/t2 fails
+    with pytest.raises(DomainError, match=r"alpha/t2 must be in \(0, 1\), got 1\.90"):
+        predicted_message_overhead(hot, NET, WINDOW, RANGE, 1.0, alpha_prime=0.5)
     # update rate above the short window end breaks the printed expansion
     fast = RateParams(alpha=6.0, beta=8.0, gamma_prime=0.1)
     with pytest.raises(DomainError):

@@ -151,6 +151,9 @@ def test_trace_equality_merges_nothing(monkeypatch):
     assert a != c
     assert not (a != b)
     assert merges == []
+    # tables of two types are unequal, with no field read across them
+    assert not (a.slots == a.draws)
+    assert a.slots != a.draws
 
 
 def test_pass_identity_scales_with_q():
@@ -165,6 +168,38 @@ def test_cohort_passes_belong_to_no_slot():
     assert in_slots == trace.passes_total - NET.Q * NET.E_zero
     in_slot_updates = sum(trace.slots.U_k.tolist())
     assert in_slot_updates == trace.key_updates_total
+
+
+DRAWN = ("arrive", "depart", "upd_t", "n_upd")
+
+
+@pytest.mark.parametrize("change,moved", [
+    ({"rates": RateParams(alpha=1.5, beta=2.0, gamma_prime=0.1)}, {"upd_t", "n_upd"}),
+    ({"rates": RateParams(alpha=1.0, beta=2.0, gamma_prime=0.2)}, {"depart", "upd_t", "n_upd"}),
+    ({"net": NetworkParams(N=10, E=20, E_zero=10, n_inv=5, Q=1)}, set()),
+    ({"net": NetworkParams(N=20, E=10, E_zero=10, n_inv=5, Q=1)}, set()),
+    ({"net": NetworkParams(N=10, E=10, E_zero=10, n_inv=3, Q=1)}, set()),
+    ({"window": TimeWindow(t1=5.0, t2=105.0, T=110.0, t_x_step=3.0)}, set()),
+])
+def test_a_parameter_moves_only_the_draws_it_drives(change, moved):
+    # seed-free: alpha moves only the update stream; gamma' moves the
+    # lifetimes and, through the stays, the updates; E, N, n_inv and the
+    # slot width drive no draw. The arrivals move with none of them.
+    base = run_simulation(scenario(seed=7)).draws
+    other = run_simulation(scenario(seed=7, **change)).draws
+    for name in DRAWN:
+        same = getattr(other, name).tobytes() == getattr(base, name).tobytes()
+        assert same != (name in moved), name
+
+
+def test_slot_updates_sum_to_the_updates_up_to_the_last_edge():
+    # 3 s slots end at 108 s, before T = 110 s; updates after the last edge are in no slot
+    window = TimeWindow(t1=5.0, t2=105.0, T=110.0, t_x_step=3.0)
+    trace = run_simulation(scenario(seed=7, window=window))
+    last = trace.slots.t_s[-1]
+    in_slots = int(np.count_nonzero(trace.draws.upd_t <= last))
+    assert last < window.T and in_slots < trace.key_updates_total
+    assert sum(trace.slots.U_k.tolist()) == in_slots
 
 
 def test_slot_capacity_and_loss_bounds():
@@ -515,6 +550,9 @@ def test_scenario_validation():
         scenario(seed=2**64)
     with pytest.raises(DomainError):
         scenario(event_cap=0)
+    with pytest.raises(DomainError, match=r"event_cap must be below 2\*\*63"):
+        scenario(event_cap=2**63)
+    assert scenario(event_cap=2**63 - 1).event_cap == 2**63 - 1
 
 
 def test_compare_requires_matching_scenario():

@@ -72,6 +72,11 @@ def test_ei_branch_consistency_at_cutoff():
     hi = expint_ei(math.nextafter(40.0, math.inf))
     assert hi == pytest.approx(lo, rel=1e-13, abs=0.0)
     assert expint_ei(40.0) == pytest.approx(oracle_ei(40.0), rel=1e-12, abs=0.0)
+    # x = 40 needs the most series terms; it keeps full accuracy in the bounded loop
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for x in (40.0, math.nextafter(40.0, 0.0)):
+            assert expint_ei(x) == pytest.approx(float(mpmath.ei(x)), rel=1e-15, abs=0.0)
 
 
 def test_ei_asymptotic_branch_against_oracle():

@@ -48,6 +48,8 @@ def test_network_params_validation():
         NetworkParams(N=10, E=-1)
     with pytest.raises(DomainError):
         NetworkParams(N=10, E=10, E_zero=11)
+    with pytest.raises(DomainError, match="E_zero must be a non-negative integer"):
+        NetworkParams(N=1, E=1, E_zero=-1)
     with pytest.raises(DomainError):
         NetworkParams(N=10, E=10, Q=0)
     # n_inv == E is data for the constraint checker, not a construction error
@@ -73,6 +75,11 @@ def test_time_window_validation():
         TimeWindow(t1=5.0, t2=105.0, T=100.0)
     with pytest.raises(DomainError):
         TimeWindow(t1=1.0, t2=2.0, T=3.0, t_min_hold=4.0)  # exceeds t_attack=T
+    # the config layer rejects these first; a library caller reaches the checks
+    with pytest.raises(DomainError, match="t_attack must be positive"):
+        TimeWindow(t1=5.0, t2=105.0, T=110.0, t_attack=0.0)
+    with pytest.raises(DomainError, match="t_use must be >= 0"):
+        TimeWindow(t1=5.0, t2=105.0, T=110.0, t_use=-1.0)
     w = TimeWindow(t1=5.0, t2=105.0, T=110.0)
     assert w.t_attack == 110.0
     assert w.t_min_hold == 110.0
