@@ -4,7 +4,7 @@ decision engine, and a Monte Carlo simulator with CSV emitters.
 
 Every public name is imported from its submodule on first access, so
 ``import v2xsustain`` loads nothing, and only the simulator's names
-(``sim``) load numpy.
+(``sim``) and the column rules of ``decision`` load numpy.
 """
 
 import importlib

@@ -21,44 +21,18 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .config import (
-    ENV_CONFIG_PATH,
-    FIELD_KINDS,
-    ScenarioBundle,
-    build_bundle,
-    default_config,
-    load_config,
-    merge_config,
-)
+from .config import (ENV_CONFIG_PATH, FIELD_KINDS, ScenarioBundle, build_bundle, default_config,
+                     load_config, merge_config)
 from .csvio import write_csv
-from .decision import (
-    CONTINUE,
-    FailsafeTable,
-    check_constraints,
-    score_failsafe_slots,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    OverflowRangeError,
-    SimulationTruncated,
-)
-from .predict import (
-    connectivity_prob,
-    failsafe_tau,
-    predicted_message_overhead,
-    resolve_alpha_prime,
-    scale_param,
-)
-from .sustain import (
-    loss_probability_model,
-    message_overhead,
-    signaling_overhead,
-    sustainability_window,
-)
+from .decision import CONTINUE, check_constraints, score_failsafe_slots
+from .errors import ConfigError, DomainError, OverflowRangeError, SimulationTruncated
+from .predict import (connectivity_prob, failsafe_tau, predicted_message_overhead,
+                      resolve_alpha_prime, scale_param)
+from .sustain import (loss_probability_model, message_overhead, signaling_overhead,
+                      sustainability_window)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -158,7 +132,8 @@ def _sweep_values(args) -> list[float]:
     )
 
 
-def _sweep_row(param: str, value: float, base: dict, warnings: list[str], last_mu: list) -> tuple:
+def _sweep_row(param: str, value: float, base: dict, origin: str, warnings: list[str],
+               last_mu: list) -> tuple:
     integer = FIELD_KINDS[param] == "int"
     if integer and not (math.isfinite(value) and value == int(value)):
         raise ConfigError(f"parameter {param!r} takes integer values, got {value!r}")
@@ -169,6 +144,8 @@ def _sweep_row(param: str, value: float, base: dict, warnings: list[str], last_m
     if param == "E":
         overrides.setdefault("E0", min(base["E0"], int(value)))
     source = f"sweep {param}={value:g}"
+    if origin != "<config>":  # a row's errors name the config file, then the row
+        source = f"{origin}: {source}"
     # base is checked once by _resolve_config; a row checks only its overrides
     checked = merge_config(overrides, source=source)
     b = build_bundle({**base, **{k: checked[k] for k in overrides}}, source=source)
@@ -226,7 +203,7 @@ def _sweep_row(param: str, value: float, base: dict, warnings: list[str], last_m
 
 
 def cmd_sweep(args) -> int:
-    base, _ = _resolve_config(args.config)
+    base, origin = _resolve_config(args.config)
     if args.param not in FIELD_KINDS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}")
     values = _sweep_values(args)
@@ -234,7 +211,7 @@ def cmd_sweep(args) -> int:
     base = {k: tuple(v) if isinstance(v, list) else v for k, v in base.items()}
     warnings: list[str] = []
     last_mu: list = [None, None, []]  # p_x, its mu, its warnings
-    rows = [_sweep_row(args.param, v, base, warnings, last_mu) for v in values]
+    rows = [_sweep_row(args.param, v, base, origin, warnings, last_mu) for v in values]
     write_csv(args.out, SWEEP_HEADER, list(zip(*rows, strict=True)))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -305,7 +282,7 @@ def cmd_failsafe(args) -> int:
         print(f"simulation truncated at event cap: {e}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     table = score_failsafe_slots(trace, compliance, b.bounds)
-    write_csv(args.out, FailsafeTable._fields, table)
+    write_csv(args.out, [f.name for f in fields(table)], table)
     last_decision = table.decision[-1] if table.decision else None
     print(f"wrote {len(table.t_s)} rows to {args.out}; final decision: {last_decision}")
     return EXIT_OK if last_decision == CONTINUE else EXIT_CHECK_FAILED

@@ -1,22 +1,46 @@
 """CSV emission shared by every module that exports tables.
 
-One formatting rule everywhere: floats carry 9 significant digits,
-integers print as plain digits, missing values as empty cells. Keeping
-the rule in one place is what makes simulation exports byte-stable.
+One formatting rule everywhere: floats carry 9 significant digits (inf
+stays inf), integers print as plain digits, and None or NaN, the one
+marker of a missing value, is an empty cell. Keeping the rule in one
+place is what makes simulation exports byte-stable.
 
-`write_csv` takes a table as columns: text as it is, floats with None gaps in
-one `%.9g` batch, other cells through `fmt`. It needs no numpy. The events
-CSV writer, which keeps these bytes, is in `eventcsv`.
+`write_csv` takes columns, lists or numpy arrays, and writes them a block
+of rows at a time. It never imports numpy: a numpy column's block becomes
+Python values by its `tolist`. The events CSV writer, which keeps these
+bytes, is in `eventcsv`.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
+_BLOCK_ROWS = 8192  # rows formatted at once, so the writer's memory does not grow past them
+
+
+class _Columns:
+    """Dataclass fields of equally long columns: len counts the rows,
+    iteration yields the columns in field order, and == matches NaN to NaN."""
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __iter__(self):
+        return (getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other):
+        import numpy as np  # only the columns' owners have loaded it
+
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(a == b if isinstance(a, list) else np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(self, other))
+
 
 def fmt(value) -> str:
-    if value is None:
+    if value is None or value != value:  # NaN too
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -27,35 +51,34 @@ def fmt(value) -> str:
     return str(value)
 
 
-def nan_to_none(column) -> list:
-    """A numpy column as Python values, with None (an empty cell) for NaN."""
-    return [None if v != v else v for v in column.tolist()]
-
-
 def write_csv(path: str | Path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
     """Write header and columns (no columns: no rows), each cell fmt(value),
     quoted as csv.writer(lineterminator="\n") quotes them; ValueError unless
     there is one column per header name and all are equally long."""
-    columns = [tuple(c) for c in columns] or [()] * len(header)
+    columns = [c if hasattr(c, "__getitem__") else tuple(c) for c in columns]
+    columns = columns or [()] * len(header)
     if len(columns) != len(header) or len(set(map(len, columns))) > 1:
         raise ValueError(f"{len(columns)} columns of {sorted(set(map(len, columns)))} "
                          f"cells under {len(header)} names")
-    table = []
-    for name, col in zip(header, columns):
-        kinds = set(map(type, col))
-        if col and kinds <= {float, type(None)}:  # one "%.9g" batch; None: an empty cell
-            spec = "\n".join(["" if v is None else "%.9g" for v in col])
-            col = (spec % tuple([v for v in col if v is not None])).split("\n")
-        elif not kinds <= {str}:  # a column of text only is used as it is
-            col = map(fmt, col)
-        cells = [str(name), *col]
-        joined = "".join(cells)
-        if "," in joined or '"' in joined or "\n" in joined:  # quote only where needed
-            cells = ['"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c
-                     else c for c in cells]
-        table.append(cells)
-    if len(table) == 1:  # csv.writer writes a lone empty cell as ""
-        table = [['""' if c == "" else c for c in table[0]]]
-    lines = map(",".join, zip(*table)) if table else [""]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_lines([[str(name)] for name in header]))
+        for lo in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
+            fh.write(_lines([c[lo : lo + _BLOCK_ROWS] for c in columns]))
+
+
+def _lines(table: list) -> str:
+    """A block of rows, given by column, as CSV lines."""
+    for k, col in enumerate(table):
+        col = col.tolist() if hasattr(col, "tolist") else col
+        kinds = set(map(type, col))
+        if kinds <= {float, type(None)}:  # one "%.9g" batch; None and NaN: empty
+            spec = "\n".join(["%.9g" if v == v and v is not None else "" for v in col])
+            col = (spec % tuple([v for v in col if v == v and v is not None])).split("\n")
+        elif not kinds <= {str}:  # a column of text only is used as it is
+            col = list(map(fmt, col))
+        joined = "".join(col)
+        if "," in joined or '"' in joined or "\n" in joined:  # quote only where needed
+            col = ['"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c
+                   else c for c in col]
+        table[k] = ['""' if c == "" else c for c in col] if len(table) == 1 else col
+    return "\n".join(map(",".join, zip(*table))) + "\n"  # csv.writer: a lone empty cell is ""

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .csvio import nan_to_none
+from .csvio import _Columns
 from .errors import DomainError, OverflowRangeError
 from .predict import SCALE_FLOOR, LikelihoodBounds, failsafe_tau
 from .sustain import NetworkParams, TimeWindow
@@ -133,26 +133,28 @@ def failsafe_point(
     with the threshold counts as safe; a None or NaN S_N breaks the run. A
     breach at the first sample, or no samples, gives None.
     """
+    import numpy as np  # the columns are scanned whole
+
     if len(t_s) != len(s_n):
         raise DomainError(f"{len(t_s)} sample times for {len(s_n)} S_N values")
-    for t_prev, t in zip(t_s, t_s[1:]):
-        if not t_prev < t:
-            raise DomainError(f"trace times must be strictly increasing at t={t!r}")
-    f_s = None
-    for t, s in zip(t_s, s_n):
-        if s is None or not s >= thresholds.S_N_TH:
-            break
-        f_s = t
-    return f_s
+    t, safe = np.asarray(t_s, dtype=float), np.array(s_n, dtype=float) >= thresholds.S_N_TH
+    bad = np.flatnonzero(~(t[:-1] < t[1:]))
+    if len(bad):
+        raise DomainError(f"trace times must be strictly increasing at t={t.item(bad[0] + 1)!r}")
+    end = int(np.argmin(np.append(safe, False)))  # the first breach; NaN (None) is never safe
+    return t.item(end - 1) if end else None
 
 
 def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence,
           thresholds: Thresholds) -> tuple[list[str], list[str]]:
     """The decision and rationale columns for columns of S_N, M_O and mu
-    (None where undefined); decide() is the one-row case. The kind code keeps
-    the decision order: mu <= SCALE_FLOOR, then too few observations, then
-    S_N/M_O breaches, then continue. Each rationale kind is formatted in one
-    "%g" batch over its rows; '%g' % x is f"{x:g}" for a float."""
+    (None or NaN where undefined); decide() is the one-row case. The kind
+    code keeps the decision order: mu <= SCALE_FLOOR, then too few
+    observations, then S_N/M_O breaches, then continue. Each rationale kind
+    is formatted in one "%g" batch; '%g' % x is f"{x:g}" for a float."""
+    import numpy as np  # the codes are worked out column by column
+
+    s_n, m_o, mu = (np.array(c, dtype=float) for c in (s_n, m_o, mu))  # None: NaN
     s_th, m_th = thresholds.S_N_TH, thresholds.M_O_TH
     kinds = (  # (decision, rationale template, its columns), by kind code
         (UPDATE_KEYS, "insufficient observations in this slot", ()),
@@ -163,39 +165,40 @@ def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence,
         (UPDATE_KEYS, f"M_O %g > {m_th:g}", (m_o,)),
         (UPDATE_KEYS, f"S_N %g < {s_th:g}; M_O %g > {m_th:g}", (s_n, m_o)),
     )
-    code = [1 if u is not None and u <= SCALE_FLOOR else 0 if s is None or m is None or u is None
-            else 2 + (s < s_th) + 2 * (m > m_th) for s, m, u in zip(s_n, m_o, mu)]
-    rows = [[] for _ in kinds]
-    for k, c in enumerate(code):
-        rows[c].append(k)
-    rationale = [""] * len(code)
-    for (_, template, columns), at in zip(kinds, rows):
-        text = "\n".join([template] * len(at)) % tuple([col[k] for k in at for col in columns])
-        for k, line in zip(at, text.split("\n")):
-            rationale[k] = line
-    return [kinds[c][0] for c in code], rationale
+    code = 2 + (s_n < s_th) + 2 * (m_o > m_th)
+    code[np.isnan(s_n) | np.isnan(m_o) | np.isnan(mu)] = 0
+    code[mu <= SCALE_FLOOR] = 1
+    decision, rationale = np.array([kind[:2] for kind in kinds], dtype=object)[code].T
+    for c, (_, template, columns) in enumerate(kinds):
+        if columns:  # a kind without values keeps its one template object
+            at = np.flatnonzero(code == c)
+            values = np.transpose([col[at] for col in columns]).ravel().tolist()  # row by row
+            rationale[at] = ("\n".join([template] * len(at)) % tuple(values)).split("\n")
+    return decision.tolist(), rationale.tolist()
 
 
 def decide(s_n: float, m_o: float, mu: float, thresholds: Thresholds) -> FailSafeReport:
     """Operational decision from current metrics, the one-row case of _rule.
 
     Reconfiguration wins whenever mu is at or below the operability floor;
-    then an undefined metric (None) or a threshold breach forces key
+    then an undefined metric (None or NaN) or a threshold breach forces key
     updates; otherwise continue.
     """
     (decision,), (rationale,) = _rule([s_n], [m_o], [mu], thresholds)
     return FailSafeReport(mu=mu, decision=decision, rationale=rationale)
 
 
-class FailsafeTable(NamedTuple):
-    """The scored slots by column; the field names are the fail-safe table header."""
+@dataclass(frozen=True, eq=False)
+class FailsafeTable(_Columns):
+    """The scored slots: float64 numpy columns, NaN where a cell is undefined,
+    and the decision and rationale text; the field names are the CSV header."""
 
-    t_s: list[float]
-    S_N: list[float | None]
-    M_O: list[float | None]
-    mu: list[float | None]
-    tau: list[float | None]
-    F_S: list[float | None]
+    t_s: Sequence[float]
+    S_N: Sequence[float]
+    M_O: Sequence[float]
+    mu: Sequence[float]
+    tau: Sequence[float]
+    F_S: Sequence[float]
     decision: list[str]
     rationale: list[str]
 
@@ -254,10 +257,8 @@ def score_failsafe_slots(
             if not math.isfinite(s_n_sum[k]):
                 raise OverflowRangeError(f"S_N is outside double range at t_s={t:g}")
         raise OverflowRangeError(f"mu is outside double range at t_s={t:g}")
-    t_s = slots.t_s.tolist()
-    s_n, m_o, mu = map(nan_to_none, (s_n, m_o, mu))  # NaN where p or mu is
-    tau = [None if u is None else failsafe_tau(u, bounds, T) for u in mu]
-    end = failsafe_point(t_s, s_n, thresholds)
-    f_s = [None] * n if end is None else np.minimum(slots.t_s, end).tolist()
-    return FailsafeTable(t_s, s_n, m_o, mu, tau, f_s, *_rule(s_n, m_o, mu, thresholds))
+    tau = np.array([np.nan if math.isnan(u) else failsafe_tau(u, bounds, T) for u in mu.tolist()])
+    end = failsafe_point(slots.t_s, s_n, thresholds)
+    f_s = np.full(n, np.nan) if end is None else np.minimum(slots.t_s, end)
+    return FailsafeTable(slots.t_s, s_n, m_o, mu, tau, f_s, *_rule(s_n, m_o, mu, thresholds))
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Scenario
-from .csvio import nan_to_none, write_csv
+from .csvio import _Columns, write_csv
 from .decision import check_constraints
 from .errors import DomainError, OverflowRangeError, SimulationTruncated
 from .sustain import _window_form, loss_probability_model
@@ -39,19 +39,6 @@ _KIND_NAMES = ("arrival", "auth_pass", "key_update", "departure")
 _GATHER_ROWS = 1 << 16  # rows per in-place gather step in _merge_blocks
 # The largest mean Generator.poisson accepts; above it, it raises ValueError.
 _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
-
-
-class _Columns:
-    """Dataclass fields of numpy columns, len the first's; == matches NaN to NaN."""
-
-    def __len__(self) -> int:
-        return len(getattr(self, fields(self)[0].name))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=True)
-                   for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +134,9 @@ class SimTrace:
 
     def export_metrics_csv(self, path: str | Path) -> None:
         s = self.slots
-        write_csv(
-            path,
-            ("t_s", "E_active", "P_empirical", "U_k", "D", "passes",
-             "S_N_emp", "M_O_emp"),
-            [nan_to_none(c) for c in (s.t_s, s.E_prime, s.P_empirical, s.U_k, s.D,
-                                      s.passes, s.S_N_emp, s.M_O_emp)],
-        )
+        header = ("t_s", "E_active", "P_empirical", "U_k", "D", "passes", "S_N_emp", "M_O_emp")
+        columns = [s.t_s, s.E_prime, s.P_empirical, s.U_k, s.D, s.passes, s.S_N_emp, s.M_O_emp]
+        write_csv(path, header, columns)
 
 
 def _time_order(t: np.ndarray) -> np.ndarray:
@@ -220,7 +203,8 @@ def _event_blocks(draws: Draws, scenario: Scenario) -> tuple[_Block, ...]:
         passes = _Block(session_t, session_id, order, scenario.net.Q)
         updates = _Block(session_t, session_id, order[is_upd[order]], 1)
     else:  # the sessions are the arrivals, already in order; no update rows
-        passes = _Block(arrive, ids, ids, scenario.net.Q)
+        # Q < event_cap unless no vehicle came: numpy never sees a Q past int64
+        passes = _Block(arrive, ids, ids, min(scenario.net.Q, scenario.event_cap))
         updates = _Block(upd_t, ids[:0], ids[:0], 1)
     departures = _Block(draws.depart, ids, gone[_time_order(draws.depart[gone])], 1)
     return _Block(arrive, ids, ids, 1), passes, updates, departures
@@ -273,7 +257,8 @@ def _slot_table(draws: Draws, n_slots: int, scenario: Scenario) -> SlotTable:
     cohort_gone = upto(np.sort(depart[:net.E_zero]), gone_at)
     active = arrived - cohort_gone - upto(np.sort(depart[net.E_zero:]), gone_at)
     u_k = np.diff(upto(np.sort(draws.upd_t)))
-    passes = net.Q * (np.diff(arrived) + u_k)
+    # Q < event_cap unless no vehicle came: numpy never sees a Q past int64
+    passes = min(net.Q, scenario.event_cap) * (np.diff(arrived) + u_k)
     survivors = net.E_zero - cohort_gone
 
     d = active[1:]
@@ -376,19 +361,21 @@ def run_simulation(scenario: Scenario) -> SimTrace:
     return SimTrace(scenario, draws, _slot_table(draws, n_slots, scenario))
 
 
-class ComparisonTable(NamedTuple):
-    """The compared slots by column; the field names are the comparison CSV header."""
+@dataclass(frozen=True, eq=False)
+class ComparisonTable(_Columns):
+    """The compared slots as float64 numpy columns, NaN where a cell is
+    undefined; the field names are the comparison CSV header."""
 
-    t_s: list[float]
-    S_N_emp: list[float | None]
-    S_N_model: list[float | None]
-    S_N_rel_dev: list[float | None]
-    P_emp: list[float]
-    P_model: list[float]
-    P_abs_dev: list[float]
-    survivor_emp: list[float | None]
-    survivor_model: list[float | None]
-    survivor_abs_dev: list[float | None]
+    t_s: np.ndarray
+    S_N_emp: np.ndarray
+    S_N_model: np.ndarray
+    S_N_rel_dev: np.ndarray
+    P_emp: np.ndarray
+    P_model: np.ndarray
+    P_abs_dev: np.ndarray
+    survivor_emp: np.ndarray
+    survivor_model: np.ndarray
+    survivor_abs_dev: np.ndarray
 
 
 @dataclass
@@ -415,13 +402,13 @@ class ComparisonReport:
         return self.passes_observed == self.passes_expected
 
     def export_csv(self, path: str | Path) -> None:
-        write_csv(path, ComparisonTable._fields, self.table)
+        write_csv(path, [f.name for f in fields(self.table)], self.table)
 
 
-def _mean_abs(column: list[float | None]) -> float | None:
-    """Mean of |v| over the defined cells, summed in slot order; None if none."""
-    defined = [abs(v) for v in column if v is not None]
-    return sum(defined) / len(defined) if defined else None
+def _mean_abs(column: np.ndarray) -> float | None:
+    """Mean of |v| over the defined cells, summed in slot order by cumsum; None if none."""
+    defined = np.abs(column[~np.isnan(column)])
+    return float(np.cumsum(defined)[-1] / len(defined)) if len(defined) else None
 
 
 def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
@@ -432,7 +419,8 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     model value because its window starts at t = 0. A slot whose closed form
     leaves its domain or double range has no model value either; its
     message goes to s_n_model_errors. Survivor fractions
-    compare the initial cohort against exponential decay. Both pass counts
+    compare the initial cohort against exponential decay (math.exp per
+    slot: np.exp can differ in the last bit). Both pass counts
     are trace.passes_total, so the pass identity holds on every trace by
     construction; they stay only while perfbench's cohort_1e5 check reads
     them (ROADMAP item 16). The event table's auth_pass rows are checked in
@@ -443,25 +431,26 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     net, rates, window = scenario.net, scenario.rates, scenario.window
     p_model = loss_probability_model(net)
     s = trace.slots
-    t_s, s_n_emp, p_emp, cohort = map(nan_to_none, (
-        s.t_s, s.S_N_emp, s.P_empirical, s.cohort_fraction))
-    s_n_model = [None] * len(t_s)
+    n = len(s)
+    s_n_model = np.full(n, np.nan)
     model_errors = []
     if rates.alpha > 0.0 and rates.beta > rates.alpha:
-        for k, (t1, edge) in enumerate(zip([0.0, *t_s], t_s)):
-            t2 = min(edge, window.T)
+        for k in range(1, n):  # the first slot's window starts at t = 0
+            t1, t2 = s.t_s.item(k - 1), min(s.t_s.item(k), window.T)
             if 0.0 < t1 < t2:
                 try:
                     s_n_model[k] = _window_form(rates, net, t1, t2, net.Q)
                 except (DomainError, OverflowRangeError) as e:
                     model_errors.append(str(e))
-    s_n_rel = [None if e is None or m is None or m == 0.0 else (e - m) / abs(m)
-               for e, m in zip(s_n_emp, s_n_model)]
-    survivor_model = [None if c is None else math.exp(-rates.gamma_prime * t)
-                      for t, c in zip(t_s, cohort)]
-    survivor_dev = [None if c is None else abs(c - m) for c, m in zip(cohort, survivor_model)]
+    cohort = s.cohort_fraction
+    survivor_model = np.full(n, np.nan)
+    if net.E_zero:  # else no cohort: every survivor cell is empty
+        survivor_model = np.fromiter(map(math.exp, -rates.gamma_prime * s.t_s), float, n)
+    with np.errstate(all="ignore"):  # inf and NaN as Python float arithmetic gives them
+        s_n_rel = np.divide(s.S_N_emp - s_n_model, np.abs(s_n_model),
+                            out=np.full(n, np.nan), where=s_n_model != 0.0)
     table = ComparisonTable(
-        t_s, s_n_emp, s_n_model, s_n_rel, p_emp, [p_model] * len(t_s),
-        [abs(p - p_model) for p in p_emp], cohort, survivor_model, survivor_dev,
+        s.t_s, s.S_N_emp, s_n_model, s_n_rel, s.P_empirical, np.full(n, p_model),
+        np.abs(s.P_empirical - p_model), cohort, survivor_model, np.abs(cohort - survivor_model),
     )
     return ComparisonReport(table, trace.passes_total, trace.passes_total, model_errors)

@@ -351,6 +351,40 @@ def test_an_event_cap_past_int64_is_rejected(tmp_path, capsys, command):
     assert err.endswith(f"event_cap must be below 2**63, got {10**40}\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "failsafe"])
+def test_a_q_past_int64_with_no_vehicle_ends_cleanly(tmp_path, capsys, command):
+    # n = 0 vehicles passes the n * (1 + Q) cap check at any Q; the slot
+    # metrics' Q * counts and the events' pass block once raised OverflowError
+    cfg = write_config(tmp_path, Q=10**30, E0=0, beta=1e-6, alpha=1e-7)
+    out = tmp_path / "out"
+    code = main([command, cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert err.count("error: ") <= 1
+    metrics = out / "run0_metrics.csv" if command == "simulate" else out
+    rows = [line.split(",") for line in metrics.read_text().splitlines()[1:]]
+    assert len(rows) == 22
+    if command == "simulate":
+        assert {r[5] for r in rows} == {"0"}  # no vehicle, no pass
+        assert (out / "run0_events.csv").read_text() == "t_s,kind,entity_id\n"
+
+
+def test_sweep_names_the_config_file_of_a_failing_base(tmp_path, capsys):
+    # the base is checked field by field on load and as a Scenario per row,
+    # so a row's error names the file, then the row; a base that the swept
+    # field repairs is accepted
+    cfg = write_config(tmp_path, "cap.json", event_cap=10**40)
+    out = str(tmp_path / "x.csv")
+    assert main(["sweep", cfg, "--param", "beta", "--out", out]) == 2
+    want = f"{cfg}: sweep beta=2: event_cap must be below 2**63, got {10**40}\n"
+    assert capsys.readouterr().err == f"error: {want}"
+    assert main(["validate", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+    cfg = write_config(tmp_path, "zero.json", event_cap=0)
+    assert main(["sweep", cfg, "--param", "event_cap", "--values", "100000", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_keeps_the_run_when_the_model_leaves_double_range(tmp_path, capsys):
     # A slot whose model value leaves double range gets empty S_N_model and
     # S_N_rel_dev cells and one warning line per run; the run still writes
@@ -670,9 +704,10 @@ def test_simulate_comparison_digest_where_s_n_is_defined(tmp_path, monkeypatch, 
     scn = build_bundle(load_config(cfg), source=cfg).scenario
     report = compare_to_model(run_simulation(scn), scn)
     table = report.table
-    devs = [abs((e - m) / abs(m)) for e, m in zip(table.S_N_emp, table.S_N_model)
-            if e is not None and m is not None]
-    assert len(devs) == 21 and devs == [abs(v) for v in table.S_N_rel_dev if v is not None]
+    devs = [abs((e - m) / abs(m)) for e, m in zip(table.S_N_emp.tolist(), table.S_N_model.tolist())
+            if not (math.isnan(e) or math.isnan(m))]
+    assert len(devs) == 21
+    assert devs == [abs(v) for v in table.S_N_rel_dev.tolist() if not math.isnan(v)]
     assert report.s_n_mean_rel_dev == sum(devs) / len(devs)  # slot order, bit for bit
 
 

@@ -11,7 +11,7 @@ import io
 import numpy as np
 import pytest
 
-from v2xsustain import eventcsv
+from v2xsustain import csvio, eventcsv
 from v2xsustain.csvio import fmt, write_csv
 from v2xsustain.eventcsv import write_event_columns
 
@@ -46,19 +46,29 @@ cells = st.one_of(floats, floats.map(np.float64), st.integers(-(10**20), 10**20)
 
 
 # the routes of write_csv: floats in one batch, floats with None gaps (an
-# all-None column among them), text as it is, and mixed cells value by value
-columns_of = (floats, st.one_of(floats, st.none()), st.none(), text, cells)
+# all-None column among them), text as it is, mixed cells value by value,
+# and numpy float64 (NaN gaps among them) and int64 columns
+columns_of = (floats, st.one_of(floats, st.none()), st.none(), text, cells,
+              (floats, np.float64), (st.integers(-(2**63), 2**63 - 1), np.int64))
 
 
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
-@hypothesis.given(width=st.integers(1, 4), n=st.integers(0, 6), data=st.data())
-def test_write_csv_matches_the_csv_module(tmp_path_factory, width, n, data):
+@hypothesis.given(width=st.integers(1, 4), n=st.integers(0, 12), block=st.integers(1, 8),
+                  data=st.data())
+def test_write_csv_matches_the_csv_module(tmp_path_factory, width, n, block, data):
     kinds = data.draw(st.lists(st.sampled_from(columns_of), min_size=width, max_size=width))
     header = data.draw(st.lists(text, min_size=width, max_size=width))
-    columns = [data.draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]
+    columns = []
+    for kind in kinds:
+        cell, dtype = kind if isinstance(kind, tuple) else (kind, None)
+        column = data.draw(st.lists(cell, min_size=n, max_size=n))
+        columns.append(column if dtype is None else np.array(column, dtype=dtype))
     path = tmp_path_factory.mktemp("csv") / "columns.csv"
-    write_csv(path, header, columns)
-    assert path.read_bytes() == csv_module_bytes(header, zip(*columns))
+    with pytest.MonkeyPatch.context() as mp:  # blocks of a few rows, as of 8192 in use
+        mp.setattr(csvio, "_BLOCK_ROWS", block)
+        write_csv(path, header, columns)
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    assert path.read_bytes() == csv_module_bytes(header, zip(*cells))
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):

@@ -134,8 +134,9 @@ def test_score_failsafe_slots_mu_matches_batch_scale_param(seed, breach_at):
     table = score_failsafe_slots(trace, compliance, b.bounds)
     assert len(table.t_s) == 1100
     samples = []
-    for k, (row_s_n, row_mu) in enumerate(zip(table.S_N, table.mu, strict=True), start=1):
-        if row_s_n is not None:
+    for k, (row_s_n, row_mu) in enumerate(zip(table.S_N.tolist(), table.mu.tolist(),
+                                              strict=True), start=1):
+        if not math.isnan(row_s_n):
             samples.append(row_s_n)
         mean = 0.0
         for s_n in samples:  # left to right, independent of sum()'s algorithm
@@ -146,26 +147,26 @@ def test_score_failsafe_slots_mu_matches_batch_scale_param(seed, breach_at):
                 omegas=compliance[:k],
             )
         except DomainError:
-            mu = None
-        assert row_mu == mu, k
+            mu = math.nan
+        assert row_mu == mu or math.isnan(row_mu) and math.isnan(mu), k
         if breach_at is not None and k > breach_at:
-            assert row_mu is None
-    assert sum(u is not None for u in table.mu) > 500
+            assert math.isnan(row_mu)
+    assert np.count_nonzero(~np.isnan(table.mu)) > 500
 
 
 def scalar_scores(trace, compliance, bounds):
     """Reference: the per-slot scorer the slot columns replaced, one
     hop_loss_probability, message_overhead and decide() call per slot, and
-    a scalar scan for the end of the safe prefix."""
+    a scalar scan for the end of the safe prefix; NaN marks an undefined cell."""
     scn = trace.scenario
     net, thresholds, slots = scn.net, scn.thresholds, trace.slots
-    table = FailsafeTable(*([] for _ in FailsafeTable._fields))
+    table = [[] for _ in dataclasses.fields(FailsafeTable)]
     s_n_sum = log_sum = 0.0
     s_n_count = 0
     compliant = True
     for k, w in enumerate(compliance):
         t, e_prime, d = float(slots.t_s[k]), int(slots.E_prime[k]), int(slots.D[k])
-        s_n = m_o = None
+        s_n = m_o = math.nan
         if e_prime > net.n_inv and d > 0:
             p = hop_loss_probability(net.n_inv, e_prime, net.N)
             if p == 0.0:
@@ -181,25 +182,25 @@ def scalar_scores(trace, compliance, bounds):
         if compliant:
             log_sum -= math.log(w)
         mean = s_n_sum / s_n_count if s_n_count else 0.0
-        mu = mean / log_sum if compliant and mean > 0.0 else None
-        if mu is not None and not math.isfinite(mu):
+        mu = mean / log_sum if compliant and mean > 0.0 else math.nan
+        if not (math.isnan(mu) or math.isfinite(mu)):
             raise OverflowRangeError(f"mu is outside double range at t_s={t:g}")
-        tau = None if mu is None else failsafe_tau(mu, bounds, scn.window.T)
-        if s_n is None or mu is None:
+        tau = math.nan if math.isnan(mu) else failsafe_tau(mu, bounds, scn.window.T)
+        if math.isnan(s_n) or math.isnan(mu):
             decision, rationale = UPDATE_KEYS, "insufficient observations in this slot"
         else:
             report = decide(s_n, m_o, mu, thresholds)
             decision, rationale = report.decision, report.rationale
-        for column, cell in zip(table, (t, s_n, m_o, mu, tau, None, decision, rationale)):
+        for column, cell in zip(table, (t, s_n, m_o, mu, tau, math.nan, decision, rationale)):
             column.append(cell)
-    F_S = None
-    for t, s_n in zip(table.t_s, table.S_N):
-        if s_n is None or s_n < thresholds.S_N_TH:
+    t_s, S_N, F_S = table[0], table[1], None
+    for t, s_n in zip(t_s, S_N):
+        if math.isnan(s_n) or s_n < thresholds.S_N_TH:
             break
         F_S = t
     if F_S is not None:
-        table.F_S[:] = [min(t, F_S) for t in table.t_s]
-    return table
+        table[5] = [min(t, F_S) for t in t_s]
+    return FailsafeTable(*map(np.array, table[:6]), *table[6:])
 
 
 @pytest.mark.parametrize("overrides", [
@@ -239,10 +240,10 @@ def test_score_failsafe_slots_mu_is_accurate_near_full_compliance():
     compliance = b.omega_compliance(len(trace.slots))
     table = score_failsafe_slots(trace, compliance, b.bounds)
     checked = 0
-    for k, mu in enumerate(table.mu):
-        if mu is None:
+    for k, mu in enumerate(table.mu.tolist()):
+        if math.isnan(mu):
             continue
-        s_n = [s for s in table.S_N[: k + 1] if s is not None]
+        s_n = [s for s in table.S_N[: k + 1].tolist() if not math.isnan(s)]
         with mpmath.workdps(50):
             log_sum = (k + 1) * -mpmath.log(mpmath.mpf(compliance[k]))
             want = float(mpmath.mpf(math.fsum(s_n) / len(s_n)) / log_sum)
@@ -310,8 +311,9 @@ def test_decide_continue():
 
 
 def test_decide_undefined_metric_is_insufficient_observations():
-    # None marks a metric undefined in its slot, for S_N, M_O and mu alike
-    for s_n, m_o, mu in ((None, 10.0, 5.0), (100.0, None, 5.0), (100.0, 10.0, None)):
+    # None or NaN marks a metric undefined in its slot, for S_N, M_O and mu alike
+    for s_n, m_o, mu in ((None, 10.0, 5.0), (100.0, None, 5.0), (100.0, 10.0, None),
+                         (math.nan, 10.0, 5.0), (100.0, math.nan, 5.0), (100.0, 10.0, math.nan)):
         report = decide(s_n=s_n, m_o=m_o, mu=mu, thresholds=TH)
         assert report.decision == UPDATE_KEYS
         assert report.rationale == "insufficient observations in this slot"

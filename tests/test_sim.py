@@ -568,8 +568,8 @@ def test_compare_report_shape():
     assert all(len(column) == 22 for column in report.table)
     assert report.pass_identity_ok
     assert report.passes_observed == report.passes_expected
-    assert report.table.S_N_model[0] is None  # first slot starts at t = 0
-    assert all(m is not None for m in report.table.S_N_model[1:])
+    assert np.isnan(report.table.S_N_model[0])  # first slot starts at t = 0
+    assert not np.isnan(report.table.S_N_model[1:]).any()
     assert report.table.P_model == pytest.approx([0.5**10] * 22, rel=1e-12, abs=0.0)
 
 
@@ -584,7 +584,7 @@ def test_report_summaries_are_views_of_its_table():
         trace.slots = trace.slots
     for summary, column in ((report.survivor_mad, report.table.survivor_abs_dev),
                             (report.s_n_mean_rel_dev, report.table.S_N_rel_dev)):
-        defined = [abs(v) for v in column if v is not None]
+        defined = [abs(v) for v in column.tolist() if not math.isnan(v)]
         assert len(defined) > 10 and summary == sum(defined) / len(defined)
     assert report.pass_identity_ok
     assert not dataclasses.replace(report, passes_observed=0).pass_identity_ok
@@ -607,7 +607,7 @@ def test_compare_builds_no_window_per_slot(monkeypatch):
     monkeypatch.setattr(TimeWindow, "__post_init__", counting)
     report = compare_to_model(trace, sc)
     assert len(report.table.t_s) == 1100
-    assert all(m is not None for m in report.table.S_N_model[1:])
+    assert not np.isnan(report.table.S_N_model[1:]).any()
     assert calls == []
 
 
@@ -615,7 +615,7 @@ def test_compare_model_columns_absent_without_closed_form():
     rates = RateParams(alpha=2.0, beta=2.0, gamma_prime=0.1)
     sc = scenario(rates=rates)
     report = compare_to_model(run_simulation(sc), sc)
-    assert all(m is None for m in report.table.S_N_model)
+    assert np.isnan(report.table.S_N_model).all()
     assert report.s_n_mean_rel_dev is None
 
 
@@ -640,6 +640,25 @@ def test_csv_exports(tmp_path):
         "t_s,S_N_emp,S_N_model,S_N_rel_dev,P_emp,P_model,P_abs_dev,"
         "survivor_emp,survivor_model,survivor_abs_dev"
     )
+
+
+def test_metrics_csv_memory_does_not_grow_with_the_slots(tmp_path):
+    # write_csv formats a block of rows at a time, so the metrics CSV's peak
+    # at 2e5 slots stays within 2x of its peak at 2e4 slots
+    peaks = []
+    for slots in (20_000, 200_000):
+        b = build_bundle(merge_config({"T_s": float(slots), "t2_s": slots / 10,
+                                       "tx_step_s": 1.0, "beta": 0.1, "alpha": 1e-6}))
+        trace = run_simulation(b.scenario)
+        assert len(trace.slots) == slots
+        tracemalloc.start()
+        try:
+            trace.export_metrics_csv(tmp_path / "metrics.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "metrics.csv").read_text().splitlines()) == 1 + slots
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 @pytest.mark.parametrize(
