@@ -5,10 +5,12 @@ stays inf), integers print as plain digits, and None or NaN, the one
 marker of a missing value, is an empty cell. Keeping the rule in one
 place is what makes simulation exports byte-stable.
 
-`write_csv` takes columns, lists or numpy arrays, and writes them a block
-of rows at a time. It never imports numpy: a numpy column's block becomes
-Python values by its `tolist`. The events CSV writer, which keeps these
-bytes, is in `eventcsv`.
+`write_csv` is the one writer. It never imports numpy: a table with a
+numpy column (anything with a `dtype`) goes to `arraycsv.write_rows`,
+loaded on first use, which formats whole blocks of cells with numpy and
+gives the same bytes (a table under 1024 cells it hands back to `_lines`,
+value by value). A table of lists is written here, a block of rows at a
+time.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
-_BLOCK_ROWS = 8192  # rows formatted at once, so the writer's memory does not grow past them
+_BLOCK_CELLS = 1 << 17  # cells formatted at once, so the writer's memory does not grow past them
 
 
 class _Columns:
@@ -55,30 +57,42 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Iterable[Sequenc
     """Write header and columns (no columns: no rows), each cell fmt(value),
     quoted as csv.writer(lineterminator="\n") quotes them; ValueError unless
     there is one column per header name and all are equally long."""
-    columns = [c if hasattr(c, "__getitem__") else tuple(c) for c in columns]
+    columns = [c if hasattr(c, "__len__") else tuple(c) for c in columns]
     columns = columns or [()] * len(header)
     if len(columns) != len(header) or len(set(map(len, columns))) > 1:
         raise ValueError(f"{len(columns)} columns of {sorted(set(map(len, columns)))} "
                          f"cells under {len(header)} names")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    block = max(1, _BLOCK_CELLS // max(len(columns), 1))
+    with open(path, "wb") as fh:
         fh.write(_lines([[str(name)] for name in header]))
-        for lo in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS):
-            fh.write(_lines([c[lo : lo + _BLOCK_ROWS] for c in columns]))
+        if any(hasattr(c, "dtype") for c in columns):
+            from .arraycsv import write_rows  # only tables with numpy columns load it
+
+            write_rows(fh, columns, block)
+            return
+        for lo in range(0, len(columns[0]) if columns else 0, block):
+            fh.write(_lines([c[lo : lo + block] for c in columns]))
 
 
-def _lines(table: list) -> str:
-    """A block of rows, given by column, as CSV lines."""
+def _quoted(cells: list, lone: bool = False, joined: str | None = None) -> list:
+    """Text cells as csv.writer writes them: quoted, quotes doubled, where
+    they hold a comma, a quote or a newline; a lone empty cell is '""'.
+    joined is the cells joined by any separator, when the caller has it."""
+    joined = "".join(cells) if joined is None else joined
+    if "," in joined or '"' in joined or "\n" in joined:  # quote only where needed
+        cells = ['"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c
+                 else c for c in cells]
+    return ['""' if c == "" else c for c in cells] if lone else cells
+
+
+def _lines(table: list) -> bytes:
+    """A block of rows of Python values, given by column, as CSV lines."""
     for k, col in enumerate(table):
-        col = col.tolist() if hasattr(col, "tolist") else col
         kinds = set(map(type, col))
         if kinds <= {float, type(None)}:  # one "%.9g" batch; None and NaN: empty
             spec = "\n".join(["%.9g" if v == v and v is not None else "" for v in col])
             col = (spec % tuple([v for v in col if v == v and v is not None])).split("\n")
         elif not kinds <= {str}:  # a column of text only is used as it is
             col = list(map(fmt, col))
-        joined = "".join(col)
-        if "," in joined or '"' in joined or "\n" in joined:  # quote only where needed
-            col = ['"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c
-                   else c for c in col]
-        table[k] = ['""' if c == "" else c for c in col] if len(table) == 1 else col
-    return "\n".join(map(",".join, zip(*table))) + "\n"  # csv.writer: a lone empty cell is ""
+        table[k] = _quoted(col, len(table) == 1)
+    return ("\n".join(map(",".join, zip(*table))) + "\n").encode()

@@ -125,12 +125,11 @@ class SimTrace:
         return _merge_blocks(list(_event_blocks(self.draws, self.scenario)))
 
     def export_events_csv(self, path: str | Path) -> None:
-        from .eventcsv import write_event_columns  # only simulate writes events
+        from .arraycsv import Codes  # the numpy table writer, which write_csv loads anyway
 
         ev = self.events
-        write_event_columns(
-            path, ("t_s", "kind", "entity_id"), ev.t, ev.kind, _KIND_NAMES, ev.entity
-        )
+        write_csv(path, ("t_s", "kind", "entity_id"),
+                  (ev.t, Codes(ev.kind, _KIND_NAMES), ev.entity))
 
     def export_metrics_csv(self, path: str | Path) -> None:
         s = self.slots

@@ -574,13 +574,13 @@ def test_runs_beyond_the_budget_end_at_once(tmp_path, overrides, message):
 
 # Modules that a command may load only when it runs them.
 ON_DEMAND = ("numpy", "v2xsustain.sim", "v2xsustain.fixtures", "v2xsustain.quadrature",
-             "v2xsustain.eventcsv")
+             "v2xsustain.arraycsv")
 COMMAND_LOADS = [  # argv at the A1 defaults, exit code, what it loads
     (["validate"], 0, set()),
     (["sweep", "--param", "beta", "--out", "sweep.csv"], 0, set()),
     (["table3", "--out", "table3.csv"], 0, {"v2xsustain.fixtures"}),
-    (["failsafe", "--out", "failsafe.csv"], 1, {"numpy", "v2xsustain.sim"}),
-    (["simulate", "--out", "out"], 0, {"numpy", "v2xsustain.sim", "v2xsustain.eventcsv"}),
+    (["failsafe", "--out", "failsafe.csv"], 1, {"numpy", "v2xsustain.sim", "v2xsustain.arraycsv"}),
+    (["simulate", "--out", "out"], 0, {"numpy", "v2xsustain.sim", "v2xsustain.arraycsv"}),
 ]
 
 

@@ -1,4 +1,5 @@
-"""Property tests: both CSV writers give the bytes of the csv module.
+"""Property tests: write_csv's two routes, lists and numpy tables, give
+the bytes of the csv module.
 
 The oracle is `csv.writer(lineterminator="\\n")` over `fmt` cells, the
 route the writers replaced. Derandomized, so Tier-1 stays deterministic.
@@ -7,13 +8,14 @@ Skipped when Hypothesis is not installed.
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
 
-from v2xsustain import csvio, eventcsv
+from v2xsustain import arraycsv, csvio
+from v2xsustain.arraycsv import Codes
 from v2xsustain.csvio import fmt, write_csv
-from v2xsustain.eventcsv import write_event_columns
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -64,8 +66,9 @@ def test_write_csv_matches_the_csv_module(tmp_path_factory, width, n, block, dat
         column = data.draw(st.lists(cell, min_size=n, max_size=n))
         columns.append(column if dtype is None else np.array(column, dtype=dtype))
     path = tmp_path_factory.mktemp("csv") / "columns.csv"
-    with pytest.MonkeyPatch.context() as mp:  # blocks of a few rows, as of 8192 in use
-        mp.setattr(csvio, "_BLOCK_ROWS", block)
+    with pytest.MonkeyPatch.context() as mp:  # blocks of a few rows, as of thousands in use
+        mp.setattr(csvio, "_BLOCK_CELLS", block * width)
+        mp.setattr(arraycsv, "_TABLE_CELLS", 0)  # numpy columns through the block writer
         write_csv(path, header, columns)
     cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     assert path.read_bytes() == csv_module_bytes(header, zip(*cells))
@@ -95,7 +98,90 @@ def test_event_columns_match_the_csv_module(tmp_path_factory, t, chunk, data):
     path = tmp_path_factory.mktemp("csv") / "columns.csv"
     header = ("t_s", "kind", "entity_id")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eventcsv, "_CHUNK_ROWS", chunk)
-        write_event_columns(path, header, t, codes, LABELS, ids)
+        mp.setattr(csvio, "_BLOCK_CELLS", chunk * len(header))
+        mp.setattr(arraycsv, "_TABLE_CELLS", 0)
+        write_csv(path, header, (t, Codes(codes, LABELS), ids))
     rows = zip(t.tolist(), (LABELS[c] for c in codes), ids.tolist())
     assert path.read_bytes() == csv_module_bytes(header, rows)
+
+
+def _power_and_neighbours(k: int) -> list[float]:
+    p = float(f"1e{k}")
+    return [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+
+
+POWERS = [v for k in range(-324, 309) for v in _power_and_neighbours(k)]
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+CHARS = list("a7 ,\"\n\ré")
+
+
+def _float_column(rng, n: int):
+    """n float64 across all of float64: random bit patterns (every exponent,
+    sign and NaN payload); 10**k and its neighbours, where the exponent
+    search is decided; doubles nearest a 9-digit tie, of either sign, at
+    exponents across the range; and the specials."""
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    powers = np.array(POWERS)[rng.integers(0, len(POWERS), n)]
+    ties = np.array([float(f"{m}5e{e}") for m, e in zip(rng.integers(10**8, 10**9, n).tolist(),
+                                                        rng.integers(-330, 301, n).tolist())])
+    ties *= rng.choice([-1.0, 1.0], n)
+    specials = np.array(SPECIALS)[rng.integers(0, len(SPECIALS), n)]
+    return np.choose(rng.integers(0, 4, n), [bits, powers, ties, specials])
+
+
+def _int_column(rng, n: int, kind: int):
+    """n integers: near each power of ten up to 10**18, where a table ends
+    and groups of digits begin, or any int64 >= 0; all of uint64; int64 with
+    negatives, which go through fmt; booleans."""
+    if kind == 0:
+        near = 10 ** rng.integers(0, 19, n, dtype=np.uint64) - np.uint64(2)
+        near += rng.integers(0, 4, n, dtype=np.uint64)
+        return np.where(rng.random(n) < 0.5, near, rng.integers(0, 2**63, n, dtype=np.uint64))
+    if kind == 1:
+        return rng.integers(0, 2**64, n, dtype=np.uint64)
+    if kind == 2:
+        return rng.integers(-(2**63), 2**63, n, dtype=np.int64)
+    return rng.random(n) < 0.5
+
+
+def _text(rng, n: int) -> list:
+    return ["".join(rng.choice(CHARS, rng.integers(0, 5))) for _ in range(n)]
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(n=st.integers(0, 60), block=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+                  int_kind=st.integers(0, 3), order=st.permutations(range(4)),
+                  width=st.integers(1, 4), by_value=st.booleans())
+def test_numpy_tables_match_the_csv_module(tmp_path_factory, n, block, seed, int_kind, order,
+                                           width, by_value):
+    # float, integer, text and code columns in any order, in blocks of any
+    # size, through the block writer or, as a small table, by value; numpy
+    # draws the values from the seed, which keeps each example fast
+    rng = np.random.default_rng(seed)
+    labels = _text(rng, int(rng.integers(1, 5)))
+    codes = Codes(rng.integers(0, len(labels), n).astype(np.int8), labels)
+    columns = [_float_column(rng, n), _int_column(rng, n, int_kind), _text(rng, n), codes]
+    columns = [columns[k] for k in order[:width]]
+    header = [f"c{k}" for k in order[:width]]
+    path = tmp_path_factory.mktemp("csv") / "numpy.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "_BLOCK_CELLS", block * width)
+        mp.setattr(arraycsv, "_TABLE_CELLS", 10**9 if by_value else 0)
+        write_csv(path, header, columns)
+    cells = [[c.labels[k] for k in c.codes.tolist()] if isinstance(c, Codes)
+             else c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    assert path.read_bytes() == csv_module_bytes(header, zip(*cells))
+
+
+def test_float_cells_match_fmt_at_every_power_of_ten(tmp_path, monkeypatch):
+    monkeypatch.setattr(arraycsv, "_TABLE_CELLS", 0)
+    path = tmp_path / "powers.csv"
+    write_csv(path, ("x",), [np.array(POWERS)])
+    assert path.read_bytes() == csv_module_bytes(("x",), ([v] for v in POWERS))
+
+
+def test_numpy_tables_reject_a_nul_in_text(tmp_path, monkeypatch):
+    # the block writer deletes NUL padding, so a NUL in a cell cannot pass it
+    monkeypatch.setattr(arraycsv, "_TABLE_CELLS", 0)
+    with pytest.raises(ValueError, match="NUL"):
+        write_csv(tmp_path / "nul.csv", ("x", "y"), (np.zeros(2), ["a", "b\0c"]))

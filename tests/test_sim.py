@@ -8,6 +8,7 @@ compares against Poisson bin masses computed here from the pmf directly.
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,11 +24,11 @@ from v2xsustain import (
     compare_to_model,
     run_simulation,
 )
-from v2xsustain import eventcsv, sim
+from v2xsustain import arraycsv, csvio, sim
+from v2xsustain.arraycsv import Codes
 from v2xsustain.cli import main
 from v2xsustain.config import build_bundle, merge_config
-from v2xsustain.csvio import write_csv
-from v2xsustain.eventcsv import write_event_columns
+from v2xsustain.csvio import fmt, write_csv
 from v2xsustain.decision import UPDATE_KEYS, score_failsafe_slots
 from v2xsustain.errors import DomainError, SimulationTruncated
 from v2xsustain.sim import Draws, EventTable
@@ -688,16 +689,14 @@ def test_events_csv_matches_write_csv(tmp_path, overrides):
 def test_events_csv_of_no_rows_is_the_header(tmp_path):
     path = tmp_path / "empty.csv"
     no_rows = np.empty(0)
-    write_event_columns(
-        path, ("t_s", "kind", "entity_id"), no_rows, no_rows.astype(np.int8),
-        ("arrival",), no_rows.astype(np.int64),
-    )
+    write_csv(path, ("t_s", "kind", "entity_id"),
+              (no_rows, Codes(no_rows.astype(np.int8), ("arrival",)), no_rows.astype(np.int64)))
     assert path.read_bytes() == b"t_s,kind,entity_id\n"
 
 
 def test_events_csv_formats_times_by_bits_across_chunks(tmp_path, monkeypatch):
     # a time is formatted once per run of equal bits: 0.0 and -0.0 compare
-    # equal but print apart, and runs that span a chunk boundary restart.
+    # equal but print apart, and runs that span a block boundary restart.
     # The rest are edges of the vectorised %.9g: exact 9-digit ties, doubles
     # next to a tie whose scaled product rounds onto it, both ends of
     # [1e-4, 1e8), carries to one more digit, and values outside
@@ -708,12 +707,13 @@ def test_events_csv_formats_times_by_bits_across_chunks(tmp_path, monkeypatch):
     ])
     codes = np.array([0, 1, 1, 2, 0, 3, 3, 1, 2, 0] + [1, 2, 3] * 5, dtype=np.int8)
     ids = np.array([0, 0, 1, 1, 2, 2, 0, 3, 3, 1] + list(range(4, 19)), dtype=np.int64)
-    ids[-3] = 1234567  # ids are a dense table: this one makes it 1234568 long
+    ids[-3] = 1234567  # past the digit table of a 3-row block: written in 1-digit groups
     labels = ("a", "bb", "c", "d")
     by_column = tmp_path / "columns.csv"
     by_row = tmp_path / "rows.csv"
-    monkeypatch.setattr(eventcsv, "_CHUNK_ROWS", 3)
-    write_event_columns(by_column, ("t", "k", "i"), t, codes, labels, ids)
+    monkeypatch.setattr(csvio, "_BLOCK_CELLS", 9)  # 3 rows of 3 cells
+    monkeypatch.setattr(arraycsv, "_TABLE_CELLS", 0)  # a small table, through the block writer
+    write_csv(by_column, ("t", "k", "i"), (t, Codes(codes, labels), ids))
     write_csv(by_row, ("t", "k", "i"), (t.tolist(), [labels[c] for c in codes], ids.tolist()))
     assert by_column.read_bytes() == by_row.read_bytes()
     lines = by_column.read_text().splitlines()
@@ -724,20 +724,51 @@ def test_events_csv_formats_times_by_bits_across_chunks(tmp_path, monkeypatch):
     ]
 
 
-def test_events_csv_formats_in_range_times_without_fmt(tmp_path, monkeypatch):
-    # times in [1e-4, 1e8) that are not within 1e-6 of a 9-digit tie never
-    # reach the per-value route; the tie, 0.0 and nan do
-    rng = np.random.default_rng(20)
-    t = np.concatenate([10.0 ** rng.uniform(-4, 8, 3000), [2.0**-13, 0.0, math.nan]])
+def _near_tie(v: float) -> bool:
+    """Whether |v| * 10**(8 - E), exactly, lies within 2e-6 of a half-integer,
+    with E the decimal exponent of v's nine-digit rounding or one above it."""
+    z = abs(Fraction(v)) * Fraction(10) ** (8 - int(f"{v:.8e}".split("e")[1]))
+    return any(abs(w - math.floor(w) - Fraction(1, 2)) < Fraction(2, 10**6) for w in (z, z * 10))
+
+
+def _fmt_calls(monkeypatch) -> list:
     calls = []
-    real_fmt = eventcsv.fmt
-    monkeypatch.setattr(eventcsv, "fmt", lambda v: calls.append(v) or real_fmt(v))
+    real_fmt = arraycsv.fmt
+    monkeypatch.setattr(arraycsv, "fmt", lambda v: calls.append(v) or real_fmt(v))
+    return calls
+
+
+def test_events_csv_formats_in_range_times_without_fmt(tmp_path, monkeypatch):
+    # times in [1e-4, 1e8) never reach the per-value route, nor do 0.0 and
+    # nan; exact 9-digit ties (2**-13, 78125/64) and doubles next to one
+    # are settled exactly in fixed form
+    rng = np.random.default_rng(20)
+    ties = [2.0**-13, 78125 / 64, 400.0919115, 0.1140812545, 0.0, math.nan]
+    t = np.concatenate([10.0 ** rng.uniform(-4, 8, 3000), ties])
+    calls = _fmt_calls(monkeypatch)
     path = tmp_path / "events.csv"
     ids = np.zeros(len(t), dtype=np.int64)
-    write_event_columns(path, ("t",), t, ids.astype(np.int8), ("a",), ids)
-    assert calls[:2] == [2.0**-13, 0.0] and math.isnan(calls[2]) and len(calls) == 3
+    write_csv(path, ("t", "k", "i"), (t, Codes(ids.astype(np.int8), ("a",)), ids))
+    assert calls == []
     cells = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
-    assert cells == [real_fmt(v) for v in t.tolist()]
+    assert cells == [fmt(v) for v in t.tolist()]
+
+
+def test_slot_table_formats_exponent_form_and_negatives_without_fmt(tmp_path, monkeypatch):
+    # 1e5 cells of either sign from 1e-300 to 1e300, most in exponent form,
+    # and zeros of both signs: only 9-digit near ties reach the per-value
+    # route (about 2e-6 of random cells are near one)
+    rng = np.random.default_rng(34)
+    x = 10.0 ** rng.uniform(-300, 300, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    x[::997] = 0.0
+    x[::1999] = -0.0
+    calls = _fmt_calls(monkeypatch)
+    path = tmp_path / "slots.csv"
+    columns = list(x.reshape(10, -1))
+    write_csv(path, [f"c{k}" for k in range(10)], columns)
+    assert len(calls) <= 2 and all(map(_near_tie, calls)), calls
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert rows == [[fmt(v) for v in row] for row in zip(*(c.tolist() for c in columns))]
 
 
 def test_key_updates_lie_in_clipped_stays():
