@@ -10,14 +10,14 @@ text cell with one raises ValueError), so deleting every NUL byte of a
 block's records leaves its CSV text. The cells by kind of column:
 
 - float: the vectorised `%.9g` below, one call for all float columns of a
-  block. Where runs of equal bits make up most of it (an event time
-  repeats across a session's rows), each run is formatted once. A column
-  drops a sign or exponent part that is NUL in every row;
+  block, once per run of equal bits (an event time repeats across a
+  session's rows). A column drops a sign or exponent part that is NUL in
+  every row;
 - non-negative integer: one lookup in a table of every value up to the
   largest where that is below max(1000, rows), else a 4-byte word per 3
   digits: the tables grow with a block's rows, not with the values;
 - `Codes`: each label quoted once, then taken by its code;
-- any other (lists, text, negative integers): `fmt` per cell unless all
+- any other (lists, text, negative integers, bools): `fmt` per cell unless all
   are str, then quoted and encoded once per block.
 
 A cell made from a table (a label, an integer below the table's end)
@@ -65,14 +65,12 @@ exact and vectorised as follows, with u = 2**-53:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 from .csvio import _lines, _quoted, fmt
 
 _TABLE_CELLS = 1024  # a table of fewer cells is written by value: the tables would cost more
 _NEAR_TIE = 1e-6  # > 4.5e-7, the most by which y can miss the exact product
-_RUN_SHARE = 0.75  # format runs, not rows, where a block has fewer runs than this share
 # s = E + _E0 indexes the per-exponent tables for a finite x != 0 (E in
 # -324..308); s = 0 is ±0.0, and _NAN is NaN and ±inf (one more after a carry)
 _E0, _NAN = 325, 634
@@ -169,12 +167,11 @@ def _cell_parts(np, col, rows: int, lone: bool, words, lead: bytes, sep: bytes):
         table = table.view(f"V{table.itemsize}")
         return (lambda lo, hi: [table[col.codes[lo:hi].astype(np.intp)]]), True
     kind = getattr(col, "dtype", np.dtype(object)).kind
-    if kind in "biu":
+    if kind in "iu":
         # a negative value is at least 2**(bits - 1) as unsigned; signed indices take fastest
         top = int(col.view(f"u{col.itemsize}").max(initial=0))
-        if kind != "i" or top < 2 ** (8 * col.itemsize - 1):
-            return _digit_parts(np, col.view(np.uint8) if kind == "b" else col, top, rows,
-                                words, lead + sep)
+        if kind == "u" or top < 2 ** (8 * col.itemsize - 1):
+            return _digit_parts(np, col, top, rows, words, lead + sep)
     return (lambda lo, hi: [_text_cells(np, col[lo:hi], lone)]), False
 
 
@@ -209,21 +206,17 @@ def _float_parts(np, blocks: list, format_floats) -> list:
 
 
 def _float_runs(np, x, format_floats):
-    """format_floats on x, or on the first of each run of equal bits and
-    spread over the run's rows where runs are few (0.0 and -0.0 compare
-    equal but print apart)."""
+    """format_floats on the first of each run of equal bits in x, spread
+    over the run's rows (0.0 and -0.0 compare equal but print apart)."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     bits = x.view(np.int64)
     first = np.empty(len(x), dtype=bool)
     first[0] = True
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    if len(starts) > _RUN_SHARE * len(x):
-        return format_floats(x)
     which = first.astype(np.intp)
     np.cumsum(which, out=which)
     which -= 1
-    return [p[which] for p in format_floats(x[starts])]
+    return [p[which] for p in format_floats(x[first])]
 
 
 def _digit_parts(np, col, top: int, rows: int, words, seps: bytes):

@@ -22,7 +22,7 @@ drawn: D counts the vehicles present in the slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -127,9 +127,9 @@ class SimTrace:
     def export_events_csv(self, path: str | Path) -> None:
         from .arraycsv import Codes  # the numpy table writer, which write_csv loads anyway
 
-        ev = self.events
+        ev = self.events  # a table whose len counts its rows, with the kinds as labels
         write_csv(path, ("t_s", "kind", "entity_id"),
-                  (ev.t, Codes(ev.kind, _KIND_NAMES), ev.entity))
+                  replace(ev, kind=Codes(ev.kind, _KIND_NAMES)))
 
     def export_metrics_csv(self, path: str | Path) -> None:
         s = self.slots

@@ -132,7 +132,7 @@ def _float_column(rng, n: int):
 def _int_column(rng, n: int, kind: int):
     """n integers: near each power of ten up to 10**18, where a table ends
     and groups of digits begin, or any int64 >= 0; all of uint64; int64 with
-    negatives, which go through fmt; booleans."""
+    negatives, which go through fmt; booleans, which do too."""
     if kind == 0:
         near = 10 ** rng.integers(0, 19, n, dtype=np.uint64) - np.uint64(2)
         near += rng.integers(0, 4, n, dtype=np.uint64)
