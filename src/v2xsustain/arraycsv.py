@@ -1,13 +1,14 @@
 """The CSV writer for numpy tables, which `csvio.write_csv` loads on first
-use for a table with a numpy column.
+use for a table it vectorises: two or more columns, one of them numpy,
+and 1024 cells or more.
 
 `write_rows` gives `write_csv`'s bytes a block of rows at a time, with no
 Python step per row or per float. Each row of a block is a record of
 fixed-width fields: the parts of each cell, and a "," or "\\n" byte where
 no cell carries it. Parts are padded with NUL, and most are 1, 2, 4, 8 or
 16 bytes wide, the widths numpy copies fastest. No cell holds a NUL (a
-text cell with one raises ValueError), so deleting every NUL byte of a
-block's records leaves its CSV text. The cells by kind of column:
+text cell or label with one raises ValueError), so deleting every NUL
+byte of a block's records leaves its CSV text. The cells by kind of column:
 
 - float: the vectorised `%.9g` below, one call for all float columns of a
   block, once per run of equal bits (an event time repeats across a
@@ -23,6 +24,8 @@ block's records leaves its CSV text. The cells by kind of column:
 A cell made from a table (a label, an integer below the table's end)
 carries its separators, so that its NUL padding joins its neighbours' and
 the NUL bytes come in fewer runs, which the deletion passes faster.
+Tables that no column shapes are built once, at import; the scales and
+exponent parts of an exponent outside fixed form fill in on its first cell.
 
 `%.9g` of a float64 x != 0 is m, the nine-digit rounding of
 z_E = |x| * 10**(8 - E), at the decimal exponent E of |x|, or 1e8 at E + 1
@@ -44,7 +47,6 @@ exact and vectorised as follows, with u = 2**-53:
   both products are normal doubles. That is at most four roundings of
   relative size u (two powers, two products), and only x below 1e-322 has
   all four: |y - z_E| <= 4.0001 * u * y, under 4.5e-7 where y <= 1e9 + 0.5.
-  A power is computed once per call, on the first cell of its exponent.
 - `rint(y)` is therefore the rounding of z_E unless y lies within
   _NEAR_TIE = 1e-6 of a half-integer. In fixed form y is one rounding of
   z_E, and such a near tie is settled exactly, ties to even as %.9g
@@ -58,18 +60,15 @@ exact and vectorised as follows, with u = 2**-53:
   from which later groups are zero. Fixed form has e = E; exponent form
   writes the digits at e = 0 and an exponent part "e+09" ... "e-324".
 - A sign part holds "-" where the sign bit is set (-0.0 too), ±0.0 is the
-  prefix word "0", and NaN is empty ('""' in a table of one column, as
-  csv.writer writes a lone empty cell).
+  prefix word "0", and NaN is empty.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import numpy as np
 
-from .csvio import _lines, _quoted, fmt
+from .csvio import Codes, _quoted, fmt
 
-_TABLE_CELLS = 1024  # a table of fewer cells is written by value: the tables would cost more
 _NEAR_TIE = 1e-6  # > 4.5e-7, the most by which y can miss the exact product
 # s = E + _E0 indexes the per-exponent tables for a finite x != 0 (E in
 # -324..308); s = 0 is ±0.0, and _NAN is NaN and ±inf (one more after a carry)
@@ -78,50 +77,19 @@ _FORMS = 15  # form 0 is ±0.0, 1..13 fixed form at e = form - 5, 14 NaN
 _BLANK, _LEAD, _LEAD_BLANK = 10, 11, 12  # group-word variants: see _group_words
 
 
-@dataclass(frozen=True)
-class Codes:
-    """A text column as integer codes into labels: row i's cell is
-    labels[codes[i]], with codes a numpy integer array."""
-
-    codes: object
-    labels: Sequence[str]
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def tolist(self) -> list:
-        """The labels, one per row."""
-        return [self.labels[k] for k in self.codes.tolist()]
-
-    @property
-    def dtype(self):
-        """The codes' dtype, by which write_csv sends the table here."""
-        return self.codes.dtype
-
-
 def write_rows(fh, columns: list, block_rows: int) -> None:
     """Write the rows of equally long columns to the binary file fh,
     block_rows at a time, with write_csv's bytes."""
-    import numpy as np  # the columns are numpy arrays
-
     n = len(columns[0])
-    if not n:
-        return
-    if n * len(columns) < _TABLE_CELLS:
-        fh.write(_lines([c.tolist() if hasattr(c, "tolist") else list(c) for c in columns]))
-        return
     rows = min(n, block_rows)
-    lone = len(columns) == 1  # csv.writer writes a lone empty cell as ""
     floats = [k for k, c in enumerate(columns) if hasattr(c, "dtype") and c.dtype.kind == "f"]
-    words = _group_words(np)
-    format_floats = _float_formatter(np, lone, words) if floats else None
     seps = [b","] * (len(columns) - 1) + [b"\n"]
     carried = [False] * len(columns)  # separator k is inside a cell, before or after it
     cells = {}
     for k, c in enumerate(columns):
         if k not in floats:
             lead = seps[k - 1] if k and not carried[k - 1] else b""
-            cells[k] = _cell_parts(np, c, rows, lone, words, lead, seps[k])
+            cells[k] = _cell_parts(c, rows, lead, seps[k])
             if cells[k][1]:
                 carried[k] = True
                 carried[k - 1] |= bool(lead)
@@ -130,8 +98,7 @@ def write_rows(fh, columns: list, block_rows: int) -> None:
         hi = min(n, lo + block_rows)
         parts = {k: f(lo, hi) for k, (f, _) in cells.items()}
         if floats:
-            blocks = [columns[k][lo:hi] for k in floats]
-            parts.update(zip(floats, _float_parts(np, blocks, format_floats)))
+            parts.update(zip(floats, _float_parts([columns[k][lo:hi] for k in floats])))
         fields = []
         for k in range(len(columns)):
             fields += [(f"{k}.{j}", p.dtype) for j, p in enumerate(parts[k])]
@@ -155,14 +122,15 @@ def _fit(n: int) -> int:
     return next((w for w in (1, 2, 4, 8, 16) if w >= n), 16 * -(-n // 16))
 
 
-def _cell_parts(np, col, rows: int, lone: bool, words, lead: bytes, sep: bytes):
+def _cell_parts(col, rows: int, lead: bytes, sep: bytes):
     """(parts, carries) for a column that is not float: parts(lo, hi) gives
     the parts of the cells of col[lo:hi], each an array of one fixed-width
     cell per row. A cell from a table carries lead + text + sep, so that
     its NUL padding joins its neighbours' and the NUL bytes come in fewer
     runs, which the deletion passes faster; carries says whether it does."""
     if isinstance(col, Codes):
-        labels = [lead + c.encode() + sep for c in _quoted(list(col.labels), lone)]
+        labels = _text_cells(col.labels)
+        labels = [lead + c + sep for c in labels.view(f"S{labels.itemsize}").tolist()]
         table = np.array(labels, dtype=f"S{_fit(max(map(len, labels)))}")
         table = table.view(f"V{table.itemsize}")
         return (lambda lo, hi: [table[col.codes[lo:hi].astype(np.intp)]]), True
@@ -171,12 +139,13 @@ def _cell_parts(np, col, rows: int, lone: bool, words, lead: bytes, sep: bytes):
         # a negative value is at least 2**(bits - 1) as unsigned; signed indices take fastest
         top = int(col.view(f"u{col.itemsize}").max(initial=0))
         if kind == "u" or top < 2 ** (8 * col.itemsize - 1):
-            return _digit_parts(np, col, top, rows, words, lead + sep)
-    return (lambda lo, hi: [_text_cells(np, col[lo:hi], lone)]), False
+            return _digit_parts(col, top, rows, lead + sep)
+    return (lambda lo, hi: [_text_cells(col[lo:hi])]), False
 
 
-def _text_cells(np, values, lone: bool):
-    """Cells of fmt(value), quoted as csv.writer quotes them, as one block."""
+def _text_cells(values):
+    """Cells of fmt(value), quoted as csv.writer quotes them, as one block;
+    ValueError where a cell holds a NUL."""
     values = values.tolist() if hasattr(values, "tolist") else list(values)
     try:
         text = "\0".join(values)
@@ -185,7 +154,7 @@ def _text_cells(np, values, lone: bool):
         text = "\0".join(values)
     if text.count("\0") != len(values) - 1:
         raise ValueError("a text cell holds a NUL byte")
-    values = _quoted(values, lone, text)
+    values = _quoted(values, joined=text)
     if text.isascii():
         cells = np.array(values, dtype="S")
     else:
@@ -193,22 +162,15 @@ def _text_cells(np, values, lone: bool):
     return cells.view(f"V{cells.itemsize}")
 
 
-def _float_parts(np, blocks: list, format_floats) -> list:
-    """The parts of the blocks of float columns, formatted in one call; a
-    column keeps its 16 bytes of digits, and its sign and exponent parts
-    only where they are not NUL in every row."""
+def _float_parts(blocks: list) -> list:
+    """The parts of the blocks of float columns, formatted in one call on
+    the first of each run of equal bits and spread over the run's rows
+    (0.0 and -0.0 compare equal but print apart); a column keeps its 16
+    bytes of digits, and its sign and exponent parts only where they are
+    not NUL in every row."""
     m = len(blocks[0])
-    whole = _float_runs(np, np.concatenate(blocks) if len(blocks) > 1 else blocks[0],
-                        format_floats)
-    by_column = [[p[i * m : (i + 1) * m] for p in whole] for i in range(len(blocks))]
-    return [[p for p in parts if p.itemsize == 16 or p.view(np.uint8).any()]
-            for parts in by_column]
-
-
-def _float_runs(np, x, format_floats):
-    """format_floats on the first of each run of equal bits in x, spread
-    over the run's rows (0.0 and -0.0 compare equal but print apart)."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(np.concatenate(blocks) if len(blocks) > 1 else blocks[0],
+                             dtype=np.float64)
     bits = x.view(np.int64)
     first = np.empty(len(x), dtype=bool)
     first[0] = True
@@ -216,10 +178,13 @@ def _float_runs(np, x, format_floats):
     which = first.astype(np.intp)
     np.cumsum(which, out=which)
     which -= 1
-    return [p[which] for p in format_floats(x[first])]
+    whole = [p[which] for p in _format_floats(x[first])]
+    by_column = [[p[i * m : (i + 1) * m] for p in whole] for i in range(len(blocks))]
+    return [[p for p in parts if p.itemsize == 16 or p.view(np.uint8).any()]
+            for parts in by_column]
 
 
-def _digit_parts(np, col, top: int, rows: int, words, seps: bytes):
+def _digit_parts(col, top: int, rows: int, seps: bytes):
     """(parts, carries) for a column of non-negative integers: one lookup
     in a table of every value up to the largest, between the separators
     seps, where that is below max(1000, rows); else a 4-byte group word
@@ -236,7 +201,7 @@ def _digit_parts(np, col, top: int, rows: int, words, seps: bytes):
             lead = 1000 * (_LEAD if k == 0 else _LEAD_BLANK)
             g = (v // 1000**k % 1000).astype(np.intp)
             g += lead if k == groups - 1 else np.where(v >= 1000 ** (k + 1), 0, lead)
-            cells[:, groups - 1 - k] = words[g]
+            cells[:, groups - 1 - k] = _WORDS[g]
         return cells
 
     if top < max(1000, rows):  # the digits and separators, right-aligned in the fewest bytes
@@ -253,119 +218,98 @@ def _digit_parts(np, col, top: int, rows: int, words, seps: bytes):
     return (lambda lo, hi: list(group_cells(col[lo:hi]).view("V4").T)), False
 
 
-def _float_formatter(np, lone: bool, words):
-    """format_floats(x) -> the parts of one "%.9g" cell per float64 of x:
-    a sign part where x has a sign bit, 16 bytes of digits, and an
-    exponent part where x has an exponent-form cell."""
-    fixed = np.array([1e-4, 1e-3, 1e-2, 1e-1, *[float(10**k) for k in range(10)]])
-    e = np.arange(_NAN + 2) - _E0
-    finite = (e >= -324) & (e <= 308)
-    p1, p2 = np.ones(len(e)), np.ones(len(e))
-    p1[_E0 - 4 : _E0 + 9] = [float(10**k) for k in range(12, -1, -1)]
-    in_fixed = (e >= -4) & (e <= 8)
-    known = ~finite | in_fixed  # p1 and p2 are set
-    low = np.where(finite, 1e8, 0.0)  # ±0.0 and NaN go by other checks
-    form8 = np.where(in_fixed, 8 * (e + 5), 8 * 5)
-    form8[0], form8[_NAN:] = 0, 8 * (_FORMS - 1)
-    prefix, offset = _form_codes(np, lone)
-    sign = np.zeros((_FORMS, 2, 4), dtype=np.uint8)
-    sign[: _FORMS - 1, 1] = ord("-")
-    sign = sign.ravel()
-    exponents = np.zeros(len(e), dtype="S8")  # "e+09" ... "e-324", set with p1 and p2
-    exponents[_E0 + 9] = b"e+09"  # where a carry leaves fixed form
-    bounds = []  # of every exponent, built on first need
+def _search_wide(a):
+    """s for finite cells outside [1e-4, 1e9), with the scales and exponent
+    parts of their exponents set."""
+    s = np.searchsorted(_WIDE, a, side="right")
+    for k in np.flatnonzero((np.bincount(s, minlength=len(_KNOWN)) > 0) & ~_KNOWN).tolist():
+        t = _E0 + 8 - k  # 8 - E; P[t] = 10**t rounded once, exact for 0 <= t <= 22
+        t2 = 0 if t <= 22 else max(22, t - 308)
+        _P1[k], _P2[k] = (float(10**t) if t >= 0 else 1 / 10**-t for t in (t - t2, t2))
+        for j in (k, k + 1):  # and where a carry takes it
+            if not (-4 <= j - _E0 <= 8 or j - _E0 > 308):
+                _EXPONENTS[j] = b"e%+03d" % (j - _E0)
+        _KNOWN[k] = True
+    return s
 
-    def search_wide(a):
-        """s for finite cells outside [1e-4, 1e9), with the scales and
-        exponent parts of their exponents."""
-        if not bounds:  # any increasing bounds near the powers of ten do (module docstring)
-            bounds.append(np.concatenate([[5e-324], 10.0 ** np.arange(-323, 309), [np.inf]]))
-        s = np.searchsorted(bounds[0], a, side="right")
-        for k in np.flatnonzero((np.bincount(s, minlength=len(e)) > 0) & ~known).tolist():
-            t = _E0 + 8 - k  # 8 - E; P[t] = 10**t rounded once, exact for 0 <= t <= 22
-            t2 = 0 if t <= 22 else max(22, t - 308)
-            p1[k], p2[k] = (float(10**t) if t >= 0 else 1 / 10**-t for t in (t - t2, t2))
-            for j in (k, k + 1):  # and where a carry takes it
-                if not (-4 <= j - _E0 <= 8 or j - _E0 > 308):
-                    exponents[j] = b"e%+03d" % (j - _E0)
-            known[k] = True
-        return s
 
-    def format_floats(x):
-        a = x
-        s = np.searchsorted(fixed, a, side="right")
-        special = s.min() == 0 or s.max() == len(fixed)  # ±0.0, NaN, ±inf, x < 0, exponent form
-        signed = False
-        if special:
-            neg = np.signbit(x)
-            signed = neg.any()
-            if signed:
-                a = np.abs(x)
-                s = np.searchsorted(fixed, a, side="right")
-        s += _E0 - 5
-        expo = False  # a cell in exponent form
-        if special:
-            out = np.flatnonzero((s == _E0 - 5) | (s == _E0 + 9))
-            a_out = a[out]
-            s_out = np.where(a_out == 0.0, 0, _NAN)
-            wide_out = (a_out > 0.0) & (a_out < np.inf)
-            expo = wide_out.any()
-            if expo:
-                s_out[wide_out] = search_wide(a_out[wide_out])
-            s[out] = s_out
-        y = a * p1[s]
-        if special:
-            y *= p2[s]
-        m = np.rint(y)
-        if special:
-            np.fmin(m, 1e9, out=m)  # NaN and ±inf too, which carry below
-        slow = np.abs(y - m) > 0.5 - _NEAR_TIE
-        if slow.any():  # settle the near ties of fixed form, where y is one rounding
-            tie = np.flatnonzero(slow & (s >= _E0 - 4) & (s <= _E0 + 8))
-            m[tie] = _round_near_ties(np, a[tie], p1[s[tie]], y[tie])
-            slow[tie] = False
-        if special:  # outside [1e-4, 1e9), bounds may lie above 10**E
-            slow |= y < low[s]
-        m = m.astype(np.intp)
-        carry = m == 10**9
-        if carry.any():
-            m[carry] = 10**8
-            s += carry
-            expo = expo or (s == _E0 + 9).any()  # 1e+09
-        q = m // 1000
-        g2 = m - 1000 * q
-        g0 = q // 1000
-        g1 = q - 1000 * g0
-        z2 = g2 == 0
-        c = form8[s]
-        c += z2
-        c += 2 * (z2 & (g1 == 0))
+# a signalling NaN raises "invalid" in arithmetic; it prints empty as any NaN does
+@np.errstate(invalid="ignore")
+def _format_floats(x):
+    """The parts of one "%.9g" cell per float64 of x: a sign part where x
+    has a sign bit, 16 bytes of digits, and an exponent part where x has
+    an exponent-form cell."""
+    a = x
+    s = np.searchsorted(_FIXED, a, side="right")
+    special = s.min() == 0 or s.max() == len(_FIXED)  # ±0.0, NaN, ±inf, x < 0, exponent form
+    signed = False
+    if special:
+        neg = np.signbit(x)
+        signed = neg.any()
         if signed:
-            c += 4 * neg.view(np.uint8)
-        cells = np.empty((len(x), 4), dtype="<u4")
-        cells[:, 0] = prefix[c]
-        cells[:, 1] = words[offset[0, c] + g0]
-        cells[:, 2] = words[offset[1, c] + g1]
-        cells[:, 3] = words[offset[2, c] + g2]
-        parts = [cells.view("V16").ravel()]
-        if signed:
-            parts.insert(0, sign[c].view("V1"))
+            a = np.abs(x)
+            s = np.searchsorted(_FIXED, a, side="right")
+    s += _E0 - 5
+    expo = False  # a cell in exponent form
+    if special:
+        out = np.flatnonzero((s == _E0 - 5) | (s == _E0 + 9))
+        a_out = a[out]
+        s_out = np.where(a_out == 0.0, 0, _NAN)
+        wide_out = (a_out > 0.0) & (a_out < np.inf)
+        expo = wide_out.any()
         if expo:
-            parts.append(exponents[s].view("V8"))
-        if slow.any():
-            at = np.flatnonzero(slow)
-            for p in parts:
-                p.view(np.uint8).reshape(len(p), -1)[at] = 0
-            text = cells.view("S16").ravel()
-            for i in at.tolist():
-                text[i] = fmt(float(x[i])).encode()
-        return parts
+            s_out[wide_out] = _search_wide(a_out[wide_out])
+        s[out] = s_out
+    y = a * _P1[s]
+    if special:
+        y *= _P2[s]
+    m = np.rint(y)
+    if special:
+        np.fmin(m, 1e9, out=m)  # NaN and ±inf too, which carry below
+    slow = np.abs(y - m) > 0.5 - _NEAR_TIE
+    if slow.any():  # settle the near ties of fixed form, where y is one rounding
+        tie = np.flatnonzero(slow & (s >= _E0 - 4) & (s <= _E0 + 8))
+        m[tie] = _round_near_ties(a[tie], _P1[s[tie]], y[tie])
+        slow[tie] = False
+    if special:  # outside [1e-4, 1e9), bounds may lie above 10**E
+        slow |= y < _LOW[s]
+    m = m.astype(np.intp)
+    carry = m == 10**9
+    if carry.any():
+        m[carry] = 10**8
+        s += carry
+        expo = expo or (s == _E0 + 9).any()  # 1e+09
+    q = m // 1000
+    g2 = m - 1000 * q
+    g0 = q // 1000
+    g1 = q - 1000 * g0
+    z2 = g2 == 0
+    c = _FORM8[s]
+    c += z2
+    c += 2 * (z2 & (g1 == 0))
+    if signed:
+        c += 4 * neg.view(np.uint8)
+    cells = np.empty((len(x), 4), dtype="<u4")
+    cells[:, 0] = _PREFIX[c]
+    cells[:, 1] = _WORDS[_OFFSET[0, c] + g0]
+    cells[:, 2] = _WORDS[_OFFSET[1, c] + g1]
+    cells[:, 3] = _WORDS[_OFFSET[2, c] + g2]
+    parts = [cells.view("V16").ravel()]
+    if signed:
+        parts.insert(0, _SIGN[c].view("V1"))
+    if expo:
+        parts.append(_EXPONENTS[s].view("V8"))
+    if slow.any():
+        at = np.flatnonzero(slow)
+        for p in parts:
+            p.view(np.uint8).reshape(len(p), -1)[at] = 0
+        text = cells.view("S16").ravel()
+        for i in at.tolist():
+            text[i] = fmt(float(x[i])).encode()
+    return parts
 
-    # a signalling NaN raises "invalid" in arithmetic; it prints empty as any NaN does
-    return np.errstate(invalid="ignore")(format_floats)
 
-
-def _round_near_ties(np, a, p, y):
+def _round_near_ties(a, p, y):
     """rint(a * p), exactly and with ties to even, for doubles a and p whose
     product y = fl(a * p) lies within _NEAR_TIE of k + 1/2, k = floor(y),
     and in [1e8, 1e9]. Dekker's product gives the rounding error e of y
@@ -383,12 +327,15 @@ def _round_near_ties(np, a, p, y):
     return k + ((t > 0.0) | ((t == 0.0) & (k % 2 == 1.0)))
 
 
-def _form_codes(np, lone: bool):
-    """The prefix words and the three group-word offsets of the codes
-    c = 8 form + 4 (sign bit) + 2 (groups 1 and 2 are zero) + (group 2 is zero)."""
+def _form_codes():
+    """The prefix words, the sign bytes and the three group-word offsets of
+    the codes c = 8 form + 4 (sign bit) + 2 (groups 1 and 2 are zero)
+    + (group 2 is zero)."""
     prefixes = [b"0"] + [b"0." + b"0" * min(-e - 1, 2) if e < 0 else b"" for e in range(-4, 9)]
-    prefixes.append(b'""' if lone else b"")
+    prefixes.append(b"")  # NaN
     prefix = np.frombuffer(b"".join(p.ljust(4, b"\0") for p in prefixes), dtype="<u4")
+    sign = np.zeros((_FORMS, 2, 4), dtype=np.uint8)
+    sign[: _FORMS - 1, 1] = ord("-")
     variants = [[_BLANK] * 3] * 8  # ±0.0: NUL groups
     for e in range(-4, 9):
         by_flags = []
@@ -404,10 +351,10 @@ def _form_codes(np, lone: bool):
             by_flags.append(row)
         variants += by_flags * 2  # either sign
     variants += [[_BLANK] * 3] * 8  # NaN
-    return np.repeat(prefix, 8), 1000 * np.array(variants, dtype=np.intp).T
+    return np.repeat(prefix, 8), sign.ravel(), 1000 * np.array(variants, dtype=np.intp).T
 
 
-def _group_words(np):
+def _group_words():
     """Little-endian 4-byte words for the 3-digit groups 0..999, 1000 per
     variant: the digits after a NUL spare (variant 0) or a "0" spare (2),
     or with the point after digit j (4 + j). Variants 1, 3 and 7 + j are
@@ -432,3 +379,29 @@ def _group_words(np):
         w += np.left_shift(b2, 16)
         w += np.left_shift(b3, 24)
     return words.astype("<u4").ravel()
+
+
+def _exponent_tables():
+    """By s: the scales P[k1] and P[k2], whether they are set (fixed form,
+    ±0.0 and NaN; the rest by _search_wide), the least y of a right
+    exponent, 8 times the form, and the exponent parts."""
+    e = np.arange(_NAN + 2) - _E0
+    finite = (e >= -324) & (e <= 308)
+    in_fixed = (e >= -4) & (e <= 8)
+    p1, p2 = np.ones(len(e)), np.ones(len(e))
+    p1[_E0 - 4 : _E0 + 9] = [float(10**k) for k in range(12, -1, -1)]
+    form8 = np.where(in_fixed, 8 * (e + 5), 8 * 5)
+    form8[0], form8[_NAN:] = 0, 8 * (_FORMS - 1)
+    exponents = np.zeros(len(e), dtype="S8")  # "e+09" ... "e-324", set with p1 and p2
+    exponents[_E0 + 9] = b"e+09"  # where a carry leaves fixed form
+    low = np.where(finite, 1e8, 0.0)  # ±0.0 and NaN go by other checks
+    return p1, p2, ~finite | in_fixed, low, form8, exponents
+
+
+# The tables, built once: no write builds them again.
+_WORDS = _group_words()
+_PREFIX, _SIGN, _OFFSET = _form_codes()
+_P1, _P2, _KNOWN, _LOW, _FORM8, _EXPONENTS = _exponent_tables()
+_FIXED = np.array([1e-4, 1e-3, 1e-2, 1e-1, *[float(10**k) for k in range(10)]])
+# any increasing bounds near the powers of ten do (module docstring)
+_WIDE = np.concatenate([[5e-324], 10.0 ** np.arange(-323, 309), [np.inf]])

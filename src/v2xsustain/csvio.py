@@ -5,12 +5,13 @@ stays inf), integers print as plain digits, and None or NaN, the one
 marker of a missing value, is an empty cell. Keeping the rule in one
 place is what makes simulation exports byte-stable.
 
-`write_csv` is the one writer. It never imports numpy: a table with a
-numpy column (anything with a `dtype`) goes to `arraycsv.write_rows`,
-loaded on first use, which formats whole blocks of cells with numpy and
-gives the same bytes (a table under 1024 cells it hands back to `_lines`,
-value by value). A table of lists is written here, a block of rows at a
-time.
+`write_csv` is the one writer, and it alone picks the route. It never
+imports numpy. A table with a numpy column (anything with a `tolist`:
+an array or `Codes`), two or more columns and 1024 cells or more goes to
+`arraycsv.write_rows`, loaded on first use, which formats whole blocks of
+cells with numpy and gives the same bytes. Any other table (lists, a
+small numpy table, one column) is written here, a block of rows at a
+time, value by value.
 """
 
 from __future__ import annotations
@@ -20,6 +21,25 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 _BLOCK_CELLS = 1 << 17  # cells formatted at once, so the writer's memory does not grow past them
+_TABLE_CELLS = 1024  # a numpy table of fewer cells goes by value: arraycsv would cost more
+
+
+class Codes:
+    """A text column as integer codes into labels: row i's cell is
+    labels[codes[i]], with codes a numpy integer array."""
+
+    def __init__(self, codes, labels: Sequence[str]):
+        self.codes, self.labels = codes, labels
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> Codes:
+        return Codes(self.codes[rows], self.labels)
+
+    def tolist(self) -> list:
+        """The labels, one per row."""
+        return [self.labels[k] for k in self.codes.tolist()]
 
 
 class _Columns:
@@ -63,14 +83,16 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Iterable[Sequenc
         raise ValueError(f"{len(columns)} columns of {sorted(set(map(len, columns)))} "
                          f"cells under {len(header)} names")
     block = max(1, _BLOCK_CELLS // max(len(columns), 1))
+    n = len(columns[0]) if columns else 0
     with open(path, "wb") as fh:
         fh.write(_lines([[str(name)] for name in header]))
-        if any(hasattr(c, "dtype") for c in columns):
-            from .arraycsv import write_rows  # only tables with numpy columns load it
+        if (len(columns) > 1 and n * len(columns) >= _TABLE_CELLS
+                and any(hasattr(c, "tolist") for c in columns)):
+            from .arraycsv import write_rows  # only a table it vectorises loads it
 
             write_rows(fh, columns, block)
             return
-        for lo in range(0, len(columns[0]) if columns else 0, block):
+        for lo in range(0, n, block):
             fh.write(_lines([c[lo : lo + block] for c in columns]))
 
 
@@ -86,8 +108,10 @@ def _quoted(cells: list, lone: bool = False, joined: str | None = None) -> list:
 
 
 def _lines(table: list) -> bytes:
-    """A block of rows of Python values, given by column, as CSV lines."""
+    """A block of rows, given by column, as CSV lines; a numpy column or
+    `Codes` gives its Python values by tolist."""
     for k, col in enumerate(table):
+        col = col.tolist() if hasattr(col, "tolist") else col
         kinds = set(map(type, col))
         if kinds <= {float, type(None)}:  # one "%.9g" batch; None and NaN: empty
             spec = "\n".join(["%.9g" if v == v and v is not None else "" for v in col])

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Scenario
-from .csvio import _Columns, write_csv
+from .csvio import Codes, _Columns, write_csv
 from .decision import check_constraints
 from .errors import DomainError, OverflowRangeError, SimulationTruncated
 from .sustain import _window_form, loss_probability_model
@@ -125,8 +125,6 @@ class SimTrace:
         return _merge_blocks(list(_event_blocks(self.draws, self.scenario)))
 
     def export_events_csv(self, path: str | Path) -> None:
-        from .arraycsv import Codes  # the numpy table writer, which write_csv loads anyway
-
         ev = self.events  # a table whose len counts its rows, with the kinds as labels
         write_csv(path, ("t_s", "kind", "entity_id"),
                   replace(ev, kind=Codes(ev.kind, _KIND_NAMES)))

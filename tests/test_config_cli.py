@@ -579,7 +579,7 @@ COMMAND_LOADS = [  # argv at the A1 defaults, exit code, what it loads
     (["validate"], 0, set()),
     (["sweep", "--param", "beta", "--out", "sweep.csv"], 0, set()),
     (["table3", "--out", "table3.csv"], 0, {"v2xsustain.fixtures"}),
-    (["failsafe", "--out", "failsafe.csv"], 1, {"numpy", "v2xsustain.sim", "v2xsustain.arraycsv"}),
+    (["failsafe", "--out", "failsafe.csv"], 1, {"numpy", "v2xsustain.sim"}),  # 22 rows, by value
     (["simulate", "--out", "out"], 0, {"numpy", "v2xsustain.sim", "v2xsustain.arraycsv"}),
 ]
 

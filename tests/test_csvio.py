@@ -9,13 +9,15 @@ Skipped when Hypothesis is not installed.
 import csv
 import io
 import math
+import random
+import struct
+import sys
 
 import numpy as np
 import pytest
 
 from v2xsustain import arraycsv, csvio
-from v2xsustain.arraycsv import Codes
-from v2xsustain.csvio import fmt, write_csv
+from v2xsustain.csvio import Codes, fmt, write_csv
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -32,43 +34,83 @@ def csv_module_bytes(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-times = st.one_of(
-    st.floats(min_value=1e-5, max_value=1e9),  # the vectorised range [1e-4, 1e8) and past it
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(-(2**31), 2**31).map(lambda k: k / 2**13),  # exact 9-digit ties among them
-    st.builds(lambda m, e: float(f"{m}5e{e}"),  # the double nearest a 9-digit tie
-              st.integers(10**8, 10**9 - 1), st.integers(-13, -2)),
-    st.sampled_from([0.0, -0.0, 1e-4, 1e8, 9.9999999996, 99999999.95]),
-)
-floats = st.one_of(times, st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.5, 2.5]))
-text = st.lists(st.sampled_from(["a", "7", " ", ",", '"', '""', "\n", "\r", "é"]),
-                max_size=5).map("".join)
-cells = st.one_of(floats, floats.map(np.float64), st.integers(-(10**20), 10**20),
-                  st.booleans(), st.none(), text)
+TOKENS = ["a", "7", " ", ",", '"', '""', "\n", "\r", "é"]
+EDGE_FLOATS = [0.0, -0.0, 1e-4, 1e8, 9.9999999996, 99999999.95, math.nan, math.inf, -math.inf,
+               0.5, 2.5, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max, -1.5]
+
+
+def _float(rng: random.Random) -> float:
+    """One float of a class chosen at random: log-uniform and uniform in
+    [1e-5, 1e9], the fixed-form range [1e-4, 1e9) and past it; any bit
+    pattern (every exponent, sign, subnormals, NaN payloads, ±inf); k / 2**13
+    for |k| <= 2**31, exact 9-digit ties among them; the double nearest a
+    9-digit tie; and the edges and specials of EDGE_FLOATS."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 10.0 ** rng.uniform(-5, 9)
+    if kind == 1:
+        return rng.uniform(1e-5, 1e9)
+    if kind == 2:
+        return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+    if kind == 3:
+        return rng.randint(-(2**31), 2**31) / 2**13
+    if kind == 4:
+        return float(f"{rng.randint(10**8, 10**9 - 1)}5e{rng.randint(-13, -2)}")
+    return rng.choice(EDGE_FLOATS)
+
+
+def _text_cell(rng: random.Random) -> str:
+    """Up to 5 tokens of TOKENS: commas, quotes, newlines and non-ASCII text."""
+    return "".join(rng.choices(TOKENS, k=rng.randint(0, 5)))
+
+
+def _cell(rng: random.Random):
+    """A cell of any kind write_csv takes: a float, a numpy float64, an
+    integer of up to 20 digits, a bool, None or text."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return _float(rng)
+    if kind == 1:
+        return np.float64(_float(rng))
+    if kind == 2:
+        return rng.randint(-(10**20), 10**20)
+    if kind == 3:
+        return rng.random() < 0.5
+    return None if kind == 4 else _text_cell(rng)
+
+
+def _int64(rng: random.Random) -> int:
+    return rng.choice([rng.randint(-(2**63), 2**63 - 1), -(2**63), 2**63 - 1, -1, 0, 1])
 
 
 # the routes of write_csv: floats in one batch, floats with None gaps (an
 # all-None column among them), text as it is, mixed cells value by value,
 # and numpy float64 (NaN gaps among them) and int64 columns
-columns_of = (floats, st.one_of(floats, st.none()), st.none(), text, cells,
-              (floats, np.float64), (st.integers(-(2**63), 2**63 - 1), np.int64))
+COLUMN_KINDS = (
+    lambda rng, n: [_float(rng) for _ in range(n)],
+    lambda rng, n: [_float(rng) if rng.random() < 0.5 else None for _ in range(n)],
+    lambda rng, n: [None] * n,
+    lambda rng, n: [_text_cell(rng) for _ in range(n)],
+    lambda rng, n: [_cell(rng) for _ in range(n)],
+    lambda rng, n: np.array([_float(rng) for _ in range(n)], dtype=np.float64),
+    lambda rng, n: np.array([_int64(rng) for _ in range(n)], dtype=np.int64),
+)
 
 
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
 @hypothesis.given(width=st.integers(1, 4), n=st.integers(0, 12), block=st.integers(1, 8),
-                  data=st.data())
-def test_write_csv_matches_the_csv_module(tmp_path_factory, width, n, block, data):
-    kinds = data.draw(st.lists(st.sampled_from(columns_of), min_size=width, max_size=width))
-    header = data.draw(st.lists(text, min_size=width, max_size=width))
-    columns = []
-    for kind in kinds:
-        cell, dtype = kind if isinstance(kind, tuple) else (kind, None)
-        column = data.draw(st.lists(cell, min_size=n, max_size=n))
-        columns.append(column if dtype is None else np.array(column, dtype=dtype))
+                  seed=st.integers(0, 2**32 - 1))
+def test_write_csv_matches_the_csv_module(tmp_path_factory, width, n, block, seed):
+    # each column of one of COLUMN_KINDS, its cells drawn by `random` from
+    # the seed (the classes of _float, _cell, _text_cell and _int64); the
+    # header is text
+    rng = random.Random(seed)
+    columns = [rng.choice(COLUMN_KINDS)(rng, n) for _ in range(width)]
+    header = [_text_cell(rng) for _ in range(width)]
     path = tmp_path_factory.mktemp("csv") / "columns.csv"
     with pytest.MonkeyPatch.context() as mp:  # blocks of a few rows, as of thousands in use
         mp.setattr(csvio, "_BLOCK_CELLS", block * width)
-        mp.setattr(arraycsv, "_TABLE_CELLS", 0)  # numpy columns through the block writer
+        mp.setattr(csvio, "_TABLE_CELLS", 0)  # numpy columns through the block writer
         write_csv(path, header, columns)
     cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     assert path.read_bytes() == csv_module_bytes(header, zip(*cells))
@@ -85,21 +127,19 @@ def test_write_csv_rejects_ragged_rows(tmp_path):
 
 
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
-@hypothesis.given(
-    t=st.lists(times, max_size=40).map(lambda v: np.sort(np.array(v, dtype=np.float64))),
-    chunk=st.integers(1, 8),
-    data=st.data(),
-)
-def test_event_columns_match_the_csv_module(tmp_path_factory, t, chunk, data):
-    codes = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(t), max_size=len(t))),
-                     dtype=np.int8)
-    ids = np.array(data.draw(st.lists(st.integers(0, 5000), min_size=len(t), max_size=len(t))),
-                   dtype=np.int64)
+@hypothesis.given(n=st.integers(0, 40), chunk=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_event_columns_match_the_csv_module(tmp_path_factory, n, chunk, seed):
+    # sorted times of every class of _float, kind codes 0..3 and ids
+    # 0..5000, drawn by `random` from the seed
+    rng = random.Random(seed)
+    t = np.sort(np.array([_float(rng) for _ in range(n)], dtype=np.float64))
+    codes = np.array([rng.randint(0, 3) for _ in range(n)], dtype=np.int8)
+    ids = np.array([rng.randint(0, 5000) for _ in range(n)], dtype=np.int64)
     path = tmp_path_factory.mktemp("csv") / "columns.csv"
     header = ("t_s", "kind", "entity_id")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(csvio, "_BLOCK_CELLS", chunk * len(header))
-        mp.setattr(arraycsv, "_TABLE_CELLS", 0)
+        mp.setattr(csvio, "_TABLE_CELLS", 0)
         write_csv(path, header, (t, Codes(codes, LABELS), ids))
     rows = zip(t.tolist(), (LABELS[c] for c in codes), ids.tolist())
     assert path.read_bytes() == csv_module_bytes(header, rows)
@@ -166,7 +206,7 @@ def test_numpy_tables_match_the_csv_module(tmp_path_factory, n, block, seed, int
     path = tmp_path_factory.mktemp("csv") / "numpy.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(csvio, "_BLOCK_CELLS", block * width)
-        mp.setattr(arraycsv, "_TABLE_CELLS", 10**9 if by_value else 0)
+        mp.setattr(csvio, "_TABLE_CELLS", 10**9 if by_value else 0)
         write_csv(path, header, columns)
     cells = [[c.labels[k] for k in c.codes.tolist()] if isinstance(c, Codes)
              else c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
@@ -174,14 +214,37 @@ def test_numpy_tables_match_the_csv_module(tmp_path_factory, n, block, seed, int
 
 
 def test_float_cells_match_fmt_at_every_power_of_ten(tmp_path, monkeypatch):
-    monkeypatch.setattr(arraycsv, "_TABLE_CELLS", 0)
+    # next to a second column, as one column goes by value
+    monkeypatch.setattr(csvio, "_TABLE_CELLS", 0)
     path = tmp_path / "powers.csv"
-    write_csv(path, ("x",), [np.array(POWERS)])
-    assert path.read_bytes() == csv_module_bytes(("x",), ([v] for v in POWERS))
+    ids = np.arange(len(POWERS))
+    write_csv(path, ("x", "i"), [np.array(POWERS), ids])
+    assert path.read_bytes() == csv_module_bytes(("x", "i"), zip(POWERS, ids.tolist()))
 
 
 def test_numpy_tables_reject_a_nul_in_text(tmp_path, monkeypatch):
-    # the block writer deletes NUL padding, so a NUL in a cell cannot pass it
-    monkeypatch.setattr(arraycsv, "_TABLE_CELLS", 0)
+    # the block writer deletes NUL padding, so a NUL in a cell or a label cannot pass it
+    monkeypatch.setattr(csvio, "_TABLE_CELLS", 0)
     with pytest.raises(ValueError, match="NUL"):
         write_csv(tmp_path / "nul.csv", ("x", "y"), (np.zeros(2), ["a", "b\0c"]))
+    with pytest.raises(ValueError, match="NUL"):
+        write_csv(tmp_path / "nul.csv", ("x", "y"),
+                  (np.zeros(600), Codes(np.zeros(600, np.int8), ["a\0b"])))
+
+
+def test_vectorised_writes_build_no_table(tmp_path, monkeypatch):
+    # the group words and form codes are built once, at import: a write of
+    # every kind of float cell, labels and integers builds neither again
+    def rebuilt(*_):
+        raise AssertionError("a table was built again")
+
+    monkeypatch.setattr(arraycsv, "_group_words", rebuilt)
+    monkeypatch.setattr(arraycsv, "_form_codes", rebuilt)
+    rng = np.random.default_rng(35)
+    x = _float_column(rng, 600)
+    codes = Codes(rng.integers(0, len(LABELS), 600).astype(np.int8), LABELS)
+    ids = rng.integers(0, 10**12, 600)
+    path = tmp_path / "table.csv"
+    write_csv(path, ("x", "k", "i"), (x, codes, ids))
+    rows = zip(x.tolist(), codes.tolist(), ids.tolist())
+    assert path.read_bytes() == csv_module_bytes(("x", "k", "i"), rows)

@@ -25,7 +25,7 @@ from v2xsustain import (
     run_simulation,
 )
 from v2xsustain import arraycsv, csvio, sim
-from v2xsustain.arraycsv import Codes
+from v2xsustain.csvio import Codes
 from v2xsustain.cli import main
 from v2xsustain.config import build_bundle, merge_config
 from v2xsustain.csvio import fmt, write_csv
@@ -712,7 +712,7 @@ def test_events_csv_formats_times_by_bits_across_chunks(tmp_path, monkeypatch):
     by_column = tmp_path / "columns.csv"
     by_row = tmp_path / "rows.csv"
     monkeypatch.setattr(csvio, "_BLOCK_CELLS", 9)  # 3 rows of 3 cells
-    monkeypatch.setattr(arraycsv, "_TABLE_CELLS", 0)  # a small table, through the block writer
+    monkeypatch.setattr(csvio, "_TABLE_CELLS", 0)  # a small table, through the block writer
     write_csv(by_column, ("t", "k", "i"), (t, Codes(codes, labels), ids))
     write_csv(by_row, ("t", "k", "i"), (t.tolist(), [labels[c] for c in codes], ids.tolist()))
     assert by_column.read_bytes() == by_row.read_bytes()
