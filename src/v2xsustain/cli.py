@@ -283,7 +283,7 @@ def cmd_failsafe(args) -> int:
         return EXIT_CHECK_FAILED
     table = score_failsafe_slots(trace, compliance, b.bounds)
     write_csv(args.out, [f.name for f in fields(table)], table)
-    last_decision = table.decision[-1] if table.decision else None
+    last_decision = table.decision[-1:].tolist()[0] if len(table) else None
     print(f"wrote {len(table.t_s)} rows to {args.out}; final decision: {last_decision}")
     return EXIT_OK if last_decision == CONTINUE else EXIT_CHECK_FAILED
 

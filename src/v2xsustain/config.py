@@ -182,7 +182,7 @@ class ScenarioBundle:
                     f"{slots} slots requested"
                 )
             return tuple(1.0 - w for w in self.omega_x[:slots])
-        return tuple(1.0 - self.omega_x for _ in range(slots))
+        return (1.0 - self.omega_x,) * slots
 
 
 @lru_cache(maxsize=16, typed=True)

@@ -44,7 +44,8 @@ class Codes:
 
 class _Columns:
     """Dataclass fields of equally long columns: len counts the rows,
-    iteration yields the columns in field order, and == matches NaN to NaN."""
+    iteration yields the columns in field order, and == matches NaN to NaN
+    and a `Codes` column label by label."""
 
     def __len__(self) -> int:
         return len(getattr(self, fields(self)[0].name))
@@ -57,8 +58,9 @@ class _Columns:
 
         if type(other) is not type(self):
             return NotImplemented
-        return all(a == b if isinstance(a, list) else np.array_equal(a, b, equal_nan=True)
-                   for a, b in zip(self, other))
+        return all((isinstance(b, Codes) and a.tolist() == b.tolist()) if isinstance(a, Codes)
+                   else a == b if isinstance(a, list)
+                   else np.array_equal(a, b, equal_nan=True) for a, b in zip(self, other))
 
 
 def fmt(value) -> str:

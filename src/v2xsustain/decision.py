@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .csvio import _Columns
+from .csvio import Codes, _Columns
 from .errors import DomainError, OverflowRangeError
 from .predict import SCALE_FLOOR, LikelihoodBounds, failsafe_tau
 from .sustain import NetworkParams, TimeWindow
@@ -23,7 +23,8 @@ from .sustain import hop_loss_probability, message_overhead
 CONTINUE = "continue"
 UPDATE_KEYS = "update_keys"
 RECONFIGURE = "reconfigure"
-DECISIONS = frozenset({CONTINUE, UPDATE_KEYS, RECONFIGURE})
+DECISION_LABELS = (CONTINUE, UPDATE_KEYS, RECONFIGURE)  # a decision column's Codes labels
+DECISIONS = frozenset(DECISION_LABELS)
 
 
 @dataclass(frozen=True)
@@ -146,12 +147,13 @@ def failsafe_point(
 
 
 def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence,
-          thresholds: Thresholds) -> tuple[list[str], list[str]]:
-    """The decision and rationale columns for columns of S_N, M_O and mu
-    (None or NaN where undefined); decide() is the one-row case. The kind
-    code keeps the decision order: mu <= SCALE_FLOOR, then too few
-    observations, then S_N/M_O breaches, then continue. Each rationale kind
-    is formatted in one "%g" batch; '%g' % x is f"{x:g}" for a float."""
+          thresholds: Thresholds) -> tuple[Codes, list[str]]:
+    """The decision column, as Codes over DECISION_LABELS, and the rationale
+    column for columns of S_N, M_O and mu (None or NaN where undefined);
+    decide() is the one-row case. The kind code keeps the decision order:
+    mu <= SCALE_FLOOR, then too few observations, then S_N/M_O breaches,
+    then continue. Each rationale kind is formatted in one "%g" batch;
+    '%g' % x is f"{x:g}" for a float."""
     import numpy as np  # the codes are worked out column by column
 
     s_n, m_o, mu = (np.array(c, dtype=float) for c in (s_n, m_o, mu))  # None: NaN
@@ -168,13 +170,14 @@ def _rule(s_n: Sequence, m_o: Sequence, mu: Sequence,
     code = 2 + (s_n < s_th) + 2 * (m_o > m_th)
     code[np.isnan(s_n) | np.isnan(m_o) | np.isnan(mu)] = 0
     code[mu <= SCALE_FLOOR] = 1
-    decision, rationale = np.array([kind[:2] for kind in kinds], dtype=object)[code].T
+    decision = np.array([DECISION_LABELS.index(kind[0]) for kind in kinds], dtype=np.int8)
+    rationale = np.array([kind[1] for kind in kinds], dtype=object)[code]
     for c, (_, template, columns) in enumerate(kinds):
         if columns:  # a kind without values keeps its one template object
             at = np.flatnonzero(code == c)
             values = np.transpose([col[at] for col in columns]).ravel().tolist()  # row by row
             rationale[at] = ("\n".join([template] * len(at)) % tuple(values)).split("\n")
-    return decision.tolist(), rationale.tolist()
+    return Codes(decision[code], DECISION_LABELS), rationale.tolist()
 
 
 def decide(s_n: float, m_o: float, mu: float, thresholds: Thresholds) -> FailSafeReport:
@@ -184,14 +187,15 @@ def decide(s_n: float, m_o: float, mu: float, thresholds: Thresholds) -> FailSaf
     then an undefined metric (None or NaN) or a threshold breach forces key
     updates; otherwise continue.
     """
-    (decision,), (rationale,) = _rule([s_n], [m_o], [mu], thresholds)
-    return FailSafeReport(mu=mu, decision=decision, rationale=rationale)
+    decision, (rationale,) = _rule([s_n], [m_o], [mu], thresholds)
+    return FailSafeReport(mu=mu, decision=decision.tolist()[0], rationale=rationale)
 
 
 @dataclass(frozen=True, eq=False)
 class FailsafeTable(_Columns):
     """The scored slots: float64 numpy columns, NaN where a cell is undefined,
-    and the decision and rationale text; the field names are the CSV header."""
+    the decision labels as Codes and the rationale text; the field names are
+    the CSV header."""
 
     t_s: Sequence[float]
     S_N: Sequence[float]
@@ -199,7 +203,7 @@ class FailsafeTable(_Columns):
     mu: Sequence[float]
     tau: Sequence[float]
     F_S: Sequence[float]
-    decision: list[str]
+    decision: Codes
     rationale: list[str]
 
 
@@ -216,7 +220,12 @@ def score_failsafe_slots(
     compliance[:k], kept as running sums that add in the batch order, so
     both agree bit for bit. F_S is failsafe_point on the t_s and S_N
     columns, clipped to each row's t_s. numpy does only + - * / on the slot
-    columns, in the order of the scalar forms.
+    columns, in the order of the scalar forms. The scalar forms run once per
+    distinct value, not per slot: hop_loss_probability per distinct E',
+    -math.log per distinct compliance value (spread back, then summed in
+    slot order), and failsafe_tau only where mu > SCALE_FLOOR; tau is 0.0
+    at or below the floor, as failsafe_tau gives it, and NaN where mu is.
+    The decision column is Codes over DECISION_LABELS.
     """
     import numpy as np  # the slot columns are numpy arrays
 
@@ -232,8 +241,9 @@ def score_failsafe_slots(
     p = np.full(n, np.nan)
     p[ok] = np.array([hop_loss_probability(net.n_inv, e, net.N) for e in levels.tolist()])[which]
     compliant = np.logical_and.accumulate((w > 0.0) & (w < 1.0))
+    distinct, spread = np.unique(w[compliant], return_inverse=True)
     log_sum = np.zeros(n)
-    log_sum[compliant] = np.cumsum([-math.log(v) for v in w[compliant].tolist()])
+    log_sum[compliant] = np.cumsum(np.array([-math.log(v) for v in distinct.tolist()])[spread])
     with np.errstate(all="ignore"):  # the first bad slot is found below
         # observed D may exceed the planning bound N, so it is not checked against N
         s_n = (slots.U_k / net.n_inv) / (slots.D * p * net.Q)
@@ -257,7 +267,9 @@ def score_failsafe_slots(
             if not math.isfinite(s_n_sum[k]):
                 raise OverflowRangeError(f"S_N is outside double range at t_s={t:g}")
         raise OverflowRangeError(f"mu is outside double range at t_s={t:g}")
-    tau = np.array([np.nan if math.isnan(u) else failsafe_tau(u, bounds, T) for u in mu.tolist()])
+    tau = np.where(np.isnan(mu), np.nan, 0.0)  # failsafe_tau is 0 at mu <= SCALE_FLOOR
+    up = np.flatnonzero(mu > SCALE_FLOOR)
+    tau[up] = [failsafe_tau(u, bounds, T) for u in mu[up].tolist()]
     end = failsafe_point(slots.t_s, s_n, thresholds)
     f_s = np.full(n, np.nan) if end is None else np.minimum(slots.t_s, end)
     return FailsafeTable(slots.t_s, s_n, m_o, mu, tau, f_s, *_rule(s_n, m_o, mu, thresholds))

@@ -5,6 +5,7 @@ The CLI contract under test: exit 0 on success, 1 when a check fails,
 the same seed.
 """
 
+import csv
 import dataclasses
 import filecmp
 import hashlib
@@ -33,6 +34,7 @@ from v2xsustain import (
     compare_to_model,
     default_config,
     expint_ei,
+    failsafe_tau,
     load_config,
     loss_probability_model,
     merge_config,
@@ -1038,6 +1040,27 @@ def test_failsafe_never_calls_the_batch_scale_estimate(tmp_path, monkeypatch, ca
     argv, overrides, code, digest = GOLDEN_ANALYTIC[fine]
     assert_golden_output(tmp_path, argv, overrides, code, digest)
     capsys.readouterr()
+
+
+def test_failsafe_calls_tau_only_on_operable_slots(tmp_path, monkeypatch, capsys):
+    # tau is 0 at mu <= 2 and NaN where mu is; the closed form runs only
+    # on the slots where the network is operable
+    calls = []
+
+    def counting(mu, bounds, T):
+        calls.append(mu)
+        return failsafe_tau(mu, bounds, T)
+
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    monkeypatch.setattr("v2xsustain.decision.failsafe_tau", counting)
+    fine = GOLDEN_ANALYTIC_IDS.index("failsafe_fine")
+    argv, overrides, code, digest = GOLDEN_ANALYTIC[fine]
+    assert_golden_output(tmp_path, argv, overrides, code, digest)
+    capsys.readouterr()
+    with open(tmp_path / "out.csv", newline="") as fh:
+        mu = [float(row["mu"]) for row in csv.DictReader(fh) if row["mu"]]
+    assert len(calls) == sum(m > 2.0 for m in mu) == 18
+    assert all(m > 2.0 for m in calls)
 
 
 def test_failsafe_builds_no_report_per_slot(tmp_path, monkeypatch, capsys):

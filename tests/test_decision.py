@@ -23,7 +23,8 @@ from v2xsustain import (
     merge_config,
     run_simulation,
 )
-from v2xsustain.decision import FailsafeTable, score_failsafe_slots
+from v2xsustain.csvio import Codes
+from v2xsustain.decision import DECISION_LABELS, FailsafeTable, score_failsafe_slots
 from v2xsustain.errors import DomainError, OverflowRangeError
 from v2xsustain.predict import failsafe_tau
 from v2xsustain.sustain import hop_loss_probability, message_overhead
@@ -200,7 +201,8 @@ def scalar_scores(trace, compliance, bounds):
         F_S = t
     if F_S is not None:
         table[5] = [min(t, F_S) for t in t_s]
-    return FailsafeTable(*map(np.array, table[:6]), *table[6:])
+    decision = Codes(np.array([DECISION_LABELS.index(d) for d in table[6]]), DECISION_LABELS)
+    return FailsafeTable(*map(np.array, table[:6]), decision, table[7])
 
 
 @pytest.mark.parametrize("overrides", [
@@ -210,6 +212,8 @@ def scalar_scores(trace, compliance, bounds):
     {"S_N_TH": 1.0, "M_O_TH": 1e9, "omega_x": 0.01},  # continue
     {"omega_x": 0.999999},  # mu falls to 6.4, still above the floor
     {"omega_x": [0.5] * 5 + [1e-17] + [0.5] * 16},  # mu ends at slot 6
+    # repeats out of order: each slot's -ln(w) is looked up by its value
+    {"omega_x": [0.3, 0.5] * 4 + [0.7, 0.5, 0.3, 0.9] + [0.7, 0.3] * 5},
     {"E0": 0, "beta": 0.3, "tx_step_s": 0.5},  # mu without S_N
     {"E0": 0, "beta": 1e-9},  # no observation at all
     {"tx_step_s": 500.0, "t_u_s": 1.0},  # no slot

@@ -539,7 +539,7 @@ def test_empty_hub_has_no_observations():
         trace, bundle.omega_compliance(len(trace.slots)), bundle.bounds
     )
     assert len(table.t_s) == len(trace.slots)
-    for decision, rationale in zip(table.decision, table.rationale, strict=True):
+    for decision, rationale in zip(table.decision.tolist(), table.rationale, strict=True):
         assert decision == UPDATE_KEYS
         assert rationale == "insufficient observations in this slot"
 

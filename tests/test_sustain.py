@@ -254,6 +254,36 @@ def test_signaling_time_factor_rejects_vanishing_log():
     assert signaling_time_factor(1e-15, WINDOW) == pytest.approx(100.0, rel=1e-3, abs=0.0)
 
 
+def test_signaling_time_factor_is_within_its_bound_of_mpmath():
+    # the power difference (1-a')^t2 - (1-a')^t1 gave -0.0 at a' = 1e-8 on
+    # a window with t2/t1 = 1 + 1e-9, a relative error of 1
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact(a_prime, w):
+        with mpmath.workdps(50):
+            L = mpmath.log1p(-mpmath.mpf(a_prime))
+            return (mpmath.exp(w.t2 * L) - mpmath.exp(w.t1 * L)) / L
+
+    narrow = TimeWindow(t1=5.0, t2=5.0 * (1 + 1e-9), T=6.0)
+    assert signaling_time_factor(1e-8, narrow) == pytest.approx(
+        float(exact(1e-8, narrow)), rel=1e-15, abs=0.0
+    )
+    rng = random.Random(15)
+    for _ in range(2000):
+        a_prime = 10.0 ** rng.uniform(-15.9, -1e-9)
+        t1 = 10.0 ** rng.uniform(-3.0, 5.0)
+        t2 = t1 * (1.0 + 10.0 ** rng.uniform(-15.0, 3.0))
+        if t2 == t1:
+            continue
+        w = TimeWindow(t1=t1, t2=t2, T=t2)
+        L = -math.log1p(-a_prime)
+        if t1 * L > 708.0:  # e^{t1 L} below the normal range
+            continue
+        bound = (8.0 + 2.0 * t1 * L) * 2.0**-52
+        got, want = signaling_time_factor(a_prime, w), exact(a_prime, w)
+        assert abs(got - want) <= bound * want, (a_prime, t1, t2)
+
+
 def test_signaling_time_factor_matches_quadrature():
     for a_prime in (0.01, 0.2, 0.5, 0.9):
         for t1, t2 in ((1.0, 3.0), (5.0, 105.0)):
