@@ -4,11 +4,11 @@ and 1024 cells or more.
 
 `write_rows` gives `write_csv`'s bytes a block of rows at a time, with no
 Python step per row or per float. Each row of a block is a record of
-fixed-width fields: the parts of each cell, and a "," or "\\n" byte where
-no cell carries it. Parts are padded with NUL, and most are 1, 2, 4, 8 or
-16 bytes wide, the widths numpy copies fastest. No cell holds a NUL (a
-text cell or label with one raises ValueError), so deleting every NUL
-byte of a block's records leaves its CSV text. The cells by kind of column:
+fixed-width fields: the parts of each cell, each as wide as its column
+needs, and a "," or "\\n" byte after each cell. Parts are padded with NUL.
+No cell holds a NUL (a text cell or label with one raises ValueError), so
+deleting every NUL byte of a block's records leaves its CSV text. The
+cells by kind of column:
 
 - float: the vectorised `%.9g` below, one call for all float columns of a
   block, once per run of equal bits (an event time repeats across a
@@ -17,36 +17,34 @@ byte of a block's records leaves its CSV text. The cells by kind of column:
 - non-negative integer: one lookup in a table of every value up to the
   largest where that is below max(1000, rows), else a 4-byte word per 3
   digits: the tables grow with a block's rows, not with the values;
-- `Codes`: each label quoted once, then taken by its code;
+- `Codes`: each label quoted and encoded once, then taken by its code;
 - any other (lists, text, negative integers, bools): `fmt` per cell unless all
   are str, then quoted and encoded once per block.
 
-A cell made from a table (a label, an integer below the table's end)
-carries its separators, so that its NUL padding joins its neighbours' and
-the NUL bytes come in fewer runs, which the deletion passes faster.
-Tables that no column shapes are built once, at import; the scales and
-exponent parts of an exponent outside fixed form fill in on its first cell.
+The tables that no column shapes are built whole at import and are
+read-only: no write changes them.
 
 `%.9g` of a float64 x != 0 is m, the nine-digit rounding of
 z_E = |x| * 10**(8 - E), at the decimal exponent E of |x|, or 1e8 at E + 1
 where m reaches 1e9; fixed form for -4 <= E <= 8, else exponent form. It is
-exact and vectorised as follows, with u = 2**-53:
+exact and vectorised as follows, with u = 2**-53 and P[k] = float(f"1e{k}"),
+10**k rounded once:
 
-- E comes from a search of |x| over bounds near the powers of ten: the
-  exact doubles 1e-4 .. 1e9 first, and numpy's 10.0**k for every k where
-  |x| falls outside them. The check below makes any E right. y >= 1e8
-  puts z_E above 1e8 - 4.5e-7, so a search one too high leaves the true
-  rounding at 1e9, which carries to m = 1e8 at E; a search one too low
-  gives m = 1e9, which carries to 1e8 at E + 1, only when y <= 1e9 + 0.5.
-  Any other y goes to `fmt`. Within [1e-4, 1e9) each bound is at least its
-  power of ten, so y >= 1e8 and m <= 1e9 hold there without a check.
-- y = |x| * P[k1] * P[k2], with P[k] = 10**k rounded once (float(10**k),
-  1 / 10**-k), k1 + k2 = 8 - E, and k2 = 0 where 8 - E <= 22, else
-  max(22, 8 - E - 308). P[k] is exact for 0 <= k <= 22, P[k1] stays below
-  the top of the double range, and the first product is above 1e-16, so
-  both products are normal doubles. That is at most four roundings of
-  relative size u (two powers, two products), and only x below 1e-322 has
-  all four: |y - z_E| <= 4.0001 * u * y, under 4.5e-7 where y <= 1e9 + 0.5.
+- E comes from a search of |x| over bounds near the powers of ten: P[-4]
+  .. P[9] first, and P[k] for every k where |x| falls outside them. The
+  check below makes any E right. y >= 1e8 puts z_E above 1e8 - 4.5e-7,
+  so a search one too high leaves the true rounding at 1e9, which
+  carries to m = 1e8 at E; a search one too low gives m = 1e9, which
+  carries to 1e8 at E + 1, only when y <= 1e9 + 0.5. Any other y goes to
+  `fmt`. Within [1e-4, 1e9) each bound is at least its power of ten, so
+  y >= 1e8 and m <= 1e9 hold there without a check.
+- y = |x| * P[k1] * P[k2], with k1 + k2 = 8 - E, and k2 = 0 where
+  8 - E <= 22, else max(22, 8 - E - 308). P[k] is exact for
+  0 <= k <= 22, P[k1] stays below the top of the double range, and the
+  first product is above 1e-16, so both products are normal doubles. That
+  is at most four roundings of relative size u (two powers, two
+  products), and only x below 1e-322 has all four:
+  |y - z_E| <= 4.0001 * u * y, under 4.5e-7 where y <= 1e9 + 0.5.
 - `rint(y)` is therefore the rounding of z_E unless y lies within
   _NEAR_TIE = 1e-6 of a half-integer. In fixed form y is one rounding of
   z_E, and such a near tie is settled exactly, ties to even as %.9g
@@ -83,64 +81,42 @@ def write_rows(fh, columns: list, block_rows: int) -> None:
     n = len(columns[0])
     rows = min(n, block_rows)
     floats = [k for k, c in enumerate(columns) if hasattr(c, "dtype") and c.dtype.kind == "f"]
+    cells = {k: _cell_parts(c, rows) for k, c in enumerate(columns) if k not in floats}
     seps = [b","] * (len(columns) - 1) + [b"\n"]
-    carried = [False] * len(columns)  # separator k is inside a cell, before or after it
-    cells = {}
-    for k, c in enumerate(columns):
-        if k not in floats:
-            lead = seps[k - 1] if k and not carried[k - 1] else b""
-            cells[k] = _cell_parts(c, rows, lead, seps[k])
-            if cells[k][1]:
-                carried[k] = True
-                carried[k - 1] |= bool(lead)
     record = None
     for lo in range(0, n, block_rows):
         hi = min(n, lo + block_rows)
-        parts = {k: f(lo, hi) for k, (f, _) in cells.items()}
+        parts = {k: f(lo, hi) for k, f in cells.items()}
         if floats:
             parts.update(zip(floats, _float_parts([columns[k][lo:hi] for k in floats])))
         fields = []
         for k in range(len(columns)):
-            fields += [(f"{k}.{j}", p.dtype) for j, p in enumerate(parts[k])]
-            if not carried[k]:
-                fields.append((str(k), "S1"))
+            fields += [(f"{k}.{j}", p.dtype) for j, p in enumerate(parts[k])] + [(str(k), "S1")]
         dtype = np.dtype(fields)
         if record is None or record.dtype != dtype or len(record) != hi - lo:
             buf = bytearray((hi - lo) * dtype.itemsize)
             record = np.frombuffer(buf, dtype)
-            for name, _ in fields:  # the separators stay while buf is reused
-                if "." not in name:
-                    record[name] = seps[int(name)]
+            for k, sep in enumerate(seps):  # the separators stay while buf is reused
+                record[str(k)] = sep
         for k, ps in parts.items():
             for j, p in enumerate(ps):
                 record[f"{k}.{j}"] = p
         fh.write(buf.translate(None, b"\0"))
 
 
-def _fit(n: int) -> int:
-    """The narrowest of the widths numpy copies fastest that holds n bytes."""
-    return next((w for w in (1, 2, 4, 8, 16) if w >= n), 16 * -(-n // 16))
-
-
-def _cell_parts(col, rows: int, lead: bytes, sep: bytes):
-    """(parts, carries) for a column that is not float: parts(lo, hi) gives
-    the parts of the cells of col[lo:hi], each an array of one fixed-width
-    cell per row. A cell from a table carries lead + text + sep, so that
-    its NUL padding joins its neighbours' and the NUL bytes come in fewer
-    runs, which the deletion passes faster; carries says whether it does."""
+def _cell_parts(col, rows: int):
+    """parts(lo, hi) for a column that is not float: the parts of the
+    cells of col[lo:hi], each an array of one fixed-width cell per row."""
     if isinstance(col, Codes):
-        labels = _text_cells(col.labels)
-        labels = [lead + c + sep for c in labels.view(f"S{labels.itemsize}").tolist()]
-        table = np.array(labels, dtype=f"S{_fit(max(map(len, labels)))}")
-        table = table.view(f"V{table.itemsize}")
-        return (lambda lo, hi: [table[col.codes[lo:hi].astype(np.intp)]]), True
+        table = _text_cells(col.labels)
+        return lambda lo, hi: [table[col.codes[lo:hi].astype(np.intp)]]
     kind = getattr(col, "dtype", np.dtype(object)).kind
     if kind in "iu":
         # a negative value is at least 2**(bits - 1) as unsigned; signed indices take fastest
         top = int(col.view(f"u{col.itemsize}").max(initial=0))
         if kind == "u" or top < 2 ** (8 * col.itemsize - 1):
-            return _digit_parts(col, top, rows, lead + sep)
-    return (lambda lo, hi: [_text_cells(col[lo:hi])]), False
+            return _digit_parts(col, top, rows)
+    return lambda lo, hi: [_text_cells(col[lo:hi])]
 
 
 def _text_cells(values):
@@ -184,11 +160,11 @@ def _float_parts(blocks: list) -> list:
             for parts in by_column]
 
 
-def _digit_parts(col, top: int, rows: int, seps: bytes):
-    """(parts, carries) for a column of non-negative integers: one lookup
-    in a table of every value up to the largest, between the separators
-    seps, where that is below max(1000, rows); else a 4-byte group word
-    per 3 digits. top is the largest value."""
+def _digit_parts(col, top: int, rows: int):
+    """parts(lo, hi) for a column of non-negative integers: one lookup in
+    a table of every value up to the largest where that is below
+    max(1000, rows); else a 4-byte group word per 3 digits. top is the
+    largest value."""
     groups = -(-len(str(top)) // 3)
 
     def group_cells(v):
@@ -204,33 +180,13 @@ def _digit_parts(col, top: int, rows: int, seps: bytes):
             cells[:, groups - 1 - k] = _WORDS[g]
         return cells
 
-    if top < max(1000, rows):  # the digits and separators, right-aligned in the fewest bytes
+    if top < max(1000, rows):  # the digits, right-aligned in as many bytes as top has
         digits = len(str(top))
         at = [4 * j + i for j in range(groups) for i in (1, 2, 3)][-digits:]
-        table = np.zeros((top + 1, _fit(digits + len(seps))), dtype=np.uint8)
-        table[:, -1 - digits : -1] = group_cells(np.arange(top + 1)).view(np.uint8)[:, at]
-        table[:, -1] = seps[-1]
-        if len(seps) == 2:  # the one before: the first digit that is not a leading zero
-            first = np.count_nonzero(table == 0, axis=1) - 1
-            table[np.arange(top + 1), first] = seps[0]
-        table = table.view(f"V{table.shape[1]}").ravel()
-        return (lambda lo, hi: [table[col[lo:hi]]]), True
-    return (lambda lo, hi: list(group_cells(col[lo:hi]).view("V4").T)), False
-
-
-def _search_wide(a):
-    """s for finite cells outside [1e-4, 1e9), with the scales and exponent
-    parts of their exponents set."""
-    s = np.searchsorted(_WIDE, a, side="right")
-    for k in np.flatnonzero((np.bincount(s, minlength=len(_KNOWN)) > 0) & ~_KNOWN).tolist():
-        t = _E0 + 8 - k  # 8 - E; P[t] = 10**t rounded once, exact for 0 <= t <= 22
-        t2 = 0 if t <= 22 else max(22, t - 308)
-        _P1[k], _P2[k] = (float(10**t) if t >= 0 else 1 / 10**-t for t in (t - t2, t2))
-        for j in (k, k + 1):  # and where a carry takes it
-            if not (-4 <= j - _E0 <= 8 or j - _E0 > 308):
-                _EXPONENTS[j] = b"e%+03d" % (j - _E0)
-        _KNOWN[k] = True
-    return s
+        table = group_cells(np.arange(top + 1)).view(np.uint8)[:, at]
+        table = np.ascontiguousarray(table).view(f"V{digits}").ravel()
+        return lambda lo, hi: [table[col[lo:hi]]]
+    return lambda lo, hi: list(group_cells(col[lo:hi]).view("V4").T)
 
 
 # a signalling NaN raises "invalid" in arithmetic; it prints empty as any NaN does
@@ -258,7 +214,7 @@ def _format_floats(x):
         wide_out = (a_out > 0.0) & (a_out < np.inf)
         expo = wide_out.any()
         if expo:
-            s_out[wide_out] = _search_wide(a_out[wide_out])
+            s_out[wide_out] = np.searchsorted(_WIDE, a_out[wide_out], side="right")
         s[out] = s_out
     y = a * _P1[s]
     if special:
@@ -382,26 +338,28 @@ def _group_words():
 
 
 def _exponent_tables():
-    """By s: the scales P[k1] and P[k2], whether they are set (fixed form,
-    ±0.0 and NaN; the rest by _search_wide), the least y of a right
-    exponent, 8 times the form, and the exponent parts."""
+    """By s: the scales P[k1] and P[k2], the least y of a right exponent,
+    8 times the form and the exponent parts; and the bounds of the fixed
+    and the wide exponent search."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])  # P[k] is powers[k + 323]
     e = np.arange(_NAN + 2) - _E0
     finite = (e >= -324) & (e <= 308)
     in_fixed = (e >= -4) & (e <= 8)
-    p1, p2 = np.ones(len(e)), np.ones(len(e))
-    p1[_E0 - 4 : _E0 + 9] = [float(10**k) for k in range(12, -1, -1)]
+    t = np.where(finite, 8 - e, 0)  # 8 - E; P[0] = 1 for ±0.0 and NaN
+    t2 = np.where(t <= 22, 0, np.maximum(22, t - 308))
+    p1, p2 = powers[t - t2 + 323], powers[t2 + 323]
     form8 = np.where(in_fixed, 8 * (e + 5), 8 * 5)
     form8[0], form8[_NAN:] = 0, 8 * (_FORMS - 1)
-    exponents = np.zeros(len(e), dtype="S8")  # "e+09" ... "e-324", set with p1 and p2
-    exponents[_E0 + 9] = b"e+09"  # where a carry leaves fixed form
+    exponents = np.array([b"e%+03d" % k for k in e.tolist()], dtype="S8")  # "e+09" ... "e-324"
+    exponents[~finite | in_fixed] = b""
     low = np.where(finite, 1e8, 0.0)  # ±0.0 and NaN go by other checks
-    return p1, p2, ~finite | in_fixed, low, form8, exponents
+    wide = np.concatenate([[5e-324], powers, [np.inf]])  # any increasing bounds near 10**k do
+    return p1, p2, low, form8, exponents, powers[323 - 4 : 323 + 10], wide
 
 
-# The tables, built once: no write builds them again.
+# The tables, built once and read-only: no write changes them.
 _WORDS = _group_words()
 _PREFIX, _SIGN, _OFFSET = _form_codes()
-_P1, _P2, _KNOWN, _LOW, _FORM8, _EXPONENTS = _exponent_tables()
-_FIXED = np.array([1e-4, 1e-3, 1e-2, 1e-1, *[float(10**k) for k in range(10)]])
-# any increasing bounds near the powers of ten do (module docstring)
-_WIDE = np.concatenate([[5e-324], 10.0 ** np.arange(-323, 309), [np.inf]])
+_P1, _P2, _LOW, _FORM8, _EXPONENTS, _FIXED, _WIDE = _exponent_tables()
+for _table in (_WORDS, _PREFIX, _SIGN, _OFFSET, _P1, _P2, _LOW, _FORM8, _EXPONENTS, _FIXED, _WIDE):
+    _table.flags.writeable = False

@@ -222,6 +222,20 @@ def test_float_cells_match_fmt_at_every_power_of_ten(tmp_path, monkeypatch):
     assert path.read_bytes() == csv_module_bytes(("x", "i"), zip(POWERS, ids.tolist()))
 
 
+def test_writer_tables_are_read_only(tmp_path, monkeypatch):
+    # the tables are complete at import: none can be written, and floats of
+    # either sign at every decimal exponent, 5e-324 to 1.8e308, need none
+    tables = {name: v for name, v in vars(arraycsv).items() if isinstance(v, np.ndarray)}
+    assert tables and [name for name, v in tables.items() if v.flags.writeable] == []
+    x = [5e-324, sys.float_info.max] + [float(f"{m}e{k}") for k in range(-323, 309) for m in (1, 1.7)]
+    assert {int(f"{v:e}".split("e")[1]) for v in x} == set(range(-324, 309))
+    x += [-v for v in x]
+    monkeypatch.setattr(csvio, "_TABLE_CELLS", 0)
+    path = tmp_path / "exponents.csv"
+    write_csv(path, ("x", "i"), [np.array(x), np.arange(len(x))])
+    assert path.read_bytes() == csv_module_bytes(("x", "i"), zip(x, range(len(x))))
+
+
 def test_numpy_tables_reject_a_nul_in_text(tmp_path, monkeypatch):
     # the block writer deletes NUL padding, so a NUL in a cell or a label cannot pass it
     monkeypatch.setattr(csvio, "_TABLE_CELLS", 0)
