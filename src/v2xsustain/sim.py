@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .sustain import _window_form, loss_probability_model
 
 # The events CSV labels, indexed by EventTable.kind code in tie-break order.
 _KIND_NAMES = ("arrival", "auth_pass", "key_update", "departure")
-_GATHER_ROWS = 1 << 16  # rows per in-place gather step in _merge_blocks
+_GATHER_ROWS = 1 << 16  # rows per in-place gather step in _merge_runs
 # The largest mean Generator.poisson accepts; above it, it raises ValueError.
 _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
@@ -49,15 +48,6 @@ class EventTable(_Columns):
     t: np.ndarray
     kind: np.ndarray
     entity: np.ndarray
-
-
-class _Block(NamedTuple):
-    """One kind's event rows, times[order] and ids[order], each row repeated."""
-
-    times: np.ndarray
-    ids: np.ndarray
-    order: np.ndarray
-    repeats: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +112,7 @@ class SimTrace:
 
     @property
     def events(self) -> EventTable:
-        return _merge_blocks(list(_event_blocks(self.draws, self.scenario)))
+        return _merge_runs(*_event_runs(self.draws, self.scenario))
 
     def export_events_csv(self, path: str | Path) -> None:
         ev = self.events  # a table whose len counts its rows, with the kinds as labels
@@ -159,33 +149,19 @@ def _time_order(t: np.ndarray) -> np.ndarray:
     return key
 
 
-def _concat_rows(parts, size: int) -> np.ndarray:
-    """Concatenation of src[order] over parts (src, order, repeats), each
-    row repeated, written in place with no copy per part."""
-    out = np.empty(size, dtype=parts[0][0].dtype)
-    lo = 0
-    for src, order, repeats in parts:
-        rows = out[lo : lo + len(order) * repeats].reshape(-1, repeats)
-        # order is in range; "clip" lets take write without a buffer
-        np.take(src, order, out=rows[:, 0], mode="clip")
-        rows[:, 1:] = rows[:, :1]
-        lo += rows.size
-    return out
+def _event_runs(draws: Draws, scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns t and entity of the drawn vehicles' events, one run per
+    kind in kind-code order, and the end of each run.
 
-
-def _event_blocks(draws: Draws, scenario: Scenario) -> tuple[_Block, ...]:
-    """Each kind's events of the drawn vehicles, in kind-code order.
-
-    Each block's rows are in (t, entity) order, the sorted runs that
-    _merge_blocks merges, by at most one packed-key _time_order sort: the
-    arrivals are in order already, and the passes and key updates share
-    the sessions' sort. Only SimTrace.events calls it; the slot metrics
-    count from the draws.
+    Each run is in (t, entity) order by at most one packed-key _time_order
+    sort: the arrivals are in order already, and the passes (each row
+    repeated Q times) and key updates share the sessions' sort. Only
+    SimTrace.events calls it; the slot metrics count from the draws.
     """
-    arrive, upd_t = draws.arrive, draws.upd_t
-    n = len(arrive)
-    ids = np.arange(n)
-    gone = np.flatnonzero(draws.depart <= scenario.window.T)
+    arrive, depart, upd_t = draws.arrive, draws.depart, draws.upd_t
+    ids = np.arange(len(arrive))
+    gone = np.flatnonzero(depart <= scenario.window.T)
+    gone = gone[_time_order(depart[gone])]
     if len(upd_t):
         # Sessions in entity order, each vehicle's arrival before its
         # updates, so their tie-stable time order is (t, entity) order.
@@ -197,39 +173,46 @@ def _event_blocks(draws: Draws, scenario: Scenario) -> tuple[_Block, ...]:
         session_t = np.empty(len(session_id))
         session_t[first], session_t[is_upd] = arrive, upd_t
         order = _time_order(session_t)
-        passes = _Block(session_t, session_id, order, scenario.net.Q)
-        updates = _Block(session_t, session_id, order[is_upd[order]], 1)
+        updated = order[is_upd[order]]
+        del sessions, first, is_upd  # freed before the runs are written
+        passes = (session_t, session_id, order, scenario.net.Q)
+        updates = (session_t, session_id, updated, 1)
     else:  # the sessions are the arrivals, already in order; no update rows
         # Q < event_cap unless no vehicle came: numpy never sees a Q past int64
-        passes = _Block(arrive, ids, ids, min(scenario.net.Q, scenario.event_cap))
-        updates = _Block(upd_t, ids[:0], ids[:0], 1)
-    departures = _Block(draws.depart, ids, gone[_time_order(draws.depart[gone])], 1)
-    return _Block(arrive, ids, ids, 1), passes, updates, departures
+        passes = (arrive, ids, ids, min(scenario.net.Q, scenario.event_cap))
+        updates = (upd_t, ids[:0], ids[:0], 1)
+    runs = ((arrive, ids, ids, 1), passes, updates, (depart, ids, gone, 1))
+    ends = np.cumsum([len(order) * repeats for _, _, order, repeats in runs])
+    t, entity = np.empty(ends[-1]), np.empty(ends[-1], dtype=ids.dtype)
+    for (times, who, order, repeats), end in zip(runs, ends):
+        lo = end - len(order) * repeats
+        for src, out in ((times, t), (who, entity)):
+            rows = out[lo:end].reshape(-1, repeats)
+            # order is in range; "clip" lets take write without a buffer
+            np.take(src, order, out=rows[:, 0], mode="clip")
+            rows[:, 1:] = rows[:, :1]
+    return t, entity, ends
 
 
-def _merge_blocks(blocks: list[_Block]) -> EventTable:
-    """The rows of _event_blocks' blocks in (t, kind code, entity) order.
+def _merge_runs(t: np.ndarray, entity: np.ndarray, ends: np.ndarray) -> EventTable:
+    """The rows of _event_runs' columns in (t, kind code, entity) order.
 
-    The blocks come in kind-code order, each a run sorted by (t, entity),
-    so one stable sort on t merges them. blocks is emptied once its rows
-    are copied, so that it holds none of their arrays while sorting.
+    The runs come in kind-code order, each sorted by (t, entity), so one
+    stable sort on t merges them; a row's kind is the number of run ends
+    at or before it. No new column: t is sorted in place, and order
+    becomes the sorted ids in place, a chunk at a time.
     """
-    ends = np.cumsum([len(b.order) * b.repeats for b in blocks])
-    t = _concat_rows([(b.times, b.order, b.repeats) for b in blocks], ends[-1])
-    entity = _concat_rows([(b.ids, b.order, b.repeats) for b in blocks], ends[-1])
-    blocks.clear()
     order = np.argsort(t, kind="stable")
+    # t sorted is t[order], as no time is -0.0 or nan. Sorted while the
+    # caller's arguments keep entity alive, it peaks as the argsort does:
+    # both merge the same runs with a buffer of the same size.
+    t.sort(kind="stable")
     kind = np.zeros(len(order), dtype=np.int8)
     for end in ends[:-1]:
         kind += order >= end
-    # No new column: order becomes the sorted ids in place, a chunk at a
-    # time, and t is sorted in place. Its values are t[order], as equal
-    # times have equal bits: no time is -0.0 or nan.
     for lo in range(0, len(order), _GATHER_ROWS):
         rows = order[lo : lo + _GATHER_ROWS]
         rows[:] = entity[rows]
-    del entity
-    t.sort(kind="stable")
     return EventTable(t, kind, order)
 
 

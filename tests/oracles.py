@@ -6,7 +6,9 @@ Simpson so the tests can check the closed forms against an independent
 computation. `sustain.sustainability_window_quadrature` stays in the
 package, because the benchmark's sweep check imports it from there.
 `scale_param_sustainability` is the batch twin of the running sums that
-`decision.score_failsafe_slots` keeps for `mu`.
+`decision.score_failsafe_slots` keeps for `mu`. `oracle_ei` is an Ei
+route independent of `specfun`, and `log_uniform` the Hypothesis strategy
+that the property tests draw rates and windows from.
 """
 
 from __future__ import annotations
@@ -15,11 +17,34 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from v2xsustain.errors import DomainError
 from v2xsustain.predict import SCALE_FLOOR, LikelihoodBounds
 from v2xsustain.quadrature import QuadSpec, integrate
-from v2xsustain.specfun import ln_gamma
+from v2xsustain.specfun import EULER_GAMMA, ln_gamma
 from v2xsustain.sustain import RateParams, TimeWindow
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(200)
+
+
+def oracle_ei(x: float) -> float:
+    """Ei(x) = gamma + ln x + integral_0^x (e^t - 1)/t dt for x > 0, the
+    entire-function integral by fixed 200-node Gauss-Legendre (geometric
+    convergence for analytic integrands, machine precision on the ranges
+    the tests use)."""
+    t = 0.5 * x * (_GL_NODES + 1.0)
+    w = 0.5 * x * _GL_WEIGHTS
+    integrand = np.where(t > 0, np.expm1(t) / np.where(t > 0, t, 1.0), 1.0)
+    return EULER_GAMMA + math.log(x) + float(np.dot(w, integrand))
+
+
+def log_uniform(lo: float, hi: float):
+    """10**e for e uniform in [lo, hi], as a Hypothesis strategy; only the
+    property tests call it, after they import Hypothesis or skip."""
+    from hypothesis import strategies as st
+
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
 def scale_param_sustainability(mean_sustainability: float | None,

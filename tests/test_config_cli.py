@@ -816,6 +816,8 @@ GOLDEN_ANALYTIC = [
     (["sweep", "--param", "beta"], {"p_x": 1e-17}, 0,
      "ce8c783f147df6fe32dd09ef5d85ecd3ea0b56a847c482b82cb022da11de6592"),
     (["sweep", "--param", "seed", "--values", "1,-1"], {}, 2, None),
+    (["sweep", "--param", "gamma_prime", "--values", "1e-12,1e-9,1e-6"], {}, 0,
+     "b8a334de0a668c4a9b608f051f3c81238cb52221860a691d01d779ca51cfb1b3"),
 ]
 GOLDEN_ANALYTIC_IDS = [
     "sweep_beta", "sweep_p_x", "sweep_beta200", "sweep_E_clamp", "sweep_alpha",
@@ -823,6 +825,7 @@ GOLDEN_ANALYTIC_IDS = [
     "sweep_N", "sweep_T_s", "sweep_d2", "sweep_r2_m", "sweep_O_b",
     "sweep_U_prime_N", "sweep_alpha_prime", "sweep_T_s_derived_t_attack",
     "sweep_p_x200", "sweep_beta200_p_x_list", "sweep_beta_p_x_1e-17", "sweep_seed_negative",
+    "sweep_gamma_prime_small",
 ]
 MU_UNDEFINED = "warning: mu: availability must lie strictly in (0, 1), got 1.0"
 GOLDEN_STREAMS = {  # id: (rows reported on stdout, or None for no CSV; stderr lines)
@@ -886,6 +889,30 @@ def test_sweep_golden_streams(tmp_path, monkeypatch, capsys, name):
     wrote = f"wrote {rows} rows to {tmp_path / 'out.csv'}\n"
     assert captured.out == ("" if rows is None else wrote)
     assert captured.err.splitlines() == err
+
+
+# P_c, M_O_pred and M_O_pred_printed of sweep_gamma_prime_small: the closed
+# forms at 50 mpmath digits on the A1 doubles, alpha' = alpha / t2 among
+# them. Both connectivity forms once printed 1.8e-5 (P_c) and 8e-8
+# (M_O_pred) relative off at gamma' = 1e-12.
+SMALL_GAMMA_PRIME_MPMATH = {
+    "1e-12": ("4.9999999999874998994e-12", "-235021393.54503303437", "15386597.274926041773"),
+    "1e-09": ("4.9999999875000003322e-9", "-235021380.50134614987", "15386596.420969922951"),
+    "1e-06": ("4.999987500020833081e-6", "-235008337.27196638539", "15385742.494803442006"),
+}
+
+
+def test_sweep_small_gamma_prime_prints_the_mpmath_digits(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    name = "sweep_gamma_prime_small"
+    assert_golden_output(tmp_path, *GOLDEN_ANALYTIC[GOLDEN_ANALYTIC_IDS.index(name)])
+    capsys.readouterr()
+    with open(tmp_path / "out.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["value"] for row in rows] == list(SMALL_GAMMA_PRIME_MPMATH)
+    for row in rows:
+        cells = [row["P_c"], row["M_O_pred"], row["M_O_pred_printed"]]
+        assert cells == [fmt(float(v)) for v in SMALL_GAMMA_PRIME_MPMATH[row["value"]]]
 
 
 def test_sweep_alpha_grid_warnings(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Property tests: each production closed form agrees with its quadrature
-twin over random admissible inputs, and scale_param with 50-digit mpmath.
+twin over random admissible inputs, and scale_param and both connectivity
+forms with 50-digit mpmath, within the bounds their docstrings state.
 
 The twins are `sustain.sustainability_window_quadrature` and the two in
 `oracles.py`. They run at `rel_tol=1e-12`, because at the default 1e-10
@@ -7,6 +8,8 @@ the S_N twin itself drifts past 1e-9 on wide windows. Rates and windows
 are drawn log-uniform over many decades. Derandomized, so Tier-1 stays
 deterministic. Skipped when Hypothesis is not installed.
 """
+
+import math
 
 import pytest
 
@@ -16,6 +19,8 @@ from v2xsustain import (
     NetworkParams,
     RateParams,
     TimeWindow,
+    connectivity_prob,
+    connectivity_window_factor,
     failsafe_tau,
     predicted_key_updates,
     scale_param,
@@ -24,7 +29,7 @@ from v2xsustain import (
 )
 from v2xsustain.errors import DomainError, OverflowRangeError
 
-from oracles import failsafe_likelihood, predicted_key_updates_quadrature
+from oracles import failsafe_likelihood, log_uniform, predicted_key_updates_quadrature
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -33,11 +38,6 @@ TWIN_TOL = 1e-12
 # integrate scales its tolerance by max(|estimate|, 1e-300), so a twin
 # value below that floor no longer carries TWIN_TOL relative accuracy
 TWIN_FLOOR = 1e-300
-
-
-def log_uniform(lo: float, hi: float):
-    """10**e for e uniform in [lo, hi]."""
-    return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
 @st.composite
@@ -119,3 +119,47 @@ def test_scale_param_one_entry_within_its_bound(a):
     with mpmath.workdps(50):
         ref = 1 / -mpmath.log(mpmath.mpf(a))
         assert abs((scale_param([a]) - ref) / ref) <= 1e-15, a
+
+
+# E0 in {0, E/2, E} of an even E
+COHORTS = st.integers(1, 10**9).flatmap(
+    lambda h: st.sampled_from([(2 * h, 0), (2 * h, h), (2 * h, 2 * h)])
+)
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(x=log_uniform(-15, math.log10(50.0)), t=log_uniform(-3, 6),
+                  cohort=COHORTS)
+@hypothesis.example(x=5e-12, t=5.0, cohort=(10, 10))  # 1.8e-5 off as (E - E0 e^{-x}) / E
+@hypothesis.example(x=5e-9, t=5.0, cohort=(10, 10))  # 2.4e-9 off
+@hypothesis.example(x=50.0, t=5.0, cohort=(10, 5))
+def test_connectivity_prob_within_its_bound(x, t, cohort):
+    # gamma' t = x in [1e-15, 50]; the bound against the floats gamma' and t
+    mpmath = pytest.importorskip("mpmath")
+    E, E0 = cohort
+    g = x / t
+    with mpmath.workdps(50):
+        ref = (E - E0 * mpmath.exp(-mpmath.mpf(g) * t)) / E
+        got = connectivity_prob(NetworkParams(N=10, E=E, E_zero=E0), g, t)
+        assert abs((got - ref) / ref) <= 1e-15, (g, t, E0)
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(x=log_uniform(-15, math.log10(50.0)), t1=log_uniform(-3, 6),
+                  width=log_uniform(-12, 3), cohort=COHORTS)
+@hypothesis.example(x=105e-12, t1=5.0, width=20.0, cohort=(10, 10))  # 8.4e-8 off by subtraction
+@hypothesis.example(x=105e-9, t1=5.0, width=20.0, cohort=(10, 10))
+@hypothesis.example(x=1e-3, t1=5.0, width=2e-7, cohort=(10, 10))  # a 1e-6 s window
+def test_connectivity_window_factor_within_its_bound(x, t1, width, cohort):
+    # rate t2 = x in [1e-15, 50]; the error against 1 + |(E0 / (E rate)) decay|
+    mpmath = pytest.importorskip("mpmath")
+    E, E0 = cohort
+    t2 = t1 * (1.0 + width)
+    rate = x / t2
+    with mpmath.workdps(50):
+        r = mpmath.mpf(rate)
+        term = E0 / (E * r) * (mpmath.exp(-r * t1) - mpmath.exp(-r * t2))
+        got = connectivity_window_factor(
+            NetworkParams(N=10, E=E, E_zero=E0), rate, TimeWindow(t1, t2, t2)
+        )
+        assert abs(got - (1 - term)) <= 1e-14 * (1 + abs(term)), (rate, t1, t2, E0)

@@ -26,6 +26,8 @@ from v2xsustain.errors import (
     SimulationTruncated,
 )
 
+from oracles import log_uniform
+
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
@@ -33,11 +35,6 @@ EVENT_CAP = 10_000
 # A run of near EVENT_CAP events and slots peaks at about 1.3 MiB (2 MiB on
 # the first call); a peak that grew with the rates would pass this by far.
 PEAK_BOUND = 4 * 2**20
-
-
-def log_uniform(lo: float, hi: float):
-    """10**e for e uniform in [lo, hi]."""
-    return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
 PROBABILITY = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)

@@ -1,10 +1,9 @@
 """Special-function and quadrature tests.
 
-The exponential-integral oracle here is deliberately independent of the
-implementation: Ei(x) = gamma + ln x + integral_0^x (e^t - 1)/t dt, with
-the entire-function integral evaluated by fixed 200-node Gauss-Legendre
-(geometric convergence for analytic integrands, machine precision on the
-ranges used).
+The exponential-integral oracle, oracles.oracle_ei, is deliberately
+independent of the implementation: Ei(x) = gamma + ln x +
+integral_0^x (e^t - 1)/t dt, with the entire-function integral evaluated
+by fixed 200-node Gauss-Legendre.
 """
 
 import math
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from v2xsustain.quadrature import QuadSpec, integrate
-from v2xsustain.specfun import EULER_GAMMA, expint_ei, ln_gamma
+from v2xsustain.specfun import expint_ei, ln_gamma
 from v2xsustain.errors import (
     ConvergenceError,
     DomainError,
@@ -21,15 +20,7 @@ from v2xsustain.errors import (
     OverflowRangeError,
 )
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(200)
-
-
-def oracle_ei(x: float) -> float:
-    t = 0.5 * x * (_GL_NODES + 1.0)
-    w = 0.5 * x * _GL_WEIGHTS
-    integrand = np.where(t > 0, np.expm1(t) / np.where(t > 0, t, 1.0), 1.0)
-    return EULER_GAMMA + math.log(x) + float(np.dot(w, integrand))
-
+from oracles import oracle_ei
 
 # Abramowitz & Stegun style reference points, full double precision.
 EI_REFERENCE = {
