@@ -19,7 +19,7 @@ cells by kind of column:
   digits: the tables grow with a block's rows, not with the values;
 - `Codes`: each label quoted and encoded once, then taken by its code;
 - any other (lists, text, negative integers, bools): `fmt` per cell unless all
-  are str, then quoted and encoded once per block.
+  are str, then quoted and encoded once per block, or once where all are one str.
 
 The tables that no column shapes are built whole at import and are
 read-only: no write changes them.
@@ -123,6 +123,9 @@ def _text_cells(values):
     """Cells of fmt(value), quoted as csv.writer quotes them, as one block;
     ValueError where a cell holds a NUL."""
     values = values.tolist() if hasattr(values, "tolist") else list(values)
+    first = values[0] if values else None
+    if type(first) is str and first is values[-1] and values.count(first) == len(values) > 1:
+        return np.repeat(_text_cells([first]), len(values))  # one string: encoded once
     try:
         text = "\0".join(values)
     except TypeError:  # not all str

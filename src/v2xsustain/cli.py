@@ -24,8 +24,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .config import (ENV_CONFIG_PATH, FIELD_KINDS, ScenarioBundle, build_bundle, default_config,
-                     load_config, merge_config)
+from .config import (ENV_CONFIG_PATH, FIELD_KINDS, ScenarioBundle, _build_parts, availabilities,
+                     build_bundle, check_fields, default_config, load_config)
 from .csvio import write_csv
 from .decision import CONTINUE, check_constraints, score_failsafe_slots
 from .errors import ConfigError, DomainError, OverflowRangeError, SimulationTruncated
@@ -133,7 +133,7 @@ def _sweep_values(args) -> list[float]:
 
 
 def _sweep_row(param: str, value: float, base: dict, origin: str, warnings: list[str],
-               last_mu: list) -> tuple:
+               parts: dict, last_mu: list) -> tuple:
     integer = FIELD_KINDS[param] == "int"
     if integer and not (math.isfinite(value) and value == int(value)):
         raise ConfigError(f"parameter {param!r} takes integer values, got {value!r}")
@@ -146,19 +146,19 @@ def _sweep_row(param: str, value: float, base: dict, origin: str, warnings: list
     source = f"sweep {param}={value:g}"
     if origin != "<config>":  # a row's errors name the config file, then the row
         source = f"{origin}: {source}"
-    # base is checked once by _resolve_config; a row checks only its overrides
-    checked = merge_config(overrides, source=source)
-    b = build_bundle({**base, **{k: checked[k] for k in overrides}}, source=source)
-    scn = b.scenario
-    net, rates, window = scn.net, scn.rates, scn.window
-    alpha_prime = resolve_alpha_prime(rates, window, b.alpha_prime)
+    # base is checked once by _resolve_config; a row checks only its overrides. The first
+    # row builds every part, a later one only those its overrides (the same fields) feed.
+    config = {**base, **check_fields(overrides, source)}
+    parts.update(_build_parts(config, source, overrides.keys() if parts else ()))
+    net, rates, window = parts["net"], parts["rates"], parts["window"]
+    alpha_prime = resolve_alpha_prime(rates, window, config.get("alpha_prime"))
 
     s_n = _cell(
         lambda: sustainability_window(rates, net, window), warnings, "S_N"
     )
     o_s = (
         _cell(
-            lambda: signaling_overhead(scn.thresholds.O_b, alpha_prime, net, window),
+            lambda: signaling_overhead(parts["thresholds"].O_b, alpha_prime, net, window),
             warnings,
             "O_S",
         )
@@ -176,7 +176,7 @@ def _sweep_row(param: str, value: float, base: dict, origin: str, warnings: list
     )
     pred = _cell(
         lambda: predicted_message_overhead(
-            rates, net, window, scn.range_params, scn.thresholds.O_b,
+            rates, net, window, parts["range_params"], parts["thresholds"].O_b,
             alpha_prime=alpha_prime,
         ),
         warnings,
@@ -188,12 +188,13 @@ def _sweep_row(param: str, value: float, base: dict, origin: str, warnings: list
         "P_c",
     )
     # mu depends on p_x alone, and rows that keep the base's p_x share its object
-    if last_mu[0] is not b.p_x:
+    p_x = config["p_x"]
+    if last_mu[0] is not p_x:
         found: list[str] = []
-        last_mu[:] = b.p_x, _cell(lambda: scale_param(b.availabilities()), found, "mu"), found
+        last_mu[:] = p_x, _cell(lambda: scale_param(availabilities(p_x)), found, "mu"), found
     _, mu, found = last_mu
     warnings += found
-    tau = None if mu is None else failsafe_tau(mu, b.bounds, window.T)
+    tau = None if mu is None else failsafe_tau(mu, parts["bounds"], window.T)
     return (
         param, value, s_n, o_s, m_o,
         None if pred is None else pred.composed,
@@ -207,11 +208,12 @@ def cmd_sweep(args) -> int:
     if args.param not in FIELD_KINDS:
         raise ConfigError(f"unknown sweep parameter {args.param!r}")
     values = _sweep_values(args)
-    # lists become tuples once, which build_bundle passes on without a copy
+    # lists become tuples once, as build_bundle makes them
     base = {k: tuple(v) if isinstance(v, list) else v for k, v in base.items()}
     warnings: list[str] = []
+    parts: dict = {}  # the last row's scenario parts, by attribute
     last_mu: list = [None, None, []]  # p_x, its mu, its warnings
-    rows = [_sweep_row(args.param, v, base, origin, warnings, last_mu) for v in values]
+    rows = [_sweep_row(args.param, v, base, origin, warnings, parts, last_mu) for v in values]
     write_csv(args.out, SWEEP_HEADER, list(zip(*rows, strict=True)))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

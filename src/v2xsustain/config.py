@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -92,9 +91,9 @@ def _check_scalar(source: str, name: str, kind: str, value) -> float | int:
     return number
 
 
-def merge_config(overrides: dict, source: str = "<dict>") -> dict:
-    """Defaults overlaid with the provided fields; unknown names rejected."""
-    config = default_config()
+def check_fields(overrides: dict, source: str) -> dict:
+    """The given fields, each checked against its kind; unknown names rejected."""
+    checked = {}
     for name, value in overrides.items():
         kind = FIELD_KINDS.get(name)
         if kind is None:
@@ -102,10 +101,15 @@ def merge_config(overrides: dict, source: str = "<dict>") -> dict:
         if kind == "prob" and isinstance(value, list):
             if not value:
                 raise ConfigError(f"{source}: field {name!r} list is empty")
-            config[name] = [_check_scalar(source, name, kind, v) for v in value]
+            checked[name] = [_check_scalar(source, name, kind, v) for v in value]
         else:
-            config[name] = _check_scalar(source, name, kind, value)
-    return config
+            checked[name] = _check_scalar(source, name, kind, value)
+    return checked
+
+
+def merge_config(overrides: dict, source: str = "<dict>") -> dict:
+    """Defaults overlaid with the provided fields; unknown names rejected."""
+    return {**_DEFAULTS, **check_fields(overrides, source)}
 
 
 def load_config(path: str | Path) -> dict:
@@ -128,6 +132,15 @@ def load_config(path: str | Path) -> dict:
     return merge_config(data, source=str(path))
 
 
+def _check_run(seed, event_cap) -> None:
+    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    if not isinstance(event_cap, int) or event_cap < 1:
+        raise DomainError(f"event_cap must be positive, got {event_cap!r}")
+    if event_cap >= 2**63:  # a run within the cap then counts in int64
+        raise DomainError(f"event_cap must be below 2**63, got {event_cap!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One simulated scenario: the model parameters, the seed and the
@@ -142,12 +155,15 @@ class Scenario:
     event_cap: int = 2_000_000
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2**64:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.event_cap, int) or self.event_cap < 1:
-            raise DomainError(f"event_cap must be positive, got {self.event_cap!r}")
-        if self.event_cap >= 2**63:  # a run within the cap then counts in int64
-            raise DomainError(f"event_cap must be below 2**63, got {self.event_cap!r}")
+        _check_run(self.seed, self.event_cap)
+
+
+def availabilities(p_x: float | tuple[float, ...]) -> tuple[float, ...]:
+    """Credential availabilities 1 - p_x, one per entity for a tuple; a scalar
+    gives one, as E equal terms give the same estimator E / (E ln(1/a))."""
+    if isinstance(p_x, tuple):
+        return tuple(1.0 - p for p in p_x)
+    return (1.0 - p_x,)
 
 
 @dataclass(frozen=True)
@@ -163,15 +179,8 @@ class ScenarioBundle:
     alpha_prime: float | None
 
     def availabilities(self) -> tuple[float, ...]:
-        """Credential availabilities 1 - p_x, one per entity for a list.
-
-        A scalar p_x gives one availability: E equal terms give the
-        credentials estimator E / (E ln(1/a)) = 1 / ln(1/a), so the E-long
-        copy would only cost time and memory linear in E.
-        """
-        if isinstance(self.p_x, tuple):
-            return tuple(1.0 - p for p in self.p_x)
-        return (1.0 - self.p_x,)
+        """`availabilities` of this bundle's p_x."""
+        return availabilities(self.p_x)
 
     def omega_compliance(self, slots: int) -> tuple[float, ...]:
         """Per-slot compliance probabilities 1 - omega_x for `slots` slots."""
@@ -185,9 +194,32 @@ class ScenarioBundle:
         return (1.0 - self.omega_x,) * slots
 
 
-@lru_cache(maxsize=16, typed=True)
-def _recent_part(cls, *values):
-    return cls(*values)
+# The six scenario parts: the attribute that holds each (bounds on the
+# bundle, the rest on its scenario), its class, and the config fields it
+# takes in argument order.
+PARTS = (
+    ("net", NetworkParams, ("N", "E", "E0", "n_inv", "Q")),
+    ("rates", RateParams, ("alpha", "beta", "gamma_prime")),
+    ("window", TimeWindow,
+     ("t1_s", "t2_s", "T_s", "tx_step_s", "t_attack_s", "t_prime_s", "t_u_s")),
+    ("range_params", RangeParams, ("r1_m", "r2_m")),
+    ("thresholds", Thresholds, ("S_N_TH", "M_O_TH", "U_prime_N", "O_b")),
+    ("bounds", LikelihoodBounds, ("d1", "d2")),
+)
+_OWNER = {name: part for part in PARTS for name in part[2]}
+
+
+def _build_parts(config: dict, source: str, names=()) -> dict:
+    """The parts of a merged config by attribute: those that take one of names, else all six.
+    A full build, or names with seed or event_cap, also runs the Scenario checks."""
+    owners = dict.fromkeys(_OWNER[n] for n in names if n in _OWNER) if names else PARTS
+    try:
+        parts = {attr: cls(*map(config.get, fields)) for attr, cls, fields in owners}
+        if not names or "seed" in names or "event_cap" in names:
+            _check_run(config["seed"], config["event_cap"])
+    except DomainError as e:
+        raise ConfigError(f"{source}: {e}") from e
+    return parts
 
 
 def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
@@ -196,44 +228,17 @@ def build_bundle(config: dict, source: str = "<config>") -> ScenarioBundle:
     Structural invariant breaches (reversed windows, E0 > E) surface as
     ConfigError naming the source; admissibility violations are left to
     check_constraints, which treats them as data.
-
-    Each part takes its config values in its field order. The parts are
-    frozen, so one built from the same values (and types) by a recent call
-    is reused: a sweep row builds only the parts its overrides change. A
-    part whose checks raised is never kept.
     """
-    # 0.0 == -0.0 would share an entry, so a config holding a zero builds afresh
-    part = _recent_part.__wrapped__ if 0 in config.values() else _recent_part
-    try:
-        net = part(
-            NetworkParams, config["N"], config["E"], config["E0"], config["n_inv"], config["Q"]
-        )
-        rates = part(RateParams, config["alpha"], config["beta"], config["gamma_prime"])
-        window = part(
-            TimeWindow, config["t1_s"], config["t2_s"], config["T_s"], config["tx_step_s"],
-            config.get("t_attack_s"), config.get("t_prime_s"), config.get("t_u_s"),
-        )
-        rp = part(RangeParams, config["r1_m"], config["r2_m"])
-        thresholds = part(
-            Thresholds, config["S_N_TH"], config["M_O_TH"],
-            config["U_prime_N"], config["O_b"],
-        )
-        bounds = part(LikelihoodBounds, config["d1"], config["d2"])
-        scenario = Scenario(
-            net=net, rates=rates, window=window, range_params=rp,
-            thresholds=thresholds, seed=config["seed"], event_cap=config["event_cap"],
-        )
-    except DomainError as e:
-        raise ConfigError(f"{source}: {e}") from e
+    parts = _build_parts(config, source)
+    bounds = parts.pop("bounds")
     p_x = config["p_x"]
     omega_x = config["omega_x"]
     return ScenarioBundle(
-        scenario=scenario,
+        scenario=Scenario(**parts, seed=config["seed"], event_cap=config["event_cap"]),
         bounds=bounds,
         p_x=tuple(p_x) if isinstance(p_x, list) else p_x,
         omega_x=tuple(omega_x) if isinstance(omega_x, list) else omega_x,
-        U_k=config.get("U_k", float(thresholds.U_prime_N)),
-        D=config.get("D", float(net.N)),
+        U_k=config.get("U_k", float(parts["thresholds"].U_prime_N)),
+        D=config.get("D", float(parts["net"].N)),
         alpha_prime=config.get("alpha_prime"),
     )
-

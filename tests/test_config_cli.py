@@ -387,6 +387,19 @@ def test_sweep_names_the_config_file_of_a_failing_base(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_sweep_accepts_a_base_that_its_rows_make_valid(tmp_path, capsys):
+    # E0 > E fails alone, but each row's E0 follows its E, so every row is
+    # valid: the rows are built, never the base alone
+    cfg = write_config(tmp_path, E=5, E0=10)
+    out = tmp_path / "e.csv"
+    assert main(["sweep", cfg, "--param", "E", "--values", "10,20", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 2 rows to {out}\n"
+    digest = "c154d629d1230824af1b906623d6d49beafa30b284813dc36c1a440625d833da"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert main(["validate", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: E_zero=10 exceeds capacity E=5\n"
+
+
 def test_simulate_keeps_the_run_when_the_model_leaves_double_range(tmp_path, capsys):
     # A slot whose model value leaves double range gets empty S_N_model and
     # S_N_rel_dev cells and one warning line per run; the run still writes
@@ -1020,30 +1033,61 @@ def test_build_bundle_gives_each_part_its_fields():
     assert list(map(repr, got)) == list(map(repr, want))
 
 
+# What an absent field without a default resolves to at the A1 defaults
+RESOLVED = {"alpha_prime": 1.0 / 105.0, "t_attack_s": 110.0, "t_prime_s": 110.0,
+            "t_u_s": 5.0, "U_k": 1.0, "D": 10.0}
+
+
 @pytest.mark.parametrize("name", [f.name for f in FIELDS])
 def test_reused_parts_match_fresh_builds(name):
-    # base, changed, base: each bundle equals one built with the reuse
-    # cleared. The base leaves the derived-default fields (alpha_prime,
-    # t_attack_s, t_prime_s, t_u_s, U_k, D) absent, so a change of T_s,
-    # tx_step_s, U_prime_N or N must reach what they resolve to.
-    configs = [default_config(), merge_config({name: CHANGED[name]})]
-    configs.append(configs[0])
-    fresh = []
-    for c in configs:
-        config_module._recent_part.cache_clear()
-        fresh.append(build_bundle(c))
-    config_module._recent_part.cache_clear()
-    for k, (c, want) in enumerate(zip(configs, fresh)):
-        got = build_bundle(c)
-        assert got.scenario == want.scenario and repr(got.scenario) == repr(want.scenario)
-        assert got == want and repr(got) == repr(want)
-        if k:  # at most the one part that owns the field is built again
-            assert config_module._recent_part.cache_info().hits >= 5 * k
+    # Sweep rows at the default, a changed value and the default again: each
+    # row's parts equal a fresh build of its merged config, and a later row
+    # builds anew only the part that takes the field (none for p_x, seed and
+    # the other fields no part takes).
+    from v2xsustain import cli
+
+    base = default_config()
+    changed = 0.2 if name == "p_x" else CHANGED[name]
+    owner = [attr for attr, _, names in config_module.PARTS if name in names]
+    default = base.get(name, RESOLVED.get(name))
+    parts: dict = {}
+    for k, value in enumerate([default, changed, default]):
+        before = dict(parts)
+        cli._sweep_row(name, float(value), base, "<config>", [], parts, [None, None, []])
+        overrides = {name: value}
+        if name == "beta":
+            overrides["alpha"] = value / 2.0
+        if name == "E":
+            overrides["E0"] = min(base["E0"], value)
+        fresh = build_bundle(merge_config(overrides))
+        want = {attr: getattr(fresh.scenario, attr) for attr, _, _ in config_module.PARTS[:-1]}
+        want["bounds"] = fresh.bounds
+        assert parts == want and repr(parts) == repr(want)
+        if k:
+            assert [attr for attr in parts if parts[attr] is not before[attr]] == owner
+
+
+def test_beta_sweep_builds_no_bundle(tmp_path, monkeypatch, capsys):
+    # a row builds only its parts, never a whole bundle
+    from v2xsustain import cli
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_bundle(*args, **kwargs)
+
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    monkeypatch.setattr(cli, "build_bundle", counting)
+    monkeypatch.setattr(config_module, "build_bundle", counting)
+    assert_golden_output(tmp_path, *GOLDEN_ANALYTIC[GOLDEN_ANALYTIC_IDS.index("sweep_beta200")])
+    capsys.readouterr()
+    assert len(calls) <= 1
 
 
 def test_reuse_keeps_zero_signs_types_and_failures_apart():
-    # 0.0 == -0.0 and 10 == 10.0, but neither pair may share a part; a part
-    # whose checks raise is never kept, so it raises again
+    # 0.0 == -0.0 and 10 == 10.0, but each build keeps its own sign and type;
+    # a part whose checks raise raises again on the next build
     assert math.copysign(1.0, build_bundle(merge_config({"alpha": 0.0})).scenario.rates.alpha) > 0
     assert math.copysign(1.0, build_bundle(merge_config({"alpha": -0.0})).scenario.rates.alpha) < 0
     build_bundle(default_config())
