@@ -31,11 +31,12 @@ from .config import Scenario
 from .csvio import Codes, _Columns, write_csv
 from .decision import check_constraints
 from .errors import DomainError, OverflowRangeError, SimulationTruncated
-from .sustain import _window_form, loss_probability_model
+from .specfun import _EI_MIN_X, _EI_SERIES_CUTOFF, _series_terms, _window_series
+from .sustain import _window_form, _window_prefactor, loss_probability_model
 
 # The events CSV labels, indexed by EventTable.kind code in tie-break order.
 _KIND_NAMES = ("arrival", "auth_pass", "key_update", "departure")
-_GATHER_ROWS = 1 << 16  # rows per in-place gather step in _merge_runs
+_GATHER_ROWS = 1 << 16  # rows per step of _merge_runs' in-place gathers and of _ei_windows
 # The largest mean Generator.poisson accepts; above it, it raises ValueError.
 _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 
@@ -391,12 +392,29 @@ def _mean_abs(column: np.ndarray) -> float | None:
     return float(np.cumsum(defined)[-1] / len(defined)) if len(defined) else None
 
 
+def _ei_windows(d: float, t1: np.ndarray, t2: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """_ei_window, bit for bit, on each marked window where it takes its series branch,
+    NaN elsewhere; _GATHER_ROWS at a time, each block's term count from its largest x1."""
+    diff = np.full(len(t1), np.nan)
+    for lo in range(0, len(t1), _GATHER_ROWS):
+        a, b = t1[lo : lo + _GATHER_ROWS], t2[lo : lo + _GATHER_ROWS]
+        x1, x2 = d / a, d / b
+        series = windows[lo : lo + _GATHER_ROWS] & (x1 <= _EI_SERIES_CUTOFF) & (x2 >= _EI_MIN_X)
+        x1, x2, a, w = x1[series], x2[series], a[series], b[series] - a[series]
+        log_term = np.fromiter(map(math.log1p, (w / a).tolist()), float, len(w))
+        diff[lo : lo + _GATHER_ROWS][series] = log_term + _window_series(
+            x1, x2, x1 * (w / b[series]), _series_terms(math.ceil(x1.max(initial=1.0))))
+    return diff
+
+
 def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     """Slot-by-slot empirical vs closed-form comparison.
 
     Model sustainability for a slot integrates the closed form over that
     slot's window (previous edge, edge], clipped at T; the first slot has no
-    model value because its window starts at t = 0. A slot whose closed form
+    model value because its window starts at t = 0. The prefactor is taken
+    once and the Ei window of every slot at once (_ei_windows); a window off
+    its series branch takes the scalar _window_form. A slot whose closed form
     leaves its domain or double range has no model value either; its
     message goes to s_n_model_errors. Survivor fractions
     compare the initial cohort against exponential decay (math.exp per
@@ -415,13 +433,20 @@ def compare_to_model(trace: SimTrace, scenario: Scenario) -> ComparisonReport:
     s_n_model = np.full(n, np.nan)
     model_errors = []
     if rates.alpha > 0.0 and rates.beta > rates.alpha:
-        for k in range(1, n):  # the first slot's window starts at t = 0
-            t1, t2 = s.t_s.item(k - 1), min(s.t_s.item(k), window.T)
-            if 0.0 < t1 < t2:
-                try:
-                    s_n_model[k] = _window_form(rates, net, t1, t2, net.Q)
-                except (DomainError, OverflowRangeError) as e:
-                    model_errors.append(str(e))
+        t1, t2 = s.t_s[:-1], np.minimum(s.t_s[1:], window.T)  # slot k + 1's window
+        windows = (0.0 < t1) & (t1 < t2)
+        try:  # checked once; where this fails, every window's _window_form raises it
+            prefactor = _window_prefactor(rates, net, net.Q)
+        except (DomainError, OverflowRangeError):
+            prefactor = math.nan
+        with np.errstate(over="ignore"):  # d/t1 or a cell past double range; retried below
+            s_n_model[1:] = prefactor * _ei_windows(rates.beta - rates.alpha, t1, t2, windows)
+        for k in np.flatnonzero(windows & ~np.isfinite(s_n_model[1:])).tolist():
+            s_n_model[k + 1] = np.nan
+            try:
+                s_n_model[k + 1] = _window_form(rates, net, t1.item(k), t2.item(k), net.Q)
+            except (DomainError, OverflowRangeError) as e:
+                model_errors.append(str(e))
     cohort = s.cohort_fraction
     survivor_model = np.full(n, np.nan)
     if net.E_zero:  # else no cohort: every survivor cell is empty

@@ -8,6 +8,9 @@ adaptive Simpson engine of the quadrature twin is in `quadrature`.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import accumulate
+from operator import truediv
 
 from .errors import DomainError, OverflowRangeError
 
@@ -18,6 +21,9 @@ _EXP_MAX = 709.782712893384
 # Power-series / asymptotic-series switch point for Ei.
 _EI_SERIES_CUTOFF = 40.0
 _EI_MIN_X = 1e-300
+# 1/(k k!) for k = 1..105, from 1/k! = (1/(k-1)!)/k; 105 is _series_terms(40)
+_SERIES_COEF = tuple(f / k for k, f in enumerate(accumulate(range(1, 106), truediv,
+                                                            initial=1.0)) if k)
 
 
 def expint_ei(x: float) -> float:
@@ -44,24 +50,33 @@ def expint_ei(x: float) -> float:
         raise DomainError(
             f"expint_ei argument {x!r} is below the domain floor {_EI_MIN_X!r}"
         )
-    if x <= _EI_SERIES_CUTOFF:
-        return _ei_series(x)
+    if x <= _EI_SERIES_CUTOFF:  # the window series from x2 = 0
+        return EULER_GAMMA + math.log(x) + _window_series(x, 0.0, x, _series_terms(math.ceil(x)))
     return _ei_asymptotic(x)
 
 
-def _ei_series(x: float) -> float:
-    # term_k = x^k / (k * k!), via term_k = term_{k-1} * x * (k-1) / k^2
-    # term_k / acc_k grows with x, so x = 40, the cutoff, needs the most
-    # terms: it stops at k = 104, well inside the range.
-    total = EULER_GAMMA + math.log(x)
-    term = x
-    acc = x
-    for k in range(2, 200):
-        term *= x * (k - 1) / (k * k)
-        acc += term
-        if term <= 1e-17 * acc:
-            break
-    return total + acc
+def _window_series(x1, x2, h, terms: int):
+    """sum_{k=1}^{terms} (x1^k - x2^k) / (k k!) from h = x1 - x2 >= 0, on floats and
+    numpy arrays alike: D_k = x1^k - x2^k = x1 D_{k-1} + x2^(k-1) h never subtracts."""
+    p = dk = total = h
+    for c in _SERIES_COEF[1:terms]:
+        p = p * x2
+        dk = x1 * dk + p
+        total = total + c * dk
+    return total
+
+
+@lru_cache(maxsize=None)
+def _series_terms(m: int) -> int:
+    """The terms _window_series takes for any x1 <= m. Term k + 1 over term k is
+    at most x1/(k + 1), as at x2 = x1, where the terms are x1^(k-1)/k!: once k > m
+    and that term at m is below 2**-56 of their sum, no later term moves the sum."""
+    k, term, total = 1, 1.0, 1.0
+    while k <= m or term >= 2.0**-56 * total:
+        k += 1
+        term *= m / k
+        total += term
+    return k
 
 
 def _ei_asymptotic(x: float) -> float:

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, OverflowRangeError
-from .specfun import expint_ei
+from .specfun import _EI_MIN_X, _EI_SERIES_CUTOFF, _series_terms, _window_series, expint_ei
+
+# the positive nodes of the 12-node Gauss-Legendre rule on [-1, 1], and their weights
+_GAUSS_RULE = tuple(zip((0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                         0.7699026741943047, 0.9041172563704749, 0.9815606342467192),
+                        (0.24914704581340277, 0.2334925365383548, 0.20316742672306592,
+                         0.16007832854334622, 0.10693932599531843, 0.04717533638651183)))
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,9 @@ def sustainability_window(
         S_N = alpha^2 / (2 beta N (1 - n_inv/E)^N Q)
               * (Ei((beta-alpha)/t1) - Ei((beta-alpha)/t2)).
 
-    Requires beta > alpha > 0 so the Ei arguments stay positive.
+    Requires beta > alpha > 0 so the Ei arguments stay positive. Within 1e-13
+    relative of the form on the doubles alpha, beta, t1, t2 and P while
+    (beta - alpha)/t1 <= 40, and within (beta - alpha)/t1 * 2**-51 above.
     """
     return _window_form(rates, net, window.t1, window.t2, net.Q)
 
@@ -187,6 +195,14 @@ def _window_form(
     rates: RateParams, net: NetworkParams, t1: float, t2: float, Q: int
 ) -> float:
     """sustainability_window over checked bounds 0 < t1 < t2, at Q passes per session."""
+    s_n = _window_prefactor(rates, net, Q) * _ei_window(rates.beta - rates.alpha, t1, t2)
+    if not math.isfinite(s_n):
+        raise OverflowRangeError(f"window form gives {s_n!r}, outside double range")
+    return s_n
+
+
+def _window_prefactor(rates: RateParams, net: NetworkParams, Q: int) -> float:
+    """The window form's alpha^2 / (2 beta N P Q), once its rates and P are checked."""
     if not rates.alpha > 0.0:
         raise DomainError(f"window form requires alpha > 0, got {rates.alpha!r}")
     if not rates.beta > rates.alpha:
@@ -196,27 +212,41 @@ def _window_form(
         )
     P = _divisor_loss_probability(net)
     try:
-        prefactor = rates.alpha**2 / (2.0 * rates.beta * net.N * P * Q)
+        return rates.alpha**2 / (2.0 * rates.beta * net.N * P * Q)
     except OverflowError as e:
         raise OverflowRangeError(
             f"window prefactor alpha^2 overflows at alpha={rates.alpha!r}"
         ) from e
-    s_n = prefactor * _ei_window(rates.beta - rates.alpha, t1, t2)
-    if not math.isfinite(s_n):
-        raise OverflowRangeError(f"window form gives {s_n!r}, outside double range")
-    return s_n
 
 
 @lru_cache(maxsize=8)
 def _ei_window(d: float, t1: float, t2: float) -> float:
-    """The window difference Ei(d/t1) - Ei(d/t2).
+    """The window difference Ei(d/t1) - Ei(d/t2), with no cancellation.
+
+    For x1 = d/t1 <= 40 it adds positive terms: log1p((t2 - t1)/t1) + sum_{k>=1}
+    (x1^k - x2^k) / (k k!). Above, it subtracts the two Ei values, or integrates
+    e^t/t over [x2, x1] once h = x1 - x2 < 1. Errors are expint_ei's.
 
     A sweep row takes it three times at one (d, t1, t2): for S_N, for the
     unit-pass S_N of the overhead prediction and in its printed expansion.
     A few entries serve a row; an error is raised again on every call,
     since lru_cache stores only returned values.
     """
-    return expint_ei(d / t1) - expint_ei(d / t2)
+    x1, x2, w = d / t1, d / t2, t2 - t1
+    h = x1 * (w / t2)  # t2 - t1 is exact while t2 <= 2 t1
+    if x1 > _EI_SERIES_CUTOFF:
+        e1 = expint_ei(x1)  # raises for a non-finite x1, or where Ei(x1) overflows
+        if h >= 1.0:
+            return e1 - expint_ei(x2)
+        # e^x1 times the integral of e^-s / (x1 - s) over [0, h], by Gauss-Legendre;
+        # e^x1 is taken in halves, since it overflows from 709.78, before Ei(x1) does
+        r, half = h / 2.0, math.exp(x1 / 2.0)
+        return sum(weight * math.exp(-s) / (x1 - s) for u, weight in _GAUSS_RULE
+                   for s in (r - r * u, r + r * u)) * r * half * half
+    if not x2 >= _EI_MIN_X:  # outside the domain: expint_ei raises its error, x1's first
+        expint_ei(x1)
+        expint_ei(x2)
+    return math.log1p(w / t1) + _window_series(x1, x2, h, _series_terms(math.ceil(x1)))
 
 
 def sustainability_window_quadrature(

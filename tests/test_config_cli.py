@@ -33,7 +33,6 @@ from v2xsustain import (
     build_bundle,
     compare_to_model,
     default_config,
-    expint_ei,
     failsafe_tau,
     load_config,
     loss_probability_model,
@@ -957,22 +956,27 @@ def test_sweep_rows_check_only_their_overrides(tmp_path, monkeypatch, capsys):
 
 def test_sweep_row_evaluates_its_ei_window_once(tmp_path, monkeypatch, capsys):
     # S_N, the unit-pass S_N of M_O_pred and the printed expansion share one
-    # Ei(d/t1) - Ei(d/t2) per row. The grid's 200 windows are distinct, so
-    # no row finds another's in the memo.
+    # Ei(d/t1) - Ei(d/t2) per row, one window series each. The grid's 200
+    # windows are distinct, so no row finds another's in the memo, and all
+    # lie on the series branch, so no row takes expint_ei.
     calls = []
+    series = sustain_module._window_series
 
-    def counting(x):
-        calls.append(x)
-        return expint_ei(x)
+    def counting(x1, x2, h, terms):
+        calls.append((x1, x2))
+        return series(x1, x2, h, terms)
+
+    def no_ei(x):
+        raise AssertionError(f"expint_ei({x!r}) on the series branch")
 
     monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
     _ei_window.cache_clear()  # an earlier A1 window would serve the first row
-    monkeypatch.setattr("v2xsustain.sustain.expint_ei", counting)
-    monkeypatch.setattr("v2xsustain.specfun.expint_ei", counting)
+    monkeypatch.setattr(sustain_module, "_window_series", counting)
+    monkeypatch.setattr(sustain_module, "expint_ei", no_ei)
     index = GOLDEN_ANALYTIC_IDS.index("sweep_beta200")
     assert_golden_output(tmp_path, *GOLDEN_ANALYTIC[index])
     capsys.readouterr()
-    assert len(calls) == 2 * 200 and len(set(calls)) == len(calls)
+    assert len(calls) == 200 and len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Property tests: each production closed form agrees with its quadrature
-twin over random admissible inputs, and scale_param and both connectivity
+twin over random admissible inputs, and sustainability_window,
+predicted_key_updates, failsafe_tau, scale_param and both connectivity
 forms with 50-digit mpmath, within the bounds their docstrings state.
 
 The twins are `sustain.sustainability_window_quadrature` and the two in
@@ -22,6 +23,7 @@ from v2xsustain import (
     connectivity_prob,
     connectivity_window_factor,
     failsafe_tau,
+    loss_probability_model,
     predicted_key_updates,
     scale_param,
     sustainability_window,
@@ -44,7 +46,7 @@ TWIN_FLOOR = 1e-300
 def scenarios(draw):
     alpha = draw(log_uniform(-8, 2))
     t1 = draw(log_uniform(-2, 6))
-    t2 = t1 * (1.0 + draw(log_uniform(-3, 3)))
+    t2 = t1 * (1.0 + draw(log_uniform(-12, 3)))
     E = draw(st.integers(2, 200))
     net = NetworkParams(
         N=draw(st.integers(1, 50)), E=E, n_inv=draw(st.integers(1, E - 1)),
@@ -163,3 +165,69 @@ def test_connectivity_window_factor_within_its_bound(x, t1, width, cohort):
             NetworkParams(N=10, E=E, E_zero=E0), rate, TimeWindow(t1, t2, t2)
         )
         assert abs(got - (1 - term)) <= 1e-14 * (1 + abs(term)), (rate, t1, t2, E0)
+
+
+NETS = st.integers(2, 200).flatmap(lambda E: st.builds(
+    NetworkParams, N=st.integers(1, 50), E=st.just(E), n_inv=st.integers(1, E - 1),
+    Q=st.integers(1, 10)))
+
+
+@hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+@hypothesis.given(alpha=log_uniform(-8, 2), spread=log_uniform(-3, 3), x1=log_uniform(-10, 2.85),
+                  width=log_uniform(-12, 3), net=NETS)
+@hypothesis.example(alpha=1e-6, spread=99999.0, x1=0.1, width=1e-6, net=NetworkParams(N=10, E=10))
+@hypothesis.example(alpha=1.0, spread=1.0, x1=0.2, width=1e-12, net=NetworkParams(N=10, E=10))
+@hypothesis.example(alpha=1.0, spread=99.0, x1=50.0, width=1e-9, net=NetworkParams(N=10, E=10))
+def test_sustainability_window_within_its_bound(alpha, spread, x1, width, net):
+    # (beta - alpha)/t1 = x1 in [1e-10, 708] and t2/t1 - 1 in [1e-12, 1e3]; the
+    # bound against the exact form on the doubles alpha, beta, t1, t2 and P
+    mpmath = pytest.importorskip("mpmath")
+    rates = RateParams(alpha=alpha, beta=alpha * (1.0 + spread))
+    d = rates.beta - rates.alpha
+    t1 = d / x1
+    window = TimeWindow(t1=t1, t2=t1 * (1.0 + width), T=t1 * (1.0 + width))
+    try:
+        got = sustainability_window(rates, net, window)
+    except (DomainError, OverflowRangeError):
+        hypothesis.assume(False)
+    x1 = d / t1
+    bound = 1e-13 if x1 <= 40.0 else x1 * 2.0**-51
+    with mpmath.workdps(50):
+        a, P = mpmath.mpf(alpha), mpmath.mpf(loss_probability_model(net))
+        ref = a * a / (2 * mpmath.mpf(rates.beta) * net.N * P * net.Q) * (
+            mpmath.ei(mpmath.mpf(d) / t1) - mpmath.ei(mpmath.mpf(d) / window.t2))
+        assert abs((got - ref) / ref) <= bound, (rates, net, window)
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+@hypothesis.given(alpha=log_uniform(-12, 3), t1=log_uniform(-3, 5), width=log_uniform(-12, 3))
+@hypothesis.example(alpha=6.162321956722076e-05, t1=972.0881573981684, width=0.08997742)
+@hypothesis.example(alpha=1.0, t1=5.0, width=1e-12)
+def test_predicted_key_updates_within_its_bound(alpha, t1, width):
+    # the bound its docstring states, against the form on the doubles
+    mpmath = pytest.importorskip("mpmath")
+    window = TimeWindow(t1=t1, t2=t1 * (1.0 + width), T=t1 * (1.0 + width))
+    got = predicted_key_updates(RateParams(alpha=alpha, beta=2.0 * alpha), window)
+    hypothesis.assume(got >= 2.0**-1022)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        ref = a / 2 * (mpmath.exp(-a / window.t2) - mpmath.exp(-a / t1))
+        assert abs((got - ref) / ref) <= 4 * (1 + alpha / t1) * 2.0**-52, (alpha, t1, window.t2)
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+@hypothesis.given(mu=log_uniform(math.log10(2.001), 12.3), d1=st.one_of(
+    st.floats(0.0, 0.999), log_uniform(-16, -1)), gap=log_uniform(-12, 0), T=log_uniform(-3, 6))
+@hypothesis.example(mu=1.5e6, d1=8e-15, gap=1.04e-5, T=1.0)  # 8e-11 off as (1 - d1)**mu
+def test_failsafe_tau_within_its_bound(mu, d1, gap, T):
+    # d2 = d1 + gap (1 - d1), inside (d1, 1); the bound against the form on the doubles
+    mpmath = pytest.importorskip("mpmath")
+    d2 = d1 + gap * (1.0 - d1)
+    hypothesis.assume(d1 < d2 < 1.0)
+    got = failsafe_tau(mu, LikelihoodBounds(d1=d1, d2=d2), T)
+    hypothesis.assume(got >= 2.0**-1022)
+    bound = 2 * (1 + abs(mu * math.log1p(-d1)) + abs(mu * math.log1p((d1 - d2) / (1 - d1))))
+    with mpmath.workdps(50):
+        m = mpmath.mpf(mu)
+        ref = ((1 - mpmath.mpf(d1)) ** m - (1 - mpmath.mpf(d2)) ** m) / T
+        assert abs((got - ref) / ref) <= bound * 2.0**-52, (mu, d1, d2, T)

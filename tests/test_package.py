@@ -1,12 +1,16 @@
 """Package-level tests: `v2xsustain` resolves its public names lazily from
-one name -> submodule map, and the README's code and references hold.
+one name -> submodule map, the README's code and references hold, and the
+test configuration reports a failing property test by name.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,3 +136,32 @@ def test_settable_values_do_not_grow():
     assert sum(counts.values()) <= 163, listing
     assert len(counts) <= 71, sorted(counts)
     assert len(FIELDS) <= 30
+
+
+FAILING_PROPERTY = """
+from hypothesis import Phase, given, settings, strategies as st
+
+
+@settings(phases=[Phase.generate], derandomize=True, max_examples=5, database=None)
+@given(st.integers(0, 10))
+def test_deliberately_fails(x):
+    assert x < 0
+"""
+
+
+def test_a_failing_property_test_is_reported_by_name(tmp_path):
+    # under the project's filterwarnings, Hypothesis's report hook must not
+    # turn a failed example into an INTERNALERROR that names no test. The
+    # child loads that one plugin and no other, to start in about 1 s.
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p",
+         "_hypothesis_pytestplugin", "-c", str(ROOT / "pyproject.toml"), "--rootdir",
+         str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1"),
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert re.search(r"^FAILED test_fails\.py::test_deliberately_fails\b", proc.stdout, re.M)

@@ -23,6 +23,7 @@ from v2xsustain import (
     TimeWindow,
     compare_to_model,
     run_simulation,
+    sustainability_window,
 )
 from v2xsustain import arraycsv, csvio, sim
 from v2xsustain.csvio import Codes
@@ -30,8 +31,9 @@ from v2xsustain.cli import main
 from v2xsustain.config import build_bundle, merge_config
 from v2xsustain.csvio import fmt, write_csv
 from v2xsustain.decision import UPDATE_KEYS, score_failsafe_slots
-from v2xsustain.errors import DomainError, SimulationTruncated
+from v2xsustain.errors import DomainError, OverflowRangeError, SimulationTruncated
 from v2xsustain.sim import Draws, EventTable
+from v2xsustain.sustain import _ei_window, _window_form
 
 NET = NetworkParams(N=10, E=10, E_zero=10, n_inv=5, Q=1)
 RATES = RateParams(alpha=1.0, beta=2.0, gamma_prime=0.1)
@@ -636,6 +638,85 @@ def test_compare_builds_no_window_per_slot(monkeypatch):
     assert len(report.table.t_s) == 1100
     assert not np.isnan(report.table.S_N_model[1:]).any()
     assert calls == []
+
+
+def scalar_model_cells(trace, sc) -> tuple[np.ndarray, list[str]]:
+    """The S_N_model column and messages as one _window_form call per slot."""
+    t = trace.slots.t_s.tolist()
+    cells, errors = np.full(len(t), np.nan), []
+    for k in range(1, len(t)):
+        t1, t2 = t[k - 1], min(t[k], sc.window.T)
+        if 0.0 < t1 < t2:
+            try:
+                cells[k] = _window_form(sc.rates, sc.net, t1, t2, sc.net.Q)
+            except (DomainError, OverflowRangeError) as e:
+                errors.append(str(e))
+    return cells, errors
+
+
+@pytest.mark.parametrize("rates,net,errors,message", [
+    # x1 = (beta - alpha)/t1 down to 0.04: all 199 windows on the series branch
+    (RateParams(alpha=1.0, beta=9.0), NET, 0, None),
+    # Ei(x1) leaves double range for t1 <= 6; x1 > 40 after that up to
+    # t1 = 124, h = x1 - x2 < 1 (the Gauss-Legendre rule) from t1 = 71
+    (RateParams(alpha=1.0, beta=5001.0), NET, 6,
+     "expint_ei(5000.0) exceeds double-precision range"),
+    # x2 = d/t2 falls below expint_ei's floor from t2 = 14
+    (RateParams(alpha=1e-300, beta=1.5e-299), NET, 187,
+     "expint_ei argument 9.999999999999999e-301 is below the domain floor 1e-300"),
+    # P = 2^-1040 is subnormal: every cell leaves double range
+    (RATES, NetworkParams(N=1040, E=10), 199, "window form gives inf, outside double range"),
+    # alpha^2 overflows: no slot has a prefactor
+    (RateParams(alpha=5e307, beta=1e308), NET, 199, "window prefactor alpha^2 overflows"),
+    (RATES, NetworkParams(N=100_000_000, E=10), 199, "loss probability P underflows"),
+], ids=["series", "overflow-gauss-asymptotic", "domain-floor", "non-finite", "prefactor",
+        "P-underflow"])
+def test_compare_model_cells_match_the_scalar_route(rates, net, errors, message):
+    # compare_to_model's vectorised route gives each cell and each message
+    # of a per-slot _window_form loop, in slot order, bit for bit
+    window = TimeWindow(t1=5.0, t2=105.0, T=200.0, t_x_step=1.0)
+    sc = scenario(rates=rates, net=net, window=window)
+    trace = dataclasses.replace(run_simulation(scenario(window=window)), scenario=sc)
+    report = compare_to_model(trace, sc)
+    cells, expected = scalar_model_cells(trace, sc)
+    assert np.array_equal(report.table.S_N_model, cells, equal_nan=True)
+    assert report.s_n_model_errors == expected and len(expected) == errors
+    assert message is None or message in expected[0]
+
+
+def test_compare_model_cells_take_no_python_call_per_slot(monkeypatch):
+    # the 1e4 slots of a narrow-slot scenario go through _ei_windows at once,
+    # and every cell is the scalar route's value on its window
+    window = TimeWindow(t1=5.0, t2=1e3, T=1e4, t_x_step=1.0)
+    sc = scenario(rates=RateParams(alpha=1e-6, beta=0.1), window=window)
+    trace = run_simulation(sc)
+    calls = []
+    monkeypatch.setattr(sim, "_window_form", lambda *args: calls.append(args))
+    cells = compare_to_model(trace, sc).table.S_N_model
+    assert calls == [] and not np.isnan(cells[1:]).any()
+    monkeypatch.undo()
+    t = trace.slots.t_s.tolist()
+    for k in range(1, len(t), 97):
+        assert cells[k] == sustainability_window(
+            sc.rates, sc.net, dataclasses.replace(window, t1=t[k - 1], t2=t[k])), k
+
+
+def test_ei_windows_match_the_scalar_route_bit_for_bit(monkeypatch):
+    # seeded windows with x1 across both branches and t2/t1 - 1 down to
+    # 1e-12, in blocks of 3: the array route is the scalar route on the
+    # marked windows that take the series, and NaN elsewhere
+    rng = np.random.default_rng(21)
+    monkeypatch.setattr(sim, "_GATHER_ROWS", 3)
+    for d in 10.0 ** rng.uniform(-6.0, 3.0, 30):
+        t1 = d / 10.0 ** rng.uniform(-8.0, 1.9, 64)
+        t2 = t1 * (1.0 + 10.0 ** rng.uniform(-12.0, 3.0, 64))
+        marked = rng.random(64) < 0.9
+        got = sim._ei_windows(d, t1, t2, marked)
+        for k, (a, b) in enumerate(zip(t1.tolist(), t2.tolist())):
+            if marked[k] and d / a <= 40.0:
+                assert got[k].hex() == _ei_window.__wrapped__(d, a, b).hex(), (d, a, b)
+            else:
+                assert math.isnan(got[k])
 
 
 def test_compare_model_columns_absent_without_closed_form():

@@ -29,7 +29,7 @@ DIGESTS = {
     "run0_metrics.csv":
         "a0af8c7bbdc1e74d02fc474f86e3b1e9166bfc7a207d34ce47ea8fd82d748953",
     "run0_comparison.csv":
-        "710792ac7f66edca74b3ea7cbfbd95e60208e32d5906fbf9d0faa29c0942040d",
+        "d6e73035ac079bff7d973faceecf3a57dbb53a22bad1c418f5eb30b81cbed149",
     "run0_events.csv":
         "d7e751031295ab65ac176f1d0953d9985b28da257052a4939c66bd09291b16b8",
     "failsafe.csv":
